@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import builders, io
-from .errors import DbaError, ParseError
+from .errors import DbaError, ParameterError, ParseError
 from .model import kkt_residues
 from .pha import PHA_LOG_COLUMNS, PhaConfig, pha_solve
 from .solvers import LOG_COLUMNS, SolverConfig, admm_solve, alm_solve
@@ -29,6 +29,9 @@ def main(argv=None):
         return args.func(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
+        return 2
+    except ParameterError as exc:
+        print("invalid parameters: %s" % exc, file=sys.stderr)
         return 2
     except DbaError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)

@@ -39,3 +39,7 @@ class SubproblemFailure(DbaError):
 
 class ParseError(DbaError):
     """A problem or solution file could not be parsed."""
+
+
+class ParameterError(DbaError, ValueError):
+    """A solver parameter lies outside its admissible range."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._parallel import pmap, resolve_threads
 from .blocklinalg import mv
-from .errors import SubproblemFailure
+from .errors import ParameterError, SubproblemFailure
 from .model import (DBAProblem, DualPoint, PrimalPoint, dual_objective,
                     kkt_full, kkt_residues, primal_objective)
 from .proxcone import add_diag_quadratic, scale_function
@@ -44,7 +44,7 @@ class PhaConfig:
 
     def __post_init__(self):
         if not 0.0 < self.tau < TAU_ADMM_MAX:
-            raise ValueError("PHA step length must lie in (0, (1+sqrt(5))/2)")
+            raise ParameterError("PHA step length must lie in (0, (1+sqrt(5))/2)")
 
 
 @dataclass

@@ -1,8 +1,9 @@
-"""Main iteration loops: the two-group proximal ADMM on the dual, the
-proximal ALM variant for problems without smooth objective terms, and the
-semismooth Newton subproblem solver for the (z, y) block.
+"""Main iteration loop: the two-group proximal ADMM on the dual and the
+proximal ALM variant for problems without smooth objective terms, both run
+by one sGS sweep engine, plus the semismooth Newton subproblem solver for
+the (z, y) block.
 
-Both loops keep all iterates stacked over scenarios and terminate on the
+The loop keeps all iterates stacked over scenarios and terminates on the
 relative KKT residue together with the duality gap.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from ._parallel import pmap, resolve_threads
 from .blocklinalg import chol_factor, maybe_densify, mv, power_lambda_max, to_dense
-from .errors import (LineSearchFailure, NotPositiveDefinite,
+from .errors import (LineSearchFailure, NotPositiveDefinite, ParameterError,
                      UnsupportedObjective)
 from .model import (DualPoint, PrimalPoint, dual_objective, kkt_full,
                     primal_objective, validate)
@@ -32,6 +33,18 @@ LOG_COLUMNS = ("k", "eta_P", "eta_D", "eta_K", "eta_theta", "eta_Pbar",
 _SSN_POLYHEDRAL = (NonnegOrthant, Box, FreeSpace)
 _A_FACTOR_DIM_CAP = 20000
 
+# penalty rebalancing: checked every _SIGMA_PERIOD iterations, the interval
+# growing by _SIGMA_PERIOD_GROWTH after each change
+_SIGMA_PERIOD = 25
+_SIGMA_PERIOD_GROWTH = 1.5
+_SIGMA_FACTOR = 1.4
+_SIGMA_RATIO = 5.0
+_SIGMA_MIN = 1e-6
+_SIGMA_MAX = 1e6
+# stalled once eta has not dropped by a _STALL_REL fraction in _STALL_WINDOW
+_STALL_WINDOW = 2000
+_STALL_REL = 1e-3
+
 
 @dataclass
 class SolverConfig:
@@ -45,14 +58,6 @@ class SolverConfig:
     jbar: object = None
     ssn: str = "auto"                   # auto | on | off
     sigma_fixed: bool = False
-    sigma_period: int = 25
-    sigma_period_growth: float = 1.5    # interval grows after each change
-    sigma_factor: float = 1.4
-    sigma_ratio: float = 5.0
-    sigma_min: float = 1e-6
-    sigma_max: float = 1e6
-    stall_window: int = 2000
-    stall_rel: float = 1e-3
     log_every: int = 0                  # console progress; 0 disables
     threads: int | None = None
     check_inner: bool = False           # assert recorded inner errors <= eps_k
@@ -99,24 +104,23 @@ def eps_schedule(k, eps0=1e-4):
     return eps0 / (k + 1) ** 1.5
 
 
-def sigma_update(residues, sigma, params=None):
+def sigma_update(residues, sigma):
     """Rebalance the penalty from the residue ratio.
 
     The penalty weights the dual-constraint terms of the augmented
     Lagrangian, so when the dual-side residues dominate the primal-side ones
-    by more than ``sigma_ratio`` the penalty is scaled up by
-    ``sigma_factor``; in the opposite regime it is scaled down.  Clamped to
-    [sigma_min, sigma_max].
+    by more than ``_SIGMA_RATIO`` the penalty is scaled up by
+    ``_SIGMA_FACTOR``; in the opposite regime it is scaled down.  Clamped to
+    [_SIGMA_MIN, _SIGMA_MAX].
     """
-    cfg = params or SolverConfig()
     prim = max(residues.eta_P, residues.eta_Pbar)
     dual = max(residues.eta_D, residues.eta_Dbar)
     ratio = dual / max(prim, 1e-300)
-    if ratio > cfg.sigma_ratio:
-        sigma = sigma * cfg.sigma_factor
-    elif ratio < 1.0 / cfg.sigma_ratio:
-        sigma = sigma / cfg.sigma_factor
-    return min(max(sigma, cfg.sigma_min), cfg.sigma_max)
+    if ratio > _SIGMA_RATIO:
+        sigma = sigma * _SIGMA_FACTOR
+    elif ratio < 1.0 / _SIGMA_RATIO:
+        sigma = sigma / _SIGMA_FACTOR
+    return min(max(sigma, _SIGMA_MIN), _SIGMA_MAX)
 
 
 def default_sigma0(problem):
@@ -258,7 +262,7 @@ def admm_solve(problem, config=None, initial=None):
     cfg = config or SolverConfig()
     tau = cfg.tau if cfg.tau is not None else 1.618
     if not 0.0 < tau < TAU_ADMM_MAX:
-        raise ValueError("ADMM step length must lie in (0, (1+sqrt(5))/2)")
+        raise ParameterError("ADMM step length must lie in (0, (1+sqrt(5))/2)")
     return _run_loop(problem, cfg, tau, initial, mode="admm")
 
 
@@ -270,7 +274,7 @@ def alm_solve(problem, config=None, initial=None):
     cfg = config or SolverConfig()
     tau = cfg.tau if cfg.tau is not None else 1.9
     if not 0.0 < tau < TAU_ALM_MAX:
-        raise ValueError("ALM step length must lie in (0, 2)")
+        raise ParameterError("ALM step length must lie in (0, 2)")
     return _run_loop(problem, cfg, tau, initial, mode="alm")
 
 
@@ -285,6 +289,8 @@ def _run_loop(problem, cfg, tau, initial, mode):
     use_ssn = _ssn_eligible(problem, cfg)
 
     st = initial.copy() if initial is not None else zero_state(problem)
+    if mode == "alm":
+        st.v, st.vbar = np.zeros_like(st.v), np.zeros_like(st.vbar)
 
     log_rows = []
     status = "MaxIter"
@@ -293,31 +299,14 @@ def _run_loop(problem, cfg, tau, initial, mode):
     res = None
     k = 0
     inner_iters = 0
-    sigma_period = cfg.sigma_period
-    next_sigma_check = cfg.sigma_period - 1
-    # surrogate data for the relative-error rate criteria: recorded inner
-    # residual against the iterate movement (debug only, never enforced)
-    error_ratio_log = [] if cfg.check_inner else None
-    prev_vec = None
+    sigma_period = _SIGMA_PERIOD
+    next_sigma_check = _SIGMA_PERIOD - 1
 
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k, cfg.eps0)
-        if mode == "admm":
-            inner_iters = _admm_iteration(problem, st, sigma, tau, msol, facA,
-                                          use_ssn, eps_k, cfg, threads)
-        else:
-            inner_iters = alm_ssn_step(problem, st, sigma, tau, msol, facA,
-                                       eps_k, cfg, threads) if use_ssn else \
-                _alm_iteration(problem, st, sigma, tau, msol, facA, eps_k, cfg,
-                               threads)
-
-        if error_ratio_log is not None:
-            vec = np.concatenate([st.x, st.xbar, st.y, st.ybar, st.z,
-                                  st.zbar, st.v, st.vbar])
-            if prev_vec is not None:
-                move = float(np.linalg.norm(vec - prev_vec))
-                error_ratio_log.append((k, msol.last_relres, move))
-            prev_vec = vec
+        inner_iters = _sgs_iteration(problem, st, sigma, tau, msol, facA,
+                                     use_ssn, eps_k, cfg, threads,
+                                     alm=mode == "alm")
 
         primal = _split_primal(problem, st)
         dual = _dual_point(st)
@@ -335,20 +324,20 @@ def _run_loop(problem, cfg, tau, initial, mode):
             k += 1
             break
 
-        if res.eta < best_eta * (1.0 - cfg.stall_rel):
+        if res.eta < best_eta * (1.0 - _STALL_REL):
             best_eta = res.eta
             best_eta_at = k
-        elif k - best_eta_at >= cfg.stall_window:
+        elif k - best_eta_at >= _STALL_WINDOW:
             status = "Stalled"
             k += 1
             break
 
         if not cfg.sigma_fixed and k >= next_sigma_check:
-            new_sigma = sigma_update(res, sigma, cfg)
+            new_sigma = sigma_update(res, sigma)
             if new_sigma != sigma:
                 # lengthen the interval after each change so the penalty
                 # eventually settles and the iteration can converge
-                sigma_period = min(sigma_period * cfg.sigma_period_growth, 2500.0)
+                sigma_period = min(sigma_period * _SIGMA_PERIOD_GROWTH, 2500.0)
                 sigma = new_sigma
             next_sigma_check = k + int(sigma_period)
     else:
@@ -363,7 +352,7 @@ def _run_loop(problem, cfg, tau, initial, mode):
         primal=primal, dual=dual, sigma=sigma,
         elapsed=time.perf_counter() - t0, log_rows=log_rows,
         extra={"mode": mode, "ssn": use_ssn, "strategy": msol.strategy,
-               "state": st, "error_ratio_log": error_ratio_log},
+               "state": st},
     )
 
 
@@ -377,208 +366,101 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
     return y, msol.last_inner_iters
 
 
-def _admm_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                    threads):
-    A = problem.A_mv
+def _scenario_map(problem, attr, fn, sigma, u, threads):
+    """``fn(op, sigma, u)`` on the stacked scenario ``attr`` ("cone" or
+    "theta") when one exists, else ``fn(op_i, sigma, u_i)`` per scenario
+    through pmap, reassembled in index order."""
+    stacked = getattr(problem, "scen_%s_stacked" % attr)
+    if stacked is not None:
+        return fn(stacked, sigma, u)
+    out = np.empty_like(u)
+
+    def task(i):
+        sl = problem.x_slice(i)
+        return fn(getattr(problem.scenarios[i], attr), sigma, u[sl])
+    for i, part in enumerate(pmap(task, problem.N, threads)):
+        out[problem.x_slice(i)] = part
+    return out
+
+
+def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
+                   threads, alm=False):
+    """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
+    on the dual; updates ``st`` and returns the inner iteration count.
+
+    Two group steps act on the residuals R = A*y + B*ybar + z + v - c_k and
+    Rb = Bbar*ybar + zbar + vbar - cbar_k: "nonsmooth" updates zbar and then
+    the (z, y) pair (semismooth Newton, a y -> z -> y sweep, or z alone
+    without A); "smooth" updates (v, vbar).  ADMM runs nonsmooth, then
+    ybar -> smooth -> ybar; ALM keeps v = vbar = 0 and runs
+    ybar -> nonsmooth -> ybar.  Inside a ybar sweep a step sees the
+    residuals at the backward ybar and returns the ones at the old ybar with
+    its own blocks updated, which is what the forward ybar solve needs.
+    """
+    A, At = problem.A_mv, problem.A_T
     B, Bbar = problem.B, problem.Bbar
-    c, cbar, bbar, b = problem.c, problem.cbar, problem.bbar, problem.b
+    b, bbar = problem.b, problem.bbar
+    ck = problem.c - st.x / sigma
+    cbk = problem.cbar - st.xbar / sigma
+    Aty = mv(At, st.y) if A is not None else 0.0
+    R = Aty + B.apply_adjoint(st.ybar) + st.z + st.v - ck
+    Rb = Bbar.apply_adjoint(st.ybar) + st.zbar + st.vbar - cbk
+    new = {"v": st.v, "vbar": st.vbar}
     inner = 0
 
-    ck = c - st.x / sigma
-    cbk = cbar - st.xbar / sigma
-    At = problem.A_T
-    Aty = mv(At, st.y) if A is not None else 0.0
-    Bty = B.apply_adjoint(st.ybar)
-    R1 = Aty + Bty + st.z + st.v - ck
-    R2 = Bbar.apply_adjoint(st.ybar) + st.zbar + st.vbar - cbk
-
-    # first group: zbar scenario-separable prox, then the (z, y) pair
-    if problem.scen_cone_stacked is not None:
-        zbar_new = _proj_conj(problem.scen_cone_stacked, sigma, R2 - st.zbar)
-    else:
-        zbar_new = np.empty_like(st.zbar)
-
-        def zbar_task(i):
-            sl = problem.x_slice(i)
-            return _proj_conj(problem.scenarios[i].cone, sigma,
-                              R2[sl] - st.zbar[sl])
-        for i, part in enumerate(pmap(zbar_task, problem.N, threads)):
-            zbar_new[problem.x_slice(i)] = part
-
-    if A is not None and use_ssn:
-        chat = ck - Bty - st.v
-        y_new, z_new, it = ssn_zy(A, b, problem.cone, sigma, chat, y0=st.y,
-                                  tol=max(min(1e-9, eps_k), 1e-12))
+    def ybar_solve(R, Rb):
+        nonlocal inner
+        rhs = bbar / sigma - B.apply(R) - Bbar.apply(Rb)
+        dy, it = _msolve_with_tol(msol, rhs, sigma, eps_k, cfg)
         inner += it
-    elif A is not None:
-        y_tmp = st.y + facA.solve(b / sigma - mv(A, R1))
-        z_new = _proj_conj(problem.cone, sigma,
-                           mv(At, y_tmp - st.y) + R1 - st.z)
-        y_new = st.y + facA.solve(b / sigma - mv(A, R1 + z_new - st.z))
+        return st.ybar + dy
+
+    def nonsmooth(Rin, Rbin, R, Rb, ybar):
+        nonlocal inner
+        zbar = _scenario_map(problem, "cone", _proj_conj, sigma,
+                             Rbin - st.zbar, threads)
+        if A is None:
+            y, z = st.y, _proj_conj(problem.cone, sigma, Rin - st.z)
+        elif use_ssn:
+            chat = ck - B.apply_adjoint(ybar) - st.v
+            y, z, it = ssn_zy(A, b, problem.cone, sigma, chat, y0=st.y,
+                              tol=max(min(1e-9, eps_k), 1e-12))
+            inner += it
+        else:
+            y_tmp = st.y + facA.solve(b / sigma - mv(A, Rin))
+            z = _proj_conj(problem.cone, sigma,
+                           mv(At, y_tmp - st.y) + Rin - st.z)
+            y = st.y + facA.solve(b / sigma - mv(A, Rin + z - st.z))
+        new.update(y=y, z=z, zbar=zbar)
+        dAty = mv(At, y - st.y) if A is not None else 0.0
+        return R + dAty + (z - st.z), Rb + (zbar - st.zbar)
+
+    def smooth(Rin, Rbin, R, Rb, ybar):
+        v = -prox_conjugate(problem.theta, sigma, Rin - st.v)
+        vbar = -_scenario_map(problem, "theta", prox_conjugate, sigma,
+                              Rbin - st.vbar, threads)
+        new.update(v=v, vbar=vbar)
+        return R + v - st.v, Rb + vbar - st.vbar
+
+    def ybar_sweep(step, R, Rb):
+        ybar_tmp = ybar_solve(R, Rb)
+        dyt = ybar_tmp - st.ybar
+        R, Rb = step(B.apply_adjoint(dyt) + R, Bbar.apply_adjoint(dyt) + Rb,
+                     R, Rb, ybar_tmp)
+        return ybar_solve(R, Rb)
+
+    if alm:
+        ybar = ybar_sweep(nonsmooth, R, Rb)
     else:
-        z_new = _proj_conj(problem.cone, sigma, R1 - st.z)
-        y_new = st.y
-
-    # second group: ybar backward solve, (v, vbar) prox, ybar forward solve
-    dAty = mv(At, y_new - st.y) if A is not None else 0.0
-    R3 = R1 + dAty + (z_new - st.z)
-    R4 = R2 + (zbar_new - st.zbar)
-
-    rhs = bbar / sigma - B.apply(R3) - Bbar.apply(R4)
-    ybar_tmp, it = _msolve_with_tol(msol, rhs, sigma, eps_k, cfg)
-    ybar_tmp = st.ybar + ybar_tmp
-    inner += it
-
-    dyt = ybar_tmp - st.ybar
-    v_new = -prox_conjugate(problem.theta, sigma,
-                            B.apply_adjoint(dyt) + R3 - st.v)
-
-    dyt_bar = Bbar.apply_adjoint(dyt)
-    if problem.scen_theta_stacked is not None:
-        vbar_new = -prox_conjugate(problem.scen_theta_stacked, sigma,
-                                   dyt_bar + R4 - st.vbar)
-    else:
-        vbar_new = np.empty_like(st.vbar)
-
-        def vbar_task(i):
-            sl = problem.x_slice(i)
-            return -prox_conjugate(problem.scenarios[i].theta, sigma,
-                                   dyt_bar[sl] + R4[sl] - st.vbar[sl])
-        for i, part in enumerate(pmap(vbar_task, problem.N, threads)):
-            vbar_new[problem.x_slice(i)] = part
-
-    rhs = (bbar / sigma - B.apply(R3 + v_new - st.v)
-           - Bbar.apply(R4 + vbar_new - st.vbar))
-    dy, it = _msolve_with_tol(msol, rhs, sigma, eps_k, cfg)
-    ybar_new = st.ybar + dy
-    inner += it
+        R, Rb = nonsmooth(R, Rb, R, Rb, st.ybar)
+        ybar = ybar_sweep(smooth, R, Rb)
 
     # multiplier step
-    Aty_new = mv(At, y_new) if A is not None else 0.0
-    st.x = st.x + tau * sigma * (Aty_new + B.apply_adjoint(ybar_new)
-                                 + z_new + v_new - c)
-    st.xbar = st.xbar + tau * sigma * (Bbar.apply_adjoint(ybar_new)
-                                       + zbar_new + vbar_new - cbar)
-    st.y, st.ybar = y_new, ybar_new
-    st.z, st.zbar = z_new, zbar_new
-    st.v, st.vbar = v_new, vbar_new
-    return inner
-
-
-def _alm_iteration(problem, st, sigma, tau, msol, facA, eps_k, cfg, threads):
-    A = problem.A_mv
-    B, Bbar = problem.B, problem.Bbar
-    c, cbar, bbar, b = problem.c, problem.cbar, problem.bbar, problem.b
-    inner = 0
-
-    ck = c - st.x / sigma
-    cbk = cbar - st.xbar / sigma
-    At = problem.A_T
-    Aty = mv(At, st.y) if A is not None else 0.0
-    Rt1 = Aty + B.apply_adjoint(st.ybar) + st.z - ck
-    Rt2 = Bbar.apply_adjoint(st.ybar) + st.zbar - cbk
-
-    # backward sweep through ybar then y
-    rhs = bbar / sigma - B.apply(Rt1) - Bbar.apply(Rt2)
-    dy, it = _msolve_with_tol(msol, rhs, sigma, eps_k, cfg)
-    ybar_tmp = st.ybar + dy
-    inner += it
-
-    Bty_tmp = B.apply_adjoint(ybar_tmp)
-    if A is not None:
-        y_tmp = st.y + facA.solve(b / sigma - mv(A, Aty + Bty_tmp + st.z - ck))
-        Aty_tmp = mv(At, y_tmp)
-    else:
-        y_tmp = st.y
-        Aty_tmp = 0.0
-
-    # nonsmooth group
-    z_new = _proj_conj(problem.cone, sigma, Aty_tmp + Bty_tmp - ck)
-    bty_bar = Bbar.apply_adjoint(ybar_tmp)
-    if problem.scen_cone_stacked is not None:
-        zbar_new = _proj_conj(problem.scen_cone_stacked, sigma, bty_bar - cbk)
-    else:
-        zbar_new = np.empty_like(st.zbar)
-
-        def zbar_task(i):
-            sl = problem.x_slice(i)
-            return _proj_conj(problem.scenarios[i].cone, sigma,
-                              bty_bar[sl] - cbk[sl])
-        for i, part in enumerate(pmap(zbar_task, problem.N, threads)):
-            zbar_new[problem.x_slice(i)] = part
-
-    # forward sweep through y then ybar
-    if A is not None:
-        y_new = st.y + facA.solve(b / sigma - mv(A, Aty + Bty_tmp + z_new - ck))
-        Aty_new = mv(At, y_new)
-    else:
-        y_new = st.y
-        Aty_new = 0.0
-
-    rhs = (bbar / sigma
-           - B.apply(B.apply_adjoint(st.ybar) + Aty_new + z_new - ck)
-           - Bbar.apply(Bbar.apply_adjoint(st.ybar) + zbar_new - cbk))
-    dy, it = _msolve_with_tol(msol, rhs, sigma, eps_k, cfg)
-    ybar_new = st.ybar + dy
-    inner += it
-
-    st.x = st.x + tau * sigma * (Aty_new + B.apply_adjoint(ybar_new) + z_new - c)
-    st.xbar = st.xbar + tau * sigma * (Bbar.apply_adjoint(ybar_new)
-                                       + zbar_new - cbar)
-    st.y, st.ybar = y_new, ybar_new
-    st.z, st.zbar = z_new, zbar_new
-    return inner
-
-
-def alm_ssn_step(problem, st, sigma, tau, msol, facA, eps_k, cfg, threads):
-    """One ALM iteration with the (z, y) block solved jointly by semismooth
-    Newton (no proximal term on that block) and zbar by projection."""
-    A = problem.A_mv
-    B, Bbar = problem.B, problem.Bbar
-    c, cbar, bbar, b = problem.c, problem.cbar, problem.bbar, problem.b
-    inner = 0
-
-    ck = c - st.x / sigma
-    cbk = cbar - st.xbar / sigma
-    At = problem.A_T
-    Aty = mv(At, st.y) if A is not None else 0.0
-    Rt1 = Aty + B.apply_adjoint(st.ybar) + st.z - ck
-    Rt2 = Bbar.apply_adjoint(st.ybar) + st.zbar - cbk
-
-    rhs = bbar / sigma - B.apply(Rt1) - Bbar.apply(Rt2)
-    dy, it = _msolve_with_tol(msol, rhs, sigma, eps_k, cfg)
-    ybar_tmp = st.ybar + dy
-    inner += it
-
-    chat = ck - B.apply_adjoint(ybar_tmp)
-    y_new, z_new, it = ssn_zy(A, b, problem.cone, sigma, chat, y0=st.y,
-                              tol=max(min(1e-9, eps_k), 1e-12))
-    inner += it
-
-    bty_bar = Bbar.apply_adjoint(ybar_tmp)
-    if problem.scen_cone_stacked is not None:
-        zbar_new = _proj_conj(problem.scen_cone_stacked, sigma, bty_bar - cbk)
-    else:
-        zbar_new = np.empty_like(st.zbar)
-
-        def zbar_task(i):
-            sl = problem.x_slice(i)
-            return _proj_conj(problem.scenarios[i].cone, sigma,
-                              bty_bar[sl] - cbk[sl])
-        for i, part in enumerate(pmap(zbar_task, problem.N, threads)):
-            zbar_new[problem.x_slice(i)] = part
-
-    Aty_new = mv(At, y_new)
-    rhs = (bbar / sigma
-           - B.apply(B.apply_adjoint(st.ybar) + Aty_new + z_new - ck)
-           - Bbar.apply(Bbar.apply_adjoint(st.ybar) + zbar_new - cbk))
-    dy, it = _msolve_with_tol(msol, rhs, sigma, eps_k, cfg)
-    ybar_new = st.ybar + dy
-    inner += it
-
-    st.x = st.x + tau * sigma * (Aty_new + B.apply_adjoint(ybar_new) + z_new - c)
-    st.xbar = st.xbar + tau * sigma * (Bbar.apply_adjoint(ybar_new)
-                                       + zbar_new - cbar)
-    st.y, st.ybar = y_new, ybar_new
-    st.z, st.zbar = z_new, zbar_new
+    Aty = mv(At, new["y"]) if A is not None else 0.0
+    st.x = st.x + tau * sigma * (Aty + B.apply_adjoint(ybar) + new["z"]
+                                 + new["v"] - problem.c)
+    st.xbar = st.xbar + tau * sigma * (Bbar.apply_adjoint(ybar) + new["zbar"]
+                                       + new["vbar"] - problem.cbar)
+    st.y, st.ybar, st.z, st.zbar = new["y"], ybar, new["z"], new["zbar"]
+    st.v, st.vbar = new["v"], new["vbar"]
     return inner

@@ -73,6 +73,15 @@ class TestCmdSolve:
         bad.write_text("{]")
         assert main(["solve", str(bad)]) == 2
 
+    def test_step_length_out_of_range_exit_two(self, lp_file, tmp_path,
+                                               capsys):
+        code = main(["solve", lp_file, "--tau", "5",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "step length" in err
+
     def test_max_iter_one_exit_one(self, lp_file, tmp_path):
         code = main(["solve", lp_file, "--max-iter", "1",
                      "--out", str(tmp_path / "r")])
@@ -198,3 +207,12 @@ class TestCmdCompare:
                      "--out", str(out)]) == 0
         body = out.read_text().strip().splitlines()[1]
         assert "UnsupportedObjective" in body
+
+    def test_step_length_out_of_range_recorded_in_row(self, lp_file,
+                                                      tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", lp_file, "--solvers", "sgs-admm,pha",
+                     "--tau", "5", "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all("ParameterError" in row for row in rows)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dbasolve.builders import random_two_stage
+from dbasolve.builders import random_sdp, random_two_stage
 from dbasolve.errors import UnsupportedObjective
 from dbasolve.io import iteration_csv_text
 from dbasolve.model import (DBAProblem, ScenarioBlock, kkt_residues)
@@ -220,6 +220,19 @@ class TestDeterminism:
             texts.append(iteration_csv_text(LOG_COLUMNS, rep.log_rows))
         assert texts[0] == texts[1] == texts[2]
 
+    def test_identical_logs_per_scenario_path(self, free_qp):
+        # PSD cones and dense quadratic thetas do not stack, so the zbar and
+        # vbar updates run scenario by scenario through the worker pool
+        sdp = random_sdp(2, 3, 2, 3, N=3, seed=2)
+        assert sdp.scen_cone_stacked is None
+        assert free_qp.scen_theta_stacked is None
+        for solve, prob in ((admm_solve, sdp), (alm_solve, sdp),
+                            (admm_solve, free_qp)):
+            texts = [iteration_csv_text(LOG_COLUMNS, solve(prob, SolverConfig(
+                threads=threads, max_iter=100)).log_rows)
+                for threads in (1, 2, 4)]
+            assert texts[0] == texts[1] == texts[2]
+
 
 class TestInnerErrorContract:
     def test_recorded_errors_capped(self, two_scenario_lp):
@@ -244,7 +257,7 @@ class TestAlmSsnStepReduction:
         # by the scenario sweep, so the step's (y, z) equals a bare ssn_zy
         rng = np.random.default_rng(30)
         from dbasolve.msolver import build_msolver
-        from dbasolve.solvers import _AFactor, alm_ssn_step, zero_state
+        from dbasolve.solvers import _AFactor, _sgs_iteration, zero_state
         from dbasolve.model import DBAProblem, ScenarioBlock
 
         A = rng.normal(size=(2, 5))
@@ -255,8 +268,9 @@ class TestAlmSsnStepReduction:
         prob = DBAProblem(A, b, c, NonnegOrthant(5), Zero(5), blocks)
         st = zero_state(prob)
         sigma = 0.8
-        alm_ssn_step(prob, st, sigma, 1.9, build_msolver(prob, "chol"),
-                     _AFactor(prob.A), 1e-10, SolverConfig(), 1)
+        _sgs_iteration(prob, st, sigma, 1.9, build_msolver(prob, "chol"),
+                       _AFactor(prob.A), True, 1e-10, SolverConfig(), 1,
+                       alm=True)
         y_ref, z_ref, _ = ssn_zy(prob.A, b, prob.cone, sigma, c.copy(),
                                  tol=1e-12)
         assert np.allclose(st.y, y_ref, atol=1e-8)
