@@ -9,6 +9,8 @@ linear map in the package is an ordinary matrix acting on vectors.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -134,9 +136,14 @@ def svec_dim(d):
     return d * (d + 1) // 2
 
 
-def svec_indices(d):
-    """Row-major upper-triangle index pair arrays for dimension ``d``."""
-    return np.triu_indices(d)
+@functools.lru_cache(maxsize=None)
+def svec_indices(d, lower=False):
+    """Row-major upper-triangle (``lower``: lower-triangle) index pair
+    arrays for dimension ``d``; cached per ``d`` and read-only."""
+    pair = np.tril_indices(d) if lower else np.triu_indices(d)
+    for idx in pair:
+        idx.flags.writeable = False
+    return pair
 
 
 def svec(x):
@@ -144,7 +151,7 @@ def svec(x):
     sqrt(2) so that ``svec(x) @ svec(y) == trace(x @ y)``."""
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
-    iu, ju = np.triu_indices(d)
+    iu, ju = svec_indices(d)
     out = x[iu, ju].copy()
     out[iu != ju] *= _SQRT2
     return out
@@ -155,7 +162,7 @@ def smat(v, d):
     v = np.asarray(v, dtype=np.float64)
     if v.size != svec_dim(d):
         raise DimensionMismatch("svec length %d does not match dimension %d" % (v.size, d))
-    iu, ju = np.triu_indices(d)
+    iu, ju = svec_indices(d)
     vals = v.copy()
     vals[iu != ju] /= _SQRT2
     out = np.zeros((d, d))
@@ -186,12 +193,12 @@ class SymDense:
         x = np.asarray(x, dtype=np.float64)
         d = x.shape[0]
         x = 0.5 * (x + x.T)
-        il, jl = np.tril_indices(d)
+        il, jl = svec_indices(d, lower=True)
         return cls(d, x[il, jl].copy())
 
     def full(self):
         d = self.dim
-        il, jl = np.tril_indices(d)
+        il, jl = svec_indices(d, lower=True)
         out = np.zeros((d, d))
         out[il, jl] = self.packed
         out[jl, il] = self.packed
@@ -293,6 +300,11 @@ class CholFactor:
         self._kind = kind
         self._data = data
         self.dim = dim
+
+    @property
+    def lower(self):
+        """Lower-triangular factor of a dense handle (``None`` for sparse)."""
+        return self._data if self._kind == "dense" else None
 
     def solve(self, h):
         h = np.asarray(h, dtype=np.float64)
@@ -403,6 +415,25 @@ def power_lambda_max(apply_op, dim, tol=1e-8, maxit=500):
             return lam_new, True
         lam = lam_new
     return lam, False
+
+
+def lambda_max_bound(S, tol=1e-8, maxit=500):
+    """Upper bound on the largest eigenvalue of the symmetric PSD matrix
+    ``S``, for shifts ``lam I - S`` that must stay PSD.
+
+    A converged power iteration stops at a Rayleigh quotient, which lies
+    below lambda_max by up to about ``tol`` relative, so it is raised by
+    ``10 * tol`` relative; that covers the stopping error when the ratio of
+    the two largest eigenvalues is below about 0.9, but not reliably above
+    it, nor when the all-ones start is orthogonal to the top eigenvector.
+    An unconverged iteration can stop far below lambda_max, so the
+    Gershgorin bound max_i sum_j |S_ij|, a true upper bound, is returned
+    instead."""
+    lam, converged = power_lambda_max(lambda w: mv(S, w), S.shape[0],
+                                      tol=tol, maxit=maxit)
+    if converged:
+        return lam * (1.0 + 10.0 * tol)
+    return float(np.max(np.asarray(abs(S).sum(axis=1))))
 
 
 def op_norm_2(C, tol=1e-8, maxit=500):

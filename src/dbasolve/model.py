@@ -281,8 +281,11 @@ def primal_objective(problem, point):
     Indicator components contribute 0; their feasibility is measured by the
     cone residues instead.
     """
-    xbar = point.stacked()
-    return (problem.theta.value(point.x) + float(problem.c @ point.x)
+    return _primal_objective(problem, point.x, point.stacked())
+
+
+def _primal_objective(problem, x, xbar):
+    return (problem.theta.value(x) + float(problem.c @ x)
             + _scenario_theta_value(problem, xbar)
             + float(problem.cbar @ xbar))
 
@@ -362,13 +365,15 @@ def dual_objective(problem, dual, feas_tol=1e-8):
 
 def kkt_residues(problem, point, dual, feas_tol=1e-8):
     """Relative KKT residues, their weighted maximum and the duality gap."""
-    return kkt_full(problem, point, dual, feas_tol)[0]
+    return kkt_full(problem, point.x, point.stacked(), dual, feas_tol)[0]
 
 
-def kkt_full(problem, point, dual, feas_tol=1e-8):
-    """Residues plus both objective values (computed once)."""
-    x = point.x
-    xbar = point.stacked()
+def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
+    """Residues plus both objective values (computed once) at the primal
+    point ``(x, xbar)``, ``xbar`` stacked over scenarios.  ``dual`` is read
+    through its ``y, ybar, z, zbar, v, vbar`` attributes, so a
+    ``DualPoint`` or a solver state carrying them will do; no argument is
+    written to."""
     nrm = np.linalg.norm
 
     if problem.A is not None:
@@ -411,7 +416,7 @@ def kkt_full(problem, point, dual, feas_tol=1e-8):
     eta = max(eta_P, eta_D, 0.2 * eta_K, 0.2 * eta_theta,
               eta_Pbar, eta_Dbar, 0.2 * eta_Kbar, 0.2 * eta_thetabar)
 
-    obj_p = primal_objective(problem, point)
+    obj_p = _primal_objective(problem, x, xbar)
     obj_d = dual_objective(problem, dual, feas_tol)
     if np.isfinite(obj_d):
         eta_gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))

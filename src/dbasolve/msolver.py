@@ -20,11 +20,12 @@ columns of B.  Strategies:
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .blocklinalg import (canonicalize, chol_factor, maybe_densify, mv,
-                          op_norm_2, pcg_solve, power_lambda_max, same_canonical,
-                          to_dense)
+from .blocklinalg import (canonicalize, chol_factor, lambda_max_bound,
+                          maybe_densify, mv, op_norm_2, pcg_solve,
+                          same_canonical, to_dense)
 from .errors import NotPositiveDefinite, StrategyPrecondition
 
 STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "shared", "ufl")
@@ -208,38 +209,25 @@ def _build_smw(problem, pcg_tol, prefer_pcg, diagonal):
         lams = []
         for s in problem.scenarios:
             bb = canonicalize(sp.csr_matrix(s.Bbar))
-            gram = bb @ bb.T
-            lam, _ = power_lambda_max(lambda w: mv(gram, w), s.m)
+            lam = lambda_max_bound(bb @ bb.T)
             if lam <= 0:
                 raise StrategyPrecondition(
                     "smw-diag needs Bbar_i Bbar_i^T with positive spectrum")
             lams.append(lam)
-        dinv_apply = _make_blockwise(problem, [
-            (lambda lam: (lambda h: h / lam))(lam) for lam in lams])
+        # D_i = lam_i I: D^{-1} divides every row of ybar by its block's lam
+        lam_rows = np.repeat(lams, problem.m_i)
+        dinv_apply = lambda h: h / lam_rows
         G = sp.identity(n0, format="csr")
         for lam, s in zip(lams, problem.scenarios):
             Bi = sp.csr_matrix(s.B)
             G = G + (Bi.T @ Bi) / lam
-        grams = [canonicalize(sp.csr_matrix(s.Bbar) @ sp.csr_matrix(s.Bbar).T)
-                 for s in problem.scenarios]
+        Bbar_op = problem.Bbar
 
         def apply_jbar(w):
-            out = np.empty_like(w)
-            for i, (lam, gram) in enumerate(zip(lams, grams)):
-                sl = problem.y_slice(i)
-                out[sl] = lam * w[sl] - mv(gram, w[sl])
-            return out
+            return lam_rows * w - Bbar_op.apply(Bbar_op.apply_adjoint(w))
     else:
-        facs = []
-        for i, s in enumerate(problem.scenarios):
-            bb = canonicalize(sp.csr_matrix(s.Bbar))
-            try:
-                facs.append(chol_factor(to_dense(bb @ bb.T)))
-            except NotPositiveDefinite as exc:
-                raise StrategyPrecondition(
-                    "smw requires Bbar_%d Bbar_%d^T positive definite: %s"
-                    % (i, i, exc)) from exc
-        dinv_apply = _make_blockwise(problem, [f.solve for f in facs])
+        facs = _bbar_gram_factors(problem, "smw requires")
+        dinv_apply = _SizeGroups(problem).chol_apply(facs)
         G = np.eye(n0)
         for f, s in zip(facs, problem.scenarios):
             Bd = to_dense(s.B)
@@ -264,42 +252,50 @@ def _build_block_diag(problem, jbar, pcg_tol):
     for i, s in enumerate(problem.scenarios):
         Bd = to_dense(s.B)
         bbd = to_dense(s.Bbar)
+        gram = Bd @ Bd.T
         E = bbd @ bbd.T
         if variant == "ebj":
-            E += Bd @ Bd.T + nus[i] * np.eye(s.m)
+            E += gram + nus[i] * np.eye(s.m)
         else:
-            E += (N + 1) * (Bd @ Bd.T)
+            E += (N + 1) * gram
         facs.append(chol_factor(E))
-        grams.append((canonicalize(sp.csr_matrix(s.B)),
-                      canonicalize(sp.csr_matrix(s.Bbar))))
+        grams.append(gram)
 
-    def impl(h, tol, stats=None):
-        out = np.empty_like(h)
-        for i, f in enumerate(facs):
-            sl = problem.y_slice(i)
-            out[sl] = f.solve(h[sl])
-        return out
-
+    groups = _SizeGroups(problem)
+    impl = groups.chol_apply(facs)
     B_op = problem.B
+    # Jbar = diag(c_i B_i B_i^T + d_i I) - B B^T with (c_i, d_i) = (1, nu_i)
+    # for ebj and (N + 1, 0) for std
+    kernels = []
+    for gram, idx in zip(groups.stack(grams), groups.members):
+        if variant == "ebj":
+            kernels.append(lambda W, gram=gram, nu=nus[idx][:, None]:
+                           np.einsum("gij,gj->gi", gram, W) + nu * W)
+        else:
+            kernels.append(lambda W, gram=gram:
+                           (N + 1) * np.einsum("gij,gj->gi", gram, W))
 
-    if variant == "ebj":
-        def apply_jbar(w):
-            out = -B_op.apply(B_op.apply_adjoint(w))
-            for i, (Bi, _) in enumerate(grams):
-                sl = problem.y_slice(i)
-                out[sl] += mv(Bi, mv(Bi.T, w[sl])) + nus[i] * w[sl]
-            return out
-    else:
-        def apply_jbar(w):
-            out = -B_op.apply(B_op.apply_adjoint(w))
-            for i, (Bi, _) in enumerate(grams):
-                sl = problem.y_slice(i)
-                out[sl] += (N + 1) * mv(Bi, mv(Bi.T, w[sl]))
-            return out
+    def apply_jbar(w):
+        return groups.apply(kernels, w) - B_op.apply(B_op.apply_adjoint(w))
 
-    solver = MSolver(problem, "block-diag", apply_jbar, impl, pcg_tol)
+    solver = MSolver(problem, "block-diag", apply_jbar,
+                     lambda h, tol, stats=None: impl(h), pcg_tol)
     solver.jbar_variant = variant
     return solver
+
+
+def _bbar_gram_factors(problem, requirement):
+    """Cholesky factors of every Bbar_i Bbar_i^T."""
+    facs = []
+    for i, s in enumerate(problem.scenarios):
+        bb = canonicalize(sp.csr_matrix(s.Bbar))
+        try:
+            facs.append(chol_factor(to_dense(bb @ bb.T)))
+        except NotPositiveDefinite as exc:
+            raise StrategyPrecondition(
+                "%s Bbar_%d Bbar_%d^T positive definite: %s"
+                % (requirement, i, i, exc)) from exc
+    return facs
 
 
 def _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl):
@@ -311,6 +307,8 @@ def _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl):
     B1 = problem.scenarios[0].B
     B1d = to_dense(B1)
     N = problem.N
+    # identical B_i have one row count, so the scenarios form one size group
+    groups = _SizeGroups(problem)
 
     if analytic_ufl:
         p = problem.meta.get("ufl_p")
@@ -318,9 +316,11 @@ def _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl):
             raise StrategyPrecondition(
                 "ufl strategy requires a facility-location problem with "
                 "shared recourse blocks")
-        dinv1 = lambda h: ufl_bbar_gram_inv_apply(h, p)
-        dinv_apply = _make_blockwise(problem, [dinv1] * N)
-        dinv1_matrix = _apply_to_columns(dinv1, np.eye(problem.scenarios[0].m))
+        kernels = [lambda H: ufl_bbar_gram_inv_apply(H, p)]
+        dinv_apply = lambda h: groups.apply(kernels, h)
+        # rows of the result are D_1^{-1} e_j; transposed they are its columns
+        dinv1_matrix = np.ascontiguousarray(
+            ufl_bbar_gram_inv_apply(np.eye(problem.scenarios[0].m), p).T)
         G = np.eye(n0) + N * (B1d.T @ (dinv1_matrix @ B1d))
     else:
         if bbar_shared:
@@ -331,19 +331,13 @@ def _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl):
                 raise StrategyPrecondition(
                     "shared strategy needs Bbar_1 Bbar_1^T positive definite: %s"
                     % exc) from exc
-            dinv_apply = _make_blockwise(problem, [fac.solve] * N)
+            # one multi-right-hand-side solve: the columns of H^T are the blocks
+            kernels = [lambda H: fac.solve(H.T).T]
+            dinv_apply = lambda h: groups.apply(kernels, h)
             G = np.eye(n0) + N * (B1d.T @ fac.solve(B1d))
         else:
-            facs = []
-            for i, s in enumerate(problem.scenarios):
-                bb = canonicalize(sp.csr_matrix(s.Bbar))
-                try:
-                    facs.append(chol_factor(to_dense(bb @ bb.T)))
-                except NotPositiveDefinite as exc:
-                    raise StrategyPrecondition(
-                        "shared strategy needs Bbar_%d Bbar_%d^T positive "
-                        "definite: %s" % (i, i, exc)) from exc
-            dinv_apply = _make_blockwise(problem, [f.solve for f in facs])
+            facs = _bbar_gram_factors(problem, "shared strategy needs")
+            dinv_apply = groups.chol_apply(facs)
             Wsum = sum(f.solve(np.eye(problem.scenarios[0].m)) for f in facs)
             G = np.eye(n0) + B1d.T @ (Wsum @ B1d)
 
@@ -355,28 +349,56 @@ def _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl):
 def ufl_bbar_gram_inv_apply(h, p):
     """Apply the closed-form inverse of Bbar_j Bbar_j^T for the facility
     relaxation block [[e^T, 0], [-I, -I]]: the inverse is
-    [[0, 0], [0, I/2]] + (1/(2p)) [2; e][2; e]^T."""
+    [[0, 0], [0, I/2]] + (1/(2p)) [2; e][2; e]^T.  Acts on the last axis, so
+    an (n, 1 + p) array applies it to n blocks at once."""
     h = np.asarray(h, dtype=np.float64)
-    scale = (2.0 * h[0] + np.sum(h[1:])) / (2.0 * p)
+    scale = (2.0 * h[..., 0] + np.sum(h[..., 1:], axis=-1)) / (2.0 * p)
     out = np.empty_like(h)
-    out[0] = 2.0 * scale
-    out[1:] = 0.5 * h[1:] + scale
+    out[..., 0] = 2.0 * scale
+    out[..., 1:] = 0.5 * h[..., 1:] + scale[..., None]
     return out
 
 
-def _apply_to_columns(fn, mat):
-    cols = [fn(mat[:, j]) for j in range(mat.shape[1])]
-    return np.column_stack(cols)
+class _SizeGroups:
+    """Scenario blocks grouped by row count m_i.
 
+    Group g holds its n_g blocks of size m as one (n_g, m) array, so a
+    blockwise map of the stacked ybar is one kernel call per group, not one
+    call per scenario.  When all blocks have one size (shared strategies,
+    equal scenarios) the stacked vector is reshaped in place.
+    """
 
-def _make_blockwise(problem, solvers):
-    def apply(h):
+    def __init__(self, problem):
+        sizes = np.asarray(problem.m_i)
+        self.members = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+        if len(self.members) == 1:
+            self.rows = None
+            self.shape = (problem.N, int(sizes[0]))
+        else:
+            starts = problem.y_offsets[:-1]
+            self.rows = [starts[idx][:, None] + np.arange(sizes[idx[0]])
+                         for idx in self.members]
+
+    def stack(self, arrays):
+        """Per-group (n_g, ...) stacks of per-scenario arrays."""
+        return [np.stack([arrays[i] for i in idx]) for idx in self.members]
+
+    def apply(self, kernels, h):
+        """Stacked h with each group's (n_g, m) rows mapped by its kernel."""
+        if self.rows is None:
+            return kernels[0](h.reshape(self.shape)).reshape(-1)
         out = np.empty_like(h)
-        for i, f in enumerate(solvers):
-            sl = problem.y_slice(i)
-            out[sl] = f(h[sl])
+        for rows, kernel in zip(self.rows, kernels):
+            out[rows] = kernel(h[rows])
         return out
-    return apply
+
+    def chol_apply(self, facs):
+        """h -> blockwise D_i^{-1} h_i for per-scenario dense Cholesky
+        factors of D_i, one batched triangular solve pair per group."""
+        kernels = [lambda H, low=low: sla.cho_solve((low, True),
+                                                    H[..., None])[..., 0]
+                   for low in self.stack([f.lower for f in facs])]
+        return lambda h: self.apply(kernels, h)
 
 
 def _make_g_solver(G, prefer_pcg):

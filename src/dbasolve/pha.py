@@ -165,9 +165,9 @@ def pha_solve(problem, config=None):
         rel_change = np.linalg.norm(st.xhat - xhat_prev) / (
             1.0 + np.linalg.norm(st.xhat))
 
-        primal = PrimalPoint(st.xhat.copy(), [xb.copy() for xb in st.xbar_i])
         dual = _averaged_dual(problem, st)
-        res, obj_p, obj_d = kkt_full(problem, primal, dual)
+        res, obj_p, obj_d = kkt_full(problem, st.xhat,
+                                     np.concatenate(st.xbar_i), dual)
         log_rows.append((k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                          res.eta_Pbar, res.eta_Dbar, res.eta_Kbar,
                          res.eta_thetabar, res.eta, res.eta_gap, rho, obj_p,

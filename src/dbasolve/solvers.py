@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import pmap, resolve_threads
-from .blocklinalg import chol_factor, maybe_densify, mv, power_lambda_max, to_dense
+from .blocklinalg import (chol_factor, lambda_max_bound, maybe_densify, mv,
+                          to_dense)
 from .errors import (LineSearchFailure, NotPositiveDefinite, ParameterError,
                      UnsupportedObjective)
 from .model import (DualPoint, PrimalPoint, dual_objective, kkt_full,
@@ -164,8 +165,7 @@ class _AFactor:
             except NotPositiveDefinite:
                 pass
         if self._factor is None:
-            lam, _ = power_lambda_max(lambda w: mv(AAt, w), A.shape[0])
-            self._lam = lam
+            self._lam = lambda_max_bound(AAt)
 
     def solve(self, h):
         if self._factor is not None:
@@ -308,9 +308,8 @@ def _run_loop(problem, cfg, tau, initial, mode):
                                      use_ssn, eps_k, cfg, threads,
                                      alm=mode == "alm")
 
-        primal = _split_primal(problem, st)
-        dual = _dual_point(st)
-        res, obj_p, obj_d = kkt_full(problem, primal, dual, cfg.feas_tol)
+        # kkt_full only reads its arguments, so the state goes in uncopied
+        res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st, cfg.feas_tol)
         row = (k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta, res.eta_Pbar,
                res.eta_Dbar, res.eta_Kbar, res.eta_thetabar, res.eta,
                res.eta_gap, sigma, obj_p, obj_d, inner_iters)

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from dbasolve.blocklinalg import (BlockDiagOp, StackedOp, SymDense,
-                                  chol_factor, op_norm_2, pcg_solve,
-                                  power_lambda_max, same_canonical, smat,
-                                  sparse_from_triplets, svec, svec_dim)
+                                  chol_factor, lambda_max_bound, op_norm_2,
+                                  pcg_solve, power_lambda_max, same_canonical,
+                                  smat,
+                                  sparse_from_triplets, svec, svec_dim,
+                                  svec_indices)
 from dbasolve.errors import Breakdown, DimensionMismatch, NotPositiveDefinite
 
 
@@ -54,6 +56,18 @@ class TestSvec:
         sd = SymDense.from_full(X)
         assert sd.packed.size == svec_dim(5)
         assert np.allclose(sd.full(), X)
+
+    def test_indices_cached_and_read_only(self):
+        for d in (1, 4, 7):
+            iu, ju = svec_indices(d)
+            assert svec_indices(d)[0] is iu
+            assert np.array_equal(iu, np.triu_indices(d)[0])
+            assert np.array_equal(ju, np.triu_indices(d)[1])
+            il, jl = svec_indices(d, lower=True)
+            assert np.array_equal(il, np.tril_indices(d)[0])
+            assert np.array_equal(jl, np.tril_indices(d)[1])
+            with pytest.raises(ValueError):
+                iu[0] = 1
 
 
 class TestChol:
@@ -150,6 +164,23 @@ class TestPower:
             exact = np.linalg.eigvalsh(G)[-1]
             assert lam == pytest.approx(exact, rel=1e-6)
             assert lam <= exact * (1 + 1e-8)
+
+    def test_lambda_max_bound_above_converged_estimate(self):
+        rng = np.random.default_rng(9)
+        checked = 0
+        while checked < 20:
+            B = rng.normal(size=(6, 4))
+            G = B @ B.T
+            ev = np.linalg.eigvalsh(G)
+            if ev[-2] > 0.9 * ev[-1]:
+                continue           # slow convergence: margin not guaranteed
+            bound = lambda_max_bound(G)
+            assert ev[-1] <= bound <= ev[-1] * (1 + 1e-6)
+            checked += 1
+
+    def test_lambda_max_bound_gershgorin_when_unconverged(self):
+        G = np.array([[2.0, -1.0], [-1.0, 3.0]])
+        assert lambda_max_bound(G, maxit=1) == 4.0
 
 
 class TestOpNorm:

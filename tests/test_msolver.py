@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import dbasolve.blocklinalg as blocklinalg
+import dbasolve.msolver as msolver
+from dbasolve.blocklinalg import chol_factor, lambda_max_bound, mv, to_dense
 from dbasolve.builders import build_ufl_dnn, random_ufl
 from dbasolve.errors import StrategyPrecondition
 from dbasolve.model import DBAProblem, ScenarioBlock
@@ -11,14 +14,20 @@ from dbasolve.msolver import (assemble_m_dense, auto_strategy, build_msolver,
 from dbasolve.proxcone import NonnegOrthant, Zero
 
 
-def random_structure(rng, N=5, n0=10, mi_max=8, shared=False):
+def random_structure(rng, N=5, n0=10, mi_max=8, shared=False, equal=False,
+                     bbar_shared=False):
+    """Random blocks with ragged row counts; ``equal`` gives every block the
+    row count of B_1, ``shared`` repeats B_1 and ``bbar_shared`` Bbar_1."""
     blocks = []
     B0 = rng.normal(size=(int(rng.integers(2, mi_max + 1)), n0))
+    m0 = B0.shape[0]
+    Bbar0 = rng.normal(size=(m0, m0 + 2)) if bbar_shared else None
     for _ in range(N):
-        mi = B0.shape[0] if shared else int(rng.integers(2, mi_max + 1))
+        mi = m0 if shared or equal else int(rng.integers(2, mi_max + 1))
         B = B0 if shared else rng.normal(size=(mi, n0))
         ni = mi + int(rng.integers(1, 4))
-        Bbar = rng.normal(size=(mi, ni))
+        Bbar = Bbar0 if bbar_shared else rng.normal(size=(mi, ni))
+        ni = Bbar.shape[1]
         blocks.append(ScenarioBlock(B, Bbar, np.zeros(mi), np.zeros(ni),
                                     NonnegOrthant(ni), Zero(ni)))
     return DBAProblem(None, None, np.zeros(n0), NonnegOrthant(n0), Zero(n0),
@@ -234,3 +243,180 @@ class TestLargeNFallback:
         small = DBAProblem(None, None, np.zeros(4), NonnegOrthant(4), Zero(4),
                            blocks[:8])
         assert build_msolver(small, "block-diag").jbar_variant == "ebj"
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the per-scenario loop
+# ---------------------------------------------------------------------------
+
+def _blockwise(problem, fns):
+    """The per-scenario loop the stacked kernels replace: one call per
+    scenario block of the stacked vector."""
+    def apply(h):
+        out = np.empty_like(h)
+        for i, f in enumerate(fns):
+            sl = problem.y_slice(i)
+            out[sl] = f(h[sl])
+        return out
+    return apply
+
+
+def _csr_gram(mat):
+    bb = sp.csr_matrix(mat)
+    bb.sum_duplicates()
+    bb.sort_indices()
+    return bb @ bb.T
+
+
+def reference_msolver(problem, strategy, variant=None):
+    """(solve, apply_jbar) of ``strategy`` built block by block, each
+    scenario solved on its own."""
+    scen = problem.scenarios
+    N, n0 = problem.N, problem.n0
+    B1d = to_dense(scen[0].B)
+    apply_jbar = None
+    if strategy == "block-diag":
+        nus = pairwise_coupling_norms(problem) if variant == "ebj" else None
+        facs, coeffs = [], []
+        for i, s in enumerate(scen):
+            Bd, bbd = to_dense(s.B), to_dense(s.Bbar)
+            E = bbd @ bbd.T
+            if variant == "ebj":
+                E += Bd @ Bd.T + nus[i] * np.eye(s.m)
+                coeffs.append((1.0, nus[i]))
+            else:
+                E += (N + 1) * (Bd @ Bd.T)
+                coeffs.append((N + 1.0, 0.0))
+            facs.append(chol_factor(E))
+
+        def apply_jbar(w):
+            out = -problem.B.apply(problem.B.apply_adjoint(w))
+            for i, (s, (c, d)) in enumerate(zip(scen, coeffs)):
+                sl = problem.y_slice(i)
+                Bd = to_dense(s.B)
+                out[sl] += c * (Bd @ (Bd.T @ w[sl])) + d * w[sl]
+            return out
+        return _blockwise(problem, [f.solve for f in facs]), apply_jbar
+
+    if strategy == "smw-diag":
+        grams = [_csr_gram(s.Bbar) for s in scen]
+        lams = [lambda_max_bound(g) for g in grams]
+        fns = [(lambda lam: (lambda h: h / lam))(lam) for lam in lams]
+        G = sp.identity(n0, format="csr")
+        for lam, s in zip(lams, scen):
+            Bi = sp.csr_matrix(s.B)
+            G = G + (Bi.T @ Bi) / lam
+        G = to_dense(G)
+
+        def apply_jbar(w):
+            out = np.empty_like(w)
+            for i, (lam, gram) in enumerate(zip(lams, grams)):
+                sl = problem.y_slice(i)
+                out[sl] = lam * w[sl] - mv(gram, w[sl])
+            return out
+    elif strategy == "ufl":
+        p = problem.meta["ufl_p"]
+        fns = [lambda h: ufl_bbar_gram_inv_apply(h, p)] * N
+        dinv1 = np.column_stack([fns[0](e) for e in np.eye(scen[0].m)])
+        G = np.eye(n0) + N * (B1d.T @ (dinv1 @ B1d))
+    else:
+        facs = [chol_factor(to_dense(_csr_gram(s.Bbar))) for s in scen]
+        fns = [f.solve for f in facs]
+        if strategy == "smw":
+            G = np.eye(n0)
+            for f, s in zip(facs, scen):
+                Bd = to_dense(s.B)
+                G += Bd.T @ f.solve(Bd)
+        elif msolver._bbar_shared(problem):
+            fns = [facs[0].solve] * N
+            G = np.eye(n0) + N * (B1d.T @ facs[0].solve(B1d))
+        else:
+            Wsum = sum(f.solve(np.eye(scen[0].m)) for f in facs)
+            G = np.eye(n0) + B1d.T @ (Wsum @ B1d)
+    dinv = _blockwise(problem, fns)
+    gfac = chol_factor(G)
+
+    def solve(h):
+        u = dinv(h)
+        w = gfac.solve(problem.B.apply_adjoint(u))
+        return u - dinv(problem.B.apply(w))
+    return solve, apply_jbar
+
+
+ORACLE_CASES = [
+    ("smw", {}), ("smw-diag", {}), ("block-diag", {}),
+    ("shared", {"shared": True}),
+    ("shared", {"shared": True, "bbar_shared": True}),
+]
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("strategy,kind", ORACLE_CASES)
+    @pytest.mark.parametrize("equal,N", [(False, 9), (True, 9), (True, 1)])
+    def test_solve_bit_equal_to_per_scenario_loop(self, strategy, kind,
+                                                  equal, N):
+        # identical B_i have one row count, so shared cases are never ragged
+        rng = np.random.default_rng(40 + N)
+        prob = random_structure(rng, N, n0=7, mi_max=6, equal=equal, **kind)
+        variants = ("ebj", "std") if strategy == "block-diag" else (None,)
+        for variant in variants:
+            sol = build_msolver(prob, strategy, jbar=variant)
+            ref_solve, ref_jbar = reference_msolver(prob, strategy, variant)
+            for _ in range(3):
+                h = rng.normal(size=prob.mbar)
+                assert np.array_equal(sol.solve(h), ref_solve(h))
+                if ref_jbar is not None:
+                    # einsum / operator products reorder the sums
+                    got = sol.apply_m(h) - assemble_m_dense(prob) @ h
+                    want = ref_jbar(h)
+                    assert np.linalg.norm(got - want) <= 1e-12 * (
+                        np.linalg.norm(want) + np.linalg.norm(
+                            assemble_m_dense(prob) @ h))
+
+    @pytest.mark.parametrize("N", [1, 2, 7])
+    def test_ufl_solve_bit_equal_to_per_scenario_loop(self, N):
+        prob = build_ufl_dnn(random_ufl(3, N, seed=N))
+        sol = build_msolver(prob, "ufl")
+        ref_solve, _ = reference_msolver(prob, "ufl")
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            h = rng.normal(size=prob.mbar)
+            assert np.array_equal(sol.solve(h), ref_solve(h))
+
+    @pytest.mark.parametrize("p", [1, 3, 10, 200])
+    def test_ufl_inverse_on_stacked_rows(self, p):
+        H = np.random.default_rng(p).normal(size=(13, 1 + p))
+        rows = np.stack([ufl_bbar_gram_inv_apply(h, p) for h in H])
+        assert np.array_equal(ufl_bbar_gram_inv_apply(H, p), rows)
+
+    def test_kernel_calls_do_not_grow_with_n(self, monkeypatch):
+        calls = []
+        orig = msolver.ufl_bbar_gram_inv_apply
+
+        def counted(h, p):
+            calls.append(np.shape(h))
+            return orig(h, p)
+        monkeypatch.setattr(msolver, "ufl_bbar_gram_inv_apply", counted)
+        counts = []
+        for N in (20, 40):
+            prob = build_ufl_dnn(random_ufl(3, N, seed=0))
+            sol = build_msolver(prob, "ufl")
+            calls.clear()
+            sol.solve(np.ones(prob.mbar))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
+class TestDiagonalizingBound:
+    def test_smw_diag_jbar_psd_when_power_iteration_fails(self, monkeypatch):
+        # an unconverged power iteration can stop far below lambda_max
+        stalled = lambda op, dim, tol=1e-8, maxit=500: (1e-3, False)
+        monkeypatch.setattr(blocklinalg, "power_lambda_max", stalled)
+        prob = random_structure(np.random.default_rng(17), n0=7)
+        sol = build_msolver(prob, "smw-diag")
+        eye = np.eye(prob.mbar)
+        J = np.column_stack([sol.apply_m(e) for e in eye]) - assemble_m_dense(prob)
+        scale = np.max(np.abs(J))
+        assert np.linalg.eigvalsh(0.5 * (J + J.T))[0] >= -1e-12 * scale
+        y = sol.solve(np.ones(prob.mbar), check_residual=True)
+        assert sol.last_relres <= 1e-9 and np.all(np.isfinite(y))

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import dbasolve.blocklinalg as blocklinalg
+import dbasolve.solvers as solvers
 from dbasolve.builders import random_sdp, random_two_stage
 from dbasolve.errors import UnsupportedObjective
 from dbasolve.io import iteration_csv_text
@@ -345,3 +347,17 @@ class TestBoxCones:
             best = min(best, 0.5 * x @ Qh @ x + ch @ x)
         assert best < np.inf
         assert abs(rep.obj_p - best) <= 1e-6 * (1 + abs(best))
+
+
+class TestAFactorBound:
+    def test_diagonal_term_psd_when_power_iteration_fails(self, monkeypatch):
+        # a repeated row makes A A* singular, so _AFactor falls back to
+        # J = lam I - A A*, which needs lam >= lambda_max(A A*)
+        stalled = lambda op, dim, tol=1e-8, maxit=500: (1e-3, False)
+        monkeypatch.setattr(blocklinalg, "power_lambda_max", stalled)
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(3, 6))
+        A = np.vstack([A, A[0]])
+        fac = solvers._AFactor(A)
+        J = fac._lam * np.eye(4) - A @ A.T
+        assert np.linalg.eigvalsh(J)[0] >= -1e-12 * fac._lam
