@@ -89,6 +89,12 @@ def to_dense(mat):
     return mat if isinstance(mat, np.ndarray) else np.asarray(mat.todense())
 
 
+def all_finite(mat):
+    """True when every stored entry of a dense or sparse matrix is finite."""
+    data = mat.data if sp.issparse(mat) else mat
+    return bool(np.isfinite(data).all())
+
+
 def maybe_densify(mat):
     """Apply the density fallback rule: dense storage above 25% fill."""
     if sp.issparse(mat) and density(mat) > DENSE_FALLBACK_DENSITY:
@@ -249,6 +255,11 @@ class StackedOp:
             self._assembled = compact_for_matvec(stack)
             self._assembled_t = transposed(self._assembled)
 
+    def all_finite(self):
+        """True when every block entry is finite (one check, not one per
+        block)."""
+        return all_finite(self._one if self.shared else self._assembled)
+
     def apply(self, x):
         if self.shared:
             return np.tile(mv(self._one, x), len(self.blocks))
@@ -282,6 +293,10 @@ class BlockDiagOp:
         self._assembled = compact_for_matvec(diag)
         self._assembled_t = transposed(self._assembled)
 
+    def all_finite(self):
+        """True when every block entry is finite."""
+        return all_finite(self._assembled)
+
     def apply(self, xbar):
         return mv(self._assembled, xbar)
 
@@ -294,12 +309,22 @@ class BlockDiagOp:
 # ---------------------------------------------------------------------------
 
 class CholFactor:
-    """Handle for solving S x = h with S symmetric positive definite."""
+    """Handle for solving S x = h with S symmetric positive definite.
+
+    A dense handle checks its factor for non-finite entries once, when it is
+    built, and each right-hand side on every solve; either failing raises
+    ``ValueError`` at the solve, as ``scipy.linalg.cho_solve`` does.  The
+    triangular solves are one LAPACK ``dpotrs`` call, the routine
+    ``cho_solve`` wraps, so the results are bit-identical to it; calling it
+    directly skips SciPy's batch handling, which dominates the cost of a
+    solve with a small factor.
+    """
 
     def __init__(self, kind, data, dim):
         self._kind = kind
         self._data = data
         self.dim = dim
+        self._finite = kind != "dense" or all_finite(data)
 
     @property
     def lower(self):
@@ -307,10 +332,20 @@ class CholFactor:
         return self._data if self._kind == "dense" else None
 
     def solve(self, h):
+        """S^{-1} h for a vector ``h`` or for each column of a matrix ``h``;
+        ``h`` is not modified."""
         h = np.asarray(h, dtype=np.float64)
-        if self._kind == "dense":
-            return sla.cho_solve((self._data, True), h)
-        return self._data.solve(h)
+        if self._kind != "dense":
+            return self._data.solve(h)
+        if not (self._finite and np.isfinite(h).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        if h.ndim not in (1, 2) or h.shape[0] != self.dim:
+            raise ValueError("incompatible dimensions (%s and %s)"
+                             % (self._data.shape, h.shape))
+        if h.size == 0:
+            return np.empty_like(h)
+        # info is nonzero only for an illegal argument, excluded above
+        return sla.lapack.dpotrs(self._data, h, lower=1)[0]
 
 
 def chol_factor(S):

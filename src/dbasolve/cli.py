@@ -1,7 +1,7 @@
 """Command-line entry point: solve, generate, check and compare.
 
 Exit codes: 0 converged / check passed, 1 not converged / check failed,
-2 parse or parameter error, 3 solver failure.
+2 parse, parameter or non-finite data error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import builders, io
-from .errors import DbaError, ParameterError, ParseError
+from .errors import DbaError, NonFiniteData, ParameterError, ParseError
 from .model import kkt_residues
 from .pha import PHA_LOG_COLUMNS, PhaConfig, pha_solve
 from .solvers import LOG_COLUMNS, SolverConfig, admm_solve, alm_solve
@@ -32,6 +32,9 @@ def main(argv=None):
         return 2
     except ParameterError as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
+        return 2
+    except NonFiniteData as exc:
+        print("invalid data: %s" % exc, file=sys.stderr)
         return 2
     except DbaError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)

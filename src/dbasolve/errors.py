@@ -43,3 +43,7 @@ class ParseError(DbaError):
 
 class ParameterError(DbaError, ValueError):
     """A solver parameter lies outside its admissible range."""
+
+
+class NonFiniteData(DbaError, ValueError):
+    """Problem data contain NaN or Inf; the message names the array."""

@@ -8,13 +8,14 @@ A problem couples one optional first-stage equality block ``A x = b`` with
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocklinalg import (BlockDiagOp, StackedOp, canonicalize,
+from .blocklinalg import (BlockDiagOp, StackedOp, all_finite, canonicalize,
                           compact_for_matvec, mv, to_dense, transposed)
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteData
 from .proxcone import (Box, Cone, DiagQuadratic, FreeSpace, IndicatorCone,
                        NonnegOrthant, NonnegSymMatrices, SeparableFunction,
                        Zero, conjugate_value, prox)
@@ -123,6 +124,17 @@ class DBAProblem:
         self.scen_theta_stacked = stack_functions(
             [s.theta for s in self.scenarios])
 
+    def with_cost(self, c):
+        """A problem with first-stage cost ``c`` that shares everything
+        else, operators and metadata included, with this one."""
+        c = np.asarray(c, dtype=np.float64)
+        if c.shape != self.c.shape:
+            raise DimensionMismatch(
+                "cost has shape %s, expected %s" % (c.shape, self.c.shape))
+        out = copy.copy(self)
+        out.c = c
+        return out
+
     def y_slice(self, i):
         return slice(self.y_offsets[i], self.y_offsets[i + 1])
 
@@ -186,9 +198,13 @@ class KktResidues:
 
 
 def validate(problem, rank_check=True):
-    """Check dimension consistency; optionally estimate constraint ranks.
+    """Check dimension consistency and finite data; optionally estimate
+    constraint ranks.
 
-    Raises :class:`DimensionMismatch` on hard inconsistencies.  Returns a list
+    Raises :class:`DimensionMismatch` on hard inconsistencies and
+    :class:`NonFiniteData`, naming the array, when NaN or Inf appears in
+    ``c``, ``b``, ``cbar``, ``bbar``, ``A``, ``B`` or ``Bbar``; the stacked
+    vectors and assembled operators are checked whole.  Returns a list
     of warning strings (rank deficiencies are warnings, not errors, and are
     only checked at small dimensions).
     """
@@ -227,6 +243,7 @@ def validate(problem, rank_check=True):
         if s.theta.dim != s.n:
             raise DimensionMismatch(
                 "block %d: theta dim %d does not match n_i=%d" % (i, s.theta.dim, s.n))
+    _check_finite(problem)
 
     if rank_check:
         if problem.A is not None and max(problem.A.shape) <= _RANK_CHECK_DIM:
@@ -245,6 +262,17 @@ def validate(problem, rank_check=True):
                     "[B, Bbar] appears rank deficient (rank %d of %d rows)"
                     % (r, problem.mbar))
     return warnings
+
+
+def _check_finite(problem):
+    arrays = (("c", problem.c), ("b", problem.b), ("cbar", problem.cbar),
+              ("bbar", problem.bbar), ("A", problem.A))
+    bad = [name for name, arr in arrays
+           if arr is not None and not all_finite(arr)]
+    bad += [name for name, op in (("B", problem.B), ("Bbar", problem.Bbar))
+            if not op.all_finite()]
+    if bad:
+        raise NonFiniteData("NaN or Inf in %s" % ", ".join(bad))
 
 
 def _qr_rank(mat):

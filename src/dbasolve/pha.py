@@ -23,7 +23,7 @@ from .model import (DBAProblem, DualPoint, PrimalPoint, dual_objective,
                     kkt_full, kkt_residues, primal_objective)
 from .proxcone import add_diag_quadratic, scale_function
 from .solvers import (SolveReport, SolverConfig, TAU_ADMM_MAX, admm_solve,
-                      default_sigma0)
+                      default_sigma0, solve_setup)
 
 PHA_LOG_COLUMNS = ("k", "eta_P", "eta_D", "eta_K", "eta_theta", "eta_Pbar",
                    "eta_Dbar", "eta_Kbar", "eta_thetabar", "eta", "eta_gap",
@@ -55,6 +55,7 @@ class PhaState:
     w: list                             # multipliers, sum_i p_i w_i = 0
     xhat: np.ndarray                    # consensus
     sub_problems: list = field(default_factory=list)
+    sub_setups: list = field(default_factory=list)     # built at first use
     sub_states: list = field(default_factory=list)
     sub_duals: list = field(default_factory=list)
 
@@ -78,19 +79,26 @@ def _make_subproblem(problem, i, rho):
                       theta_aug, [block])
 
 
+def subproblem_setup(sub):
+    """The M solver and A factor of template ``sub``, valid for all its
+    subsolves: they run with the default strategy and jbar."""
+    return solve_setup(sub, SolverConfig())
+
+
 def scenario_subsolve(sub, w_i, xhat, rho, tol, warm_state=None,
-                      max_iter=100000, sigma0=None):
+                      max_iter=100000, sigma0=None, setup=None):
     """Solve one penalized scenario subproblem.
 
-    ``sub`` is the single-scenario problem template; the effective cost
-    c + w_i - rho * xhat realizes the multiplier and proximal terms (the
-    rho/2 ||x||^2 part lives in the template's augmented theta).
+    ``sub`` is the single-scenario problem template and is not modified; the
+    solve runs on a copy with the effective cost c + w_i - rho * xhat, which
+    realizes the multiplier and proximal terms (the rho/2 ||x||^2 part lives
+    in the template's augmented theta).  ``setup`` is
+    :func:`subproblem_setup` of the template, built here when not given.
     """
-    base_c = sub.meta.setdefault("_base_c", sub.c.copy())
-    sub.c[:] = base_c + w_i - rho * xhat
     cfg = SolverConfig(tol_kkt=tol, tol_gap=max(tol, 1e-9), max_iter=max_iter,
                        sigma0=sigma0)
-    report = admm_solve(sub, cfg, initial=warm_state)
+    report = admm_solve(sub.with_cost(sub.c + w_i - rho * xhat), cfg,
+                        initial=warm_state, setup=setup)
     if not report.converged:
         raise SubproblemFailure(
             "scenario subproblem did not converge (status %s)" % report.status)
@@ -117,6 +125,7 @@ def pha_solve(problem, config=None):
         w=[np.zeros(problem.n0) for _ in range(N)],
         xhat=np.zeros(problem.n0),
         sub_problems=[_make_subproblem(problem, i, rho) for i in range(N)],
+        sub_setups=[None] * N,
         sub_states=[None] * N,
         sub_duals=[None] * N,
     )
@@ -135,11 +144,13 @@ def pha_solve(problem, config=None):
         sub_tol = max(sub_tol_final, min(1e-3, 0.1 * nonant))
 
         def task(i):
+            if st.sub_setups[i] is None:
+                st.sub_setups[i] = subproblem_setup(st.sub_problems[i])
             try:
                 return scenario_subsolve(
                     st.sub_problems[i], st.w[i], st.xhat, rho, sub_tol,
                     warm_state=st.sub_states[i], max_iter=cfg.sub_max_iter,
-                    sigma0=sub_sigmas[i])
+                    sigma0=sub_sigmas[i], setup=st.sub_setups[i])
             except SubproblemFailure as exc:
                 raise SubproblemFailure("scenario %d: %s" % (i, exc)) from exc
 

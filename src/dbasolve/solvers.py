@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +80,16 @@ class PrimalDualState:
     def copy(self):
         return PrimalDualState(*(getattr(self, f).copy() for f in
                                  ("x", "xbar", "y", "ybar", "z", "zbar", "v", "vbar")))
+
+
+class SolveSetup(NamedTuple):
+    """The fixed cost of a solve: the M solver and the A factor (``None``
+    without a first-stage block).  Both depend on ``A``, ``B``, ``Bbar`` and
+    the config's ``strategy`` and ``jbar`` only, so one setup serves every
+    solve of problems sharing those, whatever their costs."""
+
+    msolver: object
+    afactor: object
 
 
 @dataclass
@@ -257,13 +268,23 @@ def _jacobian_mask(cone, w):
 # main loops
 # ---------------------------------------------------------------------------
 
-def admm_solve(problem, config=None, initial=None):
-    """Two-group inexact sGS proximal ADMM on the dual problem."""
+def solve_setup(problem, cfg):
+    """Build the M solver and the A factor of ``problem`` under ``cfg``."""
+    return SolveSetup(build_msolver(problem, cfg.strategy, jbar=cfg.jbar),
+                      _AFactor(problem.A) if problem.A is not None else None)
+
+
+def admm_solve(problem, config=None, initial=None, setup=None):
+    """Two-group inexact sGS proximal ADMM on the dual problem.
+
+    ``setup`` is a :class:`SolveSetup` from :func:`solve_setup` for a
+    problem with the same ``A``, ``B`` and ``Bbar`` and a config with the
+    same ``strategy`` and ``jbar``; without one it is built here."""
     cfg = config or SolverConfig()
     tau = cfg.tau if cfg.tau is not None else 1.618
     if not 0.0 < tau < TAU_ADMM_MAX:
         raise ParameterError("ADMM step length must lie in (0, (1+sqrt(5))/2)")
-    return _run_loop(problem, cfg, tau, initial, mode="admm")
+    return _run_loop(problem, cfg, tau, initial, mode="admm", setup=setup)
 
 
 def alm_solve(problem, config=None, initial=None):
@@ -278,14 +299,15 @@ def alm_solve(problem, config=None, initial=None):
     return _run_loop(problem, cfg, tau, initial, mode="alm")
 
 
-def _run_loop(problem, cfg, tau, initial, mode):
+def _run_loop(problem, cfg, tau, initial, mode, setup=None):
     validate(problem, rank_check=False)
     t0 = time.perf_counter()
     threads = resolve_threads(cfg.threads)
     sigma = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(problem)
 
-    msol = build_msolver(problem, cfg.strategy, jbar=cfg.jbar)
-    facA = _AFactor(problem.A) if problem.A is not None else None
+    if setup is None:
+        setup = solve_setup(problem, cfg)
+    msol, facA = setup
     use_ssn = _ssn_eligible(problem, cfg)
 
     st = initial.copy() if initial is not None else zero_state(problem)

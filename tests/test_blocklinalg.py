@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from dbasolve.blocklinalg import (BlockDiagOp, StackedOp, SymDense,
-                                  chol_factor, lambda_max_bound, op_norm_2,
+from dbasolve.blocklinalg import (BlockDiagOp, CholFactor, StackedOp,
+                                  SymDense, all_finite, chol_factor, lambda_max_bound, op_norm_2,
                                   pcg_solve, power_lambda_max, same_canonical,
                                   smat,
                                   sparse_from_triplets, svec, svec_dim,
@@ -107,6 +108,98 @@ class TestChol:
             h = rng.normal(size=n)
             x = chol_factor(S).solve(h)
             assert np.linalg.norm(S @ x - h) <= 1e-10 * np.linalg.norm(h)
+
+
+class TestCholSolveContract:
+    """The dense solve is LAPACK dpotrs without SciPy's per-call scan of the
+    factor: results bit-equal to ``cho_solve``, inputs untouched, NaN/Inf in
+    the right-hand side or the factor still a ``ValueError``."""
+
+    @staticmethod
+    def right_hand_sides(rng, n):
+        H = rng.normal(size=(5, n))
+        return {"1-D": rng.normal(size=n),
+                "C-ordered": np.ascontiguousarray(H.T),
+                "F-ordered": np.asfortranarray(H.T),
+                "transposed view": H.T,
+                "one column": rng.normal(size=(n, 1))}
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 60])
+    def test_bit_equal_to_cho_solve_and_input_untouched(self, n):
+        rng = np.random.default_rng(n)
+        fac = chol_factor(random_spd(rng, n))
+        for label, h in self.right_hand_sides(rng, n).items():
+            before = h.copy()
+            x = fac.solve(h)
+            ref = sla.cho_solve((fac.lower, True), h)
+            assert x.shape == h.shape, label
+            assert np.array_equal(x, ref), label
+            assert np.array_equal(h, before), label
+
+    def test_shared_multi_rhs_shape(self):
+        # the shared M strategy maps the rows of an (n_g, m) stack at once
+        rng = np.random.default_rng(5)
+        fac = chol_factor(random_spd(rng, 6))
+        H = rng.normal(size=(9, 6))
+        out = fac.solve(H.T).T
+        assert out.shape == H.shape
+        assert np.array_equal(out, sla.cho_solve((fac.lower, True), H.T).T)
+        for row, h in zip(out, H):
+            assert np.array_equal(row, sla.cho_solve((fac.lower, True), h))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_raises(self, bad):
+        rng = np.random.default_rng(6)
+        fac = chol_factor(random_spd(rng, 4))
+        h = rng.normal(size=4)
+        h[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fac.solve(h)
+        H = rng.normal(size=(4, 3))
+        H[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fac.solve(H)
+        # the factor was not spoiled by the failed calls
+        ok = rng.normal(size=4)
+        assert np.array_equal(fac.solve(ok),
+                              sla.cho_solve((fac.lower, True), ok))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_raises(self, bad):
+        rng = np.random.default_rng(7)
+        low = np.linalg.cholesky(random_spd(rng, 4))
+        low[3, 1] = bad
+        fac = CholFactor("dense", low, 4)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fac.solve(np.ones(4))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fac.solve(np.ones((4, 2)))
+
+    def test_dimension_mismatch_and_empty(self):
+        rng = np.random.default_rng(8)
+        fac = chol_factor(random_spd(rng, 3))
+        with pytest.raises(ValueError, match="incompatible"):
+            fac.solve(np.ones(4))
+        empty = chol_factor(np.zeros((0, 0)))
+        assert empty.solve(np.zeros(0)).shape == (0,)
+        assert fac.solve(np.zeros((3, 0))).shape == (3, 0)
+
+
+class TestAllFinite:
+    def test_dense_sparse_and_operators(self):
+        dense = np.arange(6.0).reshape(2, 3)
+        assert all_finite(dense) and all_finite(sp.csr_matrix(dense))
+        bad = dense.copy()
+        bad[1, 2] = np.nan
+        assert not all_finite(bad) and not all_finite(sp.csr_matrix(bad))
+        assert StackedOp([dense, dense]).all_finite()
+        assert not StackedOp([dense, bad]).all_finite()
+        inf = dense.copy()
+        inf[0, 0] = np.inf
+        shared = StackedOp([inf, inf])       # identical blocks: one stored
+        assert shared.shared and not shared.all_finite()
+        assert BlockDiagOp([dense, dense]).all_finite()
+        assert not BlockDiagOp([dense, sp.csr_matrix(bad)]).all_finite()
 
 
 class TestPcg:

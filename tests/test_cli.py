@@ -82,6 +82,19 @@ class TestCmdSolve:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "step length" in err
 
+    @pytest.mark.parametrize("solver", ["sgs-admm", "sgs-alm", "pha"])
+    def test_non_finite_data_exit_two(self, tmp_path, capsys, solver):
+        doc = io.problem_to_dict(make_two_scenario_lp())
+        doc["first_stage"]["c"][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", str(bad), "--solver", solver,
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "invalid data: NaN or Inf in c\n"
+
     def test_max_iter_one_exit_one(self, lp_file, tmp_path):
         code = main(["solve", lp_file, "--max-iter", "1",
                      "--out", str(tmp_path / "r")])

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import dbasolve.blocklinalg as blocklinalg
+import dbasolve.model as model
 from dbasolve.blocklinalg import smat, svec
-from dbasolve.errors import DimensionMismatch
+from dbasolve.errors import DbaError, DimensionMismatch, NonFiniteData
 from dbasolve.model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
                             dual_objective, kkt_residues, primal_objective,
                             validate, zero_dual, zero_primal)
 from dbasolve.proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
                                NonnegOrthant, PsdCone, Zero)
 
-from conftest import make_two_scenario_lp
+from conftest import make_free_qp, make_two_scenario_lp
 
 
 # --- independent straight-line evaluation of the residue formulas ---------
@@ -118,6 +121,94 @@ class TestValidate:
                          prob.theta, prob.scenarios)
         warns = validate(dup)
         assert any("rank deficient" in w for w in warns)
+
+
+def _with_entry(problem, name, value, sparse=False):
+    """Rebuild ``problem`` with one entry of the array ``name`` set to
+    ``value`` (``B``/``Bbar``/``bbar``/``cbar`` in the last scenario)."""
+    A, b, c = problem.A, problem.b, problem.c.copy()
+    scens = list(problem.scenarios)
+    last = scens[-1]
+    parts = {"B": np.array(last.B, dtype=float),
+             "Bbar": np.array(last.Bbar, dtype=float),
+             "bbar": last.bbar.copy(), "cbar": last.cbar.copy()}
+    if name == "A":
+        A = np.array(A, dtype=float)
+        A[0, -1] = value
+        A = sp.csr_matrix(A) if sparse else A
+    elif name == "b":
+        b = b.copy()
+        b[-1] = value
+    elif name == "c":
+        c[0] = value
+    else:
+        parts[name].flat[-1] = value
+        if sparse and name in ("B", "Bbar"):
+            parts[name] = sp.csr_matrix(parts[name])
+    scens[-1] = ScenarioBlock(parts["B"], parts["Bbar"], parts["bbar"],
+                              parts["cbar"], last.cone, last.theta)
+    return DBAProblem(A, b, c, problem.cone, problem.theta, scens)
+
+
+class TestNonFiniteData:
+    NAMES = ("c", "b", "cbar", "bbar", "A", "B", "Bbar")
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected_and_named(self, name, value):
+        broken = _with_entry(make_free_qp(N=3), name, value)
+        with pytest.raises(NonFiniteData, match=r"in %s$" % name) as info:
+            validate(broken, rank_check=False)
+        assert isinstance(info.value, DbaError)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("name", ("A", "B", "Bbar"))
+    def test_sparse_operators_rejected(self, name):
+        broken = _with_entry(make_free_qp(N=3), name, np.nan, sparse=True)
+        with pytest.raises(NonFiniteData, match=name):
+            validate(broken)
+
+    def test_finite_data_pass(self):
+        for name in self.NAMES:
+            assert validate(_with_entry(make_free_qp(N=3), name, 7.0),
+                            rank_check=False) == []
+
+    def test_check_count_independent_of_scenarios(self, monkeypatch):
+        # whole stacked vectors and assembled operators, not a scenario loop:
+        # c, b, cbar, bbar and A in validate, B and Bbar in their operators
+        calls = []
+        real = blocklinalg.all_finite
+
+        def counted(arr):
+            calls.append(1)
+            return real(arr)
+
+        monkeypatch.setattr(model, "all_finite", counted)
+        monkeypatch.setattr(blocklinalg, "all_finite", counted)
+        counts = []
+        for N in (2, 40):
+            calls.clear()
+            validate(make_free_qp(N=N), rank_check=False)
+            counts.append(len(calls))
+        assert counts == [7, 7]
+
+
+class TestWithCost:
+    def test_shares_everything_but_the_cost(self):
+        prob = make_two_scenario_lp()
+        c_before = prob.c.copy()
+        other = prob.with_cost(prob.c + 1.0)
+        assert np.array_equal(other.c, c_before + 1.0)
+        assert np.array_equal(prob.c, c_before)
+        for attr in ("A", "b", "B", "Bbar", "cbar", "bbar", "scenarios",
+                     "meta", "cone", "theta"):
+            assert getattr(other, attr) is getattr(prob, attr)
+        assert validate(other) == []
+
+    def test_wrong_length_rejected(self):
+        prob = make_two_scenario_lp()
+        with pytest.raises(DimensionMismatch):
+            prob.with_cost(np.zeros(prob.n0 + 1))
 
 
 class TestObjectives:

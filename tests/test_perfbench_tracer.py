@@ -1,0 +1,45 @@
+"""The benchmark tracer patches the package by name; a rename in the package
+would silently leave a layer untraced.  These tests load perfbench/tracer.py
+by path and check that every name it patches exists and still sees the
+calls it counts."""
+
+import importlib.util
+import os
+
+import pytest
+
+from dbasolve import PhaConfig, pha_solve, random_two_stage
+
+TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patched_name_exists(tracer_module):
+    with tracer_module.Tracer() as tracer:
+        assert tracer.missing == []
+    assert tracer._patches == []           # every patch undone on exit
+
+
+def test_traced_pha_solve_counts_one_setup_per_scenario(tracer_module):
+    N = 3
+    problem = random_two_stage(2, 4, 2, 4, N=N, seed=1, quad_eps=0.1)
+    with tracer_module.Tracer() as tracer:
+        report = pha_solve(problem, PhaConfig(rho=10.0, max_iter=4,
+                                              threads=1))
+    assert report.iterations == 4
+    assert tracer.calls["msolver.build"] == N
+    assert tracer.calls["solvers.afactor.build"] == N
+    assert tracer.calls["pha.subsolve"] == 4 * N
+    assert tracer.calls["solvers.loop"] == 4 * N
+    assert tracer.calls["blocklinalg.chol_solve"] > 0
+    # the flop counter reads the dense factor's _kind and dim
+    assert tracer.counters["chol.flops"] > 0

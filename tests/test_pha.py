@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from dbasolve.builders import ScenarioData, build_two_stage
+import dbasolve.pha as pha
+import dbasolve.solvers as solvers
+from dbasolve.builders import ScenarioData, build_two_stage, random_two_stage
 from dbasolve.errors import SubproblemFailure
 from dbasolve.pha import (PhaConfig, _make_subproblem, pha_solve,
-                          scenario_subsolve)
+                          scenario_subsolve, subproblem_setup)
 from dbasolve.proxcone import (DenseQuadratic, FreeSpace, NonnegOrthant, Zero)
 from dbasolve.solvers import SolverConfig, admm_solve
 
@@ -126,3 +128,67 @@ class TestScenarioSubsolve:
         rep = scenario_subsolve(sub, np.zeros(2), xstar, rho, tol=1e-9)
         assert np.linalg.norm(rep.primal.x - xstar) <= 1e-6 * (
             1 + np.linalg.norm(xstar))
+
+
+def count_setup_builds(monkeypatch):
+    """Count builds of the M solver and the A factor made through the names
+    the solvers module looks up."""
+    counts = {"msolver": 0, "afactor": 0}
+    real_build = solvers.build_msolver
+
+    def build_msolver(*args, **kwargs):
+        counts["msolver"] += 1
+        return real_build(*args, **kwargs)
+
+    class AFactor(solvers._AFactor):
+        def __init__(self, A):
+            counts["afactor"] += 1
+            super().__init__(A)
+
+    monkeypatch.setattr(solvers, "build_msolver", build_msolver)
+    monkeypatch.setattr(solvers, "_AFactor", AFactor)
+    return counts
+
+
+class TestSetupReuse:
+    N = 3
+
+    def problem(self):
+        return random_two_stage(2, 4, 2, 4, N=self.N, seed=1, quad_eps=0.1)
+
+    def config(self, threads, max_iter=8):
+        return PhaConfig(rho=10.0, max_iter=max_iter, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_setup_per_scenario(self, monkeypatch, threads):
+        counts = count_setup_builds(monkeypatch)
+        rep = pha_solve(self.problem(), self.config(threads))
+        assert rep.iterations == 8
+        assert counts == {"msolver": self.N, "afactor": self.N}
+
+    def test_no_iteration_builds_nothing(self, monkeypatch):
+        counts = count_setup_builds(monkeypatch)
+        pha_solve(self.problem(), self.config(1, max_iter=0))
+        assert counts == {"msolver": 0, "afactor": 0}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_logs_match_rebuilding_reference(self, monkeypatch, threads):
+        reused = pha_solve(self.problem(), self.config(threads))
+        counts = count_setup_builds(monkeypatch)
+        # no setup kept: every subsolve builds its own, as before reuse
+        monkeypatch.setattr(pha, "subproblem_setup", lambda sub: None)
+        reference = pha_solve(self.problem(), self.config(threads))
+        assert counts["msolver"] == counts["afactor"]
+        assert counts["msolver"] == len(reference.log_rows) * self.N
+        assert reused.log_rows == reference.log_rows
+
+    def test_template_left_unchanged(self):
+        prob = make_two_scenario_lp()
+        sub = _make_subproblem(prob, 0, 1.0)
+        c_before, meta_before = sub.c.copy(), dict(sub.meta)
+        w, xhat = np.array([0.3, -0.3]), np.array([0.4, 0.6])
+        first = scenario_subsolve(sub, w, xhat, 1.0, tol=1e-9)
+        assert np.array_equal(sub.c, c_before) and sub.meta == meta_before
+        again = scenario_subsolve(sub, w, xhat, 1.0, tol=1e-9,
+                                  setup=subproblem_setup(sub))
+        assert again.log_rows == first.log_rows
