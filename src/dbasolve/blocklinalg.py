@@ -153,27 +153,26 @@ def svec_indices(d, lower=False):
 
 
 def svec(x):
-    """Vectorize a symmetric matrix: upper triangle, off-diagonals scaled by
-    sqrt(2) so that ``svec(x) @ svec(y) == trace(x @ y)``."""
+    """Vectorize a symmetric matrix (or a stack of them): upper triangle,
+    off-diagonals scaled by sqrt(2) so ``svec(x) @ svec(y) == trace(x @ y)``."""
     x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
-    iu, ju = svec_indices(d)
-    out = x[iu, ju].copy()
-    out[iu != ju] *= _SQRT2
+    iu, ju = svec_indices(x.shape[-1])
+    out = x[..., iu, ju]
+    out[..., iu != ju] *= _SQRT2
     return out
 
 
 def smat(v, d):
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`, stacks included."""
     v = np.asarray(v, dtype=np.float64)
-    if v.size != svec_dim(d):
+    if v.shape[-1:] != (svec_dim(d),):
         raise DimensionMismatch("svec length %d does not match dimension %d" % (v.size, d))
     iu, ju = svec_indices(d)
     vals = v.copy()
-    vals[iu != ju] /= _SQRT2
-    out = np.zeros((d, d))
-    out[iu, ju] = vals
-    out[ju, iu] = vals
+    vals[..., iu != ju] /= _SQRT2
+    out = np.zeros(v.shape[:-1] + (d, d))
+    out[..., iu, ju] = vals
+    out[..., ju, iu] = vals
     return out
 
 

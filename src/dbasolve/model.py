@@ -16,42 +16,10 @@ import numpy as np
 from .blocklinalg import (BlockDiagOp, StackedOp, all_finite, canonicalize,
                           compact_for_matvec, mv, to_dense, transposed)
 from .errors import DimensionMismatch, NonFiniteData
-from .proxcone import (Box, Cone, DiagQuadratic, FreeSpace, IndicatorCone,
-                       NonnegOrthant, NonnegSymMatrices, SeparableFunction,
-                       Zero, conjugate_value, prox)
+from .proxcone import (BlockCone, BlockFunction, Cone, SeparableFunction,
+                       conjugate_value, prox)
 
 _RANK_CHECK_DIM = 500
-
-
-def stack_cones(cones):
-    """One cone over the stacked scenario space when every block cone acts
-    elementwise and shares a variant; None otherwise (e.g. PSD blocks)."""
-    total = sum(c.dim for c in cones)
-    if all(isinstance(c, NonnegOrthant) for c in cones):
-        return NonnegOrthant(total)
-    if all(isinstance(c, FreeSpace) for c in cones):
-        return FreeSpace(total)
-    if all(isinstance(c, (NonnegOrthant, NonnegSymMatrices)) for c in cones):
-        # entrywise-nonnegative blocks: projection is an elementwise clip
-        return NonnegOrthant(total)
-    if all(isinstance(c, Box) for c in cones):
-        return Box(np.concatenate([c.lower for c in cones]),
-                   np.concatenate([c.upper for c in cones]))
-    return None
-
-
-def stack_functions(funcs):
-    """Stacked separable function when all blocks share a variant with an
-    elementwise prox; None otherwise."""
-    total = sum(f.dim for f in funcs)
-    if all(isinstance(f, Zero) for f in funcs):
-        return Zero(total)
-    if all(isinstance(f, DiagQuadratic) for f in funcs):
-        return DiagQuadratic(np.concatenate([f.diag for f in funcs]))
-    if all(isinstance(f, IndicatorCone) for f in funcs):
-        cone = stack_cones([f.cone for f in funcs])
-        return IndicatorCone(cone) if cone is not None else None
-    return None
 
 
 @dataclass
@@ -118,11 +86,9 @@ class DBAProblem:
         self.x_offsets = self.Bbar.col_offsets
         self.bbar = np.concatenate([s.bbar for s in self.scenarios])
         self.cbar = np.concatenate([s.cbar for s in self.scenarios])
-        # stacked fast paths when all scenario cones/objectives share an
-        # elementwise variant
-        self.scen_cone_stacked = stack_cones([s.cone for s in self.scenarios])
-        self.scen_theta_stacked = stack_functions(
-            [s.theta for s in self.scenarios])
+        # the scenario cones and objectives, one cone and one function on xbar
+        self.scen_cone = BlockCone([s.cone for s in self.scenarios])
+        self.scen_theta = BlockFunction([s.theta for s in self.scenarios])
 
     def with_cost(self, c):
         """A problem with first-stage cost ``c`` that shares everything
@@ -295,14 +261,6 @@ def _blockdiag_dense(problem):
     return out
 
 
-def _scenario_theta_value(problem, xbar):
-    st = problem.scen_theta_stacked
-    if st is not None:
-        return st.value(xbar)
-    return sum(s.theta.value(xbar[problem.x_slice(i)])
-               for i, s in enumerate(problem.scenarios))
-
-
 def primal_objective(problem, point):
     """theta(x) + <c, x> + sum_i (thetabar_i(xbar_i) + <cbar_i, xbar_i>).
 
@@ -314,81 +272,24 @@ def primal_objective(problem, point):
 
 def _primal_objective(problem, x, xbar):
     return (problem.theta.value(x) + float(problem.c @ x)
-            + _scenario_theta_value(problem, xbar)
+            + problem.scen_theta.value(xbar)
             + float(problem.cbar @ xbar))
-
-
-def _blockwise_norms(w, offsets):
-    sq = np.add.reduceat(w * w, offsets[:-1])
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
-def _scenario_support_sum(problem, w, feas_tol):
-    """sum_i delta*_{K_i}(w_i) over the stacked vector, with the same
-    per-block clamping as the scalar path."""
-    cones = [s.cone for s in problem.scenarios]
-    offs = problem.x_offsets
-    if all(isinstance(c, (NonnegOrthant, NonnegSymMatrices)) for c in cones):
-        maxs = np.maximum.reduceat(w, offs[:-1])
-        tols = feas_tol * (1.0 + _blockwise_norms(w, offs))
-        return 0.0 if np.all(maxs <= tols) else np.inf
-    total = 0.0
-    for i, c in enumerate(cones):
-        val = c.support(w[problem.x_slice(i)], feas_tol)
-        if not np.isfinite(val):
-            return np.inf
-        total += val
-    return total
-
-
-def _scenario_conjugate_sum(problem, w, feas_tol):
-    """sum_i thetabar_i*(w_i) over the stacked vector."""
-    funcs = [s.theta for s in problem.scenarios]
-    offs = problem.x_offsets
-    if all(isinstance(f, Zero) for f in funcs):
-        norms = _blockwise_norms(w, offs)
-        return 0.0 if np.all(norms <= feas_tol) else np.inf
-    if all(isinstance(f, DiagQuadratic) for f in funcs):
-        q = problem.scen_theta_stacked.diag
-        zero = q == 0.0
-        if np.any(np.abs(w[zero]) > feas_tol):
-            return np.inf
-        pos = ~zero
-        return 0.5 * float(np.sum(w[pos] ** 2 / q[pos]))
-    total = 0.0
-    for i, f in enumerate(funcs):
-        val = f.conjugate(w[problem.x_slice(i)], feas_tol)
-        if not np.isfinite(val):
-            return np.inf
-        total += val
-    return total
 
 
 def dual_objective(problem, dual, feas_tol=1e-8):
     """-theta*(-v) - delta*_K(-z) + <b,y> - sum_i(...) + <bbar, ybar>.
 
     Returns ``-inf`` when any conjugate is infinite beyond the clamp."""
-    total = 0.0
-    conj = conjugate_value(problem.theta, -dual.v, feas_tol)
-    if not np.isfinite(conj):
-        return -np.inf
-    total -= conj
-    conj = conjugate_value(problem.cone, -dual.z, feas_tol)
-    if not np.isfinite(conj):
-        return -np.inf
-    total -= conj
+    conj = []
+    for f, w in ((problem.theta, dual.v), (problem.cone, dual.z),
+                 (problem.scen_theta, dual.vbar), (problem.scen_cone, dual.zbar)):
+        conj.append(conjugate_value(f, -w, feas_tol))
+        if not np.isfinite(conj[-1]):
+            return -np.inf
+    total = 0.0 - conj[0] - conj[1]
     if problem.A is not None:
         total += float(problem.b @ dual.y)
-    conj = _scenario_conjugate_sum(problem, -dual.vbar, feas_tol)
-    if not np.isfinite(conj):
-        return -np.inf
-    total -= conj
-    conj = _scenario_support_sum(problem, -dual.zbar, feas_tol)
-    if not np.isfinite(conj):
-        return -np.inf
-    total -= conj
-    total += float(problem.bbar @ dual.ybar)
-    return total
+    return total - conj[2] - conj[3] + float(problem.bbar @ dual.ybar)
 
 
 def kkt_residues(problem, point, dual, feas_tol=1e-8):
@@ -424,20 +325,8 @@ def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
     d_res_bar = problem.Bbar.apply_adjoint(dual.ybar) + dual.zbar + dual.vbar - problem.cbar
     eta_Dbar = nrm(d_res_bar) / (1.0 + nrm(problem.cbar))
 
-    if problem.scen_cone_stacked is not None:
-        proj_bar = problem.scen_cone_stacked.project(xbar - dual.zbar)
-    else:
-        proj_bar = np.empty_like(xbar)
-        for i, s in enumerate(problem.scenarios):
-            sl = problem.x_slice(i)
-            proj_bar[sl] = s.cone.project(xbar[sl] - dual.zbar[sl])
-    if problem.scen_theta_stacked is not None:
-        prox_bar = prox(problem.scen_theta_stacked, 1.0, xbar - dual.vbar)
-    else:
-        prox_bar = np.empty_like(xbar)
-        for i, s in enumerate(problem.scenarios):
-            sl = problem.x_slice(i)
-            prox_bar[sl] = prox(s.theta, 1.0, xbar[sl] - dual.vbar[sl])
+    proj_bar = problem.scen_cone.project(xbar - dual.zbar)
+    prox_bar = prox(problem.scen_theta, 1.0, xbar - dual.vbar)
     eta_Kbar = nrm(xbar - proj_bar) / (1.0 + nrm(xbar) + nrm(dual.zbar))
     eta_thetabar = nrm(xbar - prox_bar) / (1.0 + nrm(xbar) + nrm(dual.vbar))
 

@@ -13,6 +13,9 @@ so ``Prox_{f*/t}(x) = x - Prox_{t f}(t x) / t``.
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
+
 import numpy as np
 
 from .blocklinalg import SymDense, chol_factor, smat, svec, svec_dim
@@ -89,7 +92,10 @@ class Box(Cone):
 
     def support(self, w, feas_tol):
         w = np.asarray(w, dtype=np.float64)
-        tol = feas_tol * (1.0 + np.linalg.norm(w))
+        return self._support(w, feas_tol * (1.0 + np.linalg.norm(w)))
+
+    def _support(self, w, tol):
+        """Support value, violations up to ``tol`` (scalar or per coordinate) clamped."""
         pos = np.maximum(w, 0.0)
         neg = np.minimum(w, 0.0)
         # an infinite bound contributes only when the matching coefficient is
@@ -107,22 +113,25 @@ class Box(Cone):
 
 
 class PsdCone(Cone):
-    """Positive semidefinite matrices of order ``d`` in svec coordinates."""
+    """Positive semidefinite matrices of order ``d`` in svec coordinates, or
+    the product of ``k`` of them over concatenated svec blocks, projected by
+    one batched eigendecomposition of a ``(k, d, d)`` stack."""
 
-    def __init__(self, d):
+    def __init__(self, d, k=1):
         self.d = int(d)
-        self.dim = svec_dim(self.d)
+        self.k = int(k)
+        self.dim = self.k * svec_dim(self.d)
 
     def project(self, x):
-        mat = smat(np.asarray(x, dtype=np.float64), self.d)
-        vals, vecs = np.linalg.eigh(mat)
+        vals, vecs = np.linalg.eigh(smat(np.reshape(x, (self.k, -1)), self.d))
         vals = np.maximum(vals, 0.0)
-        return svec((vecs * vals) @ vecs.T)
+        return svec((vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)).ravel()
 
     def support(self, w, feas_tol):
-        mat = smat(np.asarray(w, dtype=np.float64), self.d)
-        lam_max = float(np.linalg.eigvalsh(mat)[-1])
-        if lam_max <= feas_tol * (1.0 + np.linalg.norm(w)):
+        """Clamped per block: 0 when every lam_max(w_j) <= feas_tol (1 + ||w_j||)."""
+        w = np.reshape(np.asarray(w, dtype=np.float64), (self.k, -1))
+        lam_max = np.linalg.eigvalsh(smat(w, self.d))[:, -1]
+        if np.all(lam_max <= feas_tol * (1.0 + np.linalg.norm(w, axis=1))):
             return 0.0
         return np.inf
 
@@ -289,6 +298,131 @@ class IndicatorCone(SeparableFunction):
 
     def conjugate(self, w, feas_tol):
         return self.cone.support(w, feas_tol)
+
+
+# ---------------------------------------------------------------------------
+# block-separable products over concatenated blocks
+# ---------------------------------------------------------------------------
+
+def _kind(block):
+    """Grouping key of a block cone or function; None keeps it alone."""
+    if isinstance(block, PsdCone):
+        return (PsdCone, block.d)
+    if isinstance(block, NonnegSymMatrices):
+        return NonnegOrthant              # entrywise clip either way
+    kinds = (NonnegOrthant, FreeSpace, Box, Zero, DiagQuadratic, IndicatorCone)
+    return next((k for k in kinds if isinstance(block, k)), None)
+
+
+def _merge(kind, blocks):
+    """One cone or function over the concatenation of ``blocks``."""
+    if kind is Box:
+        return Box(np.concatenate([c.lower for c in blocks]),
+                   np.concatenate([c.upper for c in blocks]))
+    if kind is DiagQuadratic:
+        return DiagQuadratic(np.concatenate([f.diag for f in blocks]))
+    if kind is IndicatorCone:
+        return IndicatorCone(BlockCone([f.cone for f in blocks]))
+    if kind in (NonnegOrthant, FreeSpace, Zero):
+        return kind(sum(b.dim for b in blocks))
+    return PsdCone(kind[1], sum(c.k for c in blocks))
+
+
+def _group(blocks):
+    """``(part, where, starts)`` per kind, ordered by first block: the merged
+    blocks (a lone block, or one of no kind, as it is), their coordinates (a
+    slice when contiguous) and each block's offset within them.  Empty blocks
+    add nothing to any map, value, support or conjugate and are left out."""
+    members = {}
+    lo = 0
+    for i, blk in enumerate(blocks):
+        if blk.dim:
+            members.setdefault(_kind(blk) or i, []).append((lo, blk))
+        lo += blk.dim
+    groups = []
+    for kind, spans in members.items():
+        parts = [blk for _, blk in spans]
+        if all(a + b.dim == c for (a, b), (c, _) in zip(spans, spans[1:])):
+            where = slice(spans[0][0], spans[-1][0] + parts[-1].dim)
+        else:
+            where = np.concatenate([np.arange(a, a + b.dim) for a, b in spans])
+        starts = np.array(list(accumulate((b.dim for b in parts[:-1]), initial=0)))
+        groups.append((_merge(kind, parts) if len(parts) > 1 else parts[0],
+                       where, starts))
+    return groups
+
+
+def _blockwise_clamp(part, w, starts, feas_tol):
+    """Support or conjugate of a group at ``w`` with each block's feasibility
+    clamp measured on that block alone."""
+    if not isinstance(part, (NonnegOrthant, FreeSpace, Box, Zero)):
+        # PsdCone, DiagQuadratic and BlockCone parts clamp per block themselves
+        return conjugate_value(part, w, feas_tol)
+    norms = np.sqrt(np.add.reduceat(w * w, starts))
+    tol = feas_tol if isinstance(part, Zero) else feas_tol * (1.0 + norms)
+    if isinstance(part, Box):
+        return part._support(w, np.repeat(tol, np.diff(starts, append=w.size)))
+    peak = np.maximum.reduceat(w, starts) if isinstance(part, NonnegOrthant) else norms
+    return 0.0 if np.all(peak <= tol) else np.inf
+
+
+class _Blocks:
+    """Blocks over concatenated coordinates, grouped by :func:`_group`; a
+    single group covering every coordinate is called directly."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        self.dim = sum(b.dim for b in self.blocks)
+        self.groups = _group(self.blocks)
+        self._whole = next((p for p, _, _ in self.groups if p.dim == self.dim), None)
+
+    def _map(self, method, x, *args):
+        """``part.method(*args, x_part)`` on every group, reassembled."""
+        if self._whole is not None:
+            return getattr(self._whole, method)(*args, x)
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+        for part, where, _ in self.groups:
+            out[where] = getattr(part, method)(*args, x[where])
+        return out
+
+    def _clamped_sum(self, w, feas_tol):
+        w = np.asarray(w, dtype=np.float64)
+        vals = [_blockwise_clamp(part, w[where], starts, feas_tol)
+                for part, where, starts in self.groups]
+        return sum(vals, 0.0) if all(map(math.isfinite, vals)) else np.inf
+
+
+class BlockCone(_Blocks, Cone):
+    """The product of block cones over their concatenated coordinates: blocks
+    of one elementwise kind merge into one cone, PSD blocks of one order into
+    one batched :class:`PsdCone`, and any other block is called on its own."""
+
+    def project(self, x):
+        return self._map("project", x)
+
+    def support(self, w, feas_tol):
+        return self._clamped_sum(w, feas_tol)
+
+
+class BlockFunction(_Blocks, SeparableFunction):
+    """The sum of block functions over their concatenated coordinates,
+    grouped as :class:`BlockCone` groups cones (indicator blocks merge into
+    one indicator of a :class:`BlockCone`)."""
+
+    def value(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return sum([part.value(x[where]) for part, where, _ in self.groups], 0.0)
+
+    def prox(self, t, x):
+        return self._map("prox", x, t)
+
+    def conjugate(self, w, feas_tol):
+        return self._clamped_sum(w, feas_tol)
+
+    @property
+    def is_zero(self):
+        return all(f.is_zero for f in self.blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._parallel import pmap, resolve_threads
 from .blocklinalg import (chol_factor, lambda_max_bound, maybe_densify, mv,
                           to_dense)
 from .errors import (LineSearchFailure, NotPositiveDefinite, ParameterError,
@@ -61,7 +60,7 @@ class SolverConfig:
     ssn: str = "auto"                   # auto | on | off
     sigma_fixed: bool = False
     log_every: int = 0                  # console progress; 0 disables
-    threads: int | None = None
+    threads: int | None = None          # unused: sgs solvers use no worker pool
     check_inner: bool = False           # assert recorded inner errors <= eps_k
     feas_tol: float = 1e-8
 
@@ -147,11 +146,6 @@ def zero_state(problem):
         y=np.zeros(problem.m0), ybar=np.zeros(problem.mbar),
         z=np.zeros(problem.n0), zbar=np.zeros(problem.nbar),
         v=np.zeros(problem.n0), vbar=np.zeros(problem.nbar))
-
-
-def _split_primal(problem, state):
-    return PrimalPoint(state.x.copy(), [state.xbar[problem.x_slice(i)].copy()
-                                        for i in range(problem.N)])
 
 
 def _dual_point(state):
@@ -289,7 +283,7 @@ def admm_solve(problem, config=None, initial=None, setup=None):
 
 def alm_solve(problem, config=None, initial=None):
     """sGS proximal ALM; requires all separable objective terms to vanish."""
-    if not problem.theta.is_zero or not all(s.theta.is_zero for s in problem.scenarios):
+    if not problem.theta.is_zero or not problem.scen_theta.is_zero:
         raise UnsupportedObjective(
             "the ALM variant requires zero theta terms; use admm_solve")
     cfg = config or SolverConfig()
@@ -302,7 +296,6 @@ def alm_solve(problem, config=None, initial=None):
 def _run_loop(problem, cfg, tau, initial, mode, setup=None):
     validate(problem, rank_check=False)
     t0 = time.perf_counter()
-    threads = resolve_threads(cfg.threads)
     sigma = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(problem)
 
     if setup is None:
@@ -327,8 +320,7 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k, cfg.eps0)
         inner_iters = _sgs_iteration(problem, st, sigma, tau, msol, facA,
-                                     use_ssn, eps_k, cfg, threads,
-                                     alm=mode == "alm")
+                                     use_ssn, eps_k, cfg, alm=mode == "alm")
 
         # kkt_full only reads its arguments, so the state goes in uncopied
         res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st, cfg.feas_tol)
@@ -364,7 +356,8 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
     else:
         k = cfg.max_iter
 
-    primal = _split_primal(problem, st)
+    primal = PrimalPoint(st.x.copy(),
+                         np.split(st.xbar.copy(), problem.x_offsets[1:-1]))
     dual = _dual_point(st)
     return SolveReport(
         status=status, iterations=k, kkt=res,
@@ -387,25 +380,8 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
     return y, msol.last_inner_iters
 
 
-def _scenario_map(problem, attr, fn, sigma, u, threads):
-    """``fn(op, sigma, u)`` on the stacked scenario ``attr`` ("cone" or
-    "theta") when one exists, else ``fn(op_i, sigma, u_i)`` per scenario
-    through pmap, reassembled in index order."""
-    stacked = getattr(problem, "scen_%s_stacked" % attr)
-    if stacked is not None:
-        return fn(stacked, sigma, u)
-    out = np.empty_like(u)
-
-    def task(i):
-        sl = problem.x_slice(i)
-        return fn(getattr(problem.scenarios[i], attr), sigma, u[sl])
-    for i, part in enumerate(pmap(task, problem.N, threads)):
-        out[problem.x_slice(i)] = part
-    return out
-
-
 def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                   threads, alm=False):
+                   alm=False):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count.
 
@@ -438,8 +414,7 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
 
     def nonsmooth(Rin, Rbin, R, Rb, ybar):
         nonlocal inner
-        zbar = _scenario_map(problem, "cone", _proj_conj, sigma,
-                             Rbin - st.zbar, threads)
+        zbar = _proj_conj(problem.scen_cone, sigma, Rbin - st.zbar)
         if A is None:
             y, z = st.y, _proj_conj(problem.cone, sigma, Rin - st.z)
         elif use_ssn:
@@ -458,8 +433,7 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
 
     def smooth(Rin, Rbin, R, Rb, ybar):
         v = -prox_conjugate(problem.theta, sigma, Rin - st.v)
-        vbar = -_scenario_map(problem, "theta", prox_conjugate, sigma,
-                              Rbin - st.vbar, threads)
+        vbar = -prox_conjugate(problem.scen_theta, sigma, Rbin - st.vbar)
         new.update(v=v, vbar=vbar)
         return R + v - st.v, Rb + vbar - st.vbar
 

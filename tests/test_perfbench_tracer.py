@@ -8,7 +8,8 @@ import os
 
 import pytest
 
-from dbasolve import PhaConfig, pha_solve, random_two_stage
+from dbasolve import (PhaConfig, SolverConfig, admm_solve, pha_solve,
+                      random_sdp, random_two_stage)
 
 TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "tracer.py")
@@ -43,3 +44,17 @@ def test_traced_pha_solve_counts_one_setup_per_scenario(tracer_module):
     assert tracer.calls["blocklinalg.chol_solve"] > 0
     # the flop counter reads the dense factor's _kind and dim
     assert tracer.counters["chol.flops"] > 0
+
+
+def test_psd_projections_per_solve_independent_of_scenarios(tracer_module):
+    # the scenario PSD blocks are one batched PsdCone, so a solve of fixed
+    # length makes the same number of PSD projection calls for any N
+    counts = []
+    for N in (3, 12):
+        problem = random_sdp(2, 3, 2, 3, N=N, seed=1)
+        with tracer_module.Tracer() as tracer:
+            assert tracer.missing == []
+            report = admm_solve(problem, SolverConfig(max_iter=20))
+        assert report.iterations == 20
+        counts.append(tracer.calls["proxcone.project_psd"])
+    assert counts[0] == counts[1] > 0

@@ -223,11 +223,12 @@ class TestDeterminism:
         assert texts[0] == texts[1] == texts[2]
 
     def test_identical_logs_per_scenario_path(self, free_qp):
-        # PSD cones and dense quadratic thetas do not stack, so the zbar and
-        # vbar updates run scenario by scenario through the worker pool
+        # the PSD cones merge into one batched PsdCone and the dense
+        # quadratic thetas stay one call per scenario
+        from dbasolve.proxcone import DenseQuadratic, PsdCone
         sdp = random_sdp(2, 3, 2, 3, N=3, seed=2)
-        assert sdp.scen_cone_stacked is None
-        assert free_qp.scen_theta_stacked is None
+        assert [(type(p), p.k) for p, _, _ in sdp.scen_cone.groups] == [(PsdCone, 3)]
+        assert [type(p) for p, _, _ in free_qp.scen_theta.groups] == [DenseQuadratic] * 2
         for solve, prob in ((admm_solve, sdp), (alm_solve, sdp),
                             (admm_solve, free_qp)):
             texts = [iteration_csv_text(LOG_COLUMNS, solve(prob, SolverConfig(
@@ -271,7 +272,7 @@ class TestAlmSsnStepReduction:
         st = zero_state(prob)
         sigma = 0.8
         _sgs_iteration(prob, st, sigma, 1.9, build_msolver(prob, "chol"),
-                       _AFactor(prob.A), True, 1e-10, SolverConfig(), 1,
+                       _AFactor(prob.A), True, 1e-10, SolverConfig(),
                        alm=True)
         y_ref, z_ref, _ = ssn_zy(prob.A, b, prob.cone, sigma, c.copy(),
                                  tol=1e-12)
@@ -361,3 +362,25 @@ class TestAFactorBound:
         fac = solvers._AFactor(A)
         J = fac._lam * np.eye(4) - A @ A.T
         assert np.linalg.eigvalsh(J)[0] >= -1e-12 * fac._lam
+
+
+class TestEmptyScenarioBlock:
+    @staticmethod
+    def toy(empty_first):
+        # x >= 0 with 2x = 2 from a scenario without second-stage variables
+        full = ScenarioBlock(np.array([[1.0]]), np.array([[1.0, 2.0]]),
+                             np.array([3.0]), np.array([1.0, 1.0]),
+                             NonnegOrthant(2), Zero(2))
+        empty = ScenarioBlock(np.array([[2.0]]), np.zeros((1, 0)),
+                              np.array([2.0]), np.zeros(0), NonnegOrthant(0),
+                              Zero(0))
+        blocks = [empty, full] if empty_first else [full, empty]
+        return DBAProblem(None, None, np.array([2.0]), NonnegOrthant(1),
+                          Zero(1), blocks)
+
+    def test_position_does_not_matter(self):
+        first = admm_solve(self.toy(True))
+        last = admm_solve(self.toy(False))
+        assert first.status == last.status == "Converged"
+        assert last.obj_p == pytest.approx(first.obj_p, rel=0, abs=1e-8)
+        assert last.obj_d == pytest.approx(first.obj_d, rel=0, abs=1e-8)
