@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -297,6 +298,43 @@ def kkt_residues(problem, point, dual, feas_tol=1e-8):
     return kkt_full(problem, point.x, point.stacked(), dual, feas_tol)[0]
 
 
+class LinearResidues(NamedTuple):
+    """The four linear KKT residues.  ``eta`` is at least each of them, so
+    an iterate with any one above ``tol_kkt`` cannot be certified."""
+
+    eta_P: float
+    eta_D: float
+    eta_Pbar: float
+    eta_Dbar: float
+
+
+def dual_residues(problem, dual):
+    """The dual constraint residues ``A*y + B*ybar + z + v - c`` and
+    ``Bbar*ybar + zbar + vbar - cbar``; ``dual`` is read as in
+    :func:`kkt_full`."""
+    Aty = mv(problem.A_T, dual.y) if problem.A is not None else 0.0
+    d_res = Aty + problem.B.apply_adjoint(dual.ybar) + dual.z + dual.v - problem.c
+    d_res_bar = (problem.Bbar.apply_adjoint(dual.ybar) + dual.zbar + dual.vbar
+                 - problem.cbar)
+    return d_res, d_res_bar
+
+
+def linear_residues(problem, x, xbar, d_res, d_res_bar):
+    """Relative primal residues at ``(x, xbar)`` and relative dual residues
+    of the :func:`dual_residues` vectors ``d_res``, ``d_res_bar``."""
+    nrm = np.linalg.norm
+    if problem.A is not None:
+        eta_P = nrm(mv(problem.A_mv, x) - problem.b) / (1.0 + nrm(problem.b))
+    else:
+        eta_P = 0.0
+    p_res = problem.B.apply(x) + problem.Bbar.apply(xbar) - problem.bbar
+    return LinearResidues(
+        eta_P=float(eta_P),
+        eta_D=float(nrm(d_res) / (1.0 + nrm(problem.c))),
+        eta_Pbar=float(nrm(p_res) / (1.0 + nrm(problem.bbar))),
+        eta_Dbar=float(nrm(d_res_bar) / (1.0 + nrm(problem.cbar))))
+
+
 def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
     """Residues plus both objective values (computed once) at the primal
     point ``(x, xbar)``, ``xbar`` stacked over scenarios.  ``dual`` is read
@@ -304,34 +342,19 @@ def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
     ``DualPoint`` or a solver state carrying them will do; no argument is
     written to."""
     nrm = np.linalg.norm
-
-    if problem.A is not None:
-        eta_P = nrm(mv(problem.A_mv, x) - problem.b) / (1.0 + nrm(problem.b))
-        Aty = mv(problem.A_T, dual.y)
-    else:
-        eta_P = 0.0
-        Aty = 0.0
-
-    d_res = Aty + problem.B.apply_adjoint(dual.ybar) + dual.z + dual.v - problem.c
-    eta_D = nrm(d_res) / (1.0 + nrm(problem.c))
+    lin = linear_residues(problem, x, xbar, *dual_residues(problem, dual))
 
     eta_K = nrm(x - problem.cone.project(x - dual.z)) / (1.0 + nrm(x) + nrm(dual.z))
     eta_theta = nrm(x - prox(problem.theta, 1.0, x - dual.v)) / (
         1.0 + nrm(x) + nrm(dual.v))
-
-    p_res = problem.B.apply(x) + problem.Bbar.apply(xbar) - problem.bbar
-    eta_Pbar = nrm(p_res) / (1.0 + nrm(problem.bbar))
-
-    d_res_bar = problem.Bbar.apply_adjoint(dual.ybar) + dual.zbar + dual.vbar - problem.cbar
-    eta_Dbar = nrm(d_res_bar) / (1.0 + nrm(problem.cbar))
 
     proj_bar = problem.scen_cone.project(xbar - dual.zbar)
     prox_bar = prox(problem.scen_theta, 1.0, xbar - dual.vbar)
     eta_Kbar = nrm(xbar - proj_bar) / (1.0 + nrm(xbar) + nrm(dual.zbar))
     eta_thetabar = nrm(xbar - prox_bar) / (1.0 + nrm(xbar) + nrm(dual.vbar))
 
-    eta = max(eta_P, eta_D, 0.2 * eta_K, 0.2 * eta_theta,
-              eta_Pbar, eta_Dbar, 0.2 * eta_Kbar, 0.2 * eta_thetabar)
+    eta = max(lin.eta_P, lin.eta_D, 0.2 * eta_K, 0.2 * eta_theta,
+              lin.eta_Pbar, lin.eta_Dbar, 0.2 * eta_Kbar, 0.2 * eta_thetabar)
 
     obj_p = _primal_objective(problem, x, xbar)
     obj_d = dual_objective(problem, dual, feas_tol)
@@ -341,9 +364,9 @@ def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
         eta_gap = np.inf
 
     res = KktResidues(
-        eta_P=float(eta_P), eta_D=float(eta_D), eta_K=float(eta_K),
-        eta_theta=float(eta_theta), eta_Pbar=float(eta_Pbar),
-        eta_Dbar=float(eta_Dbar), eta_Kbar=float(eta_Kbar),
+        eta_P=lin.eta_P, eta_D=lin.eta_D, eta_K=float(eta_K),
+        eta_theta=float(eta_theta), eta_Pbar=lin.eta_Pbar,
+        eta_Dbar=lin.eta_Dbar, eta_Kbar=float(eta_Kbar),
         eta_thetabar=float(eta_thetabar), eta=float(eta),
         eta_gap=float(eta_gap),
     )

@@ -35,11 +35,20 @@ _EBJ_MAX_N = 64
 
 
 def auto_strategy(problem):
-    """Strategy selection by problem structure and total scenario rows."""
+    """Strategy selection by problem structure and total scenario rows.
+
+    ``shared`` further needs every ``Bbar_i Bbar_i^T`` positive definite,
+    which only its build finds out; :func:`build_msolver` then falls back
+    to :func:`row_count_strategy`."""
     if problem.meta.get("ufl_p") is not None:
         return "ufl"
     if _blocks_shared(problem):
         return "shared"
+    return row_count_strategy(problem)
+
+
+def row_count_strategy(problem):
+    """The general strategy for the total scenario row count."""
     mbar = problem.mbar
     if mbar < 5000:
         return "chol"
@@ -101,16 +110,13 @@ _EXACT_NORM_DIM = 256
 
 
 def pairwise_coupling_norms(problem):
-    """nu_i = sum_{j != i} ||B_i B_j^T||_2, computed once and cached on the
-    problem metadata (O(N^2) products of small row blocks).
+    """nu_i = sum_{j != i} ||B_i B_j^T||_2 (O(N^2) products of small row
+    blocks); the problem is not written to.
 
     Small products get an exact SVD so the block-diagonalizing proximal term
     stays PSD to machine precision; larger ones use power iteration with a
     small safety inflation to cover its one-sided error.
     """
-    cached = problem.meta.get("_ebj_norms")
-    if cached is not None:
-        return cached
     N = problem.N
     norm = np.zeros((N, N))
     for i in range(N):
@@ -122,9 +128,7 @@ def pairwise_coupling_norms(problem):
             else:
                 val = op_norm_2(canonicalize(prod), tol=1e-10) * (1.0 + 1e-8)
             norm[i, j] = norm[j, i] = val
-    nus = norm.sum(axis=1)
-    problem.meta["_ebj_norms"] = nus
-    return nus
+    return norm.sum(axis=1)
 
 
 class MSolver:
@@ -166,9 +170,18 @@ def build_msolver(problem, strategy="auto", jbar=None, pcg_tol=1e-10,
     ``jbar`` overrides the strategy default: ``None`` keeps it, an explicit
     matrix is added to M (``chol`` only), and for ``block-diag`` the strings
     ``"ebj"`` / ``"std"`` pick the coupling-norm or conservative variant.
+    ``"auto"`` falls back from ``shared`` to :func:`row_count_strategy`
+    when some ``Bbar_i Bbar_i^T`` is not positive definite; an explicit
+    ``"shared"`` raises :class:`StrategyPrecondition` then.
     """
     if strategy == "auto":
         strategy = auto_strategy(problem)
+        if strategy == "shared":
+            try:
+                return _build_shared(problem, pcg_tol, prefer_pcg,
+                                     analytic_ufl=False)
+            except StrategyPrecondition:
+                strategy = row_count_strategy(problem)
     if strategy not in STRATEGIES:
         raise StrategyPrecondition("unknown strategy %r" % (strategy,))
 

@@ -19,8 +19,8 @@ from .blocklinalg import (chol_factor, lambda_max_bound, maybe_densify, mv,
                           to_dense)
 from .errors import (LineSearchFailure, NotPositiveDefinite, ParameterError,
                      UnsupportedObjective)
-from .model import (DualPoint, PrimalPoint, dual_objective, kkt_full,
-                    primal_objective, validate)
+from .model import (DualPoint, PrimalPoint, dual_objective, dual_residues,
+                    kkt_full, linear_residues, primal_objective, validate)
 from .msolver import build_msolver
 from .proxcone import Box, FreeSpace, NonnegOrthant, prox_conjugate
 
@@ -42,7 +42,8 @@ _SIGMA_FACTOR = 1.4
 _SIGMA_RATIO = 5.0
 _SIGMA_MIN = 1e-6
 _SIGMA_MAX = 1e6
-# stalled once eta has not dropped by a _STALL_REL fraction in _STALL_WINDOW
+# stalled once the largest linear residue has not dropped by a _STALL_REL
+# fraction in _STALL_WINDOW iterations
 _STALL_WINDOW = 2000
 _STALL_REL = 1e-3
 
@@ -319,26 +320,43 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
 
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k, cfg.eps0)
-        inner_iters = _sgs_iteration(problem, st, sigma, tau, msol, facA,
-                                     use_ssn, eps_k, cfg, alm=mode == "alm")
+        inner_iters, d_res, d_res_bar = _sgs_iteration(
+            problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
+            alm=mode == "alm")
+        lin = linear_residues(problem, st.x, st.xbar, d_res, d_res_bar)
+        eta_lin = max(lin)
 
+        # eta is at least each linear residue, so the full check (cone and
+        # prox residues, objectives, gap) runs only once all four pass;
         # kkt_full only reads its arguments, so the state goes in uncopied
-        res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st, cfg.feas_tol)
-        row = (k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta, res.eta_Pbar,
-               res.eta_Dbar, res.eta_Kbar, res.eta_thetabar, res.eta,
-               res.eta_gap, sigma, obj_p, obj_d, inner_iters)
+        if eta_lin <= cfg.tol_kkt:
+            res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st,
+                                         cfg.feas_tol)
+            row = (k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
+                   res.eta_Pbar, res.eta_Dbar, res.eta_Kbar, res.eta_thetabar,
+                   res.eta, res.eta_gap, sigma, obj_p, obj_d, inner_iters)
+        else:
+            res = None
+            row = (k, lin.eta_P, lin.eta_D, None, None, lin.eta_Pbar,
+                   lin.eta_Dbar, None, None, None, None, sigma, None, None,
+                   inner_iters)
         log_rows.append(row)
         if cfg.log_every and (k % cfg.log_every == 0):
-            print("iter %6d  eta %.3e  gap %.3e  sigma %.3e" %
-                  (k, res.eta, res.eta_gap, sigma))
+            if res is None:
+                print("iter %6d  linear eta %.3e  sigma %.3e"
+                      % (k, eta_lin, sigma))
+            else:
+                print("iter %6d  eta %.3e  gap %.3e  sigma %.3e" %
+                      (k, res.eta, res.eta_gap, sigma))
 
-        if res.eta <= cfg.tol_kkt and res.eta_gap <= cfg.tol_gap:
+        if (res is not None and res.eta <= cfg.tol_kkt
+                and res.eta_gap <= cfg.tol_gap):
             status = "Converged"
             k += 1
             break
 
-        if res.eta < best_eta * (1.0 - _STALL_REL):
-            best_eta = res.eta
+        if eta_lin < best_eta * (1.0 - _STALL_REL):
+            best_eta = eta_lin
             best_eta_at = k
         elif k - best_eta_at >= _STALL_WINDOW:
             status = "Stalled"
@@ -346,7 +364,7 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
             break
 
         if not cfg.sigma_fixed and k >= next_sigma_check:
-            new_sigma = sigma_update(res, sigma)
+            new_sigma = sigma_update(lin, sigma)
             if new_sigma != sigma:
                 # lengthen the interval after each change so the penalty
                 # eventually settles and the iteration can converge
@@ -355,6 +373,8 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
             next_sigma_check = k + int(sigma_period)
     else:
         k = cfg.max_iter
+    if res is None and log_rows:
+        res = kkt_full(problem, st.x, st.xbar, st, cfg.feas_tol)[0]
 
     primal = PrimalPoint(st.x.copy(),
                          np.split(st.xbar.copy(), problem.x_offsets[1:-1]))
@@ -383,7 +403,10 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
 def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
                    alm=False):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
-    on the dual; updates ``st`` and returns the inner iteration count.
+    on the dual; updates ``st`` and returns the inner iteration count and
+    the dual residues ``d_res``, ``d_res_bar`` (see
+    :func:`~dbasolve.model.dual_residues`) of the new dual iterate, which
+    the multiplier step moves ``x`` and ``xbar`` along.
 
     Two group steps act on the residuals R = A*y + B*ybar + z + v - c_k and
     Rb = Bbar*ybar + zbar + vbar - cbar_k: "nonsmooth" updates zbar and then
@@ -450,12 +473,10 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
         R, Rb = nonsmooth(R, Rb, R, Rb, st.ybar)
         ybar = ybar_sweep(smooth, R, Rb)
 
-    # multiplier step
-    Aty = mv(At, new["y"]) if A is not None else 0.0
-    st.x = st.x + tau * sigma * (Aty + B.apply_adjoint(ybar) + new["z"]
-                                 + new["v"] - problem.c)
-    st.xbar = st.xbar + tau * sigma * (Bbar.apply_adjoint(ybar) + new["zbar"]
-                                       + new["vbar"] - problem.cbar)
     st.y, st.ybar, st.z, st.zbar = new["y"], ybar, new["z"], new["zbar"]
     st.v, st.vbar = new["v"], new["vbar"]
-    return inner
+    # multiplier step
+    d_res, d_res_bar = dual_residues(problem, st)
+    st.x = st.x + tau * sigma * d_res
+    st.xbar = st.xbar + tau * sigma * d_res_bar
+    return inner, d_res, d_res_bar

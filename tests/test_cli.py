@@ -100,6 +100,23 @@ class TestCmdSolve:
                      "--out", str(tmp_path / "r")])
         assert code == 1
 
+    def test_log_every_one_prints_every_row(self, lp_file, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(["solve", lp_file, "--log-every", "1", "--out", out]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("iter")]
+        rows = open(out + ".iters.csv").read().splitlines()[1:]
+        assert len(lines) == len(rows)
+        assert not any("nan" in ln for ln in lines)
+        # rows the full check skipped show the linear maximum and leave the
+        # lazy cells empty; the last row is certified in full
+        linear = [ln for ln in lines if "linear eta" in ln]
+        assert 0 < len(linear) < len(lines)
+        assert ",,,,," not in rows[-1] and "gap" in lines[-1]
+        skipped = rows[0].split(",")
+        assert skipped[3] == skipped[9] == skipped[12] == ""
+        assert float(skipped[1]) >= 0.0
+
     def test_alm_on_quadratic_exit_three(self, tmp_path):
         path = tmp_path / "qp.json"
         io.write_problem(random_qp(4, 8, 4, 8, 2, 3), str(path))

@@ -12,6 +12,7 @@ from dbasolve.msolver import (assemble_m_dense, auto_strategy, build_msolver,
                               ebj_block_diag_J, pairwise_coupling_norms,
                               std_block_diag_J, ufl_bbar_gram_inv_apply)
 from dbasolve.proxcone import NonnegOrthant, Zero
+from dbasolve.solvers import SolverConfig, admm_solve
 
 
 def random_structure(rng, N=5, n0=10, mi_max=8, shared=False, equal=False,
@@ -158,12 +159,19 @@ class TestBlockDiagJ:
             Md = assemble_m_dense(prob, jbar=J)
             assert np.linalg.norm(Md @ y - h) <= 1e-8 * (1 + np.linalg.norm(h))
 
-    def test_pairwise_norms_cached(self):
+    def test_block_diag_leaves_meta_unchanged(self):
         rng = np.random.default_rng(9)
         prob = random_structure(rng, N=3)
+        prob.meta["label"] = "toy"
+        before = dict(prob.meta)
         nus = pairwise_coupling_norms(prob)
-        assert prob.meta["_ebj_norms"] is nus
-        assert pairwise_coupling_norms(prob) is nus
+        assert np.array_equal(pairwise_coupling_norms(prob), nus)
+        for variant in ("ebj", "std"):
+            build_msolver(prob, "block-diag", jbar=variant)
+        report = admm_solve(prob, SolverConfig(strategy="block-diag",
+                                               max_iter=5))
+        assert report.extra["strategy"] == "block-diag"
+        assert prob.meta == before
 
 
 class TestShared:
@@ -172,6 +180,25 @@ class TestShared:
         prob = random_structure(rng, shared=False)
         with pytest.raises(StrategyPrecondition):
             build_msolver(prob, "shared")
+
+    def test_auto_falls_back_when_a_gram_is_singular(self):
+        # both B_i are [[1]]; the second scenario has no second-stage
+        # variables, so its Bbar_i Bbar_i^T is the 1x1 zero matrix
+        prob = DBAProblem(None, None, [1.0], NonnegOrthant(1), Zero(1), [
+            ScenarioBlock([[1.0]], [[1.0]], [2.0], [1.0], NonnegOrthant(1),
+                          Zero(1)),
+            ScenarioBlock([[1.0]], np.zeros((1, 0)), [1.0], np.zeros(0),
+                          NonnegOrthant(0), Zero(0))])
+        assert auto_strategy(prob) == "shared"
+        with pytest.raises(StrategyPrecondition):
+            build_msolver(prob, "shared")
+        sol = build_msolver(prob)
+        assert sol.strategy == msolver.row_count_strategy(prob) == "chol"
+        h = np.array([1.0, -2.0])
+        assert np.allclose(assemble_m_dense(prob) @ sol.solve(h), h)
+        report = admm_solve(prob)
+        assert report.converged
+        assert report.extra["strategy"] == "chol"
 
     def test_shared_matches_dense(self):
         rng = np.random.default_rng(11)
