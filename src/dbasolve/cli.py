@@ -99,8 +99,6 @@ def _add_solver_flags(p):
                    choices=("auto", "chol", "smw", "smw-diag", "block-diag",
                             "shared", "ufl"))
     p.add_argument("--ssn", default="auto", choices=("auto", "on", "off"))
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log-every", type=int, default=0)
 
 
@@ -108,7 +106,7 @@ def _config_from_args(args):
     return SolverConfig(
         sigma0=args.sigma, tau=args.tau, tol_kkt=args.tol_kkt,
         tol_gap=args.tol_gap, max_iter=args.max_iter, strategy=args.strategy,
-        ssn=args.ssn, threads=args.threads, log_every=args.log_every)
+        ssn=args.ssn, log_every=args.log_every)
 
 
 def _run_one(problem, solver, args):
@@ -117,9 +115,15 @@ def _run_one(problem, solver, args):
     if solver == "sgs-alm":
         return alm_solve(problem, _config_from_args(args)), LOG_COLUMNS
     cfg = PhaConfig(tau=args.tau if args.tau is not None else 1.618,
-                    tol_nonant=args.tol_kkt, tol_rel=args.tol_kkt,
-                    threads=args.threads)
+                    tol_nonant=args.tol_kkt, tol_rel=args.tol_kkt)
     return pha_solve(problem, cfg), PHA_LOG_COLUMNS
+
+
+def _residues(report):
+    """(eta, eta_gap) of the report; (None, None) when no iteration ran."""
+    if report.kkt is None:
+        return None, None
+    return report.kkt.eta, report.kkt.eta_gap
 
 
 def cmd_solve(args):
@@ -144,22 +148,23 @@ def cmd_solve(args):
             "solver": args.solver,
             "input": args.problem,
             "outputs": [sol_path, csv_path],
-            "seed": args.seed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "config": {
                 "tol_kkt": args.tol_kkt, "tol_gap": args.tol_gap,
                 "sigma": args.sigma, "tau": args.tau,
                 "max_iter": args.max_iter, "strategy": args.strategy,
-                "ssn": args.ssn, "threads": args.threads,
+                "ssn": args.ssn,
             },
         },
     }
     with open(sum_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print("%s after %d iterations: obj_P %.10g, eta %.3e, eta_gap %.3e"
+    eta, eta_gap = _residues(report)
+    print("%s after %d iterations: obj_P %.10g, eta %s, eta_gap %s"
           % (report.status, report.iterations, report.obj_p,
-             report.kkt.eta, report.kkt.eta_gap))
+             "-" if eta is None else "%.3e" % eta,
+             "-" if eta_gap is None else "%.3e" % eta_gap))
     return 0 if report.converged else 1
 
 
@@ -221,7 +226,7 @@ def cmd_compare(args):
             report, _ = _run_one(problem, solver, args)
             rows.append((solver, report.status, report.iterations,
                          time.perf_counter() - t0, report.obj_p,
-                         report.kkt.eta, report.kkt.eta_gap, ""))
+                         *_residues(report), ""))
         except DbaError as exc:
             rows.append((solver, "Error", 0, time.perf_counter() - t0,
                          float("nan"), float("nan"), float("nan"),

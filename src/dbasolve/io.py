@@ -250,19 +250,18 @@ def read_solution(path):
 
 def write_iteration_csv(path, columns, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x
-                             for x in row])
+        fh.write(iteration_csv_text(columns, rows))
 
 
 def iteration_csv_text(columns, rows):
+    """CSV text with every float cell (numpy scalars included) written as a
+    plain round-tripping number."""
     import io as _io
 
     buf = _io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        writer.writerow([repr(float(x)) if isinstance(x, float) else x
+                         for x in row])
     return buf.getvalue()

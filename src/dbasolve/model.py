@@ -93,11 +93,14 @@ class DBAProblem:
 
     def with_cost(self, c):
         """A problem with first-stage cost ``c`` that shares everything
-        else, operators and metadata included, with this one."""
+        else, operators and metadata included, with this one.  Raises
+        :class:`NonFiniteData` when ``c`` holds NaN or Inf."""
         c = np.asarray(c, dtype=np.float64)
         if c.shape != self.c.shape:
             raise DimensionMismatch(
                 "cost has shape %s, expected %s" % (c.shape, self.c.shape))
+        if not all_finite(c):
+            raise NonFiniteData("NaN or Inf in c")
         out = copy.copy(self)
         out.c = c
         return out

@@ -32,6 +32,8 @@ STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "shared", "ufl")
 
 _G_CHOL_DIM = 2000
 _EBJ_MAX_N = 64
+# PCG tolerance of an M solve called without one
+_PCG_TOL = 1e-10
 
 
 def auto_strategy(problem):
@@ -134,12 +136,11 @@ def pairwise_coupling_norms(problem):
 class MSolver:
     """Precomputed solver for M ybar = h under a chosen strategy."""
 
-    def __init__(self, problem, strategy, apply_jbar, solve_impl, pcg_tol):
+    def __init__(self, problem, strategy, apply_jbar, solve_impl):
         self.problem = problem
         self.strategy = strategy
         self._apply_jbar = apply_jbar
         self._solve_impl = solve_impl
-        self.pcg_tol = pcg_tol
         self.last_relres = 0.0
         self.last_inner_iters = 0
 
@@ -153,7 +154,7 @@ class MSolver:
 
     def solve(self, h, tol=None, check_residual=False):
         stats = {"inner_iters": 0}
-        y = self._solve_impl(h, tol if tol is not None else self.pcg_tol,
+        y = self._solve_impl(h, tol if tol is not None else _PCG_TOL,
                              stats=stats)
         self.last_inner_iters = stats["inner_iters"]
         if check_residual:
@@ -163,8 +164,7 @@ class MSolver:
         return y
 
 
-def build_msolver(problem, strategy="auto", jbar=None, pcg_tol=1e-10,
-                  prefer_pcg=False):
+def build_msolver(problem, strategy="auto", jbar=None, prefer_pcg=False):
     """Precompute a structured solver for this problem's M system.
 
     ``jbar`` overrides the strategy default: ``None`` keeps it, an explicit
@@ -178,31 +178,30 @@ def build_msolver(problem, strategy="auto", jbar=None, pcg_tol=1e-10,
         strategy = auto_strategy(problem)
         if strategy == "shared":
             try:
-                return _build_shared(problem, pcg_tol, prefer_pcg,
-                                     analytic_ufl=False)
+                return _build_shared(problem, prefer_pcg, analytic_ufl=False)
             except StrategyPrecondition:
                 strategy = row_count_strategy(problem)
     if strategy not in STRATEGIES:
         raise StrategyPrecondition("unknown strategy %r" % (strategy,))
 
     if strategy == "chol":
-        return _build_chol(problem, jbar, pcg_tol)
+        return _build_chol(problem, jbar)
     if strategy == "smw":
-        return _build_smw(problem, pcg_tol, prefer_pcg, diagonal=False)
+        return _build_smw(problem, prefer_pcg, diagonal=False)
     if strategy == "smw-diag":
-        return _build_smw(problem, pcg_tol, prefer_pcg, diagonal=True)
+        return _build_smw(problem, prefer_pcg, diagonal=True)
     if strategy == "block-diag":
-        return _build_block_diag(problem, jbar, pcg_tol)
+        return _build_block_diag(problem, jbar)
     if strategy == "shared":
-        return _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl=False)
-    return _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl=True)
+        return _build_shared(problem, prefer_pcg, analytic_ufl=False)
+    return _build_shared(problem, prefer_pcg, analytic_ufl=True)
 
 
 # ---------------------------------------------------------------------------
 # strategy builders
 # ---------------------------------------------------------------------------
 
-def _build_chol(problem, jbar, pcg_tol):
+def _build_chol(problem, jbar):
     Bs = sp.vstack([canonicalize(sp.csr_matrix(s.B)) for s in problem.scenarios])
     M = (Bs @ Bs.T) + sp.block_diag(
         [sp.csr_matrix(s.Bbar) @ sp.csr_matrix(s.Bbar).T for s in problem.scenarios])
@@ -213,10 +212,10 @@ def _build_chol(problem, jbar, pcg_tol):
         apply_jbar = lambda w: mv(jmat, w)
     fac = chol_factor(maybe_densify(M.tocsr()))
     return MSolver(problem, "chol", apply_jbar,
-                   lambda h, tol, stats=None: fac.solve(h), pcg_tol)
+                   lambda h, tol, stats=None: fac.solve(h))
 
 
-def _build_smw(problem, pcg_tol, prefer_pcg, diagonal):
+def _build_smw(problem, prefer_pcg, diagonal):
     n0 = problem.n0
     if diagonal:
         lams = []
@@ -250,10 +249,10 @@ def _build_smw(problem, pcg_tol, prefer_pcg, diagonal):
     g_solve = _make_g_solver(maybe_densify(G if isinstance(G, np.ndarray) else G.tocsr()),
                              prefer_pcg)
     impl = _make_smw_solve(problem, dinv_apply, g_solve)
-    return MSolver(problem, "smw-diag" if diagonal else "smw", apply_jbar, impl, pcg_tol)
+    return MSolver(problem, "smw-diag" if diagonal else "smw", apply_jbar, impl)
 
 
-def _build_block_diag(problem, jbar, pcg_tol):
+def _build_block_diag(problem, jbar):
     variant = jbar if jbar in ("ebj", "std") else None
     if variant is None:
         variant = "std" if problem.N > _EBJ_MAX_N else "ebj"
@@ -292,7 +291,7 @@ def _build_block_diag(problem, jbar, pcg_tol):
         return groups.apply(kernels, w) - B_op.apply(B_op.apply_adjoint(w))
 
     solver = MSolver(problem, "block-diag", apply_jbar,
-                     lambda h, tol, stats=None: impl(h), pcg_tol)
+                     lambda h, tol, stats=None: impl(h))
     solver.jbar_variant = variant
     return solver
 
@@ -311,7 +310,7 @@ def _bbar_gram_factors(problem, requirement):
     return facs
 
 
-def _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl):
+def _build_shared(problem, prefer_pcg, analytic_ufl):
     if not _blocks_shared(problem):
         raise StrategyPrecondition(
             "shared strategy requires bit-identical coupling blocks B_i")
@@ -356,7 +355,7 @@ def _build_shared(problem, pcg_tol, prefer_pcg, analytic_ufl):
 
     g_solve = _make_g_solver(G, prefer_pcg)
     impl = _make_smw_solve(problem, dinv_apply, g_solve)
-    return MSolver(problem, "ufl" if analytic_ufl else "shared", None, impl, pcg_tol)
+    return MSolver(problem, "ufl" if analytic_ufl else "shared", None, impl)
 
 
 def ufl_bbar_gram_inv_apply(h, p):

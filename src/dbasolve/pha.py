@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import pmap, resolve_threads
 from .blocklinalg import mv
 from .errors import ParameterError, SubproblemFailure
 from .model import (DBAProblem, DualPoint, PrimalPoint, dual_objective,
@@ -30,6 +29,11 @@ PHA_LOG_COLUMNS = ("k", "eta_P", "eta_D", "eta_K", "eta_theta", "eta_Pbar",
                    "sigma", "obj_P", "obj_D", "inner_iters",
                    "nonant_residual", "rel_change")
 
+# subsolves end at tolerance _SUB_FACTOR * tol_nonant, each capped at
+# _SUB_MAX_ITER iterations
+_SUB_FACTOR = 0.1
+_SUB_MAX_ITER = 100000
+
 
 @dataclass
 class PhaConfig:
@@ -38,8 +42,8 @@ class PhaConfig:
     tol_nonant: float = 1e-6
     tol_rel: float = 1e-6
     max_iter: int = 300
-    sub_factor: float = 0.1            # subproblem tol = factor * tol_nonant
-    sub_max_iter: int = 100000
+    # ignored (subsolves run in scenario order); kept because the benchmark
+    # workloads pass threads=1
     threads: int | None = None
 
     def __post_init__(self):
@@ -81,12 +85,12 @@ def _make_subproblem(problem, i, rho):
 
 def subproblem_setup(sub):
     """The M solver and A factor of template ``sub``, valid for all its
-    subsolves: they run with the default strategy and jbar."""
+    subsolves: they run with the default strategy.  Validates ``sub``."""
     return solve_setup(sub, SolverConfig())
 
 
 def scenario_subsolve(sub, w_i, xhat, rho, tol, warm_state=None,
-                      max_iter=100000, sigma0=None, setup=None):
+                      sigma0=None, setup=None):
     """Solve one penalized scenario subproblem.
 
     ``sub`` is the single-scenario problem template and is not modified; the
@@ -95,8 +99,8 @@ def scenario_subsolve(sub, w_i, xhat, rho, tol, warm_state=None,
     in the template's augmented theta).  ``setup`` is
     :func:`subproblem_setup` of the template, built here when not given.
     """
-    cfg = SolverConfig(tol_kkt=tol, tol_gap=max(tol, 1e-9), max_iter=max_iter,
-                       sigma0=sigma0)
+    cfg = SolverConfig(tol_kkt=tol, tol_gap=max(tol, 1e-9),
+                       max_iter=_SUB_MAX_ITER, sigma0=sigma0)
     report = admm_solve(sub.with_cost(sub.c + w_i - rho * xhat), cfg,
                         initial=warm_state, setup=setup)
     if not report.converged:
@@ -113,7 +117,6 @@ def pha_solve(problem, config=None):
             "problem with build_two_stage")
     cfg = config or PhaConfig()
     t0 = time.perf_counter()
-    threads = resolve_threads(cfg.threads)
     rho = cfg.rho if cfg.rho is not None else default_sigma0(problem)
     N = problem.N
     probs = np.asarray(problem.meta["probabilities"], dtype=np.float64)
@@ -131,7 +134,7 @@ def pha_solve(problem, config=None):
     )
     sub_sigmas = [None] * N
 
-    sub_tol_final = cfg.sub_factor * cfg.tol_nonant
+    sub_tol_final = _SUB_FACTOR * cfg.tol_nonant
     log_rows = []
     status = "MaxIter"
     res = None
@@ -143,19 +146,16 @@ def pha_solve(problem, config=None):
         # always end at the configured subproblem tolerance
         sub_tol = max(sub_tol_final, min(1e-3, 0.1 * nonant))
 
-        def task(i):
+        for i in range(N):
             if st.sub_setups[i] is None:
                 st.sub_setups[i] = subproblem_setup(st.sub_problems[i])
             try:
-                return scenario_subsolve(
+                rep = scenario_subsolve(
                     st.sub_problems[i], st.w[i], st.xhat, rho, sub_tol,
-                    warm_state=st.sub_states[i], max_iter=cfg.sub_max_iter,
-                    sigma0=sub_sigmas[i], setup=st.sub_setups[i])
+                    warm_state=st.sub_states[i], sigma0=sub_sigmas[i],
+                    setup=st.sub_setups[i])
             except SubproblemFailure as exc:
                 raise SubproblemFailure("scenario %d: %s" % (i, exc)) from exc
-
-        reports = pmap(task, N, threads)
-        for i, rep in enumerate(reports):
             st.x_i[i] = rep.primal.x
             st.xbar_i[i] = rep.primal.xbar[0]
             st.sub_states[i] = rep.extra["state"]

@@ -55,15 +55,14 @@ class SolverConfig:
     tol_kkt: float = 1e-5
     tol_gap: float = 1e-4
     max_iter: int = 50000
-    eps0: float = 1e-4
     strategy: str = "auto"
-    jbar: object = None
     ssn: str = "auto"                   # auto | on | off
     sigma_fixed: bool = False
     log_every: int = 0                  # console progress; 0 disables
-    threads: int | None = None          # unused: sgs solvers use no worker pool
+    # ignored (every solver is single-threaded); kept because the benchmark
+    # workloads pass threads=1
+    threads: int | None = None
     check_inner: bool = False           # assert recorded inner errors <= eps_k
-    feas_tol: float = 1e-8
 
 
 @dataclass
@@ -85,8 +84,8 @@ class PrimalDualState:
 class SolveSetup(NamedTuple):
     """The fixed cost of a solve: the M solver and the A factor (``None``
     without a first-stage block).  Both depend on ``A``, ``B``, ``Bbar`` and
-    the config's ``strategy`` and ``jbar`` only, so one setup serves every
-    solve of problems sharing those, whatever their costs."""
+    the config's ``strategy`` only, so one setup serves every solve of
+    problems sharing those, whatever their costs."""
 
     msolver: object
     afactor: object
@@ -264,8 +263,10 @@ def _jacobian_mask(cone, w):
 # ---------------------------------------------------------------------------
 
 def solve_setup(problem, cfg):
-    """Build the M solver and the A factor of ``problem`` under ``cfg``."""
-    return SolveSetup(build_msolver(problem, cfg.strategy, jbar=cfg.jbar),
+    """Validate ``problem`` and build its M solver and A factor under
+    ``cfg``."""
+    validate(problem, rank_check=False)
+    return SolveSetup(build_msolver(problem, cfg.strategy),
                       _AFactor(problem.A) if problem.A is not None else None)
 
 
@@ -274,7 +275,10 @@ def admm_solve(problem, config=None, initial=None, setup=None):
 
     ``setup`` is a :class:`SolveSetup` from :func:`solve_setup` for a
     problem with the same ``A``, ``B`` and ``Bbar`` and a config with the
-    same ``strategy`` and ``jbar``; without one it is built here."""
+    same ``strategy``; without one it is built here, which validates the
+    problem.  A given setup skips that check: the problem differs from the
+    one it was built for only in costs, whose finiteness
+    :meth:`~dbasolve.model.DBAProblem.with_cost` checks."""
     cfg = config or SolverConfig()
     tau = cfg.tau if cfg.tau is not None else 1.618
     if not 0.0 < tau < TAU_ADMM_MAX:
@@ -295,13 +299,11 @@ def alm_solve(problem, config=None, initial=None):
 
 
 def _run_loop(problem, cfg, tau, initial, mode, setup=None):
-    validate(problem, rank_check=False)
     t0 = time.perf_counter()
-    sigma = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(problem)
-
     if setup is None:
         setup = solve_setup(problem, cfg)
     msol, facA = setup
+    sigma = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(problem)
     use_ssn = _ssn_eligible(problem, cfg)
 
     st = initial.copy() if initial is not None else zero_state(problem)
@@ -319,7 +321,7 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
     next_sigma_check = _SIGMA_PERIOD - 1
 
     for k in range(cfg.max_iter):
-        eps_k = eps_schedule(k, cfg.eps0)
+        eps_k = eps_schedule(k)
         inner_iters, d_res, d_res_bar = _sgs_iteration(
             problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
             alm=mode == "alm")
@@ -330,8 +332,7 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
         # prox residues, objectives, gap) runs only once all four pass;
         # kkt_full only reads its arguments, so the state goes in uncopied
         if eta_lin <= cfg.tol_kkt:
-            res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st,
-                                         cfg.feas_tol)
+            res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st)
             row = (k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                    res.eta_Pbar, res.eta_Dbar, res.eta_Kbar, res.eta_thetabar,
                    res.eta, res.eta_gap, sigma, obj_p, obj_d, inner_iters)
@@ -374,7 +375,7 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
     else:
         k = cfg.max_iter
     if res is None and log_rows:
-        res = kkt_full(problem, st.x, st.xbar, st, cfg.feas_tol)[0]
+        res = kkt_full(problem, st.x, st.xbar, st)[0]
 
     primal = PrimalPoint(st.x.copy(),
                          np.split(st.xbar.copy(), problem.x_offsets[1:-1]))
@@ -382,7 +383,7 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
     return SolveReport(
         status=status, iterations=k, kkt=res,
         obj_p=primal_objective(problem, primal),
-        obj_d=dual_objective(problem, dual, cfg.feas_tol),
+        obj_d=dual_objective(problem, dual),
         primal=primal, dual=dual, sigma=sigma,
         elapsed=time.perf_counter() - t0, log_rows=log_rows,
         extra={"mode": mode, "ssn": use_ssn, "strategy": msol.strategy,

@@ -100,6 +100,26 @@ class TestCmdSolve:
                      "--out", str(tmp_path / "r")])
         assert code == 1
 
+    def test_max_iter_zero_exit_one(self, lp_file, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        assert main(["solve", lp_file, "--max-iter", "0", "--out", out]) == 1
+        assert "MaxIter after 0 iterations" in capsys.readouterr().out
+        summary = json.loads(open(out + ".summary.json").read())
+        assert summary["status"] == "MaxIter" and summary["kkt"] is None
+
+    @pytest.mark.parametrize("solver", ["sgs-admm", "pha"])
+    def test_log_cells_are_plain_numbers(self, lp_file, tmp_path, solver):
+        # without --sigma the sigma column holds a numpy scalar, as do
+        # PHA's nonanticipativity and relative-change columns
+        out = str(tmp_path / "r")
+        main(["solve", lp_file, "--solver", solver, "--out", out])
+        rows = open(out + ".iters.csv").read().splitlines()[1:]
+        assert rows
+        for row in rows:
+            for cell in row.split(","):
+                if cell:
+                    float(cell)
+
     def test_log_every_one_prints_every_row(self, lp_file, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(["solve", lp_file, "--log-every", "1", "--out", out]) == 0
@@ -228,6 +248,14 @@ class TestCmdCompare:
         assert main(["compare", lp_file, "--solvers", "sgs-admm",
                      "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 2
+
+    def test_max_iter_zero_keeps_row(self, lp_file, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", lp_file, "--solvers", "sgs-admm",
+                     "--max-iter", "0", "--out", str(out)]) == 0
+        cells = out.read_text().strip().splitlines()[1].split(",")
+        assert cells[:3] == ["sgs-admm", "MaxIter", "0"]
+        assert cells[5:] == ["", "", ""]       # no residues, no error
 
     def test_ineligible_solver_recorded_in_row(self, tmp_path):
         path = tmp_path / "qp.json"

@@ -210,6 +210,14 @@ class TestWithCost:
         with pytest.raises(DimensionMismatch):
             prob.with_cost(np.zeros(prob.n0 + 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        prob = make_two_scenario_lp()
+        cost = prob.c.copy()
+        cost[0] = bad
+        with pytest.raises(NonFiniteData, match="NaN or Inf in c"):
+            prob.with_cost(cost)
+
 
 class TestObjectives:
     def test_zero_point(self):

@@ -4,7 +4,7 @@ import pytest
 import dbasolve.pha as pha
 import dbasolve.solvers as solvers
 from dbasolve.builders import ScenarioData, build_two_stage, random_two_stage
-from dbasolve.errors import SubproblemFailure
+from dbasolve.errors import NonFiniteData, SubproblemFailure
 from dbasolve.pha import (PhaConfig, _make_subproblem, pha_solve,
                           scenario_subsolve, subproblem_setup)
 from dbasolve.proxcone import (DenseQuadratic, FreeSpace, NonnegOrthant, Zero)
@@ -165,6 +165,26 @@ class TestSetupReuse:
         rep = pha_solve(self.problem(), self.config(threads))
         assert rep.iterations == 8
         assert counts == {"msolver": self.N, "afactor": self.N}
+
+    def test_one_validate_per_scenario(self, monkeypatch):
+        calls = []
+        real_validate = solvers.validate
+
+        def validate(*args, **kwargs):
+            calls.append(args[0])
+            return real_validate(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "validate", validate)
+        rep = pha_solve(self.problem(), self.config(1, max_iter=4))
+        assert rep.iterations == 4
+        # each scenario template is validated with its setup; a subsolve
+        # only changes the cost, which with_cost checks
+        assert len(calls) == self.N
+
+    def test_non_finite_subproblem_cost_typed_error(self):
+        # a NaN rho makes the first effective cost c + w - rho * xhat NaN
+        with pytest.raises(NonFiniteData, match="NaN or Inf in c"):
+            pha_solve(self.problem(), PhaConfig(rho=np.nan, max_iter=2))
 
     def test_no_iteration_builds_nothing(self, monkeypatch):
         counts = count_setup_builds(monkeypatch)

@@ -244,16 +244,6 @@ class TestInnerErrorContract:
         assert rep.iterations <= 200
 
 
-class TestEnvThreads:
-    def test_dba_threads_fallback(self, two_scenario_lp, monkeypatch):
-        from dbasolve._parallel import resolve_threads
-        monkeypatch.setenv("DBA_THREADS", "3")
-        assert resolve_threads(None) == 3
-        assert resolve_threads(2) == 2
-        monkeypatch.delenv("DBA_THREADS")
-        assert resolve_threads(None) == 1
-
-
 class TestAlmSsnStepReduction:
     def test_zero_coupling_reduces_to_ssn_zy(self):
         # with B = 0 the joint (z, y) solve sees chat = c - x/sigma untouched
