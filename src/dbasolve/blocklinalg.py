@@ -270,9 +270,6 @@ class StackedOp:
             return mv(self._one_t, total)
         return mv(self._assembled_t, ybar)
 
-    def block(self, i):
-        return self.blocks[i]
-
 
 class BlockDiagOp:
     """Block diagonal operator diag(Bbar_1, ..., Bbar_N)."""

@@ -12,7 +12,7 @@ comparison with the KKT-based solvers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,19 +49,8 @@ class PhaConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < TAU_ADMM_MAX:
             raise ParameterError("PHA step length must lie in (0, (1+sqrt(5))/2)")
-
-
-@dataclass
-class PhaState:
-    probs: np.ndarray
-    x_i: list                           # first-stage copies
-    xbar_i: list                        # second-stage points
-    w: list                             # multipliers, sum_i p_i w_i = 0
-    xhat: np.ndarray                    # consensus
-    sub_problems: list = field(default_factory=list)
-    sub_setups: list = field(default_factory=list)     # built at first use
-    sub_states: list = field(default_factory=list)
-    sub_duals: list = field(default_factory=list)
+        if self.max_iter < 0:
+            raise ParameterError("max_iter must be nonnegative")
 
 
 def _unfold_scenario(problem, i):
@@ -89,20 +78,20 @@ def subproblem_setup(sub):
     return solve_setup(sub, SolverConfig())
 
 
-def scenario_subsolve(sub, w_i, xhat, rho, tol, warm_state=None,
-                      sigma0=None, setup=None):
+def scenario_subsolve(sub, w_i, xhat, rho, tol, warm=None, setup=None):
     """Solve one penalized scenario subproblem.
 
     ``sub`` is the single-scenario problem template and is not modified; the
     solve runs on a copy with the effective cost c + w_i - rho * xhat, which
     realizes the multiplier and proximal terms (the rho/2 ||x||^2 part lives
-    in the template's augmented theta).  ``setup`` is
+    in the template's augmented theta).  ``warm`` is the scenario's previous
+    report, which the solve starts from.  ``setup`` is
     :func:`subproblem_setup` of the template, built here when not given.
     """
     cfg = SolverConfig(tol_kkt=tol, tol_gap=max(tol, 1e-9),
-                       max_iter=_SUB_MAX_ITER, sigma0=sigma0)
+                       max_iter=_SUB_MAX_ITER)
     report = admm_solve(sub.with_cost(sub.c + w_i - rho * xhat), cfg,
-                        initial=warm_state, setup=setup)
+                        initial=warm, setup=setup)
     if not report.converged:
         raise SubproblemFailure(
             "scenario subproblem did not converge (status %s)" % report.status)
@@ -121,25 +110,19 @@ def pha_solve(problem, config=None):
     N = problem.N
     probs = np.asarray(problem.meta["probabilities"], dtype=np.float64)
 
-    st = PhaState(
-        probs=probs,
-        x_i=[np.zeros(problem.n0) for _ in range(N)],
-        xbar_i=[np.zeros(n) for n in problem.n_i],
-        w=[np.zeros(problem.n0) for _ in range(N)],
-        xhat=np.zeros(problem.n0),
-        sub_problems=[_make_subproblem(problem, i, rho) for i in range(N)],
-        sub_setups=[None] * N,
-        sub_states=[None] * N,
-        sub_duals=[None] * N,
-    )
-    sub_sigmas = [None] * N
+    # per scenario: the subproblem template, its setup (built at first use)
+    # and the last subsolve report, which warm-starts the next subsolve
+    subs = [_make_subproblem(problem, i, rho) for i in range(N)]
+    setups = [None] * N
+    reps = [None] * N
+    w = np.zeros((N, problem.n0))       # multipliers, sum_i p_i w_i = 0
+    xhat = np.zeros(problem.n0)         # consensus
 
     sub_tol_final = _SUB_FACTOR * cfg.tol_nonant
     log_rows = []
     status = "MaxIter"
-    res = None
     k = 0
-    nonant = np.inf
+    nonant = rel_change = np.inf
     for k in range(cfg.max_iter):
         inner = 0
         # warm-started subsolves tighten with the consensus residual and
@@ -147,38 +130,31 @@ def pha_solve(problem, config=None):
         sub_tol = max(sub_tol_final, min(1e-3, 0.1 * nonant))
 
         for i in range(N):
-            if st.sub_setups[i] is None:
-                st.sub_setups[i] = subproblem_setup(st.sub_problems[i])
+            if setups[i] is None:
+                setups[i] = subproblem_setup(subs[i])
             try:
-                rep = scenario_subsolve(
-                    st.sub_problems[i], st.w[i], st.xhat, rho, sub_tol,
-                    warm_state=st.sub_states[i], sigma0=sub_sigmas[i],
-                    setup=st.sub_setups[i])
+                reps[i] = scenario_subsolve(subs[i], w[i], xhat, rho, sub_tol,
+                                            warm=reps[i], setup=setups[i])
             except SubproblemFailure as exc:
                 raise SubproblemFailure("scenario %d: %s" % (i, exc)) from exc
-            st.x_i[i] = rep.primal.x
-            st.xbar_i[i] = rep.primal.xbar[0]
-            st.sub_states[i] = rep.extra["state"]
-            st.sub_duals[i] = rep.dual
-            sub_sigmas[i] = rep.sigma
-            inner += rep.iterations
+            inner += reps[i].iterations
 
-        xhat_prev = st.xhat
-        st.xhat = sum(p * x for p, x in zip(probs, st.x_i))
-        for i in range(N):
-            st.w[i] = st.w[i] + cfg.tau * rho * (st.x_i[i] - st.xhat)
-        wmean = sum(p * w for p, w in zip(probs, st.w))
+        x_i = [rep.primal.x for rep in reps]
+        xhat_prev = xhat
+        xhat = sum(p * x for p, x in zip(probs, x_i))
+        w = w + cfg.tau * rho * (np.stack(x_i) - xhat)
+        wmean = sum(p * w_i for p, w_i in zip(probs, w))
         assert np.linalg.norm(wmean) <= 1e-12 * (1.0 + max(
-            np.linalg.norm(w) for w in st.w)), "multiplier mean drifted"
+            np.linalg.norm(w_i) for w_i in w)), "multiplier mean drifted"
 
-        nonant = max(np.linalg.norm(x - st.xhat) for x in st.x_i)
-        nonant /= 1.0 + np.linalg.norm(st.xhat)
-        rel_change = np.linalg.norm(st.xhat - xhat_prev) / (
-            1.0 + np.linalg.norm(st.xhat))
+        nonant = max(np.linalg.norm(x - xhat) for x in x_i)
+        nonant /= 1.0 + np.linalg.norm(xhat)
+        rel_change = np.linalg.norm(xhat - xhat_prev) / (
+            1.0 + np.linalg.norm(xhat))
 
-        dual = _averaged_dual(problem, st)
-        res, obj_p, obj_d = kkt_full(problem, st.xhat,
-                                     np.concatenate(st.xbar_i), dual)
+        primal = PrimalPoint(xhat, [rep.primal.xbar[0] for rep in reps])
+        dual = _averaged_dual(problem, probs, reps)
+        res, obj_p, obj_d = kkt_full(problem, xhat, primal.stacked(), dual)
         log_rows.append((k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                          res.eta_Pbar, res.eta_Dbar, res.eta_Kbar,
                          res.eta_thetabar, res.eta, res.eta_gap, rho, obj_p,
@@ -192,42 +168,40 @@ def pha_solve(problem, config=None):
     else:
         k = cfg.max_iter
 
-    primal = PrimalPoint(st.xhat.copy(), [xb.copy() for xb in st.xbar_i])
-    dual = _averaged_dual(problem, st)
+    if not log_rows:
+        primal = PrimalPoint(xhat, [np.zeros(n) for n in problem.n_i])
+        dual = _averaged_dual(problem, probs, reps)
+        res = kkt_residues(problem, primal, dual)
+        obj_p = primal_objective(problem, primal)
+        obj_d = dual_objective(problem, dual)
     return SolveReport(
-        status=status, iterations=k, kkt=kkt_residues(problem, primal, dual),
-        obj_p=primal_objective(problem, primal),
-        obj_d=dual_objective(problem, dual),
+        status=status, iterations=k, kkt=res, obj_p=obj_p, obj_d=obj_d,
         primal=primal, dual=dual, sigma=rho,
         elapsed=time.perf_counter() - t0, log_rows=log_rows,
-        extra={"mode": "pha", "rho": rho,
-               "nonant_residual": log_rows[-1][15] if log_rows else np.inf,
-               "rel_change": log_rows[-1][16] if log_rows else np.inf},
+        extra={"nonant_residual": nonant, "rel_change": rel_change},
     )
 
 
-def _averaged_dual(problem, st):
+def _averaged_dual(problem, probs, reps):
     """Dual candidate at the averaged point, assembled from the
-    probability-scaled subproblem duals.
+    probability-scaled duals of the subsolve reports ``reps`` (zero before
+    the first subsolves).
 
     Scenario multipliers scale by p_i (the subproblems carry unweighted
     costs); v and vbar are then defined through the dual constraints so the
     remaining error shows up in the prox and cone residues.
     """
-    probs = st.probs
-    N = problem.N
-    y = np.zeros(problem.m0)
-    z = np.zeros(problem.n0)
-    ybar = np.zeros(problem.mbar)
-    zbar = np.zeros(problem.nbar)
-    have = all(d is not None for d in st.sub_duals)
-    if have:
-        for i, (p_i, d) in enumerate(zip(probs, st.sub_duals)):
-            if problem.m0:
-                y += p_i * d.y
-            z += p_i * d.z
-            ybar[problem.y_slice(i)] = p_i * d.ybar
-            zbar[problem.x_slice(i)] = p_i * d.zbar
+    if reps[0] is None:
+        y, z = np.zeros(problem.m0), np.zeros(problem.n0)
+        ybar, zbar = np.zeros(problem.mbar), np.zeros(problem.nbar)
+    else:
+        duals = [rep.dual for rep in reps]
+        y = sum(p * d.y for p, d in zip(probs, duals))
+        z = sum(p * d.z for p, d in zip(probs, duals))
+        ybar = (np.repeat(probs, problem.m_i)
+                * np.concatenate([d.ybar for d in duals]))
+        zbar = (np.repeat(probs, problem.n_i)
+                * np.concatenate([d.zbar for d in duals]))
     Aty = mv(problem.A_T, y) if problem.A is not None else 0.0
     v = problem.c - Aty - problem.B.apply_adjoint(ybar) - z
     vbar = problem.cbar - problem.Bbar.apply_adjoint(ybar) - zbar

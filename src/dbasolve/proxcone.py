@@ -41,9 +41,6 @@ class Cone:
         the indicator cases (slight violations count as 0)."""
         raise NotImplementedError
 
-    def contains(self, x, tol):
-        return np.linalg.norm(x - self.project(x)) <= tol * (1.0 + np.linalg.norm(x))
-
 
 class FreeSpace(Cone):
     def __init__(self, n):

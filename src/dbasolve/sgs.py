@@ -69,21 +69,6 @@ class SgsBlockQ:
     def solve_diag(self, i, rhs, tol):
         return self._solvers[i](rhs, tol)
 
-    def apply_row(self, i, parts):
-        """Sum_j Q[i, j] parts[j] over provided entries (adjoints for j < i)."""
-        out = np.zeros(self.dims[i])
-        for j, vec in parts.items():
-            if vec is None:
-                continue
-            if j >= i:
-                blk = self.off(i, j) if j > i else self.diag(i)
-            else:
-                blk = self.off(j, i)
-                blk = None if blk is None else blk.T
-            if blk is not None:
-                out += mv(blk, vec)
-        return out
-
 
 def _factor_solver(mat):
     fac = chol_factor(mat)

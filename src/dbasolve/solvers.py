@@ -76,10 +76,6 @@ class PrimalDualState:
     v: np.ndarray
     vbar: np.ndarray
 
-    def copy(self):
-        return PrimalDualState(*(getattr(self, f).copy() for f in
-                                 ("x", "xbar", "y", "ybar", "z", "zbar", "v", "vbar")))
-
 
 class SolveSetup(NamedTuple):
     """The fixed cost of a solve: the M solver and the A factor (``None``
@@ -148,9 +144,18 @@ def zero_state(problem):
         v=np.zeros(problem.n0), vbar=np.zeros(problem.nbar))
 
 
-def _dual_point(state):
-    return DualPoint(y=state.y.copy(), ybar=state.ybar.copy(), z=state.z.copy(),
-                     zbar=state.zbar.copy(), v=state.v.copy(), vbar=state.vbar.copy())
+def _start(problem, cfg, initial):
+    """The loop's first state and penalty: copies of the points of report
+    ``initial`` and its final sigma, or zeros and the default sigma; a set
+    ``cfg.sigma0`` overrides either penalty."""
+    if initial is None:
+        st, sigma = zero_state(problem), default_sigma0(problem)
+    else:
+        p, d = initial.primal, initial.dual
+        st = PrimalDualState(p.x.copy(), p.stacked(), d.y.copy(), d.ybar.copy(),
+                             d.z.copy(), d.zbar.copy(), d.v.copy(), d.vbar.copy())
+        sigma = initial.sigma
+    return st, cfg.sigma0 if cfg.sigma0 is not None else sigma
 
 
 class _AFactor:
@@ -270,44 +275,55 @@ def solve_setup(problem, cfg):
                       _AFactor(problem.A) if problem.A is not None else None)
 
 
+def _checked(config, tau_default, tau_max, tau_error):
+    """The config (default when None) and its step length, checked."""
+    cfg = config or SolverConfig()
+    tau = cfg.tau if cfg.tau is not None else tau_default
+    if not 0.0 < tau < tau_max:
+        raise ParameterError(tau_error)
+    if cfg.sigma0 is not None and not 0.0 < cfg.sigma0 < np.inf:
+        raise ParameterError("sigma0 must be positive and finite")
+    if cfg.max_iter < 0:
+        raise ParameterError("max_iter must be nonnegative")
+    return cfg, tau
+
+
 def admm_solve(problem, config=None, initial=None, setup=None):
     """Two-group inexact sGS proximal ADMM on the dual problem.
 
-    ``setup`` is a :class:`SolveSetup` from :func:`solve_setup` for a
-    problem with the same ``A``, ``B`` and ``Bbar`` and a config with the
-    same ``strategy``; without one it is built here, which validates the
-    problem.  A given setup skips that check: the problem differs from the
-    one it was built for only in costs, whose finiteness
+    ``initial`` is a :class:`SolveReport` of a problem with the same
+    dimensions: the solve starts from its points and, unless
+    ``config.sigma0`` is set, its final sigma.  ``setup`` is a
+    :class:`SolveSetup` from :func:`solve_setup` for a problem with the
+    same ``A``, ``B`` and ``Bbar`` and a config with the same ``strategy``;
+    without one it is built here, which validates the problem.  A given
+    setup skips that check: the problem differs from the one it was built
+    for only in costs, whose finiteness
     :meth:`~dbasolve.model.DBAProblem.with_cost` checks."""
-    cfg = config or SolverConfig()
-    tau = cfg.tau if cfg.tau is not None else 1.618
-    if not 0.0 < tau < TAU_ADMM_MAX:
-        raise ParameterError("ADMM step length must lie in (0, (1+sqrt(5))/2)")
-    return _run_loop(problem, cfg, tau, initial, mode="admm", setup=setup)
+    cfg, tau = _checked(config, 1.618, TAU_ADMM_MAX,
+                        "ADMM step length must lie in (0, (1+sqrt(5))/2)")
+    return _run_loop(problem, cfg, tau, initial, alm=False, setup=setup)
 
 
 def alm_solve(problem, config=None, initial=None):
-    """sGS proximal ALM; requires all separable objective terms to vanish."""
+    """sGS proximal ALM; requires all separable objective terms to vanish.
+    ``initial`` is read as in :func:`admm_solve`."""
     if not problem.theta.is_zero or not problem.scen_theta.is_zero:
         raise UnsupportedObjective(
             "the ALM variant requires zero theta terms; use admm_solve")
-    cfg = config or SolverConfig()
-    tau = cfg.tau if cfg.tau is not None else 1.9
-    if not 0.0 < tau < TAU_ALM_MAX:
-        raise ParameterError("ALM step length must lie in (0, 2)")
-    return _run_loop(problem, cfg, tau, initial, mode="alm")
+    cfg, tau = _checked(config, 1.9, TAU_ALM_MAX,
+                        "ALM step length must lie in (0, 2)")
+    return _run_loop(problem, cfg, tau, initial, alm=True)
 
 
-def _run_loop(problem, cfg, tau, initial, mode, setup=None):
+def _run_loop(problem, cfg, tau, initial, alm, setup=None):
     t0 = time.perf_counter()
     if setup is None:
         setup = solve_setup(problem, cfg)
     msol, facA = setup
-    sigma = cfg.sigma0 if cfg.sigma0 is not None else default_sigma0(problem)
     use_ssn = _ssn_eligible(problem, cfg)
-
-    st = initial.copy() if initial is not None else zero_state(problem)
-    if mode == "alm":
+    st, sigma = _start(problem, cfg, initial)
+    if alm:
         st.v, st.vbar = np.zeros_like(st.v), np.zeros_like(st.vbar)
 
     log_rows = []
@@ -323,8 +339,7 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k)
         inner_iters, d_res, d_res_bar = _sgs_iteration(
-            problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-            alm=mode == "alm")
+            problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm)
         lin = linear_residues(problem, st.x, st.xbar, d_res, d_res_bar)
         eta_lin = max(lin)
 
@@ -374,20 +389,21 @@ def _run_loop(problem, cfg, tau, initial, mode, setup=None):
             next_sigma_check = k + int(sigma_period)
     else:
         k = cfg.max_iter
-    if res is None and log_rows:
-        res = kkt_full(problem, st.x, st.xbar, st)[0]
 
-    primal = PrimalPoint(st.x.copy(),
-                         np.split(st.xbar.copy(), problem.x_offsets[1:-1]))
-    dual = _dual_point(st)
+    # nothing else holds the state's arrays, so the report takes them
+    primal = PrimalPoint(st.x, np.split(st.xbar, problem.x_offsets[1:-1]))
+    dual = DualPoint(y=st.y, ybar=st.ybar, z=st.z, zbar=st.zbar, v=st.v,
+                     vbar=st.vbar)
+    if not log_rows:
+        obj_p = primal_objective(problem, primal)
+        obj_d = dual_objective(problem, dual)
+    elif res is None:
+        res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st)
     return SolveReport(
-        status=status, iterations=k, kkt=res,
-        obj_p=primal_objective(problem, primal),
-        obj_d=dual_objective(problem, dual),
+        status=status, iterations=k, kkt=res, obj_p=obj_p, obj_d=obj_d,
         primal=primal, dual=dual, sigma=sigma,
         elapsed=time.perf_counter() - t0, log_rows=log_rows,
-        extra={"mode": mode, "ssn": use_ssn, "strategy": msol.strategy,
-               "state": st},
+        extra={"ssn": use_ssn, "strategy": msol.strategy},
     )
 
 

@@ -82,6 +82,18 @@ class TestCmdSolve:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "step length" in err
 
+    @pytest.mark.parametrize("solver", ["sgs-admm", "sgs-alm"])
+    @pytest.mark.parametrize("flag", [("--sigma", "0"), ("--sigma", "-1"),
+                                      ("--sigma", "nan"), ("--sigma", "inf"),
+                                      ("--max-iter", "-4")])
+    def test_bad_sigma_or_max_iter_exit_two(self, lp_file, tmp_path, capsys,
+                                            solver, flag):
+        code = main(["solve", lp_file, "--solver", solver, *flag,
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("solver", ["sgs-admm", "sgs-alm", "pha"])
     def test_non_finite_data_exit_two(self, tmp_path, capsys, solver):
         doc = io.problem_to_dict(make_two_scenario_lp())

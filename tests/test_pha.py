@@ -4,7 +4,8 @@ import pytest
 import dbasolve.pha as pha
 import dbasolve.solvers as solvers
 from dbasolve.builders import ScenarioData, build_two_stage, random_two_stage
-from dbasolve.errors import NonFiniteData, SubproblemFailure
+from dbasolve.errors import (NonFiniteData, ParameterError,
+                             SubproblemFailure)
 from dbasolve.pha import (PhaConfig, _make_subproblem, pha_solve,
                           scenario_subsolve, subproblem_setup)
 from dbasolve.proxcone import (DenseQuadratic, FreeSpace, NonnegOrthant, Zero)
@@ -60,6 +61,10 @@ class TestPhaSolve:
     def test_tau_guard(self):
         with pytest.raises(ValueError):
             PhaConfig(tau=1.7)
+
+    def test_negative_max_iter(self):
+        with pytest.raises(ParameterError, match="max_iter"):
+            PhaConfig(max_iter=-3)
 
 
 class TestMultipliers:
@@ -156,13 +161,12 @@ class TestSetupReuse:
     def problem(self):
         return random_two_stage(2, 4, 2, 4, N=self.N, seed=1, quad_eps=0.1)
 
-    def config(self, threads, max_iter=8):
-        return PhaConfig(rho=10.0, max_iter=max_iter, threads=threads)
+    def config(self, max_iter=8):
+        return PhaConfig(rho=10.0, max_iter=max_iter)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_setup_per_scenario(self, monkeypatch, threads):
+    def test_one_setup_per_scenario(self, monkeypatch):
         counts = count_setup_builds(monkeypatch)
-        rep = pha_solve(self.problem(), self.config(threads))
+        rep = pha_solve(self.problem(), self.config())
         assert rep.iterations == 8
         assert counts == {"msolver": self.N, "afactor": self.N}
 
@@ -175,7 +179,7 @@ class TestSetupReuse:
             return real_validate(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "validate", validate)
-        rep = pha_solve(self.problem(), self.config(1, max_iter=4))
+        rep = pha_solve(self.problem(), self.config(max_iter=4))
         assert rep.iterations == 4
         # each scenario template is validated with its setup; a subsolve
         # only changes the cost, which with_cost checks
@@ -188,16 +192,15 @@ class TestSetupReuse:
 
     def test_no_iteration_builds_nothing(self, monkeypatch):
         counts = count_setup_builds(monkeypatch)
-        pha_solve(self.problem(), self.config(1, max_iter=0))
+        pha_solve(self.problem(), self.config(max_iter=0))
         assert counts == {"msolver": 0, "afactor": 0}
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_logs_match_rebuilding_reference(self, monkeypatch, threads):
-        reused = pha_solve(self.problem(), self.config(threads))
+    def test_logs_match_rebuilding_reference(self, monkeypatch):
+        reused = pha_solve(self.problem(), self.config())
         counts = count_setup_builds(monkeypatch)
         # no setup kept: every subsolve builds its own, as before reuse
         monkeypatch.setattr(pha, "subproblem_setup", lambda sub: None)
-        reference = pha_solve(self.problem(), self.config(threads))
+        reference = pha_solve(self.problem(), self.config())
         assert counts["msolver"] == counts["afactor"]
         assert counts["msolver"] == len(reference.log_rows) * self.N
         assert reused.log_rows == reference.log_rows
