@@ -158,15 +158,16 @@ def count_setup_builds(monkeypatch):
 class TestSetupReuse:
     N = 3
 
-    def problem(self):
-        return random_two_stage(2, 4, 2, 4, N=self.N, seed=1, quad_eps=0.1)
+    def problem(self, seed=1):
+        return random_two_stage(2, 4, 2, 4, N=self.N, seed=seed, quad_eps=0.1)
 
     def config(self, max_iter=8):
         return PhaConfig(rho=10.0, max_iter=max_iter)
 
-    def test_one_setup_per_scenario(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_one_setup_per_scenario(self, monkeypatch, seed):
         counts = count_setup_builds(monkeypatch)
-        rep = pha_solve(self.problem(), self.config())
+        rep = pha_solve(self.problem(seed), self.config())
         assert rep.iterations == 8
         assert counts == {"msolver": self.N, "afactor": self.N}
 
@@ -195,12 +196,13 @@ class TestSetupReuse:
         pha_solve(self.problem(), self.config(max_iter=0))
         assert counts == {"msolver": 0, "afactor": 0}
 
-    def test_logs_match_rebuilding_reference(self, monkeypatch):
-        reused = pha_solve(self.problem(), self.config())
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_logs_match_rebuilding_reference(self, monkeypatch, seed):
+        reused = pha_solve(self.problem(seed), self.config())
         counts = count_setup_builds(monkeypatch)
         # no setup kept: every subsolve builds its own, as before reuse
         monkeypatch.setattr(pha, "subproblem_setup", lambda sub: None)
-        reference = pha_solve(self.problem(), self.config())
+        reference = pha_solve(self.problem(seed), self.config())
         assert counts["msolver"] == counts["afactor"]
         assert counts["msolver"] == len(reference.log_rows) * self.N
         assert reused.log_rows == reference.log_rows
