@@ -94,7 +94,9 @@ def _add_solver_flags(p):
     p.add_argument("--tol-gap", type=float, default=1e-4)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=50000)
+    p.add_argument("--max-iter", type=int, default=None,
+                   help="iteration cap (default: 50000 for sgs-admm and "
+                        "sgs-alm, 300 outer iterations for pha)")
     p.add_argument("--strategy", default="auto",
                    choices=("auto", "chol", "smw", "smw-diag", "block-diag",
                             "shared", "ufl"))
@@ -102,20 +104,31 @@ def _add_solver_flags(p):
     p.add_argument("--log-every", type=int, default=0)
 
 
-def _config_from_args(args):
+def _max_iter(args, solver):
+    """``--max-iter`` when given, else the solver's own default."""
+    if args.max_iter is not None:
+        return args.max_iter
+    return PhaConfig.max_iter if solver == "pha" else SolverConfig.max_iter
+
+
+def _config_from_args(args, solver):
     return SolverConfig(
         sigma0=args.sigma, tau=args.tau, tol_kkt=args.tol_kkt,
-        tol_gap=args.tol_gap, max_iter=args.max_iter, strategy=args.strategy,
-        ssn=args.ssn, log_every=args.log_every)
+        tol_gap=args.tol_gap, max_iter=_max_iter(args, solver),
+        strategy=args.strategy, ssn=args.ssn, log_every=args.log_every)
 
 
 def _run_one(problem, solver, args):
     if solver == "sgs-admm":
-        return admm_solve(problem, _config_from_args(args)), LOG_COLUMNS
+        return admm_solve(problem, _config_from_args(args, solver)), LOG_COLUMNS
     if solver == "sgs-alm":
-        return alm_solve(problem, _config_from_args(args)), LOG_COLUMNS
-    cfg = PhaConfig(tau=args.tau if args.tau is not None else 1.618,
-                    tol_nonant=args.tol_kkt, tol_rel=args.tol_kkt)
+        return alm_solve(problem, _config_from_args(args, solver)), LOG_COLUMNS
+    if args.sigma is not None and not 0.0 < args.sigma < np.inf:
+        raise ParameterError("rho must be positive and finite")
+    cfg = PhaConfig(rho=args.sigma,
+                    tau=args.tau if args.tau is not None else 1.618,
+                    tol_nonant=args.tol_kkt, tol_rel=args.tol_kkt,
+                    max_iter=_max_iter(args, solver))
     return pha_solve(problem, cfg), PHA_LOG_COLUMNS
 
 
@@ -152,7 +165,8 @@ def cmd_solve(args):
             "config": {
                 "tol_kkt": args.tol_kkt, "tol_gap": args.tol_gap,
                 "sigma": args.sigma, "tau": args.tau,
-                "max_iter": args.max_iter, "strategy": args.strategy,
+                "max_iter": _max_iter(args, args.solver),
+                "strategy": args.strategy,
                 "ssn": args.ssn,
             },
         },

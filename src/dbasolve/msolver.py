@@ -31,32 +31,64 @@ from .errors import NotPositiveDefinite, StrategyPrecondition
 STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "shared", "ufl")
 
 _G_CHOL_DIM = 2000
+# from this many scenario rows on, auto picks smw-diag
+_SMW_DIAG_ROWS = 50000
 _EBJ_MAX_N = 64
 # PCG tolerance of an M solve called without one
 _PCG_TOL = 1e-10
 
 
 def auto_strategy(problem):
-    """Strategy selection by problem structure and total scenario rows.
+    """Strategy selection by problem structure and estimated solve cost.
 
-    ``shared`` further needs every ``Bbar_i Bbar_i^T`` positive definite,
-    which only its build finds out; :func:`build_msolver` then falls back
-    to :func:`row_count_strategy`."""
+    Only the build of ``shared``, or of ``smw``, finds out whether every
+    ``Bbar_i Bbar_i^T`` is positive definite; :func:`build_msolver` then
+    tries the next of :func:`auto_candidates`."""
+    return auto_candidates(problem)[0]
+
+
+def auto_candidates(problem):
+    """The strategies ``auto`` builds, in order, until one builds: a
+    structure-specific one, then :func:`row_count_strategy`, then ``chol``
+    when that was ``smw``."""
     if problem.meta.get("ufl_p") is not None:
-        return "ufl"
-    if _blocks_shared(problem):
-        return "shared"
-    return row_count_strategy(problem)
+        return ["ufl"]
+    general = row_count_strategy(problem)
+    first = ["shared"] if _blocks_shared(problem) else []
+    return first + [general] + (["chol"] if general == "smw" else [])
+
+
+# Estimated time of one M solve in ns, from block shapes.  The constants are
+# a least-squares fit to timeit minima of one 1-d solve on 14 instances
+# (random_two_stage with mbar 48-2000 and random ragged blocks with 1-6 row
+# counts; 2-vCPU VM, one BLAS thread, numpy 2.4, scipy 1.17), on all of
+# which this rule picks the faster strategy.
+#   chol: two dense triangular solves with the mbar x mbar factor, memory
+#         bound: 4 us + 0.66 ns per factor entry.
+#   smw:  13.5 us, 4 us per kernel call (two per row-count group), 0.12 us
+#         per scenario block, 1.4 ns per entry of the dense-shaped B (two
+#         products) and the n0 x n0 solve with G, priced as chol's; plus
+#         1 ns per entry of the inverse factors, four matmul passes at the
+#         0.25 ns per multiply-add measured on blocks of order 50 (the fit,
+#         with m_i <= 40, cannot resolve this term).
+def m_solve_cost_ns(problem):
+    """Estimated ns per M solve: ``(chol, smw)``."""
+    m = np.asarray(problem.m_i)
+    chol = 4000.0 + 0.66 * float(problem.mbar) ** 2
+    smw = (13500.0 + 4000.0 * 2 * len(np.unique(m)) + 120.0 * problem.N
+           + 1.4 * problem.mbar * problem.n0 + 1.0 * float(np.sum(m * m))
+           + 0.66 * float(problem.n0) ** 2)
+    return chol, smw
 
 
 def row_count_strategy(problem):
-    """The general strategy for the total scenario row count."""
-    mbar = problem.mbar
-    if mbar < 5000:
-        return "chol"
-    if mbar < 50000:
-        return "smw"
-    return "smw-diag"
+    """The general strategy: ``smw-diag`` from 50 000 scenario rows on (its
+    proximal term changes the iterates), otherwise the cheaper of ``chol``
+    and ``smw`` per M solve by :func:`m_solve_cost_ns`."""
+    if problem.mbar >= _SMW_DIAG_ROWS:
+        return "smw-diag"
+    chol, smw = m_solve_cost_ns(problem)
+    return "chol" if chol <= smw else "smw"
 
 
 def _blocks_shared(problem):
@@ -126,7 +158,9 @@ def pairwise_coupling_norms(problem):
         for j in range(i + 1, N):
             prod = Bi @ problem.scenarios[j].B.T
             if min(prod.shape) <= _EXACT_NORM_DIM:
-                val = float(np.linalg.svd(to_dense(prod), compute_uv=False)[0])
+                # the norm of a product with no rows or columns is 0
+                val = float(np.max(np.linalg.svd(to_dense(prod), compute_uv=False),
+                                   initial=0.0))
             else:
                 val = op_norm_2(canonicalize(prod), tol=1e-10) * (1.0 + 1e-8)
             norm[i, j] = norm[j, i] = val
@@ -170,20 +204,23 @@ def build_msolver(problem, strategy="auto", jbar=None, prefer_pcg=False):
     ``jbar`` overrides the strategy default: ``None`` keeps it, an explicit
     matrix is added to M (``chol`` only), and for ``block-diag`` the strings
     ``"ebj"`` / ``"std"`` pick the coupling-norm or conservative variant.
-    ``"auto"`` falls back from ``shared`` to :func:`row_count_strategy`
-    when some ``Bbar_i Bbar_i^T`` is not positive definite; an explicit
-    ``"shared"`` raises :class:`StrategyPrecondition` then.
+    ``"auto"`` builds the first of :func:`auto_candidates` whose
+    precondition holds; an explicit strategy raises
+    :class:`StrategyPrecondition` when its own does not.
     """
-    if strategy == "auto":
-        strategy = auto_strategy(problem)
-        if strategy == "shared":
-            try:
-                return _build_shared(problem, prefer_pcg, analytic_ufl=False)
-            except StrategyPrecondition:
-                strategy = row_count_strategy(problem)
+    *tries, last = (auto_candidates(problem) if strategy == "auto"
+                    else [strategy])
+    for candidate in tries:
+        try:
+            return _build(problem, candidate, jbar, prefer_pcg)
+        except StrategyPrecondition:
+            pass
+    return _build(problem, last, jbar, prefer_pcg)
+
+
+def _build(problem, strategy, jbar, prefer_pcg):
     if strategy not in STRATEGIES:
         raise StrategyPrecondition("unknown strategy %r" % (strategy,))
-
     if strategy == "chol":
         return _build_chol(problem, jbar)
     if strategy == "smw":
@@ -406,11 +443,29 @@ class _SizeGroups:
 
     def chol_apply(self, facs):
         """h -> blockwise D_i^{-1} h_i for per-scenario dense Cholesky
-        factors of D_i, one batched triangular solve pair per group."""
-        kernels = [lambda H, low=low: sla.cho_solve((low, True),
-                                                    H[..., None])[..., 0]
-                   for low in self.stack([f.lower for f in facs])]
+        factors D_i = L_i L_i^T: the inverse factors L_i^{-1} are stacked
+        per group once, so each apply is two batched matmuls per group."""
+        kernels = [lambda H, inv=inv: inverse_factor_apply(inv, H)
+                   for inv in self.stack([_lower_inverse(f.lower)
+                                          for f in facs])]
         return lambda h: self.apply(kernels, h)
+
+
+def _lower_inverse(low):
+    """Inverse of a lower-triangular Cholesky factor (LAPACK ``dtrtri``,
+    which rejects order 0: a scenario with no rows)."""
+    if low.size == 0:
+        return low
+    inv, _ = sla.lapack.dtrtri(low, lower=1)
+    return inv
+
+
+def inverse_factor_apply(inv, H):
+    """Rows h_i of the (n, m) array ``H`` mapped to L_i^{-T} L_i^{-1} h_i for
+    the (n, m, m) stack ``inv`` of inverse lower factors L_i^{-1}."""
+    x = np.matmul(inv, H[:, :, None])
+    # (L^{-T} x)^T = x^T L^{-1}: a row vector times the stored factor
+    return np.matmul(x.transpose(0, 2, 1), inv)[:, 0]
 
 
 def _make_g_solver(G, prefer_pcg):

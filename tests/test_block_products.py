@@ -3,7 +3,7 @@ of every problem, against a per-block loop kept here as the reference."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbasolve.blocklinalg import smat, svec, svec_dim
@@ -76,8 +76,9 @@ def ref_sum(blocks, fn, x):
 
 def assert_sum_matches(got, ref, blocks, merged_kinds):
     """Bit-equal, except that the blocks of a merged kind with finite sums
-    (DiagQuadratic, Box) sum over their concatenation, as the stacked path
-    always did: with two or more such blocks the sums agree to rounding."""
+    (DiagQuadratic, Box, IndicatorCone of any cones) sum over their
+    concatenation, as the stacked path always did: with two or more such
+    blocks the sums agree to rounding."""
     counts = [sum(1 for b in blocks if b.dim and kind(b)) for kind in merged_kinds]
     if max(counts, default=0) <= 1 or not np.isfinite(ref):
         assert got == ref
@@ -89,8 +90,8 @@ def is_box(cone):
     return isinstance(cone, Box)
 
 
-def is_box_indicator(f):
-    return isinstance(f, IndicatorCone) and isinstance(f.cone, Box)
+def is_indicator(f):
+    return isinstance(f, IndicatorCone)
 
 
 def is_diag(f):
@@ -165,6 +166,11 @@ def test_block_cone_matches_per_block_loop(spec, seed, how):
                           st.sampled_from(CONE_KINDS), sizes),
                 min_size=1, max_size=6), seeds, points,
        st.sampled_from((0.3, 1.0, 7.0)))
+# indicator blocks of two cones, split by a dense quadratic, merge into one
+# IndicatorCone group and sum in group order
+@example(spec=[("dense", "orthant", 1), ("indicator", "orthant", 1),
+               ("dense", "orthant", 1), ("indicator", "box", 4)],
+         seed=0, how="tiny", t=0.3)
 def test_block_function_matches_per_block_loop(spec, seed, how, t):
     rng = np.random.default_rng(seed)
     funcs = [make_function(kind, cone_kind, n, rng)
@@ -184,7 +190,7 @@ def test_block_function_matches_per_block_loop(spec, seed, how, t):
                    lambda v: ref_map(funcs, lambda g, xi: ref_prox(g, 1.0, xi), v))
     ref = ref_sum(funcs, lambda g, wi: ref_conjugate(g, wi, FEAS_TOL), w)
     got = conjugate_value(f, w, FEAS_TOL)
-    assert_sum_matches(got, ref, funcs, [is_diag, is_box_indicator])
+    assert_sum_matches(got, ref, funcs, [is_diag, is_indicator])
 
 
 def test_clamp_is_per_block_not_whole_vector():

@@ -119,6 +119,32 @@ class TestCmdSolve:
         summary = json.loads(open(out + ".summary.json").read())
         assert summary["status"] == "MaxIter" and summary["kkt"] is None
 
+    def test_pha_takes_max_iter_and_sigma(self, lp_file, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        assert main(["solve", lp_file, "--solver", "pha", "--max-iter", "1",
+                     "--sigma", "5", "--out", out]) == 1
+        assert "MaxIter after 1 iterations" in capsys.readouterr().out
+        summary = json.loads(open(out + ".summary.json").read())
+        assert summary["iterations"] == 1
+        assert summary["manifest"]["config"]["max_iter"] == 1
+        header, row = open(out + ".iters.csv").read().splitlines()
+        assert float(row.split(",")[header.split(",").index("sigma")]) == 5.0
+
+    @pytest.mark.parametrize("solver,cap", [("sgs-admm", 50000), ("pha", 300)])
+    def test_default_max_iter_is_the_solvers_own(self, lp_file, tmp_path,
+                                                 solver, cap):
+        out = str(tmp_path / "r")
+        assert main(["solve", lp_file, "--solver", solver, "--out", out]) == 0
+        summary = json.loads(open(out + ".summary.json").read())
+        assert summary["manifest"]["config"]["max_iter"] == cap
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_pha_bad_sigma_exit_two(self, lp_file, tmp_path, capsys, sigma):
+        assert main(["solve", lp_file, "--solver", "pha", "--sigma", sigma,
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid parameters: rho must be positive and finite\n")
+
     @pytest.mark.parametrize("solver", ["sgs-admm", "pha"])
     def test_log_cells_are_plain_numbers(self, lp_file, tmp_path, solver):
         # without --sigma the sigma column holds a numpy scalar, as do
