@@ -34,6 +34,10 @@ _G_CHOL_DIM = 2000
 # from this many scenario rows on, auto picks smw-diag
 _SMW_DIAG_ROWS = 50000
 _EBJ_MAX_N = 64
+# auto rejects the SMW form (smw, shared) when some Bbar_i Bbar_i^T has an
+# estimated condition above this: its backward error grows as about
+# 1e-16 cond(Bbar_i Bbar_i^T), while chol's does not
+_AUTO_MAX_COND = 1e8
 # PCG tolerance of an M solve called without one
 _PCG_TOL = 1e-10
 
@@ -42,8 +46,9 @@ def auto_strategy(problem):
     """Strategy selection by problem structure and estimated solve cost.
 
     Only the build of ``shared``, or of ``smw``, finds out whether every
-    ``Bbar_i Bbar_i^T`` is positive definite; :func:`build_msolver` then
-    tries the next of :func:`auto_candidates`."""
+    ``Bbar_i Bbar_i^T`` is positive definite and, under ``auto``, of
+    condition at most 1e8; :func:`build_msolver` then tries the next of
+    :func:`auto_candidates`."""
     return auto_candidates(problem)[0]
 
 
@@ -205,32 +210,37 @@ def build_msolver(problem, strategy="auto", jbar=None, prefer_pcg=False):
     matrix is added to M (``chol`` only), and for ``block-diag`` the strings
     ``"ebj"`` / ``"std"`` pick the coupling-norm or conservative variant.
     ``"auto"`` builds the first of :func:`auto_candidates` whose
-    precondition holds; an explicit strategy raises
-    :class:`StrategyPrecondition` when its own does not.
+    precondition holds, where the SMW form (``smw``, ``shared``) also needs
+    every ``Bbar_i Bbar_i^T`` of estimated condition at most 1e8; an
+    explicit strategy raises :class:`StrategyPrecondition` when its own
+    precondition does not hold.
     """
-    *tries, last = (auto_candidates(problem) if strategy == "auto"
-                    else [strategy])
+    auto = strategy == "auto"
+    max_cond = _AUTO_MAX_COND if auto else np.inf
+    *tries, last = auto_candidates(problem) if auto else [strategy]
     for candidate in tries:
         try:
-            return _build(problem, candidate, jbar, prefer_pcg)
+            return _build(problem, candidate, jbar, prefer_pcg, max_cond)
         except StrategyPrecondition:
             pass
-    return _build(problem, last, jbar, prefer_pcg)
+    return _build(problem, last, jbar, prefer_pcg, max_cond)
 
 
-def _build(problem, strategy, jbar, prefer_pcg):
+def _build(problem, strategy, jbar, prefer_pcg, max_cond):
     if strategy not in STRATEGIES:
         raise StrategyPrecondition("unknown strategy %r" % (strategy,))
     if strategy == "chol":
         return _build_chol(problem, jbar)
     if strategy == "smw":
-        return _build_smw(problem, prefer_pcg, diagonal=False)
+        return _build_smw(problem, prefer_pcg, diagonal=False,
+                          max_cond=max_cond)
     if strategy == "smw-diag":
         return _build_smw(problem, prefer_pcg, diagonal=True)
     if strategy == "block-diag":
         return _build_block_diag(problem, jbar)
     if strategy == "shared":
-        return _build_shared(problem, prefer_pcg, analytic_ufl=False)
+        return _build_shared(problem, prefer_pcg, analytic_ufl=False,
+                             max_cond=max_cond)
     return _build_shared(problem, prefer_pcg, analytic_ufl=True)
 
 
@@ -252,11 +262,15 @@ def _build_chol(problem, jbar):
                    lambda h, tol, stats=None: fac.solve(h))
 
 
-def _build_smw(problem, prefer_pcg, diagonal):
+def _build_smw(problem, prefer_pcg, diagonal, max_cond=np.inf):
     n0 = problem.n0
     if diagonal:
         lams = []
         for s in problem.scenarios:
+            if s.m == 0:
+                # no rows: nothing to shift, and no row divides by lam
+                lams.append(1.0)
+                continue
             bb = canonicalize(sp.csr_matrix(s.Bbar))
             lam = lambda_max_bound(bb @ bb.T)
             if lam <= 0:
@@ -275,7 +289,7 @@ def _build_smw(problem, prefer_pcg, diagonal):
         def apply_jbar(w):
             return lam_rows * w - Bbar_op.apply(Bbar_op.apply_adjoint(w))
     else:
-        facs = _bbar_gram_factors(problem, "smw requires")
+        facs = _bbar_gram_factors(problem, "smw requires", max_cond)
         dinv_apply = _SizeGroups(problem).chol_apply(facs)
         G = np.eye(n0)
         for f, s in zip(facs, problem.scenarios):
@@ -333,21 +347,37 @@ def _build_block_diag(problem, jbar):
     return solver
 
 
-def _bbar_gram_factors(problem, requirement):
-    """Cholesky factors of every Bbar_i Bbar_i^T."""
+def _bbar_gram_factors(problem, requirement, max_cond=np.inf):
+    """Cholesky factors of every Bbar_i Bbar_i^T, each of estimated
+    condition at most ``max_cond``."""
     facs = []
     for i, s in enumerate(problem.scenarios):
         bb = canonicalize(sp.csr_matrix(s.Bbar))
-        try:
-            facs.append(chol_factor(to_dense(bb @ bb.T)))
-        except NotPositiveDefinite as exc:
-            raise StrategyPrecondition(
-                "%s Bbar_%d Bbar_%d^T positive definite: %s"
-                % (requirement, i, i, exc)) from exc
+        facs.append(_gram_factor(to_dense(bb @ bb.T), max_cond,
+                                 "%s Bbar_%d Bbar_%d^T" % (requirement, i, i)))
     return facs
 
 
-def _build_shared(problem, prefer_pcg, analytic_ufl):
+def _gram_factor(gram, max_cond, what):
+    """Cholesky factor of ``gram``; :class:`StrategyPrecondition`, naming
+    ``what``, when it is not positive definite or its 1-norm condition
+    estimate (LAPACK ``dpocon`` on the factor) exceeds ``max_cond``."""
+    try:
+        fac = chol_factor(gram)
+    except NotPositiveDefinite as exc:
+        raise StrategyPrecondition(
+            "%s positive definite: %s" % (what, exc)) from exc
+    if gram.size and max_cond < np.inf:
+        anorm = float(abs(gram).sum(axis=0).max())       # the 1-norm
+        rcond, _ = sla.lapack.dpocon(fac.lower, anorm, uplo="L")
+        if rcond * max_cond < 1.0:
+            raise StrategyPrecondition(
+                "%s of condition at most %.0e (estimate %.1e)"
+                % (what, max_cond, 1.0 / max(rcond, 1e-300)))
+    return fac
+
+
+def _build_shared(problem, prefer_pcg, analytic_ufl, max_cond=np.inf):
     if not _blocks_shared(problem):
         raise StrategyPrecondition(
             "shared strategy requires bit-identical coupling blocks B_i")
@@ -374,18 +404,15 @@ def _build_shared(problem, prefer_pcg, analytic_ufl):
     else:
         if bbar_shared:
             bb = canonicalize(sp.csr_matrix(problem.scenarios[0].Bbar))
-            try:
-                fac = chol_factor(to_dense(bb @ bb.T))
-            except NotPositiveDefinite as exc:
-                raise StrategyPrecondition(
-                    "shared strategy needs Bbar_1 Bbar_1^T positive definite: %s"
-                    % exc) from exc
+            fac = _gram_factor(to_dense(bb @ bb.T), max_cond,
+                               "shared strategy needs Bbar_1 Bbar_1^T")
             # one multi-right-hand-side solve: the columns of H^T are the blocks
             kernels = [lambda H: fac.solve(H.T).T]
             dinv_apply = lambda h: groups.apply(kernels, h)
             G = np.eye(n0) + N * (B1d.T @ fac.solve(B1d))
         else:
-            facs = _bbar_gram_factors(problem, "shared strategy needs")
+            facs = _bbar_gram_factors(problem, "shared strategy needs",
+                                      max_cond)
             dinv_apply = groups.chol_apply(facs)
             Wsum = sum(f.solve(np.eye(problem.scenarios[0].m)) for f in facs)
             G = np.eye(n0) + B1d.T @ (Wsum @ B1d)

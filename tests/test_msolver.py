@@ -189,6 +189,10 @@ class TestBlockDiagJ:
         h = rng.normal(size=prob.mbar)
         Md = assemble_m_dense(prob, jbar=ebj_block_diag_J(prob))
         assert np.linalg.norm(Md @ sol.solve(h) - h) <= 1e-14 * np.linalg.norm(h)
+        # the empty block needs no shift
+        sol = build_msolver(prob, "smw-diag")
+        MJ = own_m(sol, prob.mbar)
+        assert np.linalg.norm(MJ @ sol.solve(h) - h) <= 1e-14 * np.linalg.norm(h)
 
 
 class TestShared:
@@ -288,6 +292,37 @@ class TestAutoSelection:
         h = np.random.default_rng(19).normal(size=prob.mbar)
         y = sol.solve(h)
         assert np.linalg.norm(assemble_m_dense(prob) @ y - h) <= 1e-12 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("kind", ["smw", "shared", "shared-bbar"])
+    def test_ill_conditioned_gram_moves_auto_to_chol(self, kind):
+        # one Bbar_i Bbar_i^T of condition 1e10 (every one, when Bbar_i is
+        # shared): auto leaves the SMW form for chol, an explicit strategy
+        # still builds
+        if kind == "smw":
+            prob = random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1)
+            blocks = list(prob.scenarios)
+            s = blocks[7]
+            rng = np.random.default_rng(20)
+            U, _ = np.linalg.qr(rng.normal(size=(s.m, s.m)))
+            V, _ = np.linalg.qr(rng.normal(size=(s.n, s.m)))
+            Bbar = (U * np.logspace(0, -5, s.m)) @ V.T
+            blocks[7] = ScenarioBlock(s.B, Bbar, s.bbar, s.cbar, s.cone,
+                                      s.theta)
+            prob = DBAProblem(prob.A, prob.b, prob.c, prob.cone, prob.theta,
+                              blocks)
+        else:
+            prob = oracle_structure([4] * 5, 3, True, kind == "shared-bbar",
+                                    seed=21, ill=True)
+        first = "smw" if kind == "smw" else "shared"
+        assert msolver.auto_candidates(prob) == [first, "chol"]
+        assert build_msolver(prob, first).strategy == first
+        sol = build_msolver(prob)
+        assert sol.strategy == "chol"
+        h = np.random.default_rng(22).normal(size=prob.mbar)
+        M = assemble_m_dense(prob)
+        y = sol.solve(h)
+        assert np.linalg.norm(M @ y - h) <= 1e-13 * (
+            np.linalg.norm(M, 2) * np.linalg.norm(y) + np.linalg.norm(h))
 
     def test_row_thresholds(self):
         rng = np.random.default_rng(15)

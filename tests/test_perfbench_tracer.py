@@ -37,10 +37,11 @@ def test_traced_pha_solve_counts_one_setup_per_scenario(tracer_module):
         report = pha_solve(problem, PhaConfig(rho=10.0, max_iter=4,
                                               threads=1))
     assert report.iterations == 4
-    assert tracer.calls["msolver.build"] == N
-    assert tracer.calls["solvers.afactor.build"] == N
-    assert tracer.calls["pha.subsolve"] == 4 * N
-    assert tracer.calls["solvers.loop"] == 4 * N
+    # the N scenarios are one bundle: one setup, one subsolve per iteration
+    assert tracer.calls["msolver.build"] == 1
+    assert tracer.calls["solvers.afactor.build"] == 1
+    assert tracer.calls["pha.subsolve"] == 4
+    assert tracer.calls["solvers.loop"] == 4
     assert tracer.calls["blocklinalg.chol_solve"] > 0
     # the flop counter reads the dense factor's _kind and dim
     assert tracer.counters["chol.flops"] > 0

@@ -6,10 +6,11 @@ import dbasolve.solvers as solvers
 from dbasolve.builders import ScenarioData, build_two_stage, random_two_stage
 from dbasolve.errors import (NonFiniteData, ParameterError,
                              SubproblemFailure)
-from dbasolve.pha import (PhaConfig, _make_subproblem, pha_solve,
-                          scenario_subsolve, subproblem_setup)
+from dbasolve.io import iteration_csv_text
+from dbasolve.pha import (PHA_LOG_COLUMNS, PhaConfig, _bundle, pha_solve,
+                          scenario_subsolve)
 from dbasolve.proxcone import (DenseQuadratic, FreeSpace, NonnegOrthant, Zero)
-from dbasolve.solvers import SolverConfig, admm_solve
+from dbasolve.solvers import SolverConfig, admm_solve, solve_setup
 
 from conftest import make_two_scenario_lp
 
@@ -78,50 +79,51 @@ class TestMultipliers:
 
 class TestScenarioSubsolve:
     def test_free_quadratic_matches_dense_kkt(self):
+        # two scenarios with distinct B_i solved as one bundle: each copy
+        # (x_i, xbar_i) solves its own penalized subproblem
+        import scipy.linalg as sla
         rng = np.random.default_rng(1)
-        n0, ni = 2, 3
+        n0, ni, N = 2, 3, 2
         A = rng.normal(size=(1, n0))
         b = rng.normal(size=1)
         c = rng.normal(size=n0)
-        B = rng.normal(size=(2, n0))
-        Bbar = rng.normal(size=(2, ni))
-        bbar = rng.normal(size=2)
-        cbar = rng.normal(size=ni)
-        M = rng.normal(size=(ni, ni))
-        Qi = M @ M.T + np.eye(ni)
-        scen = [ScenarioData(probability=1.0, c_tilde=cbar, b_tilde=bbar,
-                             B_tilde=B, Bbar_tilde=Bbar, cone=FreeSpace(ni),
-                             theta=DenseQuadratic(Qi))]
+        scen = []
+        for p in (0.3, 0.7):
+            M = rng.normal(size=(ni, ni))
+            scen.append(ScenarioData(
+                probability=p, c_tilde=rng.normal(size=ni),
+                b_tilde=rng.normal(size=2), B_tilde=rng.normal(size=(2, n0)),
+                Bbar_tilde=rng.normal(size=(2, ni)), cone=FreeSpace(ni),
+                theta=DenseQuadratic(M @ M.T + np.eye(ni))))
         prob = build_two_stage(A, b, c, FreeSpace(n0), Zero(n0), scen)
         rho = 1.0
-        w = rng.normal(size=n0)
+        w = rng.normal(size=(N, n0))
         xhat = rng.normal(size=n0)
-        sub = _make_subproblem(prob, 0, rho)
-        rep = scenario_subsolve(sub, w, xhat, rho, tol=1e-9)
+        rep = scenario_subsolve(_bundle(prob, rho), w, xhat, rho, tol=1e-9)
+        X = rep.primal.x.reshape(N, n0)
 
-        # dense KKT of the penalized subproblem
-        import scipy.linalg as sla
-        Qhat = sla.block_diag(rho * np.eye(n0), Qi)
-        E = np.zeros((3, n0 + ni))
-        E[0, :n0] = A
-        E[1:, :n0] = B
-        E[1:, n0:] = Bbar
-        f = np.concatenate([b, bbar])
-        lin = np.concatenate([c + w - rho * xhat, cbar])
-        KKT = np.block([[Qhat, E.T], [E, np.zeros((3, 3))]])
-        sol = np.linalg.solve(KKT, np.concatenate([-lin, f]))
-        assert np.allclose(np.concatenate([rep.primal.x, rep.primal.xbar[0]]),
-                           sol[:n0 + ni], atol=1e-6)
+        # dense KKT of each penalized subproblem
+        for i, s in enumerate(scen):
+            Qhat = sla.block_diag(rho * np.eye(n0), s.theta.Q.full())
+            E = np.zeros((3, n0 + ni))
+            E[0, :n0] = A
+            E[1:, :n0] = s.B_tilde
+            E[1:, n0:] = s.Bbar_tilde
+            f = np.concatenate([b, s.b_tilde])
+            lin = np.concatenate([c + w[i] - rho * xhat, s.c_tilde])
+            KKT = np.block([[Qhat, E.T], [E, np.zeros((3, 3))]])
+            sol = np.linalg.solve(KKT, np.concatenate([-lin, f]))
+            assert np.allclose(np.concatenate([X[i], rep.primal.xbar[i]]),
+                               sol[:n0 + ni], atol=1e-6)
 
     def test_large_rho_pins_to_consensus(self):
         prob = make_two_scenario_lp()
         xhat = np.array([0.4, 0.6])
-        w = np.zeros(2)
+        w = np.zeros((2, 2))
         dists = []
         for rho in (0.1, 10.0):
-            sub = _make_subproblem(prob, 0, rho)
-            rep = scenario_subsolve(sub, w, xhat, rho, tol=1e-9)
-            dists.append(np.linalg.norm(rep.primal.x - xhat))
+            rep = scenario_subsolve(_bundle(prob, rho), w, xhat, rho, tol=1e-9)
+            dists.append(np.linalg.norm(rep.primal.x.reshape(2, 2) - xhat))
         assert dists[1] < dists[0]
 
     def test_fixed_point_at_scenario_optimum(self):
@@ -129,8 +131,8 @@ class TestScenarioSubsolve:
         direct = admm_solve(prob, SolverConfig(tol_kkt=1e-10, tol_gap=1e-10))
         xstar = direct.primal.x
         rho = 1.0
-        sub = _make_subproblem(prob, 0, rho)
-        rep = scenario_subsolve(sub, np.zeros(2), xstar, rho, tol=1e-9)
+        rep = scenario_subsolve(_bundle(prob, rho), np.zeros((1, 2)), xstar,
+                                rho, tol=1e-9)
         assert np.linalg.norm(rep.primal.x - xstar) <= 1e-6 * (
             1 + np.linalg.norm(xstar))
 
@@ -155,6 +157,20 @@ def count_setup_builds(monkeypatch):
     return counts
 
 
+def count_validates(monkeypatch):
+    """The problems validated through the name the solvers module looks
+    up."""
+    calls = []
+    real_validate = solvers.validate
+
+    def validate(*args, **kwargs):
+        calls.append(args[0])
+        return real_validate(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "validate", validate)
+    return calls
+
+
 class TestSetupReuse:
     N = 3
 
@@ -166,25 +182,28 @@ class TestSetupReuse:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_one_setup_per_scenario(self, monkeypatch, seed):
+        # the scenarios share one bundle, so one setup serves them all
         counts = count_setup_builds(monkeypatch)
         rep = pha_solve(self.problem(seed), self.config())
         assert rep.iterations == 8
-        assert counts == {"msolver": self.N, "afactor": self.N}
+        assert counts == {"msolver": 1, "afactor": 1}
 
     def test_one_validate_per_scenario(self, monkeypatch):
-        calls = []
-        real_validate = solvers.validate
-
-        def validate(*args, **kwargs):
-            calls.append(args[0])
-            return real_validate(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "validate", validate)
+        calls = count_validates(monkeypatch)
         rep = pha_solve(self.problem(), self.config(max_iter=4))
         assert rep.iterations == 4
-        # each scenario template is validated with its setup; a subsolve
-        # only changes the cost, which with_cost checks
-        assert len(calls) == self.N
+        # the bundle is validated with its setup; a subsolve only changes
+        # the cost, which with_cost checks
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("N", [1, 5])
+    def test_one_setup_whatever_n(self, monkeypatch, N):
+        calls = count_validates(monkeypatch)
+        counts = count_setup_builds(monkeypatch)
+        problem = random_two_stage(2, 4, 2, 4, N=N, seed=3, quad_eps=0.1)
+        rep = pha_solve(problem, self.config(max_iter=3))
+        assert rep.iterations == 3
+        assert (len(calls), counts) == (1, {"msolver": 1, "afactor": 1})
 
     def test_non_finite_subproblem_cost_typed_error(self):
         # a NaN rho makes the first effective cost c + w - rho * xhat NaN
@@ -200,20 +219,28 @@ class TestSetupReuse:
     def test_logs_match_rebuilding_reference(self, monkeypatch, seed):
         reused = pha_solve(self.problem(seed), self.config())
         counts = count_setup_builds(monkeypatch)
-        # no setup kept: every subsolve builds its own, as before reuse
-        monkeypatch.setattr(pha, "subproblem_setup", lambda sub: None)
+        # no setup kept: the bundle subsolve of every outer iteration
+        # builds its own
+        monkeypatch.setattr(pha, "solve_setup", lambda *args: None)
         reference = pha_solve(self.problem(seed), self.config())
         assert counts["msolver"] == counts["afactor"]
-        assert counts["msolver"] == len(reference.log_rows) * self.N
+        assert counts["msolver"] == len(reference.log_rows)
         assert reused.log_rows == reference.log_rows
 
     def test_template_left_unchanged(self):
         prob = make_two_scenario_lp()
-        sub = _make_subproblem(prob, 0, 1.0)
-        c_before, meta_before = sub.c.copy(), dict(sub.meta)
-        w, xhat = np.array([0.3, -0.3]), np.array([0.4, 0.6])
-        first = scenario_subsolve(sub, w, xhat, 1.0, tol=1e-9)
-        assert np.array_equal(sub.c, c_before) and sub.meta == meta_before
-        again = scenario_subsolve(sub, w, xhat, 1.0, tol=1e-9,
-                                  setup=subproblem_setup(sub))
+        bundle = _bundle(prob, 1.0)
+        c_before, meta_before = bundle.c.copy(), dict(bundle.meta)
+        w = np.array([[0.3, -0.3], [-0.3, 0.3]])
+        xhat = np.array([0.4, 0.6])
+        first = scenario_subsolve(bundle, w, xhat, 1.0, tol=1e-9)
+        assert np.array_equal(bundle.c, c_before)
+        assert bundle.meta == meta_before
+        again = scenario_subsolve(bundle, w, xhat, 1.0, tol=1e-9,
+                                  setup=solve_setup(bundle, SolverConfig()))
         assert again.log_rows == first.log_rows
+
+    def test_identical_logs_across_runs(self):
+        texts = [iteration_csv_text(PHA_LOG_COLUMNS, pha_solve(
+            self.problem(), self.config()).log_rows) for _ in range(2)]
+        assert texts[0] == texts[1]
