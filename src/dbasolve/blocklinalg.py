@@ -103,7 +103,13 @@ def maybe_densify(mat):
 
 
 def mv(op, x):
-    """Matrix-vector product returning a 1-d ndarray for dense or sparse op."""
+    """Matrix-vector product returning a 1-d ndarray for dense or sparse op.
+
+    A plain 2-d ``ndarray`` times a 1-d ``ndarray`` is already 1-d, so it
+    skips the conversion a sparse or ``np.matrix`` product needs."""
+    if (type(op) is np.ndarray and op.ndim == 2 and isinstance(x, np.ndarray)
+            and x.ndim == 1):
+        return op @ x
     return np.asarray(op @ x).ravel()
 
 
@@ -152,13 +158,40 @@ def svec_indices(d, lower=False):
     return pair
 
 
+@functools.lru_cache(maxsize=None)
+def svec_maps(d):
+    """Gather maps for :func:`svec` / :func:`smat` of order ``d``; cached
+    per ``d`` and read-only.
+
+    Returns ``(flat, scale, gather, gscale)``: ``flat`` holds the row-major
+    flat indices of the upper triangle of a ``d x d`` matrix and ``scale``
+    the svec factor of each (1 on the diagonal, sqrt(2) off it); for each of
+    the ``d * d`` entries, ``gather`` holds its svec position and ``gscale``
+    the factor its svec entry is divided by.  Scaling by exactly 1 leaves
+    the diagonal untouched, so both maps reproduce masked scaling bit for
+    bit."""
+    iu, ju = svec_indices(d)
+    flat = iu * d + ju
+    scale = np.where(iu == ju, 1.0, _SQRT2)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[iu, ju] = np.arange(iu.size)
+    pos[ju, iu] = pos[iu, ju]
+    gather = pos.ravel()
+    gscale = scale[gather]
+    maps = (flat, scale, gather, gscale)
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
 def svec(x):
     """Vectorize a symmetric matrix (or a stack of them): upper triangle,
     off-diagonals scaled by sqrt(2) so ``svec(x) @ svec(y) == trace(x @ y)``."""
     x = np.asarray(x, dtype=np.float64)
-    iu, ju = svec_indices(x.shape[-1])
-    out = x[..., iu, ju]
-    out[..., iu != ju] *= _SQRT2
+    d = x.shape[-1]
+    flat, scale, _, _ = svec_maps(d)
+    out = x.reshape(x.shape[:-2] + (d * d,))[..., flat]
+    out *= scale
     return out
 
 
@@ -167,13 +200,10 @@ def smat(v, d):
     v = np.asarray(v, dtype=np.float64)
     if v.shape[-1:] != (svec_dim(d),):
         raise DimensionMismatch("svec length %d does not match dimension %d" % (v.size, d))
-    iu, ju = svec_indices(d)
-    vals = v.copy()
-    vals[..., iu != ju] /= _SQRT2
-    out = np.zeros(v.shape[:-1] + (d, d))
-    out[..., iu, ju] = vals
-    out[..., ju, iu] = vals
-    return out
+    _, _, gather, gscale = svec_maps(d)
+    out = v[..., gather]
+    out /= gscale
+    return out.reshape(v.shape[:-1] + (d, d))
 
 
 class SymDense:

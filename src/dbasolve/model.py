@@ -322,20 +322,32 @@ def dual_residues(problem, dual):
     return d_res, d_res_bar
 
 
-def linear_residues(problem, x, xbar, d_res, d_res_bar):
-    """Relative primal residues at ``(x, xbar)`` and relative dual residues
-    of the :func:`dual_residues` vectors ``d_res``, ``d_res_bar``."""
+def residue_denominators(problem):
+    """``(1+||b||, 1+||c||, 1+||bbar||, 1+||cbar||)``, the scales of the
+    four :class:`LinearResidues` (the first is ``None`` without ``A``).
+    They depend on the problem data only, so a solve computes them once."""
     nrm = np.linalg.norm
+    den_P = 1.0 + nrm(problem.b) if problem.A is not None else None
+    return (den_P, 1.0 + nrm(problem.c), 1.0 + nrm(problem.bbar),
+            1.0 + nrm(problem.cbar))
+
+
+def linear_residues(problem, x, xbar, d_res, d_res_bar, denoms):
+    """Relative primal residues at ``(x, xbar)`` and relative dual residues
+    of the :func:`dual_residues` vectors ``d_res``, ``d_res_bar``;
+    ``denoms`` is :func:`residue_denominators` of ``problem``."""
+    nrm = np.linalg.norm
+    den_P, den_D, den_Pbar, den_Dbar = denoms
     if problem.A is not None:
-        eta_P = nrm(mv(problem.A_mv, x) - problem.b) / (1.0 + nrm(problem.b))
+        eta_P = nrm(mv(problem.A_mv, x) - problem.b) / den_P
     else:
         eta_P = 0.0
     p_res = problem.B.apply(x) + problem.Bbar.apply(xbar) - problem.bbar
     return LinearResidues(
         eta_P=float(eta_P),
-        eta_D=float(nrm(d_res) / (1.0 + nrm(problem.c))),
-        eta_Pbar=float(nrm(p_res) / (1.0 + nrm(problem.bbar))),
-        eta_Dbar=float(nrm(d_res_bar) / (1.0 + nrm(problem.cbar))))
+        eta_D=float(nrm(d_res) / den_D),
+        eta_Pbar=float(nrm(p_res) / den_Pbar),
+        eta_Dbar=float(nrm(d_res_bar) / den_Dbar))
 
 
 def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
@@ -345,7 +357,8 @@ def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
     ``DualPoint`` or a solver state carrying them will do; no argument is
     written to."""
     nrm = np.linalg.norm
-    lin = linear_residues(problem, x, xbar, *dual_residues(problem, dual))
+    lin = linear_residues(problem, x, xbar, *dual_residues(problem, dual),
+                          residue_denominators(problem))
 
     eta_K = nrm(x - problem.cone.project(x - dual.z)) / (1.0 + nrm(x) + nrm(dual.z))
     eta_theta = nrm(x - prox(problem.theta, 1.0, x - dual.v)) / (

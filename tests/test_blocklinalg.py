@@ -3,13 +3,17 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import dbasolve.blocklinalg as blocklinalg
+import dbasolve.proxcone as proxcone
 from dbasolve.blocklinalg import (BlockDiagOp, CholFactor, StackedOp,
-                                  SymDense, all_finite, chol_factor, lambda_max_bound, op_norm_2,
+                                  SymDense, all_finite, chol_factor, lambda_max_bound, mv, op_norm_2,
                                   pcg_solve, power_lambda_max, same_canonical,
                                   smat,
                                   sparse_from_triplets, svec, svec_dim,
-                                  svec_indices)
+                                  svec_indices, svec_maps)
+from dbasolve.builders import random_sdp
 from dbasolve.errors import Breakdown, DimensionMismatch, NotPositiveDefinite
+from dbasolve.solvers import admm_solve
 
 
 def random_spd(rng, n, cond=None):
@@ -325,3 +329,110 @@ class TestBlockOps:
         rng = np.random.default_rng(11)
         x = rng.normal(size=3)
         assert np.allclose(op.apply(x)[:2], op.apply(x)[2:])
+
+
+# -- cached svec/smat maps against the triangle-mask implementations ---------
+
+def svec_masked(x):
+    """Reference svec: gather the upper triangle, scale the masked
+    off-diagonals in place."""
+    x = np.asarray(x, dtype=np.float64)
+    iu, ju = np.triu_indices(x.shape[-1])
+    out = x[..., iu, ju]
+    out[..., iu != ju] *= np.sqrt(2.0)
+    return out
+
+
+def smat_masked(v, d):
+    """Reference smat: unscale the masked off-diagonals, scatter both
+    triangles into zeros."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[-1:] != (svec_dim(d),):
+        raise DimensionMismatch("svec length %d does not match dimension %d"
+                                % (v.size, d))
+    iu, ju = np.triu_indices(d)
+    vals = v.copy()
+    vals[..., iu != ju] /= np.sqrt(2.0)
+    out = np.zeros(v.shape[:-1] + (d, d))
+    out[..., iu, ju] = vals
+    out[..., ju, iu] = vals
+    return out
+
+
+STACKS = [(), (4,), (2, 3)]
+
+
+class TestSvecBitIdentity:
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("lead", STACKS)
+    def test_svec_matches_masked(self, d, lead):
+        # a general (not symmetric) input: both read the upper triangle only
+        x = np.random.default_rng(d).normal(size=lead + (d, d))
+        got = svec(x)
+        assert got.shape == lead + (svec_dim(d),)
+        assert np.array_equal(got, svec_masked(x))
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_svec_non_contiguous_stack(self, d):
+        base = np.random.default_rng(10 + d).normal(size=(d, d, 5))
+        x = np.transpose(base, (2, 1, 0))
+        assert not x.flags.c_contiguous
+        assert np.array_equal(svec(x), svec_masked(x))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("lead", STACKS)
+    def test_smat_matches_masked(self, d, lead):
+        v = np.random.default_rng(20 + d).normal(size=lead + (svec_dim(d),))
+        got = smat(v, d)
+        assert got.shape == lead + (d, d)
+        assert np.array_equal(got, smat_masked(v, d))
+
+    def test_maps_cached_and_read_only(self):
+        for d in (1, 3, 6):
+            maps = svec_maps(d)
+            assert svec_maps(d) is maps
+            for arr in maps:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    def test_smat_checks_length(self):
+        with pytest.raises(DimensionMismatch):
+            smat(np.ones(5), 3)
+        with pytest.raises(DimensionMismatch):
+            smat(np.ones((2, 7)), 3)
+
+    def test_solve_log_unchanged_by_masked_kernels(self, monkeypatch):
+        problem = random_sdp(2, 3, 2, 3, N=3, seed=1)
+        cached = admm_solve(problem)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapper
+
+        for mod in (blocklinalg, proxcone):
+            monkeypatch.setattr(mod, "svec", counted(svec_masked))
+            monkeypatch.setattr(mod, "smat", counted(smat_masked))
+        masked = admm_solve(problem)
+        assert {svec_masked, smat_masked} <= set(calls)
+        assert cached.status == masked.status
+        assert cached.log_rows == masked.log_rows
+
+
+class TestMv:
+    def test_dense_and_csr_match_ravelled_product(self):
+        rng = np.random.default_rng(12)
+        dense = rng.normal(size=(4, 6))
+        x = rng.normal(size=6)
+        for op in (dense, sp.csr_matrix(dense)):
+            got = mv(op, x)
+            assert isinstance(got, np.ndarray) and got.ndim == 1
+            assert np.array_equal(got, np.asarray(op @ x).ravel())
+
+    def test_matrix_operator_still_flattened(self):
+        op = np.asmatrix(np.arange(6.0).reshape(2, 3))
+        got = mv(op, np.ones(3))
+        assert type(got) is np.ndarray and got.shape == (2,)
+        assert np.array_equal(got, [3.0, 12.0])

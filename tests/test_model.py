@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import dbasolve.blocklinalg as blocklinalg
 import dbasolve.model as model
 from dbasolve.blocklinalg import smat, svec
+from dbasolve.builders import random_sdp
 from dbasolve.errors import DbaError, DimensionMismatch, NonFiniteData
 from dbasolve.model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
                             dual_objective, kkt_residues, primal_objective,
@@ -351,3 +352,45 @@ class TestScenarioRankWarning:
                           [dup])
         warns = validate(prob)
         assert any("rank deficient" in w for w in warns)
+
+
+def _no_a_problem():
+    blocks = [ScenarioBlock(np.array([[1.0]]), np.array([[1.0]]),
+                            np.array([2.0]), np.array([1.0]),
+                            NonnegOrthant(1), Zero(1))]
+    return DBAProblem(None, None, np.array([1.0]), NonnegOrthant(1), Zero(1),
+                      blocks)
+
+
+class TestResidueDenominators:
+    @staticmethod
+    def recomputed(problem, x, xbar, d_res, d_res_bar):
+        """The four residues with every scale recomputed from ``problem``."""
+        nrm = np.linalg.norm
+        eta_P = 0.0
+        if problem.A is not None:
+            eta_P = nrm(blocklinalg.mv(problem.A_mv, x) - problem.b) / (
+                1.0 + nrm(problem.b))
+        p_res = problem.B.apply(x) + problem.Bbar.apply(xbar) - problem.bbar
+        return model.LinearResidues(
+            float(eta_P), float(nrm(d_res) / (1.0 + nrm(problem.c))),
+            float(nrm(p_res) / (1.0 + nrm(problem.bbar))),
+            float(nrm(d_res_bar) / (1.0 + nrm(problem.cbar))))
+
+    @pytest.mark.parametrize("build", [
+        make_two_scenario_lp, make_free_qp, _no_a_problem,
+        lambda: random_sdp(2, 3, 2, 3, N=3, seed=1)])
+    def test_per_solve_denominators_change_no_bit(self, build):
+        problem = build()
+        rng = np.random.default_rng(7)
+        for prob in (problem, problem.with_cost(problem.c + 1.0)):
+            point, dual = random_state(rng, prob)
+            d_res, d_res_bar = model.dual_residues(prob, dual)
+            got = model.linear_residues(prob, point.x, point.stacked(), d_res,
+                                        d_res_bar,
+                                        model.residue_denominators(prob))
+            want = self.recomputed(prob, point.x, point.stacked(), d_res,
+                                   d_res_bar)
+            assert got == want
+            res = kkt_residues(prob, point, dual)
+            assert (res.eta_P, res.eta_D, res.eta_Pbar, res.eta_Dbar) == want
