@@ -103,13 +103,7 @@ def maybe_densify(mat):
 
 
 def mv(op, x):
-    """Matrix-vector product returning a 1-d ndarray for dense or sparse op.
-
-    A plain 2-d ``ndarray`` times a 1-d ``ndarray`` is already 1-d, so it
-    skips the conversion a sparse or ``np.matrix`` product needs."""
-    if (type(op) is np.ndarray and op.ndim == 2 and isinstance(x, np.ndarray)
-            and x.ndim == 1):
-        return op @ x
+    """Matrix-vector product returning a 1-d ndarray for dense or sparse op."""
     return np.asarray(op @ x).ravel()
 
 

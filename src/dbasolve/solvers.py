@@ -323,9 +323,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
         setup = solve_setup(problem, cfg)
     msol, facA = setup
     use_ssn = _ssn_eligible(problem, cfg)
-    # per-solve constants: the semismooth Newton step works on a dense A,
-    # and the residue scales depend on the data only
-    ssn_A = to_dense(problem.A_mv) if use_ssn else None
+    # the residue scales depend on the data only
     denoms = residue_denominators(problem)
     st, sigma = _start(problem, cfg, initial)
     if alm:
@@ -344,8 +342,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k)
         inner_iters, d_res, d_res_bar = _sgs_iteration(
-            problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm,
-            ssn_A=ssn_A)
+            problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm)
         lin = linear_residues(problem, st.x, st.xbar, d_res, d_res_bar,
                               denoms)
         eta_lin = max(lin)
@@ -425,14 +422,12 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
 
 
 def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                   alm=False, ssn_A=None):
+                   alm=False):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count and
     the dual residues ``d_res``, ``d_res_bar`` (see
     :func:`~dbasolve.model.dual_residues`) of the new dual iterate, which
-    the multiplier step moves ``x`` and ``xbar`` along.  ``ssn_A`` is the
-    first-stage matrix the semismooth Newton step reads, densified once per
-    solve by the caller (default ``problem.A_mv``).
+    the multiplier step moves ``x`` and ``xbar`` along.
 
     Two group steps act on the residuals R = A*y + B*ybar + z + v - c_k and
     Rb = Bbar*ybar + zbar + vbar - cbar_k: "nonsmooth" updates zbar and then
@@ -468,8 +463,7 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
             y, z = st.y, _proj_conj(problem.cone, sigma, Rin - st.z)
         elif use_ssn:
             chat = ck - B.apply_adjoint(ybar) - st.v
-            y, z, it = ssn_zy(A if ssn_A is None else ssn_A, b,
-                              problem.cone, sigma, chat, y0=st.y,
+            y, z, it = ssn_zy(A, b, problem.cone, sigma, chat, y0=st.y,
                               tol=max(min(1e-9, eps_k), 1e-12))
             inner += it
         else:

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import dbasolve.blocklinalg as blocklinalg
 import dbasolve.solvers as solvers
@@ -383,30 +382,3 @@ class TestEmptyScenarioBlock:
         assert first.status == last.status == "Converged"
         assert last.obj_p == pytest.approx(first.obj_p, rel=0, abs=1e-8)
         assert last.obj_d == pytest.approx(first.obj_d, rel=0, abs=1e-8)
-
-
-class TestSsnDensifiesOncePerSolve:
-    def test_sparse_a_densified_at_most_once(self, monkeypatch):
-        # wide enough that the matvec copy of A stays sparse
-        rng = np.random.default_rng(31)
-        m0, n0 = 8, 2100
-        A = sp.random(m0, n0, density=0.02, random_state=rng, format="csr")
-        b = A @ rng.uniform(0.5, 1.0, n0)
-        blocks = [ScenarioBlock(sp.csr_matrix((2, n0)), np.eye(2),
-                                rng.uniform(0.5, 1.0, 2), np.ones(2),
-                                NonnegOrthant(2), Zero(2))]
-        prob = DBAProblem(A, b, rng.uniform(0.5, 1.0, n0), NonnegOrthant(n0),
-                          Zero(n0), blocks)
-        assert sp.issparse(prob.A_mv)
-        densified = []
-        dense = solvers.to_dense
-
-        def counted(mat):
-            if sp.issparse(mat):
-                densified.append(mat.shape)
-            return dense(mat)
-
-        monkeypatch.setattr(solvers, "to_dense", counted)
-        report = admm_solve(prob, SolverConfig(ssn="on", max_iter=50))
-        assert report.extra["ssn"] and report.iterations == 50
-        assert len(densified) <= 1
