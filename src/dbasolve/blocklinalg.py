@@ -283,6 +283,16 @@ class StackedOp:
         block)."""
         return all_finite(self._one if self.shared else self._assembled)
 
+    @property
+    def matrix(self):
+        """[B_1; ...; B_N] as one dense or CSR matrix (tiled on each access
+        when the blocks are shared)."""
+        if not self.shared:
+            return self._assembled
+        if sp.issparse(self._one):
+            return sp.vstack([self._one] * len(self.blocks), format="csr")
+        return np.tile(self._one, (len(self.blocks), 1))
+
     def apply(self, x):
         if self.shared:
             return np.tile(mv(self._one, x), len(self.blocks))
@@ -316,6 +326,11 @@ class BlockDiagOp:
     def all_finite(self):
         """True when every block entry is finite."""
         return all_finite(self._assembled)
+
+    @property
+    def matrix(self):
+        """diag(Bbar_1, ..., Bbar_N) as one dense or CSR matrix."""
+        return self._assembled
 
     def apply(self, xbar):
         return mv(self._assembled, xbar)

@@ -11,10 +11,17 @@ columns of B.  Strategies:
                  D_i diagonal and G sparser;
 * ``block-diag`` Jbar chosen so that M becomes block diagonal and each
                  scenario solves independently;
-* ``shared``     identical B_i (and optionally Bbar_i) collapse G to
-                 I + B_1*(sum_i D_i^{-1})B_1 or I + N B_1* D_1^{-1} B_1;
+* ``shared``     identical B_i; with identical Bbar_i too, G collapses to
+                 I + N B_1* D_1^{-1} B_1 and D^{-1} to one factor;
 * ``ufl``        shared blocks plus the analytic inverse of Bbar_j Bbar_j*
                  available for facility-location relaxations.
+
+Distinct blocks D_i (``smw``, ``shared`` with distinct Bbar_i, and the
+blocks E_i of ``block-diag``) are built in batches: the scenarios are grouped
+by row count, each group's blocks are read as one dense stack from the
+assembled operator and factored by one batched Cholesky, and
+D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) is assembled once into one CSR matrix,
+so applying it is one sparse mat-vec whatever the row counts.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .blocklinalg import (canonicalize, chol_factor, lambda_max_bound,
-                          maybe_densify, mv, op_norm_2, pcg_solve,
-                          same_canonical, to_dense)
+from .blocklinalg import (_CHOL_PIVOT_RTOL, canonicalize, chol_factor,
+                          lambda_max_bound, maybe_densify, mv, op_norm_2,
+                          pcg_solve, same_canonical, to_dense)
 from .errors import NotPositiveDefinite, StrategyPrecondition
 
 STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "shared", "ufl")
@@ -63,26 +70,24 @@ def auto_candidates(problem):
     return first + [general] + (["chol"] if general == "smw" else [])
 
 
-# Estimated time of one M solve in ns, from block shapes.  The constants are
-# a least-squares fit to timeit minima of one 1-d solve on 14 instances
-# (random_two_stage with mbar 48-2000 and random ragged blocks with 1-6 row
-# counts; 2-vCPU VM, one BLAS thread, numpy 2.4, scipy 1.17), on all of
-# which this rule picks the faster strategy.
+# Estimated time of one M solve in ns, from block shapes.  Timeit minima on
+# a 2-vCPU VM, one BLAS thread, numpy 2.4, scipy 1.17.
 #   chol: two dense triangular solves with the mbar x mbar factor, memory
-#         bound: 4 us + 0.66 ns per factor entry.
-#   smw:  13.5 us, 4 us per kernel call (two per row-count group), 0.12 us
-#         per scenario block, 1.4 ns per entry of the dense-shaped B (two
-#         products) and the n0 x n0 solve with G, priced as chol's; plus
-#         1 ns per entry of the inverse factors, four matmul passes at the
-#         0.25 ns per multiply-add measured on blocks of order 50 (the fit,
-#         with m_i <= 40, cannot resolve this term).
+#         bound: 4 us + 0.66 ns per factor entry (fitted to one 1-d solve on
+#         14 instances: random_two_stage with mbar 48-2000 and random
+#         ragged blocks with 1-6 row counts).
+#   smw:  two mat-vecs with the block-diagonal CSR D^{-1}, 0.45 ns per
+#         stored entry and 0.75 ns per row each; 0.5 ns per entry of the
+#         dense-shaped B for its two products; the n0 x n0 solve with G,
+#         priced as chol's; and 14.7 us fixed, the least-squares constant
+#         over whole solves on the same 14 instances, on all of which this
+#         rule picks the faster strategy (estimates within 25% of measured).
 def m_solve_cost_ns(problem):
     """Estimated ns per M solve: ``(chol, smw)``."""
     m = np.asarray(problem.m_i)
     chol = 4000.0 + 0.66 * float(problem.mbar) ** 2
-    smw = (13500.0 + 4000.0 * 2 * len(np.unique(m)) + 120.0 * problem.N
-           + 1.4 * problem.mbar * problem.n0 + 1.0 * float(np.sum(m * m))
-           + 0.66 * float(problem.n0) ** 2)
+    smw = (14700.0 + 0.9 * float(np.sum(m * m)) + 1.5 * problem.mbar
+           + 0.5 * problem.mbar * problem.n0 + 0.66 * float(problem.n0) ** 2)
     return chol, smw
 
 
@@ -182,6 +187,7 @@ class MSolver:
         self._solve_impl = solve_impl
         self.last_relres = 0.0
         self.last_inner_iters = 0
+        self.last_inner_relres = 0.0
 
     def apply_m(self, w):
         """M w, including the strategy's own Jbar."""
@@ -192,10 +198,11 @@ class MSolver:
         return out
 
     def solve(self, h, tol=None, check_residual=False):
-        stats = {"inner_iters": 0}
+        stats = {"inner_iters": 0, "inner_relres": 0.0}
         y = self._solve_impl(h, tol if tol is not None else _PCG_TOL,
                              stats=stats)
         self.last_inner_iters = stats["inner_iters"]
+        self.last_inner_relres = stats["inner_relres"]
         if check_residual:
             nh = np.linalg.norm(h)
             self.last_relres = float(
@@ -289,12 +296,7 @@ def _build_smw(problem, prefer_pcg, diagonal, max_cond=np.inf):
         def apply_jbar(w):
             return lam_rows * w - Bbar_op.apply(Bbar_op.apply_adjoint(w))
     else:
-        facs = _bbar_gram_factors(problem, "smw requires", max_cond)
-        dinv_apply = _SizeGroups(problem).chol_apply(facs)
-        G = np.eye(n0)
-        for f, s in zip(facs, problem.scenarios):
-            Bd = to_dense(s.B)
-            G += Bd.T @ f.solve(Bd)
+        dinv_apply, G = _distinct_smw_parts(problem, "smw requires", max_cond)
         apply_jbar = None
 
     g_solve = _make_g_solver(maybe_densify(G if isinstance(G, np.ndarray) else G.tocsr()),
@@ -308,54 +310,183 @@ def _build_block_diag(problem, jbar):
     if variant is None:
         variant = "std" if problem.N > _EBJ_MAX_N else "ebj"
     N = problem.N
-    if variant == "ebj":
-        nus = pairwise_coupling_norms(problem)
-    facs = []
-    grams = []
-    for i, s in enumerate(problem.scenarios):
-        Bd = to_dense(s.B)
-        bbd = to_dense(s.Bbar)
-        gram = Bd @ Bd.T
-        E = bbd @ bbd.T
-        if variant == "ebj":
-            E += gram + nus[i] * np.eye(s.m)
-        else:
-            E += (N + 1) * gram
-        facs.append(chol_factor(E))
-        grams.append(gram)
-
-    groups = _SizeGroups(problem)
-    impl = groups.chol_apply(facs)
-    B_op = problem.B
+    groups = _size_groups(problem)
+    coupling = _grams(_block_stacks(problem, problem.B.matrix, groups,
+                                    np.zeros(N, dtype=np.int64),
+                                    np.full(N, problem.n0)))
     # Jbar = diag(c_i B_i B_i^T + d_i I) - B B^T with (c_i, d_i) = (1, nu_i)
     # for ebj and (N + 1, 0) for std
-    kernels = []
-    for gram, idx in zip(groups.stack(grams), groups.members):
-        if variant == "ebj":
-            kernels.append(lambda W, gram=gram, nu=nus[idx][:, None]:
-                           np.einsum("gij,gj->gi", gram, W) + nu * W)
-        else:
-            kernels.append(lambda W, gram=gram:
-                           (N + 1) * np.einsum("gij,gj->gi", gram, W))
+    if variant == "ebj":
+        nus = pairwise_coupling_norms(problem)
+        jblocks = [gram + nus[idx][:, None, None] * np.eye(gram.shape[1])
+                   for gram, idx in zip(coupling, groups)]
+    else:
+        jblocks = [(N + 1) * gram for gram in coupling]
+    E = [gram + jb for gram, jb in zip(_bbar_grams(problem, groups), jblocks)]
+    dinv = _inverse_csr(problem, groups, _factor_blocks(
+        E, groups, np.inf, "block-diag needs its block E_{i}"))
+    jdiag = _block_diag_csr(problem, groups, jblocks)
+    B_op = problem.B
 
     def apply_jbar(w):
-        return groups.apply(kernels, w) - B_op.apply(B_op.apply_adjoint(w))
+        return mv(jdiag, w) - B_op.apply(B_op.apply_adjoint(w))
 
     solver = MSolver(problem, "block-diag", apply_jbar,
-                     lambda h, tol, stats=None: impl(h))
+                     lambda h, tol, stats=None: mv(dinv, h))
     solver.jbar_variant = variant
     return solver
 
 
+def _size_groups(problem):
+    """Scenario indices grouped by row count m_i, in increasing m_i."""
+    sizes = np.asarray(problem.m_i)
+    return [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
+
+
+def _block_stacks(problem, mat, groups, col_starts, widths):
+    """Per group of ``groups``, the dense (n_g, m, n) stack of the blocks of
+    ``mat`` (dense or CSR, one row per row of ybar) that hold scenario i's
+    rows and its ``widths[i]`` columns from ``col_starts[i]`` on, each zero
+    padded to its group's widest block.  One pass over the stored entries
+    fills every group."""
+    m_i = np.asarray(problem.m_i)
+    width = np.empty(problem.N, dtype=np.int64)
+    start = np.empty(problem.N, dtype=np.int64)
+    shapes, total = [], 0
+    for idx in groups:
+        shape = (len(idx), int(m_i[idx[0]]), int(widths[idx].max()))
+        width[idx] = shape[2]
+        start[idx] = total + np.arange(len(idx)) * shape[1] * shape[2]
+        shapes.append(shape)
+        total += shape[0] * shape[1] * shape[2]
+    entries = sp.coo_matrix(mat)
+    rows, cols = entries.row, entries.col
+    owner = np.repeat(np.arange(problem.N), m_i)[rows]
+    buf = np.zeros(total)
+    buf[start[owner] + (rows - problem.y_offsets[owner]) * width[owner]
+        + cols - col_starts[owner]] = entries.data
+    stacks, pos = [], 0
+    for shape in shapes:
+        size = shape[0] * shape[1] * shape[2]
+        stacks.append(buf[pos:pos + size].reshape(shape))
+        pos += size
+    return stacks
+
+
+def _grams(stacks):
+    """Per (n_g, m, n) stack S, the (n_g, m, m) stack of grams S_i S_i^T.
+    The sum runs over the columns in increasing order, as scipy.sparse's CSR
+    product does, so each gram equals that product of the canonical CSR
+    S_i bit for bit (``np.matmul`` and ``einsum`` sum in other orders)."""
+    out = []
+    for S in stacks:
+        gram = np.zeros(S.shape[:2] + S.shape[1:2])
+        for k in range(S.shape[2]):
+            gram += S[:, :, k, None] * S[:, None, :, k]
+        out.append(gram)
+    return out
+
+
+def _bbar_grams(problem, groups):
+    """Per group, the (n_g, m, m) stack of Bbar_i Bbar_i^T, read from the
+    assembled ``problem.Bbar``."""
+    x = problem.x_offsets
+    return _grams(_block_stacks(problem, problem.Bbar.matrix, groups,
+                                x[:-1], np.diff(x)))
+
+
 def _bbar_gram_factors(problem, requirement, max_cond=np.inf):
-    """Cholesky factors of every Bbar_i Bbar_i^T, each of estimated
-    condition at most ``max_cond``."""
-    facs = []
-    for i, s in enumerate(problem.scenarios):
-        bb = canonicalize(sp.csr_matrix(s.Bbar))
-        facs.append(_gram_factor(to_dense(bb @ bb.T), max_cond,
-                                 "%s Bbar_%d Bbar_%d^T" % (requirement, i, i)))
-    return facs
+    """``(groups, lows)``: the scenarios grouped by row count and, per group,
+    the (n_g, m, m) stack of lower Cholesky factors of Bbar_i Bbar_i^T,
+    each of estimated condition at most ``max_cond``."""
+    groups = _size_groups(problem)
+    return groups, _factor_blocks(_bbar_grams(problem, groups), groups,
+                                  max_cond,
+                                  requirement + " Bbar_{i} Bbar_{i}^T")
+
+
+def _factor_blocks(grams, groups, max_cond, what):
+    """Per group, the lower Cholesky factors of its (n_g, m, m) stack of
+    symmetric matrices, by one batched factorization.  A block that fails
+    :func:`chol_factor`'s pivot rule, or whose condition estimate (as in
+    :func:`_gram_factor`) exceeds ``max_cond``, raises
+    :class:`StrategyPrecondition` naming it (``what`` formatted with its
+    scenario index ``i``)."""
+    lows = []
+    for gram, idx in zip(grams, groups):
+        low = _batched_cholesky(gram)
+        if low is None:
+            # only on failure: factor block by block to name the first
+            # failing one (a block SciPy's factorization accepts keeps its
+            # factor)
+            low = np.stack([_gram_factor(g, max_cond, what.format(i=i)).lower
+                            for g, i in zip(gram, idx)])
+        elif max_cond < np.inf and gram.size:
+            anorms = np.abs(gram).sum(axis=1).max(axis=1)     # 1-norms
+            for lo, anorm, i in zip(low, anorms, idx):
+                rcond, _ = sla.lapack.dpocon(lo, anorm, uplo="L")
+                if rcond * max_cond < 1.0:
+                    raise _condition_error(what.format(i=i), max_cond, rcond)
+        lows.append(low)
+    return lows
+
+
+def _batched_cholesky(gram):
+    """Lower factors of a stack of symmetric matrices, or ``None`` when some
+    block is not positive definite by :func:`chol_factor`'s rule: a pivot
+    at or below ``1e-13 * max(diag)`` of its block."""
+    if gram.shape[1] == 0:
+        return gram.copy()
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(low, axis1=1, axis2=2).min(axis=1) ** 2
+    diag = np.abs(np.diagonal(gram, axis1=1, axis2=2)).max(axis=1)
+    return None if np.any(pivots <= _CHOL_PIVOT_RTOL * diag) else low
+
+
+def _inverse_csr(problem, groups, lows):
+    """blockdiag(L_i^{-T} L_i^{-1}), the inverse of blockdiag(L_i L_i^T), as
+    one CSR matrix, from the per-group stacks of lower factors L_i: L_i^{-1}
+    by LAPACK ``dtrtri`` per block, then one batched matmul per group."""
+    blocks = []
+    for low in lows:
+        inv = np.zeros_like(low)
+        if low.size:        # dtrtri rejects order 0: scenarios with no rows
+            for k, lo in enumerate(low):
+                inv[k] = sla.lapack.dtrtri(lo, lower=1)[0]
+        blocks.append(np.matmul(inv.transpose(0, 2, 1), inv))
+    return _block_diag_csr(problem, groups, blocks)
+
+
+def _block_diag_csr(problem, groups, blocks):
+    """The mbar x mbar block-diagonal CSR matrix whose block i is
+    ``blocks[g][k]`` for scenario ``i = groups[g][k]``, built from index
+    arrays: row r of block i holds columns y_i .. y_i + m_i - 1."""
+    m = np.asarray(problem.m_i)
+    block_start = np.concatenate(([0], np.cumsum(m * m)))
+    data = np.empty(block_start[-1])
+    for stack, idx in zip(blocks, groups):
+        data[block_start[idx][:, None] + np.arange(stack[0].size)] = \
+            stack.reshape(len(idx), -1)
+    row_len = np.repeat(m, m)
+    indptr = np.concatenate(([0], np.cumsum(row_len)))
+    indices = (np.repeat(np.repeat(problem.y_offsets[:-1], m), row_len)
+               + np.arange(indptr[-1]) - np.repeat(indptr[:-1], row_len))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(problem.mbar, problem.mbar))
+
+
+def _distinct_smw_parts(problem, requirement, max_cond):
+    """``(dinv_apply, G)`` of the SMW form with distinct Bbar_i: D^{-1} =
+    blockdiag((Bbar_i Bbar_i^T)^{-1}) applied as one CSR mat-vec, and
+    G = I + B* D^{-1} B."""
+    dinv = _inverse_csr(problem, *_bbar_gram_factors(problem, requirement,
+                                                     max_cond))
+    Bm = problem.B.matrix
+    G = np.eye(problem.n0) + to_dense(Bm.T @ (dinv @ Bm))
+    return (lambda h: mv(dinv, h)), G
 
 
 def _gram_factor(gram, max_cond, what):
@@ -371,10 +502,14 @@ def _gram_factor(gram, max_cond, what):
         anorm = float(abs(gram).sum(axis=0).max())       # the 1-norm
         rcond, _ = sla.lapack.dpocon(fac.lower, anorm, uplo="L")
         if rcond * max_cond < 1.0:
-            raise StrategyPrecondition(
-                "%s of condition at most %.0e (estimate %.1e)"
-                % (what, max_cond, 1.0 / max(rcond, 1e-300)))
+            raise _condition_error(what, max_cond, rcond)
     return fac
+
+
+def _condition_error(what, max_cond, rcond):
+    return StrategyPrecondition(
+        "%s of condition at most %.0e (estimate %.1e)"
+        % (what, max_cond, 1.0 / max(rcond, 1e-300)))
 
 
 def _build_shared(problem, prefer_pcg, analytic_ufl, max_cond=np.inf):
@@ -386,8 +521,6 @@ def _build_shared(problem, prefer_pcg, analytic_ufl, max_cond=np.inf):
     B1 = problem.scenarios[0].B
     B1d = to_dense(B1)
     N = problem.N
-    # identical B_i have one row count, so the scenarios form one size group
-    groups = _SizeGroups(problem)
 
     if analytic_ufl:
         p = problem.meta.get("ufl_p")
@@ -395,8 +528,8 @@ def _build_shared(problem, prefer_pcg, analytic_ufl, max_cond=np.inf):
             raise StrategyPrecondition(
                 "ufl strategy requires a facility-location problem with "
                 "shared recourse blocks")
-        kernels = [lambda H: ufl_bbar_gram_inv_apply(H, p)]
-        dinv_apply = lambda h: groups.apply(kernels, h)
+        dinv_apply = _per_block(problem,
+                                lambda H: ufl_bbar_gram_inv_apply(H, p))
         # rows of the result are D_1^{-1} e_j; transposed they are its columns
         dinv1_matrix = np.ascontiguousarray(
             ufl_bbar_gram_inv_apply(np.eye(problem.scenarios[0].m), p).T)
@@ -407,15 +540,11 @@ def _build_shared(problem, prefer_pcg, analytic_ufl, max_cond=np.inf):
             fac = _gram_factor(to_dense(bb @ bb.T), max_cond,
                                "shared strategy needs Bbar_1 Bbar_1^T")
             # one multi-right-hand-side solve: the columns of H^T are the blocks
-            kernels = [lambda H: fac.solve(H.T).T]
-            dinv_apply = lambda h: groups.apply(kernels, h)
+            dinv_apply = _per_block(problem, lambda H: fac.solve(H.T).T)
             G = np.eye(n0) + N * (B1d.T @ fac.solve(B1d))
         else:
-            facs = _bbar_gram_factors(problem, "shared strategy needs",
-                                      max_cond)
-            dinv_apply = groups.chol_apply(facs)
-            Wsum = sum(f.solve(np.eye(problem.scenarios[0].m)) for f in facs)
-            G = np.eye(n0) + B1d.T @ (Wsum @ B1d)
+            dinv_apply, G = _distinct_smw_parts(
+                problem, "shared strategy needs", max_cond)
 
     g_solve = _make_g_solver(G, prefer_pcg)
     impl = _make_smw_solve(problem, dinv_apply, g_solve)
@@ -435,64 +564,11 @@ def ufl_bbar_gram_inv_apply(h, p):
     return out
 
 
-class _SizeGroups:
-    """Scenario blocks grouped by row count m_i.
-
-    Group g holds its n_g blocks of size m as one (n_g, m) array, so a
-    blockwise map of the stacked ybar is one kernel call per group, not one
-    call per scenario.  When all blocks have one size (shared strategies,
-    equal scenarios) the stacked vector is reshaped in place.
-    """
-
-    def __init__(self, problem):
-        sizes = np.asarray(problem.m_i)
-        self.members = [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
-        if len(self.members) == 1:
-            self.rows = None
-            self.shape = (problem.N, int(sizes[0]))
-        else:
-            starts = problem.y_offsets[:-1]
-            self.rows = [starts[idx][:, None] + np.arange(sizes[idx[0]])
-                         for idx in self.members]
-
-    def stack(self, arrays):
-        """Per-group (n_g, ...) stacks of per-scenario arrays."""
-        return [np.stack([arrays[i] for i in idx]) for idx in self.members]
-
-    def apply(self, kernels, h):
-        """Stacked h with each group's (n_g, m) rows mapped by its kernel."""
-        if self.rows is None:
-            return kernels[0](h.reshape(self.shape)).reshape(-1)
-        out = np.empty_like(h)
-        for rows, kernel in zip(self.rows, kernels):
-            out[rows] = kernel(h[rows])
-        return out
-
-    def chol_apply(self, facs):
-        """h -> blockwise D_i^{-1} h_i for per-scenario dense Cholesky
-        factors D_i = L_i L_i^T: the inverse factors L_i^{-1} are stacked
-        per group once, so each apply is two batched matmuls per group."""
-        kernels = [lambda H, inv=inv: inverse_factor_apply(inv, H)
-                   for inv in self.stack([_lower_inverse(f.lower)
-                                          for f in facs])]
-        return lambda h: self.apply(kernels, h)
-
-
-def _lower_inverse(low):
-    """Inverse of a lower-triangular Cholesky factor (LAPACK ``dtrtri``,
-    which rejects order 0: a scenario with no rows)."""
-    if low.size == 0:
-        return low
-    inv, _ = sla.lapack.dtrtri(low, lower=1)
-    return inv
-
-
-def inverse_factor_apply(inv, H):
-    """Rows h_i of the (n, m) array ``H`` mapped to L_i^{-T} L_i^{-1} h_i for
-    the (n, m, m) stack ``inv`` of inverse lower factors L_i^{-1}."""
-    x = np.matmul(inv, H[:, :, None])
-    # (L^{-T} x)^T = x^T L^{-1}: a row vector times the stored factor
-    return np.matmul(x.transpose(0, 2, 1), inv)[:, 0]
+def _per_block(problem, kernel):
+    """h -> ``kernel`` applied to the (N, m) array of h's scenario blocks:
+    identical B_i have one row count m, so this is a reshape in place."""
+    shape = (problem.N, problem.m_i[0])
+    return lambda h: kernel(h.reshape(shape)).reshape(-1)
 
 
 def _make_g_solver(G, prefer_pcg):
@@ -501,15 +577,14 @@ def _make_g_solver(G, prefer_pcg):
     n = G.shape[0]
     if not prefer_pcg and n <= _G_CHOL_DIM:
         fac = chol_factor(to_dense(G) if sp.issparse(G) else G)
-        return lambda g, tol: (fac.solve(g), 0)
+        return lambda g, tol: (fac.solve(g), 0, 0.0)
     diag = np.asarray(G.diagonal()).ravel() if sp.issparse(G) else np.diag(G).copy()
     diag = np.where(diag > 0, diag, 1.0)
     gop = (lambda x: mv(G, x))
 
     def solve(g, tol):
-        x, iters, _ = pcg_solve(gop, g, precond=lambda r: r / diag,
-                                tol=max(tol, 1e-14), maxit=10 * n + 100)
-        return x, iters
+        return pcg_solve(gop, g, precond=lambda r: r / diag,
+                         tol=max(tol, 1e-14), maxit=10 * n + 100)
     return solve
 
 
@@ -519,8 +594,9 @@ def _make_smw_solve(problem, dinv_apply, g_solve):
     def impl(h, tol, stats=None):
         u = dinv_apply(h)
         g = B_op.apply_adjoint(u)
-        w, iters = g_solve(g, tol)
+        w, iters, relres = g_solve(g, tol)
         if stats is not None:
             stats["inner_iters"] = iters
+            stats["inner_relres"] = relres
         return u - dinv_apply(B_op.apply(w))
     return impl

@@ -412,9 +412,13 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
 
 
 def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
-    tol = min(1e-8, eps_k / (sigma * (1.0 + np.linalg.norm(rhs))))
-    y = msol.solve(rhs, tol=max(tol, 1e-14), check_residual=cfg.check_inner)
+    tol = max(min(1e-8, eps_k / (sigma * (1.0 + np.linalg.norm(rhs)))), 1e-14)
+    y = msol.solve(rhs, tol=tol, check_residual=cfg.check_inner)
     if cfg.check_inner:
+        # an inner PCG stopped by its iteration cap returns its residual
+        assert msol.last_inner_relres <= tol, \
+            "inner PCG residual %.3e exceeds its tolerance %.3e" % (
+                msol.last_inner_relres, tol)
         delta = sigma * msol.last_relres * np.linalg.norm(rhs)
         assert delta <= max(eps_k, 1e-9), \
             "inner residual %.3e exceeds eps_k %.3e" % (delta, eps_k)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import dbasolve.blocklinalg as blocklinalg
 import dbasolve.msolver as msolver
-from dbasolve.blocklinalg import chol_factor, lambda_max_bound, mv, to_dense
+from dbasolve.blocklinalg import (CholFactor, chol_factor, lambda_max_bound,
+                                  mv, to_dense)
 from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
                                random_ufl)
 from dbasolve.errors import StrategyPrecondition
@@ -15,7 +16,7 @@ from dbasolve.msolver import (assemble_m_dense, auto_strategy, build_msolver,
                               ebj_block_diag_J, pairwise_coupling_norms,
                               std_block_diag_J, ufl_bbar_gram_inv_apply)
 from dbasolve.proxcone import NonnegOrthant, Zero
-from dbasolve.solvers import SolverConfig, admm_solve
+from dbasolve.solvers import SolverConfig, _msolve_with_tol, admm_solve
 
 
 def random_structure(rng, N=5, n0=10, mi_max=8, shared=False, equal=False,
@@ -285,7 +286,9 @@ class TestAutoSelection:
         prob = DBAProblem(prob.A, prob.b, prob.c, prob.cone, prob.theta,
                           blocks)
         assert msolver.auto_candidates(prob) == ["smw", "chol"]
-        with pytest.raises(StrategyPrecondition):
+        # the batched build names the failing block among the 120
+        with pytest.raises(StrategyPrecondition,
+                           match=r"Bbar_7 Bbar_7\^T positive definite"):
             build_msolver(prob, "smw")
         sol = build_msolver(prob)
         assert sol.strategy == "chol"
@@ -316,6 +319,12 @@ class TestAutoSelection:
         first = "smw" if kind == "smw" else "shared"
         assert msolver.auto_candidates(prob) == [first, "chol"]
         assert build_msolver(prob, first).strategy == first
+        if kind == "smw":
+            # under auto's bound the batched build names block 7
+            with pytest.raises(StrategyPrecondition,
+                               match=r"Bbar_7 Bbar_7\^T of condition at most"):
+                msolver._bbar_gram_factors(prob, "smw requires",
+                                           msolver._AUTO_MAX_COND)
         sol = build_msolver(prob)
         assert sol.strategy == "chol"
         h = np.random.default_rng(22).normal(size=prob.mbar)
@@ -504,13 +513,14 @@ class TestStackedKernels:
         assert np.array_equal(ufl_bbar_gram_inv_apply(H, p), rows)
 
     def test_smw_kernel_calls_do_not_grow_with_n(self, monkeypatch):
+        # an smw solve applies D^{-1}, one block-diagonal CSR matrix, twice
         calls = []
-        orig = msolver.inverse_factor_apply
+        orig = msolver.mv
 
-        def counted(inv, H):
-            calls.append(np.shape(H))
-            return orig(inv, H)
-        monkeypatch.setattr(msolver, "inverse_factor_apply", counted)
+        def counted(op, x):
+            calls.append((op.shape, sp.issparse(op)))
+            return orig(op, x)
+        monkeypatch.setattr(msolver, "mv", counted)
         counts = []
         for N in (10, 100):
             prob = random_structure(np.random.default_rng(N), N, n0=6,
@@ -518,6 +528,7 @@ class TestStackedKernels:
             sol = build_msolver(prob, "smw")
             calls.clear()
             sol.solve(np.ones(prob.mbar))
+            assert set(calls) == {((prob.mbar, prob.mbar), True)}
             counts.append(len(calls))
         assert counts[0] == counts[1] == 2
 
@@ -537,6 +548,57 @@ class TestStackedKernels:
             sol.solve(np.ones(prob.mbar))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+def gram_structure(sizes, seed):
+    """Blocks with the given row counts; Bbar_i is about half zeros, stored
+    sparse for odd i, and Bbar_1 has no columns."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i, m in enumerate(sizes):
+        n = 0 if i == 1 else m + int(rng.integers(1, 5))
+        Bbar = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.5)
+        blocks.append(ScenarioBlock(rng.normal(size=(m, 3)),
+                                    sp.csr_matrix(Bbar) if i % 2 else Bbar,
+                                    np.zeros(m), np.zeros(n),
+                                    NonnegOrthant(n), Zero(n)))
+    return DBAProblem(None, None, np.zeros(3), NonnegOrthant(3), Zero(3),
+                      blocks)
+
+
+class TestBatchedBuild:
+    @pytest.mark.parametrize("sizes,csr", [
+        ([4], False),                           # N=1
+        ([3, 0, 2, 3, 5, 1, 0, 2], False),      # ragged, blocks with no rows
+        ([0, 1, 2, 3, 4, 5] * 10, True),        # assembled Bbar stored CSR
+        ([5] * 40, True)])
+    def test_grams_equal_sparse_products(self, sizes, csr):
+        prob = gram_structure(sizes, seed=len(sizes))
+        assert sp.issparse(prob.Bbar.matrix) == csr
+        groups = msolver._size_groups(prob)
+        assert sorted(np.concatenate(groups)) == list(range(prob.N))
+        for idx, grams in zip(groups, msolver._bbar_grams(prob, groups)):
+            for i, gram in zip(idx, grams):
+                assert np.array_equal(
+                    gram, to_dense(_csr_gram(prob.scenarios[i].Bbar)))
+
+
+class TestInnerResidual:
+    def test_pcg_stopped_by_its_cap_fails_check_inner(self, monkeypatch):
+        orig = msolver.pcg_solve
+        monkeypatch.setattr(msolver, "pcg_solve",
+                            lambda *a, **kw: orig(*a, **dict(kw, maxit=1)))
+        prob = random_structure(np.random.default_rng(4))
+        sol = build_msolver(prob, "smw", prefer_pcg=True)
+        h = np.random.default_rng(23).normal(size=prob.mbar)
+        cfg = SolverConfig(check_inner=True)
+        sol.solve(h, tol=1e-12)
+        assert sol.last_inner_iters == 1 and sol.last_inner_relres > 1e-12
+        with pytest.raises(AssertionError, match="inner PCG residual"):
+            _msolve_with_tol(sol, h, 1.0, 1e-6, cfg)
+        monkeypatch.undo()
+        _msolve_with_tol(sol, h, 1.0, 1e-6, cfg)
+        assert sol.last_inner_relres <= 1e-8
 
 
 class TestDiagonalizingBound:
@@ -645,11 +707,16 @@ class TestOracle:
         rng = np.random.default_rng(structure[-1])
         h = rng.normal(size=prob.mbar)
         try:
-            facs = msolver._bbar_gram_factors(prob, "")
+            groups, lows = msolver._bbar_gram_factors(prob, "")
         except StrategyPrecondition:
-            facs = None
-        if facs is not None:
-            got = msolver._SizeGroups(prob).chol_apply(facs)(h)
+            groups = None
+        if groups is not None:
+            got = msolver._inverse_csr(prob, groups, lows) @ h
+            # LAPACK's triangular solves with the same factors L_i
+            facs = [None] * prob.N
+            for idx, low in zip(groups, lows):
+                for i, lo in zip(idx, low):
+                    facs[i] = CholFactor("dense", lo, lo.shape[0])
             want = _blockwise(prob, [f.solve for f in facs])(h)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         for strategy in msolver.STRATEGIES + ("auto",):
