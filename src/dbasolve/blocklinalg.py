@@ -14,6 +14,7 @@ import functools
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import Breakdown, DimensionMismatch, NotPositiveDefinite
 
@@ -23,6 +24,7 @@ DENSE_FALLBACK_DENSITY = 0.25
 
 _CHOL_PIVOT_RTOL = 1e-13
 _SPLU_DIM_CUTOFF = 4000
+_F64 = np.dtype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,20 @@ def maybe_densify(mat):
 
 
 def mv(op, x):
-    """Matrix-vector product returning a 1-d ndarray for dense or sparse op."""
+    """Matrix-vector product returning a 1-d ndarray for dense or sparse op.
+
+    A float64 CSR matrix times a float64 vector of matching length is one
+    call of the kernel that ``op @ x`` ends in, on the same zero-filled
+    output, so the result is bit-identical; calling it directly skips
+    SciPy's operator dispatch, which costs about as much as the product on
+    scenario-sized operators.  The kernel does not check bounds, so the
+    length check guards it: any other input goes through ``op @ x``."""
+    if type(op) is sp.csr_matrix and type(x) is np.ndarray:
+        m, n = op.shape
+        if x.shape == (n,) and x.dtype == _F64 and op.data.dtype == _F64:
+            out = np.zeros(m)
+            _csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
+            return out
     return np.asarray(op @ x).ravel()
 
 

@@ -7,7 +7,9 @@ Exit codes: 0 converged / check passed, 1 not converged / check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
 import time
 
@@ -26,7 +28,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _progress_on_stdout(getattr(args, "log_every", 0)):
+            return args.func(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
@@ -39,6 +42,25 @@ def main(argv=None):
     except DbaError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 3
+
+
+@contextlib.contextmanager
+def _progress_on_stdout(enabled):
+    """Print the solver's progress lines (INFO on the ``dbasolve`` logger)
+    to stdout while a command runs, when ``--log-every`` asks for them."""
+    if not enabled:
+        yield
+        return
+    log = logging.getLogger("dbasolve")
+    handler = logging.StreamHandler(sys.stdout)
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def _build_parser():

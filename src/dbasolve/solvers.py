@@ -9,6 +9,7 @@ relative KKT residue together with the duality gap.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,6 +25,9 @@ from .model import (DualPoint, PrimalPoint, dual_objective, dual_residues,
                     residue_denominators, validate)
 from .msolver import build_msolver
 from .proxcone import Box, FreeSpace, NonnegOrthant, prox_conjugate
+
+# progress lines; the CLI shows them, the library attaches no handler
+_LOG = logging.getLogger("dbasolve")
 
 TAU_ADMM_MAX = (1.0 + np.sqrt(5.0)) / 2.0
 TAU_ALM_MAX = 2.0
@@ -59,7 +63,7 @@ class SolverConfig:
     strategy: str = "auto"
     ssn: str = "auto"                   # auto | on | off
     sigma_fixed: bool = False
-    log_every: int = 0                  # console progress; 0 disables
+    log_every: int = 0                  # INFO progress period; 0 disables
     # ignored (every solver is single-threaded); kept because the benchmark
     # workloads pass threads=1
     threads: int | None = None
@@ -223,16 +227,18 @@ def ssn_zy(A, b, cone, sigma, chat, y0=None, tol=1e-10, max_newton=200):
         u = Adt @ yv - chat
         w = sigma * u
         pw = cone.project(w)
-        val = -float(b @ yv) + (float(w @ w) - float((w - pw) @ (w - pw))) / (2 * sigma)
+        r = w - pw
+        val = -float(b @ yv) + (float(w @ w) - float(r @ r)) / (2 * sigma)
         grad = -b + Ad @ pw
         return val, grad, w, pw
 
     val, grad, w, pw = phi_grad(y)
+    gnorm = np.linalg.norm(grad)
     iters = 0
-    while np.linalg.norm(grad) > tol and iters < max_newton:
+    while gnorm > tol and iters < max_newton:
         mask = _jacobian_mask(cone, w)
         Am = Ad * mask[None, :]
-        rho = 1e-12 * (1.0 + np.linalg.norm(grad))
+        rho = 1e-12 * (1.0 + gnorm)
         H = sigma * (Am @ Ad.T) + rho * np.eye(m)
         d = np.linalg.solve(H, -grad)
         slope = float(grad @ d)
@@ -242,14 +248,16 @@ def ssn_zy(A, b, cone, sigma, chat, y0=None, tol=1e-10, max_newton=200):
         step = 1.0
         for _ in range(50):
             cand = y + step * d
-            cval = phi_grad(cand)[0]
-            if cval <= val + 1e-4 * step * slope:
+            trial = phi_grad(cand)
+            if trial[0] <= val + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             raise LineSearchFailure("no sufficient decrease after 50 backtracks")
-        y = y + step * d
-        val, grad, w, pw = phi_grad(y)
+        # the accepted trial is the new point: no second evaluation there
+        y = cand
+        val, grad, w, pw = trial
+        gnorm = np.linalg.norm(grad)
         iters += 1
     z = pw / sigma - (w / sigma)
     return y, z, iters
@@ -363,11 +371,11 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
         log_rows.append(row)
         if cfg.log_every and (k % cfg.log_every == 0):
             if res is None:
-                print("iter %6d  linear eta %.3e  sigma %.3e"
-                      % (k, eta_lin, sigma))
+                _LOG.info("iter %6d  linear eta %.3e  sigma %.3e",
+                          k, eta_lin, sigma)
             else:
-                print("iter %6d  eta %.3e  gap %.3e  sigma %.3e" %
-                      (k, res.eta, res.eta_gap, sigma))
+                _LOG.info("iter %6d  eta %.3e  gap %.3e  sigma %.3e",
+                          k, res.eta, res.eta_gap, sigma)
 
         if (res is not None and res.eta <= cfg.tol_kkt
                 and res.eta_gap <= cfg.tol_gap):

@@ -1,9 +1,14 @@
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 import dbasolve.blocklinalg as blocklinalg
+import dbasolve.msolver as msolver
 import dbasolve.proxcone as proxcone
 from dbasolve.blocklinalg import (BlockDiagOp, CholFactor, StackedOp,
                                   SymDense, all_finite, chol_factor, lambda_max_bound, mv, op_norm_2,
@@ -14,6 +19,22 @@ from dbasolve.blocklinalg import (BlockDiagOp, CholFactor, StackedOp,
 from dbasolve.builders import random_sdp
 from dbasolve.errors import Breakdown, DimensionMismatch, NotPositiveDefinite
 from dbasolve.solvers import admm_solve
+
+
+def _load_perfbench_workloads():
+    """perfbench/workloads.py, loaded by path (perfbench is no package)."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    name = "perfbench_workloads_mv"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclass resolves the module through sys.modules while executing it
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def random_spd(rng, n, cond=None):
@@ -436,3 +457,92 @@ class TestMv:
         got = mv(op, np.ones(3))
         assert type(got) is np.ndarray and got.shape == (2,)
         assert np.array_equal(got, [3.0, 12.0])
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Calls that reach the direct CSR kernel, which still runs."""
+        calls = []
+        real = blocklinalg._csr_matvec
+
+        def spy(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(blocklinalg, "_csr_matvec", spy)
+        return calls
+
+    def _check_direct(self, op, x, kernel_calls):
+        before = len(kernel_calls)
+        got = mv(op, x)
+        assert len(kernel_calls) == before + 1
+        assert type(got) is np.ndarray and got.shape == (op.shape[0],)
+        assert np.array_equal(got, op @ x)
+
+    def test_direct_kernel_index_dtypes_and_empty_rows(self, kernel_calls):
+        rng = np.random.default_rng(3)
+        dense = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.4)
+        dense[[0, 3, 6]] = 0.0                       # empty rows
+        base = sp.csr_matrix(dense)
+        x = rng.normal(size=5)
+        for itype in (np.int32, np.int64):
+            op = base.copy()
+            # set after construction, which downcasts small int64 indices
+            op.indices = op.indices.astype(itype)
+            op.indptr = op.indptr.astype(itype)
+            assert op.indices.dtype == itype and op.indptr.dtype == itype
+            self._check_direct(op, x, kernel_calls)
+
+    def test_direct_kernel_empty_shapes(self, kernel_calls):
+        self._check_direct(sp.csr_matrix((0, 4)), np.ones(4), kernel_calls)
+        self._check_direct(sp.csr_matrix((3, 0)), np.ones(0), kernel_calls)
+
+    def test_direct_kernel_non_contiguous_vector(self, kernel_calls):
+        rng = np.random.default_rng(4)
+        op = sp.random(6, 5, density=0.5, format="csr", random_state=4)
+        for x in (rng.normal(size=10)[::2], rng.normal(size=5)[::-1]):
+            assert not x.flags.c_contiguous
+            self._check_direct(op, x, kernel_calls)
+
+    def test_direct_kernel_on_workload_operators(self, kernel_calls):
+        # the assembled B / Bbar (and transposes) and the smw D^-1 of each
+        # benchmark workload's tiny instance
+        workloads = _load_perfbench_workloads()
+        rng = np.random.default_rng(5)
+        n_csr = 0
+        for w in workloads.WORKLOADS.values():
+            prob = w.tiny(1)
+            ops = [prob.B.matrix, prob.Bbar.matrix,
+                   msolver._inverse_csr(
+                       prob, *msolver._bbar_gram_factors(prob, ""))]
+            ops += [blocklinalg.transposed(op) for op in ops[:2]]
+            for op in ops:
+                x = rng.normal(size=op.shape[1])
+                if type(op) is sp.csr_matrix:
+                    self._check_direct(op, x, kernel_calls)
+                    n_csr += 1
+                else:
+                    assert np.array_equal(mv(op, x), op @ x)
+        assert n_csr >= 6
+
+    def test_wrong_length_never_reaches_kernel(self, kernel_calls):
+        # the kernel reads x[indices] without a bounds check: a short x
+        # would be read past its end and a long one silently truncated
+        op = sp.csr_matrix(np.arange(1.0, 13.0).reshape(3, 4))
+        for n in (0, 3, 5):
+            with pytest.raises((ValueError, DimensionMismatch)):
+                mv(op, np.ones(n))
+        with pytest.raises((ValueError, DimensionMismatch)):
+            mv(op, np.ones((2, 4)))
+        assert kernel_calls == []
+        self._check_direct(op, np.ones(4), kernel_calls)
+
+    def test_other_dtypes_fall_back_to_scipy(self, kernel_calls):
+        dense = np.arange(12.0).reshape(3, 4) - 5.0
+        cases = [(sp.csr_matrix(dense), np.arange(4)),
+                 (sp.csr_matrix(dense.astype(np.float32)), np.arange(4.0)),
+                 (sp.csr_matrix(dense), np.arange(4.0).astype(np.float32))]
+        for op, x in cases:
+            want = np.asarray(op @ x).ravel()
+            got = mv(op, x)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert kernel_calls == []

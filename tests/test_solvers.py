@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dbasolve.builders import random_sdp, random_two_stage
 from dbasolve.errors import ParameterError, UnsupportedObjective
 from dbasolve.io import iteration_csv_text
 from dbasolve.model import (DBAProblem, ScenarioBlock, kkt_residues)
-from dbasolve.proxcone import FreeSpace, NonnegOrthant, Zero
+from dbasolve.proxcone import Box, FreeSpace, NonnegOrthant, Zero
 from dbasolve.solvers import (LOG_COLUMNS, SolverConfig, admm_solve,
                               alm_solve, eps_schedule, sigma_update, ssn_zy)
 
@@ -223,6 +224,86 @@ class TestSsn:
                                                          tol_gap=1e-7))
         assert r_ssn.converged
         assert r_ssn.obj_p == pytest.approx(r_plain.obj_p, rel=1e-5)
+
+
+class TestSsnEvaluations:
+    @staticmethod
+    def _events(monkeypatch, cone):
+        """Calls to ``cone.project`` (``("P", w)``) and the start of each
+        Newton step (``("N", None)``, its Jacobian mask) in call order."""
+        events = []
+        project, mask = cone.project, solvers._jacobian_mask
+
+        def spy_project(w):
+            events.append(("P", np.array(w)))
+            return project(w)
+
+        def spy_mask(c, w):
+            events.append(("N", None))
+            return mask(c, w)
+
+        monkeypatch.setattr(cone, "project", spy_project)
+        monkeypatch.setattr(solvers, "_jacobian_mask", spy_mask)
+        return events
+
+    @pytest.mark.parametrize("kind", ["nonneg", "box", "free"])
+    def test_one_projection_per_line_search_trial(self, kind, monkeypatch):
+        # phi is evaluated once at y0 and once per line-search trial; the
+        # accepted trial's value, gradient and projection are the new
+        # point's, so the last projection is the one z comes from
+        rng = np.random.default_rng({"nonneg": 21, "box": 22, "free": 23}[kind])
+        for trial in range(15):
+            m, n = 3, 7
+            A = rng.normal(size=(m, n))
+            sigma = float(rng.uniform(0.3, 3.0))
+            chat = rng.normal(size=n)
+            if kind == "nonneg":
+                cone = NonnegOrthant(n)
+                s0 = rng.uniform(0.0, 1.0, n)
+            elif kind == "box":
+                lower = -rng.uniform(0.1, 1.0, n)
+                upper = rng.uniform(0.1, 1.0, n)
+                lower[0], upper[1] = -np.inf, np.inf
+                cone = Box(lower, upper)
+                s0 = rng.uniform(lower[1], upper[0], n)
+            else:
+                cone = FreeSpace(n)
+                s0 = rng.normal(size=n)
+            events = self._events(monkeypatch, cone)
+            y0 = rng.normal(size=m)
+            y, z, iters = ssn_zy(A, A @ s0, cone, sigma, chat, y0=y0,
+                                 tol=1e-9)
+            projections = [w for tag, w in events if tag == "P"]
+            assert events[0][0] == "P"
+            assert sum(tag == "N" for tag, _ in events) == iters
+            # every Newton step makes at least one trial, and no
+            # projection repeats the one before it
+            tags = "".join(tag for tag, _ in events)
+            assert "NN" not in tags and not tags.endswith("N")
+            assert all(not np.array_equal(a, b)
+                       for a, b in zip(projections, projections[1:]))
+            if kind == "free":
+                # a quadratic: each Newton step takes its full step
+                assert len(projections) == 1 + iters
+            w = projections[-1]
+            assert np.array_equal(z, cone.project(w) / sigma - w / sigma)
+            assert np.array_equal(w, sigma * (A.T @ y - chat))
+
+
+class TestProgressLog:
+    def test_progress_goes_to_the_dbasolve_logger(self, two_scenario_lp,
+                                                  caplog, capsys):
+        quiet = admm_solve(two_scenario_lp, SolverConfig(max_iter=60))
+        caplog.set_level(logging.INFO, logger="dbasolve")
+        loud = admm_solve(two_scenario_lp, SolverConfig(max_iter=60,
+                                                        log_every=7))
+        assert loud.log_rows == quiet.log_rows
+        records = [r for r in caplog.records if r.name == "dbasolve"]
+        assert [r.getMessage().split()[:2] for r in records] == [
+            ["iter", str(k)] for k in range(0, 60, 7)]
+        assert all(r.levelno == logging.INFO for r in records)
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == ""
 
 
 class TestDeterminism:
