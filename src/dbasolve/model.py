@@ -90,6 +90,10 @@ class DBAProblem:
         # the scenario cones and objectives, one cone and one function on xbar
         self.scen_cone = BlockCone([s.cone for s in self.scenarios])
         self.scen_theta = BlockFunction([s.theta for s in self.scenarios])
+        # the same with the first stage's blocks in front, on x|xbar: one
+        # projection and one prox per sGS sweep
+        self.joint_cone = BlockCone(_flat([cone] + self.scen_cone.blocks))
+        self.joint_theta = BlockFunction(_flat([theta] + self.scen_theta.blocks))
 
     def with_cost(self, c):
         """A problem with first-stage cost ``c`` that shares everything
@@ -110,6 +114,17 @@ class DBAProblem:
 
     def x_slice(self, i):
         return slice(self.x_offsets[i], self.x_offsets[i + 1])
+
+
+def _flat(parts):
+    """``parts`` with every :class:`BlockCone` or :class:`BlockFunction`
+    replaced by its blocks, recursively, so that its like kinds merge with
+    the other parts' (as PHA's first stage of N copies does)."""
+    out = []
+    for part in parts:
+        nested = isinstance(part, (BlockCone, BlockFunction))
+        out += _flat(part.blocks) if nested else [part]
+    return out
 
 
 @dataclass
@@ -311,15 +326,21 @@ class LinearResidues(NamedTuple):
     eta_Dbar: float
 
 
-def dual_residues(problem, dual):
-    """The dual constraint residues ``A*y + B*ybar + z + v - c`` and
-    ``Bbar*ybar + zbar + vbar - cbar``; ``dual`` is read as in
+def dual_sums(problem, dual):
+    """The dual constraint sums ``A*y + B*ybar + z + v`` and
+    ``Bbar*ybar + zbar + vbar``, added left to right; ``dual`` is read as in
     :func:`kkt_full`."""
     Aty = mv(problem.A_T, dual.y) if problem.A is not None else 0.0
-    d_res = Aty + problem.B.apply_adjoint(dual.ybar) + dual.z + dual.v - problem.c
-    d_res_bar = (problem.Bbar.apply_adjoint(dual.ybar) + dual.zbar + dual.vbar
-                 - problem.cbar)
-    return d_res, d_res_bar
+    return (Aty + problem.B.apply_adjoint(dual.ybar) + dual.z + dual.v,
+            problem.Bbar.apply_adjoint(dual.ybar) + dual.zbar + dual.vbar)
+
+
+def dual_residues(problem, dual):
+    """The dual constraint residues ``A*y + B*ybar + z + v - c`` and
+    ``Bbar*ybar + zbar + vbar - cbar``: the :func:`dual_sums` less the
+    costs."""
+    S, Sbar = dual_sums(problem, dual)
+    return S - problem.c, Sbar - problem.cbar
 
 
 def residue_denominators(problem):

@@ -246,7 +246,10 @@ class DenseQuadratic(SeparableFunction):
         if full.size and float(np.linalg.eigvalsh(full)[0]) < -1e-10:
             raise DimensionMismatch("dense quadratic requires Q >= 0")
         self._full = full
-        self._prox_factors = {}  # keyed by t; factors of I + t Q
+        # (t, factor of I + t Q) for the latest t only: the object may be
+        # shared by many problems, and its cache must not grow with every
+        # penalty they have used
+        self._prox_cache = None
         self._conj_factor = None
 
     def value(self, x):
@@ -254,15 +257,13 @@ class DenseQuadratic(SeparableFunction):
         return 0.5 * float(x @ (self._full @ x))
 
     def prox(self, t, x):
-        fac = self._prox_factors.get(t)
-        if fac is None:
+        if self._prox_cache is None or self._prox_cache[0] != t:
             sys = np.eye(self.dim) + t * self._full
             try:
-                fac = chol_factor(sys)
+                self._prox_cache = (t, chol_factor(sys))
             except Exception as exc:  # cannot happen for PSD Q
                 raise SingularSystem(str(exc)) from exc
-            self._prox_factors[t] = fac
-        return fac.solve(np.asarray(x, dtype=np.float64))
+        return self._prox_cache[1].solve(np.asarray(x, dtype=np.float64))
 
     def conjugate(self, w, feas_tol):
         w = np.asarray(w, dtype=np.float64)

@@ -20,7 +20,7 @@ from .blocklinalg import (chol_factor, lambda_max_bound, maybe_densify, mv,
                           to_dense)
 from .errors import (LineSearchFailure, NotPositiveDefinite, ParameterError,
                      UnsupportedObjective)
-from .model import (DualPoint, PrimalPoint, dual_objective, dual_residues,
+from .model import (DualPoint, PrimalPoint, dual_objective, dual_sums,
                     kkt_full, linear_residues, primal_objective,
                     residue_denominators, validate)
 from .msolver import build_msolver
@@ -342,6 +342,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
     best_eta = np.inf
     best_eta_at = 0
     res = None
+    sums = None
     k = 0
     inner_iters = 0
     sigma_period = _SIGMA_PERIOD
@@ -349,8 +350,9 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
 
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k)
-        inner_iters, d_res, d_res_bar = _sgs_iteration(
-            problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm)
+        inner_iters, d_res, d_res_bar, sums = _sgs_iteration(
+            problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm,
+            sums)
         lin = linear_residues(problem, st.x, st.xbar, d_res, d_res_bar,
                               denoms)
         eta_lin = max(lin)
@@ -434,18 +436,23 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
 
 
 def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                   alm=False):
+                   alm=False, sums=None):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
-    on the dual; updates ``st`` and returns the inner iteration count and
-    the dual residues ``d_res``, ``d_res_bar`` (see
+    on the dual; updates ``st`` and returns the inner iteration count, the
+    dual residues ``d_res``, ``d_res_bar`` (see
     :func:`~dbasolve.model.dual_residues`) of the new dual iterate, which
-    the multiplier step moves ``x`` and ``xbar`` along.
+    the multiplier step moves ``x`` and ``xbar`` along, and its
+    :func:`~dbasolve.model.dual_sums` ``(S, Sbar)``.  Passed back as
+    ``sums``, they spare the next iteration their recomputation; ``None``
+    computes them from ``st``.
 
-    Two group steps act on the residuals R = A*y + B*ybar + z + v - c_k and
-    Rb = Bbar*ybar + zbar + vbar - cbar_k: "nonsmooth" updates zbar and then
-    the (z, y) pair (semismooth Newton, a y -> z -> y sweep, or z alone
-    without A); "smooth" updates (v, vbar).  ADMM runs nonsmooth, then
-    ybar -> smooth -> ybar; ALM keeps v = vbar = 0 and runs
+    Two group steps act on the residuals R = S - c_k and Rb = Sbar - cbar_k
+    (S = A*y + B*ybar + z + v, Sbar = Bbar*ybar + zbar + vbar):
+    "nonsmooth" updates the (z, y) pair and zbar (semismooth Newton and a
+    separate zbar projection, or a y -> (z, zbar) -> y sweep with one
+    projection onto the joint cone, z and zbar alone without A); "smooth"
+    updates (v, vbar) by one prox of the joint function.  ADMM runs
+    nonsmooth, then ybar -> smooth -> ybar; ALM keeps v = vbar = 0 and runs
     ybar -> nonsmooth -> ybar.  Inside a ybar sweep a step sees the
     residuals at the backward ybar and returns the ones at the old ybar with
     its own blocks updated, which is what the forward ybar solve needs.
@@ -453,11 +460,12 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     A, At = problem.A_mv, problem.A_T
     B, Bbar = problem.B, problem.Bbar
     b, bbar = problem.b, problem.bbar
+    n0 = problem.n0
     ck = problem.c - st.x / sigma
     cbk = problem.cbar - st.xbar / sigma
-    Aty = mv(At, st.y) if A is not None else 0.0
-    R = Aty + B.apply_adjoint(st.ybar) + st.z + st.v - ck
-    Rb = Bbar.apply_adjoint(st.ybar) + st.zbar + st.vbar - cbk
+    S, Sbar = dual_sums(problem, st) if sums is None else sums
+    R = S - ck
+    Rb = Sbar - cbk
     new = {"v": st.v, "vbar": st.vbar}
     inner = 0
 
@@ -470,26 +478,31 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
 
     def nonsmooth(Rin, Rbin, R, Rb, ybar):
         nonlocal inner
-        zbar = _proj_conj(problem.scen_cone, sigma, Rbin - st.zbar)
-        if A is None:
-            y, z = st.y, _proj_conj(problem.cone, sigma, Rin - st.z)
-        elif use_ssn:
+        if use_ssn:
+            zbar = _proj_conj(problem.scen_cone, sigma, Rbin - st.zbar)
             chat = ck - B.apply_adjoint(ybar) - st.v
             y, z, it = ssn_zy(A, b, problem.cone, sigma, chat, y0=st.y,
                               tol=max(min(1e-9, eps_k), 1e-12))
             inner += it
         else:
-            y_tmp = st.y + facA.solve(b / sigma - mv(A, Rin))
-            z = _proj_conj(problem.cone, sigma,
-                           mv(At, y_tmp - st.y) + Rin - st.z)
-            y = st.y + facA.solve(b / sigma - mv(A, Rin + z - st.z))
+            if A is None:
+                u = Rin - st.z
+            else:
+                y_tmp = st.y + facA.solve(b / sigma - mv(A, Rin))
+                u = mv(At, y_tmp - st.y) + Rin - st.z
+            zz = _proj_conj(problem.joint_cone, sigma,
+                            np.concatenate((u, Rbin - st.zbar)))
+            z, zbar = zz[:n0], zz[n0:]
+            y = (st.y if A is None else
+                 st.y + facA.solve(b / sigma - mv(A, Rin + z - st.z)))
         new.update(y=y, z=z, zbar=zbar)
         dAty = mv(At, y - st.y) if A is not None else 0.0
         return R + dAty + (z - st.z), Rb + (zbar - st.zbar)
 
     def smooth(Rin, Rbin, R, Rb, ybar):
-        v = -prox_conjugate(problem.theta, sigma, Rin - st.v)
-        vbar = -prox_conjugate(problem.scen_theta, sigma, Rbin - st.vbar)
+        vv = -prox_conjugate(problem.joint_theta, sigma,
+                             np.concatenate((Rin - st.v, Rbin - st.vbar)))
+        v, vbar = vv[:n0], vv[n0:]
         new.update(v=v, vbar=vbar)
         return R + v - st.v, Rb + vbar - st.vbar
 
@@ -509,7 +522,8 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     st.y, st.ybar, st.z, st.zbar = new["y"], ybar, new["z"], new["zbar"]
     st.v, st.vbar = new["v"], new["vbar"]
     # multiplier step
-    d_res, d_res_bar = dual_residues(problem, st)
+    S, Sbar = dual_sums(problem, st)
+    d_res, d_res_bar = S - problem.c, Sbar - problem.cbar
     st.x = st.x + tau * sigma * d_res
     st.xbar = st.xbar + tau * sigma * d_res_bar
-    return inner, d_res, d_res_bar
+    return inner, d_res, d_res_bar, (S, Sbar)

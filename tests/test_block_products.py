@@ -261,3 +261,72 @@ def test_batched_psd_projection_bit_equal(d, k):
     blocks = [PsdCone(d)] * k
     assert np.array_equal(PsdCone(d, k).project(x),
                           ref_map(blocks, ref_project, x))
+
+
+# -- the joint cone and function of a problem over x|xbar ---------------------
+
+def make_pair(cone_kind, fn_kind, n, rng):
+    """A cone and an objective of one dimension: ``fn_kind`` "zero",
+    "dense" (a positive definite quadratic) or "indicator" of a cone of
+    kind ``cone_kind``."""
+    cone = make_cone(cone_kind, n, rng)
+    d = cone.dim
+    if fn_kind == "dense" and d:
+        M = rng.normal(size=(d, d))
+        return cone, DenseQuadratic(M @ M.T + np.eye(d))
+    if fn_kind == "indicator":
+        return cone, IndicatorCone(make_cone(cone_kind, n, rng))
+    return cone, Zero(d)
+
+
+pairs = st.tuples(st.sampled_from(CONE_KINDS),
+                  st.sampled_from(("zero", "dense", "indicator")), sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(pairs, min_size=1, max_size=3), st.integers(1, 3),
+       st.lists(pairs, min_size=1, max_size=5), seeds,
+       st.sampled_from((0.3, 1.0, 7.0)))
+# n0 = 0 next to a scenario with no variables and PSD blocks of two orders
+@example(first=[("orthant", "zero", 0)], copies=1,
+         scen=[("psd3", "dense", 0), ("free", "zero", 0), ("psd2", "zero", 0),
+               ("psd3", "indicator", 0)], seed=1, t=0.3)
+def test_joint_objects_match_separate_calls(first, copies, scen, seed, t):
+    # the first stage is one block, or, as in PHA's bundle, a BlockCone and
+    # a BlockFunction of ``copies`` repetitions of its blocks
+    from dbasolve.model import DBAProblem, ScenarioBlock
+    rng = np.random.default_rng(seed)
+    fc, ft = zip(*[make_pair(*p, rng) for p in first])
+    if len(fc) == 1 and copies == 1:
+        cone, theta = fc[0], ft[0]
+    else:
+        cone, theta = BlockCone(list(fc) * copies), BlockFunction(list(ft) * copies)
+    n0 = cone.dim
+    blocks = []
+    for p in scen:
+        c, f = make_pair(*p, rng)
+        blocks.append(ScenarioBlock(np.zeros((1, n0)), np.zeros((1, c.dim)),
+                                    np.zeros(1), np.zeros(c.dim), c, f))
+    prob = DBAProblem(None, None, np.zeros(n0), cone, theta, blocks)
+    a = rng.normal(size=n0) * rng.choice([1e-3, 1.0, 1e3])
+    b = rng.normal(size=prob.nbar) * rng.choice([1e-3, 1.0, 1e3])
+    ab = np.concatenate((a, b))
+    assert prob.joint_cone.dim == prob.joint_theta.dim == ab.size
+    assert np.array_equal(prob.joint_cone.project(ab), np.concatenate(
+        (cone.project(a), prob.scen_cone.project(b))))
+    assert np.array_equal(prox_conjugate(prob.joint_theta, t, ab),
+                          np.concatenate((prox_conjugate(theta, t, a),
+                                          prox_conjugate(prob.scen_theta, t, b))))
+
+
+def test_joint_cone_merges_first_stage_blocks():
+    # PHA's first stage of copies is flattened, so its PSD blocks and the
+    # scenarios' make one batched projection
+    from dbasolve.model import DBAProblem, ScenarioBlock
+    blocks = [ScenarioBlock(np.zeros((1, 6)), np.zeros((1, 3)), np.zeros(1),
+                            np.zeros(3), PsdCone(2), Zero(3))] * 4
+    prob = DBAProblem(None, None, np.zeros(6), BlockCone([PsdCone(2)] * 2),
+                      BlockFunction([Zero(3)] * 2), blocks)
+    assert [(type(p), p.k) for p, _, _ in prob.joint_cone.groups] == [(PsdCone, 6)]
+    assert [type(p) for p, _, _ in prob.joint_theta.groups] == [Zero]
+    assert prob.with_cost(np.ones(6)).joint_cone is prob.joint_cone

@@ -93,6 +93,24 @@ class TestProx:
         f = IndicatorCone(NonnegOrthant(2))
         assert np.allclose(prox(f, 0.7, np.array([1.0, -1.0])), [1, 0])
 
+    def test_dense_quadratic_keeps_one_factor(self):
+        # a DenseQuadratic is shared by every problem built from it, so its
+        # prox cache holds the latest parameter's factor only, and a cached
+        # factor gives what a fresh instance computes
+        rng = np.random.default_rng(8)
+        M = rng.normal(size=(4, 4))
+        Q = M @ M.T
+        f = DenseQuadratic(Q)
+        x = rng.normal(size=4)
+        ts = np.linspace(0.1, 5.0, 50)
+        for t in ts:
+            assert np.array_equal(prox(f, t, x), prox(DenseQuadratic(Q), t, x))
+        assert f._prox_cache[0] == ts[-1]
+        assert np.array_equal(prox(f, ts[-1], x),
+                              prox(DenseQuadratic(Q), ts[-1], x))
+        assert np.array_equal(prox(f, ts[0], x),
+                              prox(DenseQuadratic(Q), ts[0], x))
+
 
 class TestMoreau:
     def test_conjugate_prox_polar_projection(self):

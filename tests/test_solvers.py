@@ -6,10 +6,12 @@ import pytest
 
 import dbasolve.blocklinalg as blocklinalg
 import dbasolve.solvers as solvers
-from dbasolve.builders import random_sdp, random_two_stage
+from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
+                               random_ufl)
 from dbasolve.errors import ParameterError, UnsupportedObjective
 from dbasolve.io import iteration_csv_text
 from dbasolve.model import (DBAProblem, ScenarioBlock, kkt_residues)
+from dbasolve.pha import _bundle
 from dbasolve.proxcone import Box, FreeSpace, NonnegOrthant, Zero
 from dbasolve.solvers import (LOG_COLUMNS, SolverConfig, admm_solve,
                               alm_solve, eps_schedule, sigma_update, ssn_zy)
@@ -463,3 +465,64 @@ class TestEmptyScenarioBlock:
         assert first.status == last.status == "Converged"
         assert last.obj_p == pytest.approx(first.obj_p, rel=0, abs=1e-8)
         assert last.obj_d == pytest.approx(first.obj_d, rel=0, abs=1e-8)
+
+
+def _no_a_problem():
+    rng = np.random.default_rng(12)
+    blocks = []
+    for _ in range(3):
+        Bbar = np.hstack([rng.uniform(0.5, 1.5, (2, 1)), np.eye(2)])
+        B = rng.uniform(0.0, 1.0, (2, 2))
+        bbar = B @ rng.uniform(0.1, 1.0, 2) + Bbar @ rng.uniform(0.1, 1.0, 3)
+        blocks.append(ScenarioBlock(B, Bbar, bbar, rng.uniform(0.5, 2.0, 3),
+                                    NonnegOrthant(3), Zero(3)))
+    return DBAProblem(None, None, rng.uniform(0.5, 2.0, 2), NonnegOrthant(2),
+                      Zero(2), blocks)
+
+
+class TestCarriedSums:
+    """The sums ``A*y + B*ybar + z + v`` and ``Bbar*ybar + zbar + vbar``
+    that an iteration returns are what the next one would compute from the
+    state, bit for bit, so carrying them changes no iterate."""
+
+    @staticmethod
+    def steps(prob, alm, carry, n=50):
+        from dbasolve.solvers import (_sgs_iteration, _ssn_eligible,
+                                      default_sigma0, solve_setup, zero_state)
+        cfg = SolverConfig()
+        msol, facA = solve_setup(prob, cfg)
+        use_ssn = _ssn_eligible(prob, cfg)
+        st, sigma, sums, out = zero_state(prob), default_sigma0(prob), None, []
+        for k in range(n):
+            if k == 25:
+                sigma *= 1.4          # the sums do not depend on sigma
+            inner, d_res, d_res_bar, sums = _sgs_iteration(
+                prob, st, sigma, 1.9 if alm else 1.618, msol, facA, use_ssn,
+                eps_schedule(k), cfg, alm, sums if carry else None)
+            out.append([inner, d_res, d_res_bar, *sums] + [
+                getattr(st, f) for f in ("x", "xbar", "y", "ybar", "z",
+                                         "zbar", "v", "vbar")])
+        return use_ssn, out
+
+    # the benchmark workloads' tiny instances (PHA's as the bundle its outer
+    # iterations solve), ALM, and a problem without A
+    @pytest.mark.parametrize("build, alm", [
+        (lambda: random_two_stage(2, 6, 2, 5, N=100, seed=1, quad_eps=0.1),
+         False),
+        (lambda: random_sdp(2, 3, 2, 3, N=3, seed=1), False),
+        (lambda: build_ufl_dnn(random_ufl(4, 20, seed=1)), False),
+        (lambda: _bundle(random_two_stage(2, 4, 2, 4, N=3, seed=1,
+                                          quad_eps=0.1), 10.0), False),
+        (lambda: random_sdp(2, 3, 2, 3, N=3, seed=1), True),
+        (lambda: random_two_stage(2, 6, 2, 5, N=100, seed=2), True),
+        (_no_a_problem, False),
+        (_no_a_problem, True),
+    ], ids=["two-stage-ssn", "sdp-psd", "ufl-dnn", "pha-bundle", "sdp-alm",
+            "lp-alm", "no-a", "no-a-alm"])
+    def test_carried_equals_recomputed(self, build, alm):
+        prob = build()
+        ssn, carried = self.steps(prob, alm, carry=True)
+        _, fresh = self.steps(prob, alm, carry=False)
+        for got, want in zip(carried, fresh):
+            assert got[0] == want[0]
+            assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
