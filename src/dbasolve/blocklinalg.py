@@ -10,6 +10,7 @@ linear map in the package is an ordinary matrix acting on vectors.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -120,6 +121,15 @@ def mv(op, x):
             _csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
             return out
     return np.asarray(op @ x).ravel()
+
+
+def _norm(v):
+    """Euclidean norm of a contiguous 1-d float64 array: the
+    ``sqrt(v.dot(v))`` that ``np.linalg.norm`` evaluates for one, bit for
+    bit, without its argument handling.  (On a strided view the dot
+    product may sum in another order than on ``np.linalg.norm``'s
+    contiguous copy.)"""
+    return math.sqrt(v.dot(v))
 
 
 def transposed(mat):

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .blocklinalg import (BlockDiagOp, StackedOp, all_finite, canonicalize,
-                          compact_for_matvec, mv, to_dense, transposed)
+from .blocklinalg import (BlockDiagOp, StackedOp, _norm, all_finite,
+                          canonicalize, compact_for_matvec, mv, to_dense,
+                          transposed)
 from .errors import DimensionMismatch, NonFiniteData
 from .proxcone import (BlockCone, BlockFunction, Cone, SeparableFunction,
                        conjugate_value, prox)
@@ -87,6 +89,12 @@ class DBAProblem:
         self.x_offsets = self.Bbar.col_offsets
         self.bbar = np.concatenate([s.bbar for s in self.scenarios])
         self.cbar = np.concatenate([s.cbar for s in self.scenarios])
+        # the cost c|cbar over x|xbar
+        self.cc = np.concatenate((self.c, self.cbar))
+        # W = [B Bbar] on x|xbar and its transpose: a scenario product of
+        # the sGS sweep is one mat-vec
+        self.W = _joint_operator(self.B.matrix, self.Bbar.matrix)
+        self.W_T = transposed(self.W)
         # the scenario cones and objectives, one cone and one function on xbar
         self.scen_cone = BlockCone([s.cone for s in self.scenarios])
         self.scen_theta = BlockFunction([s.theta for s in self.scenarios])
@@ -107,6 +115,7 @@ class DBAProblem:
             raise NonFiniteData("NaN or Inf in c")
         out = copy.copy(self)
         out.c = c
+        out.cc = np.concatenate((c, self.cbar))
         return out
 
     def y_slice(self, i):
@@ -114,6 +123,15 @@ class DBAProblem:
 
     def x_slice(self, i):
         return slice(self.x_offsets[i], self.x_offsets[i + 1])
+
+
+def _joint_operator(B, Bbar):
+    """``[B Bbar]`` from the assembled operators: dense when both are,
+    otherwise CSR, stored as :func:`compact_for_matvec` decides."""
+    if isinstance(B, np.ndarray) and isinstance(Bbar, np.ndarray):
+        return np.hstack((B, Bbar))
+    return compact_for_matvec(
+        sp.hstack((sp.csr_matrix(B), sp.csr_matrix(Bbar)), format="csr"))
 
 
 def _flat(parts):
@@ -369,6 +387,33 @@ def linear_residues(problem, x, xbar, d_res, d_res_bar, denoms):
         eta_D=float(nrm(d_res) / den_D),
         eta_Pbar=float(nrm(p_res) / den_Pbar),
         eta_Dbar=float(nrm(d_res_bar) / den_Dbar))
+
+
+def joint_dual_sums(problem, y, ybar, zz, vv):
+    """The :func:`dual_sums` as one vector over x|xbar: ``W*ybar + zz + vv``
+    with ``A*y`` added to its first ``n0`` entries, at
+    ``zz = z|zbar`` and ``vv = v|vbar``.  Only the product ``W*ybar``
+    rounds differently from the pair ``B*ybar``, ``Bbar*ybar``."""
+    S = mv(problem.W_T, ybar)
+    if problem.A is not None:
+        S[:problem.n0] += mv(problem.A_T, y)
+    S += zz
+    S += vv
+    return S
+
+
+def joint_linear_residues(problem, xx, d_res, d_res_bar, denoms):
+    """:func:`linear_residues` at the primal point ``xx = x|xbar``, with the
+    scenario rows' residue ``W xx - bbar`` formed by one product."""
+    den_P, den_D, den_Pbar, den_Dbar = denoms
+    eta_P = 0.0
+    if problem.A is not None:
+        eta_P = _norm(mv(problem.A_mv, xx[:problem.n0]) - problem.b) / den_P
+    return LinearResidues(
+        eta_P=eta_P,
+        eta_D=_norm(d_res) / den_D,
+        eta_Pbar=_norm(mv(problem.W, xx) - problem.bbar) / den_Pbar,
+        eta_Dbar=_norm(d_res_bar) / den_Dbar)
 
 
 def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):

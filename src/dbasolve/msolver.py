@@ -178,13 +178,17 @@ def pairwise_coupling_norms(problem):
 
 
 class MSolver:
-    """Precomputed solver for M ybar = h under a chosen strategy."""
+    """Precomputed solver for M ybar = h under a chosen strategy.
+    ``reads_tol`` records whether a solve reads its ``tol`` (only a PCG
+    G-solve does); otherwise the tolerance need not be computed."""
 
-    def __init__(self, problem, strategy, apply_jbar, solve_impl):
+    def __init__(self, problem, strategy, apply_jbar, solve_impl,
+                 reads_tol=False):
         self.problem = problem
         self.strategy = strategy
         self._apply_jbar = apply_jbar
         self._solve_impl = solve_impl
+        self.reads_tol = reads_tol
         self.last_relres = 0.0
         self.last_inner_iters = 0
         self.last_inner_relres = 0.0
@@ -299,10 +303,12 @@ def _build_smw(problem, prefer_pcg, diagonal, max_cond=np.inf):
         dinv_apply, G = _distinct_smw_parts(problem, "smw requires", max_cond)
         apply_jbar = None
 
-    g_solve = _make_g_solver(maybe_densify(G if isinstance(G, np.ndarray) else G.tocsr()),
-                             prefer_pcg)
+    g_solve, reads_tol = _make_g_solver(
+        maybe_densify(G if isinstance(G, np.ndarray) else G.tocsr()),
+        prefer_pcg)
     impl = _make_smw_solve(problem, dinv_apply, g_solve)
-    return MSolver(problem, "smw-diag" if diagonal else "smw", apply_jbar, impl)
+    return MSolver(problem, "smw-diag" if diagonal else "smw", apply_jbar,
+                   impl, reads_tol)
 
 
 def _build_block_diag(problem, jbar):
@@ -546,9 +552,10 @@ def _build_shared(problem, prefer_pcg, analytic_ufl, max_cond=np.inf):
             dinv_apply, G = _distinct_smw_parts(
                 problem, "shared strategy needs", max_cond)
 
-    g_solve = _make_g_solver(G, prefer_pcg)
+    g_solve, reads_tol = _make_g_solver(G, prefer_pcg)
     impl = _make_smw_solve(problem, dinv_apply, g_solve)
-    return MSolver(problem, "ufl" if analytic_ufl else "shared", None, impl)
+    return MSolver(problem, "ufl" if analytic_ufl else "shared", None, impl,
+                   reads_tol)
 
 
 def ufl_bbar_gram_inv_apply(h, p):
@@ -572,12 +579,13 @@ def _per_block(problem, kernel):
 
 
 def _make_g_solver(G, prefer_pcg):
-    """Factor G when small and dense-friendly; otherwise PCG with a Jacobi
-    preconditioner (tolerance threaded per solve)."""
+    """``(solve, reads_tol)``: factor G when small and dense-friendly;
+    otherwise PCG with a Jacobi preconditioner, the one solve that reads
+    the tolerance threaded to it."""
     n = G.shape[0]
     if not prefer_pcg and n <= _G_CHOL_DIM:
         fac = chol_factor(to_dense(G) if sp.issparse(G) else G)
-        return lambda g, tol: (fac.solve(g), 0, 0.0)
+        return (lambda g, tol: (fac.solve(g), 0, 0.0)), False
     diag = np.asarray(G.diagonal()).ravel() if sp.issparse(G) else np.diag(G).copy()
     diag = np.where(diag > 0, diag, 1.0)
     gop = (lambda x: mv(G, x))
@@ -585,7 +593,7 @@ def _make_g_solver(G, prefer_pcg):
     def solve(g, tol):
         return pcg_solve(gop, g, precond=lambda r: r / diag,
                          tol=max(tol, 1e-14), maxit=10 * n + 100)
-    return solve
+    return solve, True
 
 
 def _make_smw_solve(problem, dinv_apply, g_solve):

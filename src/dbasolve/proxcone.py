@@ -246,10 +246,13 @@ class DenseQuadratic(SeparableFunction):
         if full.size and float(np.linalg.eigvalsh(full)[0]) < -1e-10:
             raise DimensionMismatch("dense quadratic requires Q >= 0")
         self._full = full
-        # (t, factor of I + t Q) for the latest t only: the object may be
-        # shared by many problems, and its cache must not grow with every
-        # penalty they have used
+        # (t, factor of I + t Q) for the latest t other than 1 only: the
+        # object may be shared by many problems, and its cache must not grow
+        # with every penalty they have used.  The factor of I + Q, which
+        # the KKT residues' prox reads, has its own slot, so certifying an
+        # iterate does not evict the solve's factor.
         self._prox_cache = None
+        self._unit_factor = None
         self._conj_factor = None
 
     def value(self, x):
@@ -257,13 +260,21 @@ class DenseQuadratic(SeparableFunction):
         return 0.5 * float(x @ (self._full @ x))
 
     def prox(self, t, x):
-        if self._prox_cache is None or self._prox_cache[0] != t:
-            sys = np.eye(self.dim) + t * self._full
-            try:
-                self._prox_cache = (t, chol_factor(sys))
-            except Exception as exc:  # cannot happen for PSD Q
-                raise SingularSystem(str(exc)) from exc
-        return self._prox_cache[1].solve(np.asarray(x, dtype=np.float64))
+        if t == 1.0:
+            if self._unit_factor is None:
+                self._unit_factor = self._prox_factor(t)
+            fac = self._unit_factor
+        else:
+            if self._prox_cache is None or self._prox_cache[0] != t:
+                self._prox_cache = (t, self._prox_factor(t))
+            fac = self._prox_cache[1]
+        return fac.solve(np.asarray(x, dtype=np.float64))
+
+    def _prox_factor(self, t):
+        try:
+            return chol_factor(np.eye(self.dim) + t * self._full)
+        except Exception as exc:  # cannot happen for PSD Q
+            raise SingularSystem(str(exc)) from exc
 
     def conjugate(self, w, feas_tol):
         w = np.asarray(w, dtype=np.float64)

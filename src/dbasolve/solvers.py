@@ -16,12 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocklinalg import (chol_factor, lambda_max_bound, maybe_densify, mv,
-                          to_dense)
+from .blocklinalg import (_norm, chol_factor, lambda_max_bound, maybe_densify,
+                          mv, to_dense)
 from .errors import (LineSearchFailure, NotPositiveDefinite, ParameterError,
                      UnsupportedObjective)
-from .model import (DualPoint, PrimalPoint, dual_objective, dual_sums,
-                    kkt_full, linear_residues, primal_objective,
+from .model import (DualPoint, PrimalPoint, dual_objective, joint_dual_sums,
+                    joint_linear_residues, kkt_full, primal_objective,
                     residue_denominators, validate)
 from .msolver import build_msolver
 from .proxcone import Box, FreeSpace, NonnegOrthant, prox_conjugate
@@ -72,14 +72,24 @@ class SolverConfig:
 
 @dataclass
 class PrimalDualState:
-    x: np.ndarray
-    xbar: np.ndarray
+    """The iterate: ``y``, ``ybar`` and three flat vectors over x|xbar,
+    ``xx = x|xbar``, ``zz = z|zbar`` and ``vv = v|vbar``.  The blocks
+    ``x``, ``xbar``, ``z``, ``zbar``, ``v`` and ``vbar`` are views into
+    them: their first ``n0`` entries and the rest."""
+
+    n0: int
+    xx: np.ndarray
     y: np.ndarray
     ybar: np.ndarray
-    z: np.ndarray
-    zbar: np.ndarray
-    v: np.ndarray
-    vbar: np.ndarray
+    zz: np.ndarray
+    vv: np.ndarray
+
+    x = property(lambda self: self.xx[:self.n0])
+    xbar = property(lambda self: self.xx[self.n0:])
+    z = property(lambda self: self.zz[:self.n0])
+    zbar = property(lambda self: self.zz[self.n0:])
+    v = property(lambda self: self.vv[:self.n0])
+    vbar = property(lambda self: self.vv[self.n0:])
 
 
 class SolveSetup(NamedTuple):
@@ -142,11 +152,9 @@ def default_sigma0(problem):
 
 
 def zero_state(problem):
-    return PrimalDualState(
-        x=np.zeros(problem.n0), xbar=np.zeros(problem.nbar),
-        y=np.zeros(problem.m0), ybar=np.zeros(problem.mbar),
-        z=np.zeros(problem.n0), zbar=np.zeros(problem.nbar),
-        v=np.zeros(problem.n0), vbar=np.zeros(problem.nbar))
+    n = problem.n0 + problem.nbar
+    return PrimalDualState(problem.n0, np.zeros(n), np.zeros(problem.m0),
+                           np.zeros(problem.mbar), np.zeros(n), np.zeros(n))
 
 
 def _start(problem, cfg, initial):
@@ -157,8 +165,10 @@ def _start(problem, cfg, initial):
         st, sigma = zero_state(problem), default_sigma0(problem)
     else:
         p, d = initial.primal, initial.dual
-        st = PrimalDualState(p.x.copy(), p.stacked(), d.y.copy(), d.ybar.copy(),
-                             d.z.copy(), d.zbar.copy(), d.v.copy(), d.vbar.copy())
+        st = PrimalDualState(problem.n0, np.concatenate((p.x, *p.xbar)),
+                             d.y.copy(), d.ybar.copy(),
+                             np.concatenate((d.z, d.zbar)),
+                             np.concatenate((d.v, d.vbar)))
         sigma = initial.sigma
     return st, cfg.sigma0 if cfg.sigma0 is not None else sigma
 
@@ -233,7 +243,7 @@ def ssn_zy(A, b, cone, sigma, chat, y0=None, tol=1e-10, max_newton=200):
         return val, grad, w, pw
 
     val, grad, w, pw = phi_grad(y)
-    gnorm = np.linalg.norm(grad)
+    gnorm = _norm(grad)
     iters = 0
     while gnorm > tol and iters < max_newton:
         mask = _jacobian_mask(cone, w)
@@ -257,7 +267,7 @@ def ssn_zy(A, b, cone, sigma, chat, y0=None, tol=1e-10, max_newton=200):
         # the accepted trial is the new point: no second evaluation there
         y = cand
         val, grad, w, pw = trial
-        gnorm = np.linalg.norm(grad)
+        gnorm = _norm(grad)
         iters += 1
     z = pw / sigma - (w / sigma)
     return y, z, iters
@@ -335,7 +345,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
     denoms = residue_denominators(problem)
     st, sigma = _start(problem, cfg, initial)
     if alm:
-        st.v, st.vbar = np.zeros_like(st.v), np.zeros_like(st.vbar)
+        st.vv = np.zeros_like(st.vv)
 
     log_rows = []
     status = "MaxIter"
@@ -353,8 +363,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
         inner_iters, d_res, d_res_bar, sums = _sgs_iteration(
             problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm,
             sums)
-        lin = linear_residues(problem, st.x, st.xbar, d_res, d_res_bar,
-                              denoms)
+        lin = joint_linear_residues(problem, st.xx, d_res, d_res_bar, denoms)
         eta_lin = max(lin)
 
         # eta is at least each linear residue, so the full check (cone and
@@ -422,14 +431,21 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
 
 
 def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
-    tol = max(min(1e-8, eps_k / (sigma * (1.0 + np.linalg.norm(rhs)))), 1e-14)
+    """``M^{-1} rhs`` by ``msol`` and its inner iteration count.  The
+    tolerance ``eps_k / (sigma (1 + ||rhs||))``, clamped to [1e-14, 1e-8],
+    is computed only for a solver that reads it (a PCG G-solve) or for the
+    ``check_inner`` assertions."""
+    tol = None
+    if msol.reads_tol or cfg.check_inner:
+        nrhs = np.linalg.norm(rhs)
+        tol = max(min(1e-8, eps_k / (sigma * (1.0 + nrhs))), 1e-14)
     y = msol.solve(rhs, tol=tol, check_residual=cfg.check_inner)
     if cfg.check_inner:
         # an inner PCG stopped by its iteration cap returns its residual
         assert msol.last_inner_relres <= tol, \
             "inner PCG residual %.3e exceeds its tolerance %.3e" % (
                 msol.last_inner_relres, tol)
-        delta = sigma * msol.last_relres * np.linalg.norm(rhs)
+        delta = sigma * msol.last_relres * nrhs
         assert delta <= max(eps_k, 1e-9), \
             "inner residual %.3e exceeds eps_k %.3e" % (delta, eps_k)
     return y, msol.last_inner_iters
@@ -440,90 +456,85 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count, the
     dual residues ``d_res``, ``d_res_bar`` (see
-    :func:`~dbasolve.model.dual_residues`) of the new dual iterate, which
-    the multiplier step moves ``x`` and ``xbar`` along, and its
-    :func:`~dbasolve.model.dual_sums` ``(S, Sbar)``.  Passed back as
+    :func:`~dbasolve.model.dual_residues`; views of one vector over x|xbar)
+    of the new dual iterate, which the multiplier step moves ``xx`` along,
+    and its :func:`~dbasolve.model.joint_dual_sums` ``SS``.  Passed back as
     ``sums``, they spare the next iteration their recomputation; ``None``
     computes them from ``st``.
 
-    Two group steps act on the residuals R = S - c_k and Rb = Sbar - cbar_k
-    (S = A*y + B*ybar + z + v, Sbar = Bbar*ybar + zbar + vbar):
+    Two group steps act on the residual RR = SS - c_k over x|xbar
+    (SS = A*y + B*ybar + z + v | Bbar*ybar + zbar + vbar, c_k = c|cbar less
+    xx / sigma), whose scenario products are one with W = [B Bbar] each:
     "nonsmooth" updates the (z, y) pair and zbar (semismooth Newton and a
     separate zbar projection, or a y -> (z, zbar) -> y sweep with one
     projection onto the joint cone, z and zbar alone without A); "smooth"
     updates (v, vbar) by one prox of the joint function.  ADMM runs
     nonsmooth, then ybar -> smooth -> ybar; ALM keeps v = vbar = 0 and runs
     ybar -> nonsmooth -> ybar.  Inside a ybar sweep a step sees the
-    residuals at the backward ybar and returns the ones at the old ybar with
+    residual at the backward ybar and returns the one at the old ybar with
     its own blocks updated, which is what the forward ybar solve needs.
     """
-    A, At = problem.A_mv, problem.A_T
-    B, Bbar = problem.B, problem.Bbar
+    A, At, W, WT = problem.A_mv, problem.A_T, problem.W, problem.W_T
     b, bbar = problem.b, problem.bbar
     n0 = problem.n0
-    ck = problem.c - st.x / sigma
-    cbk = problem.cbar - st.xbar / sigma
-    S, Sbar = dual_sums(problem, st) if sums is None else sums
-    R = S - ck
-    Rb = Sbar - cbk
-    new = {"v": st.v, "vbar": st.vbar}
+    cck = problem.cc - st.xx / sigma
+    SS = (joint_dual_sums(problem, st.y, st.ybar, st.zz, st.vv)
+          if sums is None else sums)
+    RR = SS - cck
+    new = {"vv": st.vv}
     inner = 0
 
-    def ybar_solve(R, Rb):
+    def ybar_solve(RR):
         nonlocal inner
-        rhs = bbar / sigma - B.apply(R) - Bbar.apply(Rb)
-        dy, it = _msolve_with_tol(msol, rhs, sigma, eps_k, cfg)
+        dy, it = _msolve_with_tol(msol, bbar / sigma - mv(W, RR), sigma,
+                                  eps_k, cfg)
         inner += it
         return st.ybar + dy
 
-    def nonsmooth(Rin, Rbin, R, Rb, ybar):
+    def nonsmooth(RRin, RR, ybar):
         nonlocal inner
         if use_ssn:
-            zbar = _proj_conj(problem.scen_cone, sigma, Rbin - st.zbar)
-            chat = ck - B.apply_adjoint(ybar) - st.v
+            zbar = _proj_conj(problem.scen_cone, sigma, RRin[n0:] - st.zbar)
+            chat = cck[:n0] - problem.B.apply_adjoint(ybar) - st.v
             y, z, it = ssn_zy(A, b, problem.cone, sigma, chat, y0=st.y,
                               tol=max(min(1e-9, eps_k), 1e-12))
             inner += it
+            zz = np.concatenate((z, zbar))
         else:
-            if A is None:
-                u = Rin - st.z
-            else:
-                y_tmp = st.y + facA.solve(b / sigma - mv(A, Rin))
-                u = mv(At, y_tmp - st.y) + Rin - st.z
-            zz = _proj_conj(problem.joint_cone, sigma,
-                            np.concatenate((u, Rbin - st.zbar)))
-            z, zbar = zz[:n0], zz[n0:]
+            u = RRin.copy()
+            if A is not None:
+                y_tmp = st.y + facA.solve(b / sigma - mv(A, RRin[:n0]))
+                u[:n0] += mv(At, y_tmp - st.y)
+            u -= st.zz
+            zz = _proj_conj(problem.joint_cone, sigma, u)
             y = (st.y if A is None else
-                 st.y + facA.solve(b / sigma - mv(A, Rin + z - st.z)))
-        new.update(y=y, z=z, zbar=zbar)
-        dAty = mv(At, y - st.y) if A is not None else 0.0
-        return R + dAty + (z - st.z), Rb + (zbar - st.zbar)
+                 st.y + facA.solve(b / sigma - mv(A, RRin[:n0] + zz[:n0]
+                                                  - st.z)))
+        new.update(y=y, zz=zz)
+        if A is not None:
+            RR = RR.copy()
+            RR[:n0] += mv(At, y - st.y)
+        return RR + (zz - st.zz)
 
-    def smooth(Rin, Rbin, R, Rb, ybar):
-        vv = -prox_conjugate(problem.joint_theta, sigma,
-                             np.concatenate((Rin - st.v, Rbin - st.vbar)))
-        v, vbar = vv[:n0], vv[n0:]
-        new.update(v=v, vbar=vbar)
-        return R + v - st.v, Rb + vbar - st.vbar
+    def smooth(RRin, RR, ybar):
+        vv = -prox_conjugate(problem.joint_theta, sigma, RRin - st.vv)
+        new["vv"] = vv
+        return RR + vv - st.vv
 
-    def ybar_sweep(step, R, Rb):
-        ybar_tmp = ybar_solve(R, Rb)
-        dyt = ybar_tmp - st.ybar
-        R, Rb = step(B.apply_adjoint(dyt) + R, Bbar.apply_adjoint(dyt) + Rb,
-                     R, Rb, ybar_tmp)
-        return ybar_solve(R, Rb)
+    def ybar_sweep(step, RR):
+        ybar_tmp = ybar_solve(RR)
+        RR = step(mv(WT, ybar_tmp - st.ybar) + RR, RR, ybar_tmp)
+        return ybar_solve(RR)
 
     if alm:
-        ybar = ybar_sweep(nonsmooth, R, Rb)
+        ybar = ybar_sweep(nonsmooth, RR)
     else:
-        R, Rb = nonsmooth(R, Rb, R, Rb, st.ybar)
-        ybar = ybar_sweep(smooth, R, Rb)
+        RR = nonsmooth(RR, RR, st.ybar)
+        ybar = ybar_sweep(smooth, RR)
 
-    st.y, st.ybar, st.z, st.zbar = new["y"], ybar, new["z"], new["zbar"]
-    st.v, st.vbar = new["v"], new["vbar"]
+    st.y, st.ybar, st.zz, st.vv = new["y"], ybar, new["zz"], new["vv"]
     # multiplier step
-    S, Sbar = dual_sums(problem, st)
-    d_res, d_res_bar = S - problem.c, Sbar - problem.cbar
-    st.x = st.x + tau * sigma * d_res
-    st.xbar = st.xbar + tau * sigma * d_res_bar
-    return inner, d_res, d_res_bar, (S, Sbar)
+    SS = joint_dual_sums(problem, st.y, st.ybar, st.zz, st.vv)
+    DD = SS - problem.cc
+    st.xx = st.xx + tau * sigma * DD
+    return inner, DD[:n0], DD[n0:], SS

@@ -11,7 +11,7 @@ import dbasolve.blocklinalg as blocklinalg
 import dbasolve.msolver as msolver
 import dbasolve.proxcone as proxcone
 from dbasolve.blocklinalg import (BlockDiagOp, CholFactor, StackedOp,
-                                  SymDense, all_finite, chol_factor, lambda_max_bound, mv, op_norm_2,
+                                  SymDense, _norm, all_finite, chol_factor, lambda_max_bound, mv, op_norm_2,
                                   pcg_solve, power_lambda_max, same_canonical,
                                   smat,
                                   sparse_from_triplets, svec, svec_dim,
@@ -546,3 +546,19 @@ class TestMv:
             got = mv(op, x)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert kernel_calls == []
+
+
+class TestNorm:
+    def test_equals_numpy_norm_bit_for_bit(self):
+        # np.linalg.norm of a 1-d float64 array is sqrt(x.dot(x)) on a
+        # contiguous copy; the helper evaluates the same on contiguous input
+        rng = np.random.default_rng(31)
+        for _ in range(20000):
+            n = int(rng.integers(0, 400))
+            v = rng.normal(size=n) * 10.0 ** rng.integers(-150, 151)
+            got = _norm(v)
+            assert type(got) is float and got == np.linalg.norm(v)
+        for v in (np.zeros(5), np.array([np.inf, 1.0]), np.array([3.0, 4.0]),
+                  np.arange(10.0)[2:7]):
+            assert _norm(v) == np.linalg.norm(v)
+        assert np.isnan(_norm(np.array([np.nan, 1.0])))

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dbasolve.blocklinalg as blocklinalg
 import dbasolve.model as model
 from dbasolve.blocklinalg import smat, svec
-from dbasolve.builders import random_sdp
+from dbasolve.builders import random_sdp, random_two_stage
 from dbasolve.errors import DbaError, DimensionMismatch, NonFiniteData
 from dbasolve.model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
                             dual_objective, kkt_residues, primal_objective,
                             validate, zero_dual, zero_primal)
+from dbasolve.pha import _bundle
 from dbasolve.proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
                                NonnegOrthant, PsdCone, Zero)
 
@@ -206,6 +209,14 @@ class TestWithCost:
             assert getattr(other, attr) is getattr(prob, attr)
         assert validate(other) == []
 
+    def test_shares_the_joint_operator(self):
+        prob = make_two_scenario_lp()
+        other = prob.with_cost(prob.c + 1.0)
+        assert other.W is prob.W and other.W_T is prob.W_T
+        assert np.array_equal(other.cc, np.concatenate((prob.c + 1.0,
+                                                        prob.cbar)))
+        assert np.array_equal(prob.cc, np.concatenate((prob.c, prob.cbar)))
+
     def test_wrong_length_rejected(self):
         prob = make_two_scenario_lp()
         with pytest.raises(DimensionMismatch):
@@ -394,3 +405,115 @@ class TestResidueDenominators:
             assert got == want
             res = kkt_residues(prob, point, dual)
             assert (res.eta_P, res.eta_D, res.eta_Pbar, res.eta_Dbar) == want
+
+
+# --- the joint operator W = [B Bbar] on x|xbar --------------------------------
+
+def _random_block(rng, m, n, sparse):
+    if sparse:
+        return sp.random(m, n, density=0.2, format="csr", random_state=rng,
+                         data_rvs=rng.standard_normal)
+    return rng.normal(size=(m, n))
+
+
+def joint_problem(rng, N, n0, shared, sparse, empty, with_a):
+    """Random blocks, dense or sparse (large sparse ones stay CSR), with
+    ``shared`` B_i and every third scenario without rows when ``empty``."""
+    B0 = _random_block(rng, 3, n0, sparse)
+    blocks = []
+    for i in range(N):
+        m = 0 if empty and i % 3 == 1 else 3
+        n = int(rng.integers(1, 6))
+        B = B0 if shared and m else _random_block(rng, m, n0, sparse)
+        blocks.append(ScenarioBlock(B, _random_block(rng, m, n, sparse),
+                                    rng.normal(size=m), rng.normal(size=n),
+                                    NonnegOrthant(n), Zero(n)))
+    A = b = None
+    if with_a:
+        A = _random_block(rng, 2, n0, sparse)
+        b = rng.normal(size=2)
+    return DBAProblem(A, b, rng.normal(size=n0), NonnegOrthant(n0), Zero(n0),
+                      blocks)
+
+
+def _assert_products_agree(prob, rng):
+    """``W xx`` and ``W* ybar`` against the separate block products, each
+    entry within 1e-13 of its sum of absolute terms (two roundings of at
+    most a few hundred terms)."""
+    x = rng.normal(size=prob.n0)
+    xbar = rng.normal(size=prob.nbar)
+    ybar = rng.normal(size=prob.mbar)
+    B, Bbar = prob.B, prob.Bbar
+    absB, absBbar = abs(B.matrix), abs(Bbar.matrix)
+    got = blocklinalg.mv(prob.W, np.concatenate((x, xbar)))
+    want = B.apply(x) + Bbar.apply(xbar)
+    scale = (blocklinalg.mv(absB, np.abs(x))
+             + blocklinalg.mv(absBbar, np.abs(xbar)))
+    assert got.shape == (prob.mbar,)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    got = blocklinalg.mv(prob.W_T, ybar)
+    want = np.concatenate((B.apply_adjoint(ybar), Bbar.apply_adjoint(ybar)))
+    scale = np.concatenate((blocklinalg.mv(absB.T, np.abs(ybar)),
+                            blocklinalg.mv(absBbar.T, np.abs(ybar))))
+    assert got.shape == (prob.n0 + prob.nbar,)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+class TestJointOperator:
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.sampled_from([1, 3, 60]), n0=st.sampled_from([0, 1, 4, 40]),
+           shared=st.booleans(), sparse=st.booleans(), empty=st.booleans(),
+           with_a=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_block_products(self, N, n0, shared, sparse, empty,
+                                    with_a, seed):
+        rng = np.random.default_rng(seed)
+        prob = joint_problem(rng, N, n0, shared, sparse, empty,
+                             with_a and n0 > 0)
+        dense = (isinstance(prob.B.matrix, np.ndarray)
+                 and isinstance(prob.Bbar.matrix, np.ndarray))
+        assert isinstance(prob.W, np.ndarray) or not dense
+        assert prob.W.shape == (prob.mbar, prob.n0 + prob.nbar)
+        _assert_products_agree(prob, rng)
+
+    @pytest.mark.parametrize("build", [
+        lambda: _bundle(random_two_stage(3, 8, 4, 8, N=12, seed=1,
+                                         quad_eps=0.1), 10.0),
+        lambda: _bundle(random_two_stage(2, 4, 2, 4, N=3, seed=2), 10.0),
+        lambda: random_two_stage(5, 20, 5, 15, N=120, seed=1),
+        lambda: random_sdp(3, 6, 3, 6, N=4, seed=1),
+        make_two_scenario_lp, _no_a_problem])
+    def test_builders_and_pha_bundle(self, build):
+        _assert_products_agree(build(), np.random.default_rng(3))
+
+    def test_storage(self):
+        # both blocks dense: one dense hstack; a CSR block: CSR kept
+        sdp = random_sdp(3, 6, 3, 6, N=4, seed=1)
+        assert isinstance(sdp.W, np.ndarray)
+        lp = random_two_stage(5, 20, 5, 15, N=120, seed=1)
+        assert sp.issparse(lp.Bbar.matrix) and type(lp.W) is sp.csr_matrix
+        assert type(lp.W_T) is sp.csr_matrix
+
+    @pytest.mark.parametrize("build", [
+        make_two_scenario_lp, make_free_qp, _no_a_problem,
+        lambda: random_sdp(2, 3, 2, 3, N=3, seed=1)])
+    def test_joint_sums_and_screen(self, build):
+        prob = build()
+        rng = np.random.default_rng(11)
+        point, dual = random_state(rng, prob)
+        zz = np.concatenate((dual.z, dual.zbar))
+        vv = np.concatenate((dual.v, dual.vbar))
+        SS = model.joint_dual_sums(prob, dual.y, dual.ybar, zz, vv)
+        S, Sbar = model.dual_sums(prob, dual)
+        assert np.allclose(SS, np.concatenate((S, Sbar)), rtol=1e-13,
+                           atol=1e-13)
+        d_res, d_res_bar = model.dual_residues(prob, dual)
+        denoms = model.residue_denominators(prob)
+        got = model.joint_linear_residues(
+            prob, np.concatenate((point.x, point.stacked())), d_res,
+            d_res_bar, denoms)
+        want = model.linear_residues(prob, point.x, point.stacked(), d_res,
+                                     d_res_bar, denoms)
+        # the dual residues are the same vectors: bit-equal norms
+        assert (got.eta_D, got.eta_Dbar) == (want.eta_D, want.eta_Dbar)
+        assert got.eta_P == want.eta_P
+        assert got.eta_Pbar == pytest.approx(want.eta_Pbar, rel=1e-12)

@@ -601,6 +601,54 @@ class TestInnerResidual:
         assert sol.last_inner_relres <= 1e-8
 
 
+class TestToleranceReaders:
+    """Only a PCG G-solve reads an M solve's tolerance, so only then does
+    the sweep compute it (it costs a norm of the right-hand side)."""
+
+    def test_reads_tol_per_build(self):
+        prob = random_structure(np.random.default_rng(5), shared=True,
+                                bbar_shared=True)
+        for strategy in ("chol", "smw", "smw-diag", "block-diag", "shared"):
+            assert build_msolver(prob, strategy).reads_tol is False
+            assert build_msolver(prob, strategy, prefer_pcg=True).reads_tol \
+                is (strategy in ("smw", "smw-diag", "shared"))
+        ufl = build_ufl_dnn(random_ufl(4, 20, seed=1))
+        assert build_msolver(ufl, "ufl").reads_tol is False
+        assert build_msolver(ufl, "ufl", prefer_pcg=True).reads_tol is True
+
+    def test_pcg_receives_the_same_tol(self, monkeypatch):
+        seen = []
+        orig = msolver.pcg_solve
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["tol"])
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(msolver, "pcg_solve", spy)
+        rng = np.random.default_rng(9)
+        prob = random_structure(rng)
+        sol = build_msolver(prob, "smw", prefer_pcg=True)
+        cfg = SolverConfig()
+        for sigma, eps_k in ((1.0, 1e-6), (0.37, 3e-9), (12.5, 1e-4),
+                             (1e-3, 1e-20)):
+            h = rng.normal(size=prob.mbar) * rng.uniform(0.1, 100.0)
+            _msolve_with_tol(sol, h, sigma, eps_k, cfg)
+            want = max(min(1e-8, eps_k / (sigma * (1.0 + np.linalg.norm(h)))),
+                       1e-14)
+            assert seen.pop() == max(want, 1e-14)
+
+    def test_factored_build_gets_no_tol(self):
+        # no tolerance computed: the solve falls back to its default
+        prob = random_structure(np.random.default_rng(6))
+        sol = build_msolver(prob, "smw")
+        seen = []
+        orig = sol._solve_impl
+        sol._solve_impl = lambda h, tol, stats=None: (
+            seen.append(tol), orig(h, tol, stats=stats))[1]
+        h = np.random.default_rng(2).normal(size=prob.mbar)
+        _msolve_with_tol(sol, h, 1.0, 1e-6, SolverConfig())
+        assert seen == [msolver._PCG_TOL]
+
+
 class TestDiagonalizingBound:
     def test_smw_diag_jbar_psd_when_power_iteration_fails(self, monkeypatch):
         # an unconverged power iteration can stop far below lambda_max

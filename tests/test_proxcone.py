@@ -112,6 +112,38 @@ class TestProx:
                               prox(DenseQuadratic(Q), ts[0], x))
 
 
+class TestDenseQuadraticCache:
+    def test_certifying_iterations_do_not_evict_the_solve_factor(
+            self, monkeypatch):
+        # the loop's prox runs at t = sigma, the KKT residues' at t = 1: each
+        # has its slot, so a solve factors I + t Q once per distinct sigma
+        # and once more for t = 1, per dense quadratic
+        import dbasolve.proxcone as proxcone
+        from dbasolve.builders import random_qp
+        from dbasolve.solvers import admm_solve
+
+        prob = random_qp(5, 40, 5, 30, 20, seed=1)
+        quads = [prob.theta] + [s.theta for s in prob.scenarios]
+        assert all(isinstance(f, DenseQuadratic) for f in quads)
+        for f in quads:
+            # the conjugate's own factor of Q, built once, is not counted
+            f.conjugate(np.zeros(f.dim), 1e-8)
+        calls = []
+        orig = proxcone.chol_factor
+        monkeypatch.setattr(proxcone, "chol_factor",
+                            lambda S: calls.append(1) or orig(S))
+        first = admm_solve(prob)
+        monkeypatch.undo()
+        assert first.converged
+        sigmas = {row[11] for row in first.log_rows}
+        assert len(calls) <= (len(sigmas) + 1) * len(quads)
+        # the cached factors give what this fresh instance computed
+        again = admm_solve(prob)
+        assert again.log_rows == first.log_rows
+        assert np.array_equal(again.primal.x, first.primal.x)
+        assert np.array_equal(again.dual.vbar, first.dual.vbar)
+
+
 class TestMoreau:
     def test_conjugate_prox_polar_projection(self):
         f = IndicatorCone(NonnegOrthant(2))

@@ -526,3 +526,49 @@ class TestCarriedSums:
         for got, want in zip(carried, fresh):
             assert got[0] == want[0]
             assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+
+
+class TestFlatState:
+    """The named blocks of the state are views of its three flat vectors
+    over x|xbar, before and after an iteration and on a warm start."""
+
+    @staticmethod
+    def assert_views(st, n0):
+        for name, flat in (("x", "xx"), ("z", "zz"), ("v", "vv")):
+            head, tail = getattr(st, name), getattr(st, name + "bar")
+            buf = getattr(st, flat)
+            assert head.base is buf and tail.base is buf
+            assert head.size == n0 and tail.size == buf.size - n0
+            assert np.array_equal(np.concatenate((head, tail)), buf)
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_sdp(2, 3, 2, 3, N=3, seed=1),
+        lambda: random_two_stage(2, 6, 2, 5, N=100, seed=1, quad_eps=0.1),
+        _no_a_problem])
+    def test_blocks_are_views(self, build):
+        from dbasolve.solvers import (_sgs_iteration, _ssn_eligible, _start,
+                                      solve_setup, zero_state)
+        prob = build()
+        cfg = SolverConfig()
+        msol, facA = solve_setup(prob, cfg)
+        st = zero_state(prob)
+        self.assert_views(st, prob.n0)
+        sums = None
+        for k in range(5):
+            _, d_res, d_res_bar, sums = _sgs_iteration(
+                prob, st, 0.5, 1.618, msol, facA, _ssn_eligible(prob, cfg),
+                eps_schedule(k), cfg, sums=sums)
+            self.assert_views(st, prob.n0)
+            assert d_res.base is d_res_bar.base
+        rep = admm_solve(prob, SolverConfig(max_iter=30))
+        warm, _ = _start(prob, cfg, rep)
+        self.assert_views(warm, prob.n0)
+        assert np.array_equal(warm.x, rep.primal.x)
+        assert np.array_equal(warm.xbar, rep.primal.stacked())
+        for name in ("y", "ybar", "z", "zbar", "v", "vbar"):
+            assert np.array_equal(getattr(warm, name), getattr(rep.dual, name))
+        # the warm start copies: stepping it leaves the report as it was
+        x_before = rep.primal.x.copy()
+        _sgs_iteration(prob, warm, 0.5, 1.618, msol, facA,
+                       _ssn_eligible(prob, cfg), 1e-6, cfg)
+        assert np.array_equal(rep.primal.x, x_before)
