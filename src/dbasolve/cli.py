@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import builders, io
+from . import builders, io, msolver
 from .errors import DbaError, NonFiniteData, ParameterError, ParseError
 from .model import kkt_residues
 from .pha import PHA_LOG_COLUMNS, PhaConfig, pha_solve
@@ -120,8 +120,7 @@ def _add_solver_flags(p):
                    help="iteration cap (default: 50000 for sgs-admm and "
                         "sgs-alm, 300 outer iterations for pha)")
     p.add_argument("--strategy", default="auto",
-                   choices=("auto", "chol", "smw", "smw-diag", "block-diag",
-                            "shared", "ufl"))
+                   choices=("auto",) + msolver.STRATEGIES)
     p.add_argument("--ssn", default="auto", choices=("auto", "on", "off"))
     p.add_argument("--log-every", type=int, default=0)
 

@@ -7,21 +7,24 @@ columns of B.  Strategies:
 * ``smw``        Sherman-Morrison-Woodbury with Jbar = 0:
                  M^{-1} h = D^{-1} h - D^{-1} B G^{-1} B* D^{-1} h with
                  D_i = Bbar_i Bbar_i* and G = I + sum_i B_i* D_i^{-1} B_i;
-* ``smw-diag``   Jbar_i = lam_max(Bbar_i Bbar_i*) I - Bbar_i Bbar_i*, making
-                 D_i diagonal and G sparser;
+* ``smw-diag``   Jbar_i = lam_i I - Bbar_i Bbar_i* with lam_i a bound on
+                 lambda_max(Bbar_i Bbar_i*), making D_i = lam_i I diagonal;
 * ``block-diag`` Jbar chosen so that M becomes block diagonal and each
                  scenario solves independently;
-* ``shared``     identical B_i; with identical Bbar_i too, G collapses to
-                 I + N B_1* D_1^{-1} B_1 and D^{-1} to one factor;
-* ``ufl``        shared blocks plus the analytic inverse of Bbar_j Bbar_j*
-                 available for facility-location relaxations.
+* ``ufl``        identical blocks B_i and Bbar_i plus the analytic inverse of
+                 Bbar_j Bbar_j* available for facility-location relaxations.
 
-Distinct blocks D_i (``smw``, ``shared`` with distinct Bbar_i, and the
-blocks E_i of ``block-diag``) are built in batches: the scenarios are grouped
-by row count, each group's blocks are read as one dense stack from the
-assembled operator and factored by one batched Cholesky, and
-D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) is assembled once into one CSR matrix,
-so applying it is one sparse mat-vec whatever the row counts.
+Every other problem, identical blocks included, gets ``chol`` or ``smw`` by
+the cost model of :func:`m_solve_cost_ns`.
+
+The blocks D_i of ``smw`` and ``smw-diag`` and E_i of ``block-diag`` are
+built in batches: the scenarios are grouped by row count and each group's
+grams Bbar_i Bbar_i* are read as one dense stack from the assembled
+operator.  ``smw`` and ``block-diag`` factor a stack by one batched
+Cholesky and assemble D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR
+matrix; ``smw-diag`` takes lam_i from one batched ``eigvalsh``.  Applying
+D^{-1} is one sparse mat-vec whatever the row counts, and both SMW forms
+make G = I + B* D^{-1} B from the assembled B.
 """
 
 from __future__ import annotations
@@ -31,43 +34,41 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .blocklinalg import (_CHOL_PIVOT_RTOL, canonicalize, chol_factor,
-                          lambda_max_bound, maybe_densify, mv, op_norm_2,
-                          pcg_solve, same_canonical, to_dense)
+                          maybe_densify, mv, op_norm_2, pcg_solve,
+                          same_canonical, to_dense)
 from .errors import NotPositiveDefinite, StrategyPrecondition
 
-STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "shared", "ufl")
+STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "ufl")
 
 _G_CHOL_DIM = 2000
 # from this many scenario rows on, auto picks smw-diag
 _SMW_DIAG_ROWS = 50000
 _EBJ_MAX_N = 64
-# auto rejects the SMW form (smw, shared) when some Bbar_i Bbar_i^T has an
-# estimated condition above this: its backward error grows as about
-# 1e-16 cond(Bbar_i Bbar_i^T), while chol's does not
+# auto rejects smw when some Bbar_i Bbar_i^T has an estimated condition
+# above this: its backward error grows as about 1e-16 cond(Bbar_i Bbar_i^T),
+# while chol's does not
 _AUTO_MAX_COND = 1e8
 # PCG tolerance of an M solve called without one
 _PCG_TOL = 1e-10
 
 
 def auto_strategy(problem):
-    """Strategy selection by problem structure and estimated solve cost.
+    """Strategy selection by estimated solve cost.
 
-    Only the build of ``shared``, or of ``smw``, finds out whether every
-    ``Bbar_i Bbar_i^T`` is positive definite and, under ``auto``, of
-    condition at most 1e8; :func:`build_msolver` then tries the next of
-    :func:`auto_candidates`."""
+    Only the build of ``smw`` finds out whether every ``Bbar_i Bbar_i^T`` is
+    positive definite and, under ``auto``, of condition at most 1e8;
+    :func:`build_msolver` then tries the next of :func:`auto_candidates`."""
     return auto_candidates(problem)[0]
 
 
 def auto_candidates(problem):
-    """The strategies ``auto`` builds, in order, until one builds: a
-    structure-specific one, then :func:`row_count_strategy`, then ``chol``
-    when that was ``smw``."""
+    """The strategies ``auto`` builds, in order, until one builds: ``ufl``
+    for a facility-location relaxation, otherwise :func:`row_count_strategy`
+    and then ``chol`` when that was ``smw``."""
     if problem.meta.get("ufl_p") is not None:
         return ["ufl"]
     general = row_count_strategy(problem)
-    first = ["shared"] if _blocks_shared(problem) else []
-    return first + [general] + (["chol"] if general == "smw" else [])
+    return [general] + (["chol"] if general == "smw" else [])
 
 
 # Estimated time of one M solve in ns, from block shapes.  Timeit minima on
@@ -99,10 +100,6 @@ def row_count_strategy(problem):
         return "smw-diag"
     chol, smw = m_solve_cost_ns(problem)
     return "chol" if chol <= smw else "smw"
-
-
-def _blocks_shared(problem):
-    return problem.B.shared
 
 
 def _bbar_shared(problem):
@@ -214,45 +211,40 @@ class MSolver:
         return y
 
 
-def build_msolver(problem, strategy="auto", jbar=None, prefer_pcg=False):
+def build_msolver(problem, strategy="auto", jbar=None):
     """Precompute a structured solver for this problem's M system.
 
     ``jbar`` overrides the strategy default: ``None`` keeps it, an explicit
     matrix is added to M (``chol`` only), and for ``block-diag`` the strings
     ``"ebj"`` / ``"std"`` pick the coupling-norm or conservative variant.
     ``"auto"`` builds the first of :func:`auto_candidates` whose
-    precondition holds, where the SMW form (``smw``, ``shared``) also needs
-    every ``Bbar_i Bbar_i^T`` of estimated condition at most 1e8; an
-    explicit strategy raises :class:`StrategyPrecondition` when its own
-    precondition does not hold.
+    precondition holds, where ``smw`` also needs every ``Bbar_i Bbar_i^T``
+    of estimated condition at most 1e8; an explicit strategy raises
+    :class:`StrategyPrecondition` when its own precondition does not hold.
     """
     auto = strategy == "auto"
     max_cond = _AUTO_MAX_COND if auto else np.inf
     *tries, last = auto_candidates(problem) if auto else [strategy]
     for candidate in tries:
         try:
-            return _build(problem, candidate, jbar, prefer_pcg, max_cond)
+            return _build(problem, candidate, jbar, max_cond)
         except StrategyPrecondition:
             pass
-    return _build(problem, last, jbar, prefer_pcg, max_cond)
+    return _build(problem, last, jbar, max_cond)
 
 
-def _build(problem, strategy, jbar, prefer_pcg, max_cond):
+def _build(problem, strategy, jbar, max_cond):
     if strategy not in STRATEGIES:
         raise StrategyPrecondition("unknown strategy %r" % (strategy,))
     if strategy == "chol":
         return _build_chol(problem, jbar)
     if strategy == "smw":
-        return _build_smw(problem, prefer_pcg, diagonal=False,
-                          max_cond=max_cond)
+        return _build_smw(problem, diagonal=False, max_cond=max_cond)
     if strategy == "smw-diag":
-        return _build_smw(problem, prefer_pcg, diagonal=True)
+        return _build_smw(problem, diagonal=True)
     if strategy == "block-diag":
         return _build_block_diag(problem, jbar)
-    if strategy == "shared":
-        return _build_shared(problem, prefer_pcg, analytic_ufl=False,
-                             max_cond=max_cond)
-    return _build_shared(problem, prefer_pcg, analytic_ufl=True)
+    return _build_ufl(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -273,40 +265,26 @@ def _build_chol(problem, jbar):
                    lambda h, tol, stats=None: fac.solve(h))
 
 
-def _build_smw(problem, prefer_pcg, diagonal, max_cond=np.inf):
-    n0 = problem.n0
+def _build_smw(problem, diagonal, max_cond=np.inf):
     if diagonal:
-        lams = []
-        for s in problem.scenarios:
-            if s.m == 0:
-                # no rows: nothing to shift, and no row divides by lam
-                lams.append(1.0)
-                continue
-            bb = canonicalize(sp.csr_matrix(s.Bbar))
-            lam = lambda_max_bound(bb @ bb.T)
-            if lam <= 0:
-                raise StrategyPrecondition(
-                    "smw-diag needs Bbar_i Bbar_i^T with positive spectrum")
-            lams.append(lam)
-        # D_i = lam_i I: D^{-1} divides every row of ybar by its block's lam
-        lam_rows = np.repeat(lams, problem.m_i)
-        dinv_apply = lambda h: h / lam_rows
-        G = sp.identity(n0, format="csr")
-        for lam, s in zip(lams, problem.scenarios):
-            Bi = sp.csr_matrix(s.B)
-            G = G + (Bi.T @ Bi) / lam
+        groups = _size_groups(problem)
+        # D_i = lam_i I: D^{-1} scales every row of ybar by its block's 1/lam
+        lam_rows = np.repeat(_diag_shifts(problem, groups,
+                                         _bbar_grams(problem, groups)),
+                             problem.m_i)
+        dinv = sp.diags(1.0 / lam_rows, format="csr")
         Bbar_op = problem.Bbar
 
         def apply_jbar(w):
             return lam_rows * w - Bbar_op.apply(Bbar_op.apply_adjoint(w))
     else:
-        dinv_apply, G = _distinct_smw_parts(problem, "smw requires", max_cond)
+        dinv = _inverse_csr(problem, *_bbar_gram_factors(
+            problem, "smw requires", max_cond))
         apply_jbar = None
-
-    g_solve, reads_tol = _make_g_solver(
-        maybe_densify(G if isinstance(G, np.ndarray) else G.tocsr()),
-        prefer_pcg)
-    impl = _make_smw_solve(problem, dinv_apply, g_solve)
+    Bm = problem.B.matrix
+    G = np.eye(problem.n0) + to_dense(Bm.T @ (dinv @ Bm))
+    g_solve, reads_tol = _make_g_solver(G)
+    impl = _make_smw_solve(problem, lambda h: mv(dinv, h), g_solve)
     return MSolver(problem, "smw-diag" if diagonal else "smw", apply_jbar,
                    impl, reads_tol)
 
@@ -411,6 +389,34 @@ def _bbar_gram_factors(problem, requirement, max_cond=np.inf):
                                   requirement + " Bbar_{i} Bbar_{i}^T")
 
 
+def _diag_shifts(problem, groups, grams):
+    """Per scenario, lam_i >= lambda_max(Bbar_i Bbar_i^T), from the
+    per-group stacks ``grams`` of computed grams by one batched ``eigvalsh``
+    per group.  The computed gram of an (m, n) block is within
+    n eps tr(Bbar_i Bbar_i^T) of the exact one in the 2-norm, and the top
+    computed eigenvalue within a small multiple of m eps of the computed
+    gram's norm; the trace bounds both norms, so the top eigenvalue is
+    raised by 2 (n + m^2) eps tr(gram).  A scenario with no rows gets 1:
+    nothing to shift, and no row divides by it.  A zero gram raises
+    :class:`StrategyPrecondition`."""
+    lams = np.ones(problem.N)
+    widths = np.diff(problem.x_offsets)
+    eps = np.finfo(float).eps
+    for gram, idx in zip(grams, groups):
+        m = gram.shape[1]
+        if m == 0:
+            continue
+        trace = np.trace(gram, axis1=1, axis2=2)
+        lams[idx] = (np.linalg.eigvalsh(gram)[:, -1]
+                     + 2.0 * (widths[idx] + m * m) * eps * trace)
+    bad = np.flatnonzero(lams <= 0)
+    if bad.size:
+        raise StrategyPrecondition(
+            "smw-diag needs Bbar_%d Bbar_%d^T with positive spectrum"
+            % (bad[0], bad[0]))
+    return lams
+
+
 def _factor_blocks(grams, groups, max_cond, what):
     """Per group, the lower Cholesky factors of its (n_g, m, m) stack of
     symmetric matrices, by one batched factorization.  A block that fails
@@ -484,17 +490,6 @@ def _block_diag_csr(problem, groups, blocks):
                          shape=(problem.mbar, problem.mbar))
 
 
-def _distinct_smw_parts(problem, requirement, max_cond):
-    """``(dinv_apply, G)`` of the SMW form with distinct Bbar_i: D^{-1} =
-    blockdiag((Bbar_i Bbar_i^T)^{-1}) applied as one CSR mat-vec, and
-    G = I + B* D^{-1} B."""
-    dinv = _inverse_csr(problem, *_bbar_gram_factors(problem, requirement,
-                                                     max_cond))
-    Bm = problem.B.matrix
-    G = np.eye(problem.n0) + to_dense(Bm.T @ (dinv @ Bm))
-    return (lambda h: mv(dinv, h)), G
-
-
 def _gram_factor(gram, max_cond, what):
     """Cholesky factor of ``gram``; :class:`StrategyPrecondition`, naming
     ``what``, when it is not positive definite or its 1-norm condition
@@ -518,44 +513,21 @@ def _condition_error(what, max_cond, rcond):
         % (what, max_cond, 1.0 / max(rcond, 1e-300)))
 
 
-def _build_shared(problem, prefer_pcg, analytic_ufl, max_cond=np.inf):
-    if not _blocks_shared(problem):
+def _build_ufl(problem):
+    p = problem.meta.get("ufl_p")
+    if p is None or not problem.B.shared or not _bbar_shared(problem):
         raise StrategyPrecondition(
-            "shared strategy requires bit-identical coupling blocks B_i")
-    bbar_shared = _bbar_shared(problem)
-    n0 = problem.n0
-    B1 = problem.scenarios[0].B
-    B1d = to_dense(B1)
-    N = problem.N
-
-    if analytic_ufl:
-        p = problem.meta.get("ufl_p")
-        if p is None or not bbar_shared:
-            raise StrategyPrecondition(
-                "ufl strategy requires a facility-location problem with "
-                "shared recourse blocks")
-        dinv_apply = _per_block(problem,
-                                lambda H: ufl_bbar_gram_inv_apply(H, p))
-        # rows of the result are D_1^{-1} e_j; transposed they are its columns
-        dinv1_matrix = np.ascontiguousarray(
-            ufl_bbar_gram_inv_apply(np.eye(problem.scenarios[0].m), p).T)
-        G = np.eye(n0) + N * (B1d.T @ (dinv1_matrix @ B1d))
-    else:
-        if bbar_shared:
-            bb = canonicalize(sp.csr_matrix(problem.scenarios[0].Bbar))
-            fac = _gram_factor(to_dense(bb @ bb.T), max_cond,
-                               "shared strategy needs Bbar_1 Bbar_1^T")
-            # one multi-right-hand-side solve: the columns of H^T are the blocks
-            dinv_apply = _per_block(problem, lambda H: fac.solve(H.T).T)
-            G = np.eye(n0) + N * (B1d.T @ fac.solve(B1d))
-        else:
-            dinv_apply, G = _distinct_smw_parts(
-                problem, "shared strategy needs", max_cond)
-
-    g_solve, reads_tol = _make_g_solver(G, prefer_pcg)
+            "ufl strategy requires a facility-location problem with "
+            "bit-identical blocks B_i and Bbar_i")
+    B1d = to_dense(problem.scenarios[0].B)
+    dinv_apply = _per_block(problem, lambda H: ufl_bbar_gram_inv_apply(H, p))
+    # rows of the result are D_1^{-1} e_j; transposed they are its columns
+    dinv1_matrix = np.ascontiguousarray(
+        ufl_bbar_gram_inv_apply(np.eye(problem.scenarios[0].m), p).T)
+    G = np.eye(problem.n0) + problem.N * (B1d.T @ (dinv1_matrix @ B1d))
+    g_solve, reads_tol = _make_g_solver(G)
     impl = _make_smw_solve(problem, dinv_apply, g_solve)
-    return MSolver(problem, "ufl" if analytic_ufl else "shared", None, impl,
-                   reads_tol)
+    return MSolver(problem, "ufl", None, impl, reads_tol)
 
 
 def ufl_bbar_gram_inv_apply(h, p):
@@ -578,15 +550,16 @@ def _per_block(problem, kernel):
     return lambda h: kernel(h.reshape(shape)).reshape(-1)
 
 
-def _make_g_solver(G, prefer_pcg):
-    """``(solve, reads_tol)``: factor G when small and dense-friendly;
-    otherwise PCG with a Jacobi preconditioner, the one solve that reads
-    the tolerance threaded to it."""
+def _make_g_solver(G):
+    """``(solve, reads_tol)`` for the dense n0 x n0 matrix G: its Cholesky
+    factor up to order ``_G_CHOL_DIM``, otherwise PCG with a Jacobi
+    preconditioner, the one solve that reads the tolerance threaded to
+    it."""
     n = G.shape[0]
-    if not prefer_pcg and n <= _G_CHOL_DIM:
-        fac = chol_factor(to_dense(G) if sp.issparse(G) else G)
+    if n <= _G_CHOL_DIM:
+        fac = chol_factor(G)
         return (lambda g, tol: (fac.solve(g), 0, 0.0)), False
-    diag = np.asarray(G.diagonal()).ravel() if sp.issparse(G) else np.diag(G).copy()
+    diag = np.diag(G).copy()
     diag = np.where(diag > 0, diag, 1.0)
     gop = (lambda x: mv(G, x))
 

@@ -162,7 +162,7 @@ class TestCholSolveContract:
             assert np.array_equal(h, before), label
 
     def test_shared_multi_rhs_shape(self):
-        # the shared M strategy maps the rows of an (n_g, m) stack at once
+        # a factor maps the rows of an (n_g, m) stack at once
         rng = np.random.default_rng(5)
         fac = chol_factor(random_spd(rng, 6))
         H = rng.normal(size=(9, 6))

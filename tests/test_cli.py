@@ -82,6 +82,14 @@ class TestCmdSolve:
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "step length" in err
 
+    def test_unknown_strategy_exit_two(self, lp_file, tmp_path, capsys):
+        # the choices are auto plus msolver.STRATEGIES, which has no shared
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", lp_file, "--strategy", "shared",
+                  "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'shared'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("solver", ["sgs-admm", "sgs-alm"])
     @pytest.mark.parametrize("flag", [("--sigma", "0"), ("--sigma", "-1"),
                                       ("--sigma", "nan"), ("--sigma", "inf"),

@@ -123,7 +123,7 @@ def test_stall_reads_the_linear_residues():
                       Zero(1))])
     report = admm_solve(problem, SolverConfig(max_iter=20000))
     assert report.status == "Stalled"
-    assert report.iterations == 2171
+    assert report.iterations == 2071
     # the last new low came _STALL_WINDOW rows before the end, and no row
     # since improved on it by a _STALL_REL fraction
     lin = [max(row[i] for i in LINEAR) for row in report.log_rows]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,8 +8,7 @@ from hypothesis import strategies as st
 
 import dbasolve.blocklinalg as blocklinalg
 import dbasolve.msolver as msolver
-from dbasolve.blocklinalg import (CholFactor, chol_factor, lambda_max_bound,
-                                  mv, to_dense)
+from dbasolve.blocklinalg import CholFactor, chol_factor, mv, to_dense
 from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
                                random_ufl)
 from dbasolve.errors import StrategyPrecondition
@@ -46,12 +47,12 @@ class TestTrivial:
         prob = DBAProblem(None, None, np.zeros(3), NonnegOrthant(3), Zero(3),
                           blocks)
         h = np.array([1.0, -2.0])
-        for strategy in ("chol", "smw", "smw-diag", "block-diag", "shared"):
+        for strategy in ("chol", "smw", "smw-diag", "block-diag"):
             sol = build_msolver(prob, strategy)
             y = sol.solve(h, check_residual=True)
             # strategies add their own proximal term; identity holds for the
             # ones with no term
-            if strategy in ("chol", "smw", "shared"):
+            if strategy in ("chol", "smw"):
                 assert np.allclose(y, h, atol=1e-12)
             assert sol.last_relres <= 1e-9
 
@@ -106,10 +107,12 @@ class TestSmwAgainstDense:
             Md[sl, sl] += lam * np.eye(s.m) - gram
         assert np.linalg.norm(Md @ y - h) <= 1e-7 * (1 + np.linalg.norm(h))
 
-    def test_pcg_path(self):
+    def test_pcg_path(self, monkeypatch):
+        # G of any order above _G_CHOL_DIM is solved by PCG
+        monkeypatch.setattr(msolver, "_G_CHOL_DIM", 0)
         rng = np.random.default_rng(4)
         prob = random_structure(rng)
-        sol = build_msolver(prob, "smw", prefer_pcg=True)
+        sol = build_msolver(prob, "smw")
         h = rng.normal(size=prob.mbar)
         y = sol.solve(h, tol=1e-12, check_residual=True)
         assert sol.last_relres <= 1e-9
@@ -196,11 +199,27 @@ class TestBlockDiagJ:
         assert np.linalg.norm(MJ @ sol.solve(h) - h) <= 1e-14 * np.linalg.norm(h)
 
 
+def identical_blocks(prob, bbar=False):
+    """``prob`` with every B_i replaced by B_1 and, when ``bbar``, every
+    Bbar_i (with its costs and cones) by Bbar_1: blocks of one shape."""
+    s0 = prob.scenarios[0]
+    blocks = []
+    for s in prob.scenarios:
+        r = s0 if bbar else s
+        blocks.append(ScenarioBlock(s0.B, r.Bbar, s.bbar, r.cbar, r.cone,
+                                    r.theta))
+    return DBAProblem(prob.A, prob.b, prob.c, prob.cone, prob.theta, blocks)
+
+
 class TestShared:
-    def test_shared_requires_identical_blocks(self):
-        rng = np.random.default_rng(10)
-        prob = random_structure(rng, shared=False)
-        with pytest.raises(StrategyPrecondition):
+    """Identical (shared) blocks B_i have no strategy of their own: they go
+    through the cost model, to chol or smw, like every other problem."""
+
+    def test_shared_is_not_a_strategy(self):
+        prob = random_structure(np.random.default_rng(10), shared=True,
+                                bbar_shared=True)
+        assert prob.B.shared and "shared" not in msolver.STRATEGIES
+        with pytest.raises(StrategyPrecondition, match="unknown strategy"):
             build_msolver(prob, "shared")
 
     def test_auto_falls_back_when_a_gram_is_singular(self):
@@ -211,24 +230,55 @@ class TestShared:
                           Zero(1)),
             ScenarioBlock([[1.0]], np.zeros((1, 0)), [1.0], np.zeros(0),
                           NonnegOrthant(0), Zero(0))])
-        assert auto_strategy(prob) == "shared"
-        with pytest.raises(StrategyPrecondition):
-            build_msolver(prob, "shared")
+        assert prob.B.shared and msolver.auto_candidates(prob) == ["chol"]
+        with pytest.raises(StrategyPrecondition,
+                           match=r"Bbar_1 Bbar_1\^T positive definite"):
+            build_msolver(prob, "smw")
         sol = build_msolver(prob)
-        assert sol.strategy == msolver.row_count_strategy(prob) == "chol"
+        assert sol.strategy == "chol"
         h = np.array([1.0, -2.0])
         assert np.allclose(assemble_m_dense(prob) @ sol.solve(h), h)
         report = admm_solve(prob)
         assert report.converged
         assert report.extra["strategy"] == "chol"
+        # where the cost model picks smw, auto moves on to chol: identical
+        # B_i, and Bbar_0 without columns
+        big = identical_blocks(random_two_stage(5, 20, 5, 15, N=120, seed=1,
+                                                quad_eps=0.1))
+        blocks = list(big.scenarios)
+        s = blocks[0]
+        blocks[0] = ScenarioBlock(s.B, np.zeros((s.m, 0)), s.bbar, np.zeros(0),
+                                  NonnegOrthant(0), Zero(0))
+        prob = DBAProblem(big.A, big.b, big.c, big.cone, big.theta, blocks)
+        assert prob.B.shared
+        assert msolver.auto_candidates(prob) == ["smw", "chol"]
+        with pytest.raises(StrategyPrecondition,
+                           match=r"Bbar_0 Bbar_0\^T positive definite"):
+            build_msolver(prob, "smw")
+        sol = build_msolver(prob)
+        assert sol.strategy == "chol"
+        h = np.random.default_rng(19).normal(size=prob.mbar)
+        y = sol.solve(h)
+        assert np.linalg.norm(assemble_m_dense(prob) @ y - h) <= \
+            1e-12 * np.linalg.norm(h)
 
     def test_shared_matches_dense(self):
+        # smw and auto on identical B_i, with distinct and identical Bbar_i
         rng = np.random.default_rng(11)
-        prob = random_structure(rng, N=4, shared=True)
-        sol = build_msolver(prob, "shared")
-        Md = assemble_m_dense(prob)
-        h = rng.normal(size=prob.mbar)
-        assert np.allclose(sol.solve(h), np.linalg.solve(Md, h), atol=1e-8)
+        big = random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1)
+        for bbar_shared in (False, True):
+            small = random_structure(rng, N=4, shared=True,
+                                     bbar_shared=bbar_shared)
+            for prob, auto in ((small, "chol"),
+                               (identical_blocks(big, bbar_shared), "smw")):
+                Md = assemble_m_dense(prob)
+                h = rng.normal(size=prob.mbar)
+                want = np.linalg.solve(Md, h)
+                for strategy in ("smw", "auto"):
+                    sol = build_msolver(prob, strategy)
+                    assert sol.strategy == ("smw" if strategy == "smw"
+                                            else auto)
+                    assert np.allclose(sol.solve(h), want, atol=1e-8)
 
 
 class TestUflAnalytic:
@@ -262,14 +312,21 @@ class TestAutoSelection:
         prob = random_structure(rng)
         assert auto_strategy(prob) == "chol"
 
-    def test_shared_detected(self):
+    def test_identical_blocks_use_the_cost_model(self):
         rng = np.random.default_rng(14)
-        prob = random_structure(rng, shared=True)
-        assert auto_strategy(prob) == "shared"
+        for bbar in (False, True):
+            prob = random_structure(rng, shared=True, bbar_shared=bbar)
+            assert prob.B.shared and auto_strategy(prob) == "chol"
+            big = identical_blocks(random_two_stage(5, 20, 5, 15, N=120,
+                                                    seed=1, quad_eps=0.1), bbar)
+            assert big.B.shared
+            assert msolver.auto_candidates(big) == ["smw", "chol"]
 
     def test_reference_instances(self):
-        # by the per-solve cost estimate: a 12x12 and a 48x48 M factor beat
-        # the SMW kernels' fixed cost; 120 blocks of 5 rows beat a 600x600 M
+        # by the per-solve cost estimate: a 4x4, a 12x12 and a 48x48 M factor
+        # beat the SMW kernels' fixed cost; 120 blocks of 5 rows beat a
+        # 600x600 M
+        assert auto_strategy(random_two_stage(3, 8, 4, 8, N=1, seed=1)) == "chol"
         assert auto_strategy(random_sdp(3, 6, 3, 6, N=4, seed=1)) == "chol"
         assert auto_strategy(random_two_stage(3, 8, 4, 8, N=12, seed=1,
                                               quad_eps=0.1)) == "chol"
@@ -298,33 +355,34 @@ class TestAutoSelection:
 
     @pytest.mark.parametrize("kind", ["smw", "shared", "shared-bbar"])
     def test_ill_conditioned_gram_moves_auto_to_chol(self, kind):
-        # one Bbar_i Bbar_i^T of condition 1e10 (every one, when Bbar_i is
-        # shared): auto leaves the SMW form for chol, an explicit strategy
-        # still builds
-        if kind == "smw":
-            prob = random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1)
-            blocks = list(prob.scenarios)
-            s = blocks[7]
-            rng = np.random.default_rng(20)
-            U, _ = np.linalg.qr(rng.normal(size=(s.m, s.m)))
-            V, _ = np.linalg.qr(rng.normal(size=(s.n, s.m)))
-            Bbar = (U * np.logspace(0, -5, s.m)) @ V.T
-            blocks[7] = ScenarioBlock(s.B, Bbar, s.bbar, s.cbar, s.cone,
-                                      s.theta)
-            prob = DBAProblem(prob.A, prob.b, prob.c, prob.cone, prob.theta,
-                              blocks)
-        else:
-            prob = oracle_structure([4] * 5, 3, True, kind == "shared-bbar",
-                                    seed=21, ill=True)
-        first = "smw" if kind == "smw" else "shared"
-        assert msolver.auto_candidates(prob) == [first, "chol"]
-        assert build_msolver(prob, first).strategy == first
-        if kind == "smw":
-            # under auto's bound the batched build names block 7
-            with pytest.raises(StrategyPrecondition,
-                               match=r"Bbar_7 Bbar_7\^T of condition at most"):
-                msolver._bbar_gram_factors(prob, "smw requires",
-                                           msolver._AUTO_MAX_COND)
+        # one Bbar_i Bbar_i^T of condition 1e10, on distinct blocks, on
+        # identical (shared) B_i, and on identical B_i and Bbar_i, where
+        # every gram is that one: auto leaves smw for chol, an explicit
+        # strategy still builds
+        prob = random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1)
+        if kind != "smw":
+            prob = identical_blocks(prob)
+        ill = 0 if kind == "shared-bbar" else 7
+        blocks = list(prob.scenarios)
+        s = blocks[ill]
+        rng = np.random.default_rng(20)
+        U, _ = np.linalg.qr(rng.normal(size=(s.m, s.m)))
+        V, _ = np.linalg.qr(rng.normal(size=(s.n, s.m)))
+        blocks[ill] = ScenarioBlock(s.B, (U * np.logspace(0, -5, s.m)) @ V.T,
+                                    s.bbar, s.cbar, s.cone, s.theta)
+        prob = DBAProblem(prob.A, prob.b, prob.c, prob.cone, prob.theta,
+                          blocks)
+        if kind == "shared-bbar":
+            prob = identical_blocks(prob, bbar=True)
+        assert prob.B.shared is (kind != "smw")
+        assert msolver.auto_candidates(prob) == ["smw", "chol"]
+        assert build_msolver(prob, "smw").strategy == "smw"
+        # under auto's bound the batched build names the first ill block
+        with pytest.raises(StrategyPrecondition,
+                           match=r"Bbar_%d Bbar_%d\^T of condition at most"
+                           % (ill, ill)):
+            msolver._bbar_gram_factors(prob, "smw requires",
+                                       msolver._AUTO_MAX_COND)
         sol = build_msolver(prob)
         assert sol.strategy == "chol"
         h = np.random.default_rng(22).normal(size=prob.mbar)
@@ -383,12 +441,22 @@ def _csr_gram(mat):
     return bb @ bb.T
 
 
+def diag_shift(bbar):
+    """smw-diag's lam_i for one block: the top eigenvalue of its gram raised
+    by 2 (n + m^2) eps tr(gram); 1 for a block without rows."""
+    m, n = bbar.shape
+    if m == 0:
+        return 1.0
+    gram = to_dense(_csr_gram(bbar))
+    return (np.linalg.eigvalsh(gram)[-1]
+            + 2.0 * (n + m * m) * np.finfo(float).eps * np.trace(gram))
+
+
 def reference_msolver(problem, strategy, variant=None):
     """(solve, apply_jbar) of ``strategy`` built block by block, each
     scenario solved on its own."""
     scen = problem.scenarios
     N, n0 = problem.N, problem.n0
-    B1d = to_dense(scen[0].B)
     apply_jbar = None
     if strategy == "block-diag":
         nus = pairwise_coupling_norms(problem) if variant == "ebj" else None
@@ -415,13 +483,13 @@ def reference_msolver(problem, strategy, variant=None):
 
     if strategy == "smw-diag":
         grams = [_csr_gram(s.Bbar) for s in scen]
-        lams = [lambda_max_bound(g) for g in grams]
-        fns = [(lambda lam: (lambda h: h / lam))(lam) for lam in lams]
-        G = sp.identity(n0, format="csr")
-        for lam, s in zip(lams, scen):
-            Bi = sp.csr_matrix(s.B)
-            G = G + (Bi.T @ Bi) / lam
-        G = to_dense(G)
+        lams = [diag_shift(s.Bbar) for s in scen]
+        # D_i^{-1} = (1 / lam_i) I, a product with the reciprocal
+        fns = [(lambda inv: (lambda h: h * inv))(1.0 / lam) for lam in lams]
+        # G = I + B* D^{-1} B from the assembled B, as the build sums it
+        dinv = sp.diags(1.0 / np.repeat(lams, problem.m_i))
+        Bm = problem.B.matrix
+        G = np.eye(n0) + to_dense(Bm.T @ (dinv @ Bm))
 
         def apply_jbar(w):
             out = np.empty_like(w)
@@ -433,21 +501,15 @@ def reference_msolver(problem, strategy, variant=None):
         p = problem.meta["ufl_p"]
         fns = [lambda h: ufl_bbar_gram_inv_apply(h, p)] * N
         dinv1 = np.column_stack([fns[0](e) for e in np.eye(scen[0].m)])
+        B1d = to_dense(scen[0].B)
         G = np.eye(n0) + N * (B1d.T @ (dinv1 @ B1d))
     else:
         facs = [chol_factor(to_dense(_csr_gram(s.Bbar))) for s in scen]
         fns = [f.solve for f in facs]
-        if strategy == "smw":
-            G = np.eye(n0)
-            for f, s in zip(facs, scen):
-                Bd = to_dense(s.B)
-                G += Bd.T @ f.solve(Bd)
-        elif msolver._bbar_shared(problem):
-            fns = [facs[0].solve] * N
-            G = np.eye(n0) + N * (B1d.T @ facs[0].solve(B1d))
-        else:
-            Wsum = sum(f.solve(np.eye(scen[0].m)) for f in facs)
-            G = np.eye(n0) + B1d.T @ (Wsum @ B1d)
+        G = np.eye(n0)
+        for f, s in zip(facs, scen):
+            Bd = to_dense(s.B)
+            G += Bd.T @ f.solve(Bd)
     dinv = _blockwise(problem, fns)
     gfac = chol_factor(G)
 
@@ -460,8 +522,8 @@ def reference_msolver(problem, strategy, variant=None):
 
 ORACLE_CASES = [
     ("smw", {}), ("smw-diag", {}), ("block-diag", {}),
-    ("shared", {"shared": True}),
-    ("shared", {"shared": True, "bbar_shared": True}),
+    ("smw", {"shared": True}),
+    ("smw", {"shared": True, "bbar_shared": True}),
 ]
 
 
@@ -476,8 +538,7 @@ class TestStackedKernels:
         variants = ("ebj", "std") if strategy == "block-diag" else (None,)
         # distinct per-scenario factors are applied as matmuls with L_i^{-1},
         # which is not LAPACK's triangular solve bit for bit
-        inverse_factors = strategy in ("smw", "block-diag") or (
-            strategy == "shared" and not msolver._bbar_shared(prob))
+        inverse_factors = strategy in ("smw", "block-diag")
         for variant in variants:
             sol = build_msolver(prob, strategy, jbar=variant)
             ref_solve, ref_jbar = reference_msolver(prob, strategy, variant)
@@ -588,8 +649,9 @@ class TestInnerResidual:
         orig = msolver.pcg_solve
         monkeypatch.setattr(msolver, "pcg_solve",
                             lambda *a, **kw: orig(*a, **dict(kw, maxit=1)))
+        monkeypatch.setattr(msolver, "_G_CHOL_DIM", 0)
         prob = random_structure(np.random.default_rng(4))
-        sol = build_msolver(prob, "smw", prefer_pcg=True)
+        sol = build_msolver(prob, "smw")
         h = np.random.default_rng(23).normal(size=prob.mbar)
         cfg = SolverConfig(check_inner=True)
         sol.solve(h, tol=1e-12)
@@ -605,16 +667,19 @@ class TestToleranceReaders:
     """Only a PCG G-solve reads an M solve's tolerance, so only then does
     the sweep compute it (it costs a norm of the right-hand side)."""
 
-    def test_reads_tol_per_build(self):
+    def test_reads_tol_per_build(self, monkeypatch):
         prob = random_structure(np.random.default_rng(5), shared=True,
                                 bbar_shared=True)
-        for strategy in ("chol", "smw", "smw-diag", "block-diag", "shared"):
-            assert build_msolver(prob, strategy).reads_tol is False
-            assert build_msolver(prob, strategy, prefer_pcg=True).reads_tol \
-                is (strategy in ("smw", "smw-diag", "shared"))
         ufl = build_ufl_dnn(random_ufl(4, 20, seed=1))
-        assert build_msolver(ufl, "ufl").reads_tol is False
-        assert build_msolver(ufl, "ufl", prefer_pcg=True).reads_tol is True
+        cases = [(prob, s) for s in ("chol", "smw", "smw-diag", "block-diag")]
+        cases.append((ufl, "ufl"))
+        for p, strategy in cases:
+            assert build_msolver(p, strategy).reads_tol is False
+        # a G of any order above _G_CHOL_DIM is solved by PCG
+        monkeypatch.setattr(msolver, "_G_CHOL_DIM", 0)
+        for p, strategy in cases:
+            assert build_msolver(p, strategy).reads_tol \
+                is (strategy in ("smw", "smw-diag", "ufl"))
 
     def test_pcg_receives_the_same_tol(self, monkeypatch):
         seen = []
@@ -624,9 +689,10 @@ class TestToleranceReaders:
             seen.append(kwargs["tol"])
             return orig(*args, **kwargs)
         monkeypatch.setattr(msolver, "pcg_solve", spy)
+        monkeypatch.setattr(msolver, "_G_CHOL_DIM", 0)
         rng = np.random.default_rng(9)
         prob = random_structure(rng)
-        sol = build_msolver(prob, "smw", prefer_pcg=True)
+        sol = build_msolver(prob, "smw")
         cfg = SolverConfig()
         for sigma, eps_k in ((1.0, 1e-6), (0.37, 3e-9), (12.5, 1e-4),
                              (1e-3, 1e-20)):
@@ -651,7 +717,8 @@ class TestToleranceReaders:
 
 class TestDiagonalizingBound:
     def test_smw_diag_jbar_psd_when_power_iteration_fails(self, monkeypatch):
-        # an unconverged power iteration can stop far below lambda_max
+        # an unconverged power iteration can stop far below lambda_max; the
+        # shifts come from eigvalsh, so a stalled one cannot lower them
         stalled = lambda op, dim, tol=1e-8, maxit=500: (1e-3, False)
         monkeypatch.setattr(blocklinalg, "power_lambda_max", stalled)
         prob = random_structure(np.random.default_rng(17), n0=7)
@@ -711,12 +778,27 @@ def structures(draw):
             draw(st.integers(0, 2**32 - 1)))
 
 
+def exactly_positive_definite(A):
+    """Whether the symmetric matrix ``A`` of Fractions is positive definite:
+    Gaussian elimination without pivoting, whose pivots are the ratios of
+    its leading principal minors, meets only positive ones."""
+    A = [row[:] for row in A]
+    for k in range(len(A)):
+        if A[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(A)):
+            f = A[i][k] / A[k][k]
+            for j in range(k, len(A)):
+                A[i][j] -= f * A[k][j]
+    return True
+
+
 def own_m(sol, mbar):
     """Dense matrix of ``sol.apply_m``: M plus the strategy's own Jbar."""
     return np.array([sol.apply_m(e) for e in np.eye(mbar)]).T.reshape(mbar, mbar)
 
 
-NO_JBAR = ("chol", "smw", "shared", "ufl")
+NO_JBAR = ("chol", "smw", "ufl")
 
 
 class TestOracle:
@@ -740,6 +822,23 @@ class TestOracle:
                     initial=0.0)))
             y = sol.solve(h)
             assert np.linalg.norm(MJ @ y - h) <= 1e-10 * np.linalg.norm(h)
+
+    @settings(max_examples=120, deadline=None)
+    @given(structures(), st.booleans())
+    @example(([0, 2, 0], 1, False, False, 3), False)
+    def test_smw_diag_shift_bounds_the_spectrum(self, structure, ill):
+        # lam_i I - Bbar_i Bbar_i^T is positive definite in exact rational
+        # arithmetic on the stored entries of Bbar_i (empty for no rows)
+        prob = oracle_structure(*structure, ill=ill)
+        groups = msolver._size_groups(prob)
+        lams = msolver._diag_shifts(prob, groups,
+                                    msolver._bbar_grams(prob, groups))
+        for lam, s in zip(lams, prob.scenarios):
+            bb = [[Fraction(v) for v in row] for row in to_dense(s.Bbar)]
+            shifted = [[(Fraction(lam) if r == c else 0)
+                        - sum(a * b for a, b in zip(bb[r], bb[c]))
+                        for c in range(s.m)] for r in range(s.m)]
+            assert exactly_positive_definite(shifted)
 
     @settings(max_examples=60, deadline=None)
     @given(structures())
@@ -801,6 +900,5 @@ class TestOracle:
                 assert res <= 32 * m * m * eps * cond * np.linalg.norm(h)
                 continue
             scale = np.linalg.norm(MJ, 2) * np.linalg.norm(y) + np.linalg.norm(h)
-            smw_form = sol.strategy in ("smw", "shared")
-            tol = 1e-14 * 1e10 if smw_form else 1e-13
+            tol = 1e-14 * 1e10 if sol.strategy == "smw" else 1e-13
             assert res <= tol * scale
