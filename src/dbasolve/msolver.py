@@ -22,9 +22,11 @@ built in batches: the scenarios are grouped by row count and each group's
 grams Bbar_i Bbar_i* are read as one dense stack from the assembled
 operator.  ``smw`` and ``block-diag`` factor a stack by one batched
 Cholesky and assemble D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR
-matrix; ``smw-diag`` takes lam_i from one batched ``eigvalsh``.  Applying
+matrix; ``smw-diag`` takes lam_i from one batched ``eigvalsh`` for its
+small blocks and from a sparse power iteration per large block.  Applying
 D^{-1} is one sparse mat-vec whatever the row counts, and both SMW forms
-make G = I + B* D^{-1} B from the assembled B.
+make G = I + B* D^{-1} B from the assembled B, kept in CSR unless it is
+more than 25% full.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .blocklinalg import (_CHOL_PIVOT_RTOL, canonicalize, chol_factor,
-                          maybe_densify, mv, op_norm_2, pcg_solve,
-                          same_canonical, to_dense)
+                          lambda_max_bound, maybe_densify, mv, op_norm_2,
+                          pcg_solve, same_canonical, to_dense)
 from .errors import NotPositiveDefinite, StrategyPrecondition
 
 STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "ufl")
@@ -44,6 +46,10 @@ _G_CHOL_DIM = 2000
 # from this many scenario rows on, auto picks smw-diag
 _SMW_DIAG_ROWS = 50000
 _EBJ_MAX_N = 64
+# smw-diag reads Bbar_i densely for its gram's eigvalsh while
+# m_i max(m_i, n_i) is at most this; a larger block keeps its sparse gram
+# and gets lambda_max_bound's power-iteration bound
+_DIAG_DENSE_CELLS = 4096
 # auto rejects smw when some Bbar_i Bbar_i^T has an estimated condition
 # above this: its backward error grows as about 1e-16 cond(Bbar_i Bbar_i^T),
 # while chol's does not
@@ -267,11 +273,8 @@ def _build_chol(problem, jbar):
 
 def _build_smw(problem, diagonal, max_cond=np.inf):
     if diagonal:
-        groups = _size_groups(problem)
         # D_i = lam_i I: D^{-1} scales every row of ybar by its block's 1/lam
-        lam_rows = np.repeat(_diag_shifts(problem, groups,
-                                         _bbar_grams(problem, groups)),
-                             problem.m_i)
+        lam_rows = np.repeat(_diag_shifts(problem), problem.m_i)
         dinv = sp.diags(1.0 / lam_rows, format="csr")
         Bbar_op = problem.Bbar
 
@@ -282,7 +285,11 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
             problem, "smw requires", max_cond))
         apply_jbar = None
     Bm = problem.B.matrix
-    G = np.eye(problem.n0) + to_dense(Bm.T @ (dinv @ Bm))
+    BtDB = Bm.T @ (dinv @ Bm)
+    # B may be stored dense; a sparse G stays sparse unless it is dense-ish
+    eye = (np.eye(problem.n0) if isinstance(BtDB, np.ndarray)
+           else sp.identity(problem.n0, format="csr"))
+    G = maybe_densify(eye + BtDB)
     g_solve, reads_tol = _make_g_solver(G)
     impl = _make_smw_solve(problem, lambda h: mv(dinv, h), g_solve)
     return MSolver(problem, "smw-diag" if diagonal else "smw", apply_jbar,
@@ -332,10 +339,10 @@ def _block_stacks(problem, mat, groups, col_starts, widths):
     ``mat`` (dense or CSR, one row per row of ybar) that hold scenario i's
     rows and its ``widths[i]`` columns from ``col_starts[i]`` on, each zero
     padded to its group's widest block.  One pass over the stored entries
-    fills every group."""
+    fills every group; the entries of scenarios in no group are skipped."""
     m_i = np.asarray(problem.m_i)
     width = np.empty(problem.N, dtype=np.int64)
-    start = np.empty(problem.N, dtype=np.int64)
+    start = np.full(problem.N, -1, dtype=np.int64)
     shapes, total = [], 0
     for idx in groups:
         shape = (len(idx), int(m_i[idx[0]]), int(widths[idx].max()))
@@ -344,11 +351,12 @@ def _block_stacks(problem, mat, groups, col_starts, widths):
         shapes.append(shape)
         total += shape[0] * shape[1] * shape[2]
     entries = sp.coo_matrix(mat)
-    rows, cols = entries.row, entries.col
-    owner = np.repeat(np.arange(problem.N), m_i)[rows]
+    owner = np.repeat(np.arange(problem.N), m_i)[entries.row]
+    keep = start[owner] >= 0
+    rows, cols, owner = entries.row[keep], entries.col[keep], owner[keep]
     buf = np.zeros(total)
     buf[start[owner] + (rows - problem.y_offsets[owner]) * width[owner]
-        + cols - col_starts[owner]] = entries.data
+        + cols - col_starts[owner]] = entries.data[keep]
     stacks, pos = [], 0
     for shape in shapes:
         size = shape[0] * shape[1] * shape[2]
@@ -389,26 +397,37 @@ def _bbar_gram_factors(problem, requirement, max_cond=np.inf):
                                   requirement + " Bbar_{i} Bbar_{i}^T")
 
 
-def _diag_shifts(problem, groups, grams):
-    """Per scenario, lam_i >= lambda_max(Bbar_i Bbar_i^T), from the
-    per-group stacks ``grams`` of computed grams by one batched ``eigvalsh``
-    per group.  The computed gram of an (m, n) block is within
-    n eps tr(Bbar_i Bbar_i^T) of the exact one in the 2-norm, and the top
-    computed eigenvalue within a small multiple of m eps of the computed
-    gram's norm; the trace bounds both norms, so the top eigenvalue is
-    raised by 2 (n + m^2) eps tr(gram).  A scenario with no rows gets 1:
-    nothing to shift, and no row divides by it.  A zero gram raises
+def _diag_shifts(problem):
+    """Per scenario, lam_i >= lambda_max(Bbar_i Bbar_i^T).
+
+    A block of at most ``_DIAG_DENSE_CELLS`` cells (``m max(m, n)``) is
+    read into its row-count group's dense gram stack, and one batched
+    ``eigvalsh`` per group gives the top eigenvalues.  The computed gram of
+    an (m, n) block is within n eps tr(Bbar_i Bbar_i^T) of the exact one in
+    the 2-norm, and the top computed eigenvalue within a small multiple of
+    m eps of the computed gram's norm; the trace bounds both norms, so the
+    top eigenvalue is raised by 2 (n + m^2) eps tr(gram).  A larger block
+    keeps its sparse gram, whose dense stack could outgrow memory, and gets
+    :func:`lambda_max_bound`.  A scenario with no rows gets 1: nothing to
+    shift, and no row divides by it.  A zero gram raises
     :class:`StrategyPrecondition`."""
     lams = np.ones(problem.N)
+    rows = np.asarray(problem.m_i)
     widths = np.diff(problem.x_offsets)
+    dense = rows * np.maximum(rows, widths) <= _DIAG_DENSE_CELLS
+    groups = [g for g in (idx[dense[idx]] for idx in _size_groups(problem))
+              if g.size]
     eps = np.finfo(float).eps
-    for gram, idx in zip(grams, groups):
+    for gram, idx in zip(_bbar_grams(problem, groups), groups):
         m = gram.shape[1]
         if m == 0:
             continue
         trace = np.trace(gram, axis1=1, axis2=2)
         lams[idx] = (np.linalg.eigvalsh(gram)[:, -1]
                      + 2.0 * (widths[idx] + m * m) * eps * trace)
+    for i in np.flatnonzero(~dense):
+        bb = canonicalize(sp.csr_matrix(problem.scenarios[i].Bbar))
+        lams[i] = lambda_max_bound(bb @ bb.T)
     bad = np.flatnonzero(lams <= 0)
     if bad.size:
         raise StrategyPrecondition(
@@ -551,15 +570,15 @@ def _per_block(problem, kernel):
 
 
 def _make_g_solver(G):
-    """``(solve, reads_tol)`` for the dense n0 x n0 matrix G: its Cholesky
-    factor up to order ``_G_CHOL_DIM``, otherwise PCG with a Jacobi
-    preconditioner, the one solve that reads the tolerance threaded to
-    it."""
+    """``(solve, reads_tol)`` for the dense or CSR n0 x n0 matrix G: its
+    Cholesky factor up to order ``_G_CHOL_DIM``, otherwise PCG with a
+    Jacobi preconditioner, the one solve that reads the tolerance threaded
+    to it."""
     n = G.shape[0]
     if n <= _G_CHOL_DIM:
-        fac = chol_factor(G)
+        fac = chol_factor(to_dense(G))
         return (lambda g, tol: (fac.solve(g), 0, 0.0)), False
-    diag = np.diag(G).copy()
+    diag = np.array(G.diagonal())
     diag = np.where(diag > 0, diag, 1.0)
     gop = (lambda x: mv(G, x))
 

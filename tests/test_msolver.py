@@ -442,11 +442,15 @@ def _csr_gram(mat):
 
 
 def diag_shift(bbar):
-    """smw-diag's lam_i for one block: the top eigenvalue of its gram raised
-    by 2 (n + m^2) eps tr(gram); 1 for a block without rows."""
+    """smw-diag's lam_i for one block: 1 for a block without rows; above
+    ``_DIAG_DENSE_CELLS`` cells, lambda_max_bound of the sparse gram;
+    otherwise the top eigenvalue of the gram raised by
+    2 (n + m^2) eps tr(gram)."""
     m, n = bbar.shape
     if m == 0:
         return 1.0
+    if m * max(m, n) > msolver._DIAG_DENSE_CELLS:
+        return blocklinalg.lambda_max_bound(_csr_gram(bbar))
     gram = to_dense(_csr_gram(bbar))
     return (np.linalg.eigvalsh(gram)[-1]
             + 2.0 * (n + m * m) * np.finfo(float).eps * np.trace(gram))
@@ -717,10 +721,12 @@ class TestToleranceReaders:
 
 class TestDiagonalizingBound:
     def test_smw_diag_jbar_psd_when_power_iteration_fails(self, monkeypatch):
-        # an unconverged power iteration can stop far below lambda_max; the
-        # shifts come from eigvalsh, so a stalled one cannot lower them
+        # blocks above _DIAG_DENSE_CELLS get lambda_max_bound's sparse power
+        # iteration, which can stop far below lambda_max unconverged; the
+        # Gershgorin bound then replaces it, so Jbar stays PSD
         stalled = lambda op, dim, tol=1e-8, maxit=500: (1e-3, False)
         monkeypatch.setattr(blocklinalg, "power_lambda_max", stalled)
+        monkeypatch.setattr(msolver, "_DIAG_DENSE_CELLS", 0)
         prob = random_structure(np.random.default_rng(17), n0=7)
         sol = build_msolver(prob, "smw-diag")
         eye = np.eye(prob.mbar)
@@ -729,6 +735,51 @@ class TestDiagonalizingBound:
         assert np.linalg.eigvalsh(0.5 * (J + J.T))[0] >= -1e-12 * scale
         y = sol.solve(np.ones(prob.mbar), check_residual=True)
         assert sol.last_relres <= 1e-9 and np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("cells", [0, 20])
+    def test_large_blocks_take_the_sparse_bound(self, monkeypatch, cells):
+        # a block of more than _DIAG_DENSE_CELLS cells is never read into a
+        # dense stack and gets lambda_max_bound of its sparse gram (every
+        # block at 0 cells, some at 20); the solve stays bit-equal to the
+        # per-scenario reference
+        monkeypatch.setattr(msolver, "_DIAG_DENSE_CELLS", cells)
+        read = []
+        orig = msolver._bbar_grams
+
+        def spy(problem, groups):
+            read.extend(i for idx in groups for i in idx)
+            return orig(problem, groups)
+        monkeypatch.setattr(msolver, "_bbar_grams", spy)
+        rng = np.random.default_rng(41)
+        prob = random_structure(rng, N=9, n0=7, mi_max=6)
+        lams = msolver._diag_shifts(prob)
+        large = [s.m * max(s.m, s.Bbar.shape[1]) > cells
+                 for s in prob.scenarios]
+        assert any(large)
+        for i, s in enumerate(prob.scenarios):
+            assert (i in read) != large[i]
+            assert lams[i] == diag_shift(s.Bbar)
+        sol = build_msolver(prob, "smw-diag")
+        ref_solve, _ = reference_msolver(prob, "smw-diag")
+        for _ in range(3):
+            h = rng.normal(size=prob.mbar)
+            assert np.array_equal(sol.solve(h), ref_solve(h))
+
+    @pytest.mark.parametrize("strategy", ["smw", "smw-diag"])
+    def test_sparse_g_stays_sparse(self, monkeypatch, strategy):
+        # G = I + B* D^-1 B of a B stored in CSR stays CSR and, above
+        # _G_CHOL_DIM, solved by PCG with CSR mat-vecs
+        seen = []
+        orig = msolver._make_g_solver
+        monkeypatch.setattr(msolver, "_make_g_solver",
+                            lambda G: (seen.append(G), orig(G))[1])
+        monkeypatch.setattr(msolver, "_G_CHOL_DIM", 0)
+        prob = random_two_stage(5, 1000, 5, 15, N=4, seed=1)
+        sol = build_msolver(prob, strategy)
+        assert sp.issparse(seen[0])
+        h = np.random.default_rng(3).normal(size=prob.mbar)
+        sol.solve(h, tol=1e-12, check_residual=True)
+        assert sol.last_inner_iters > 0 and sol.last_relres <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +881,7 @@ class TestOracle:
         # lam_i I - Bbar_i Bbar_i^T is positive definite in exact rational
         # arithmetic on the stored entries of Bbar_i (empty for no rows)
         prob = oracle_structure(*structure, ill=ill)
-        groups = msolver._size_groups(prob)
-        lams = msolver._diag_shifts(prob, groups,
-                                    msolver._bbar_grams(prob, groups))
+        lams = msolver._diag_shifts(prob)
         for lam, s in zip(lams, prob.scenarios):
             bb = [[Fraction(v) for v in row] for row in to_dense(s.Bbar)]
             shifted = [[(Fraction(lam) if r == c else 0)
