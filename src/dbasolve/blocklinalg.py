@@ -363,6 +363,14 @@ class BlockDiagOp:
     def apply_adjoint(self, ybar):
         return mv(self._assembled_t, ybar)
 
+    def gram(self):
+        """diag(Bbar_i Bbar_i^T) as one CSR product of the canonical
+        assembled operator with its stored transpose.  SciPy sums each entry
+        over the row's stored columns in order, so block i equals the CSR
+        product of canonical Bbar_i with its transpose bit for bit."""
+        return (canonicalize(sp.csr_matrix(self._assembled))
+                @ sp.csr_matrix(self._assembled_t))
+
 
 # ---------------------------------------------------------------------------
 # factorizations and iterative solves

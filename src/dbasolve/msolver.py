@@ -17,16 +17,17 @@ columns of B.  Strategies:
 Every other problem, identical blocks included, gets ``chol`` or ``smw`` by
 the cost model of :func:`m_solve_cost_ns`.
 
-The blocks D_i of ``smw`` and ``smw-diag`` and E_i of ``block-diag`` are
-built in batches: the scenarios are grouped by row count and each group's
-grams Bbar_i Bbar_i* are read as one dense stack from the assembled
-operator.  ``smw`` and ``block-diag`` factor a stack by one batched
-Cholesky and assemble D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR
-matrix; ``smw-diag`` takes lam_i from one batched ``eigvalsh`` for its
-small blocks and from a sparse power iteration per large block.  Applying
-D^{-1} is one sparse mat-vec whatever the row counts, and both SMW forms
-make G = I + B* D^{-1} B from the assembled B, kept in CSR unless it is
-more than 25% full.
+Every scenario gram Bbar_i Bbar_i* comes from one sparse product of the
+assembled operator with its transpose (:meth:`BlockDiagOp.gram`): ``chol``
+adds it to B B*, and the batched builds gather its diagonal blocks into one
+dense (n_g, m, m) stack per row count.  ``smw`` and ``block-diag`` (whose
+B_i B_i* come the same way) factor a stack by one batched Cholesky and
+assemble D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR matrix;
+``smw-diag`` takes lam_i from one batched ``eigvalsh`` for its small blocks
+and from a sparse power iteration per large block.  Applying D^{-1} is one
+sparse mat-vec whatever the row counts, and both SMW forms make
+G = I + B* D^{-1} B from the assembled B, kept in CSR unless it is more
+than 25% full.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .blocklinalg import (_CHOL_PIVOT_RTOL, canonicalize, chol_factor,
-                          lambda_max_bound, maybe_densify, mv, op_norm_2,
-                          pcg_solve, same_canonical, to_dense)
-from .errors import NotPositiveDefinite, StrategyPrecondition
+from .blocklinalg import (_CHOL_PIVOT_RTOL, BlockDiagOp, canonicalize,
+                          chol_factor, lambda_max_bound, maybe_densify, mv,
+                          op_norm_2, pcg_solve, same_canonical, to_dense)
+from .errors import (NotPositiveDefinite, ParameterError,
+                     StrategyPrecondition)
 
 STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "ufl")
 
@@ -46,9 +48,9 @@ _G_CHOL_DIM = 2000
 # from this many scenario rows on, auto picks smw-diag
 _SMW_DIAG_ROWS = 50000
 _EBJ_MAX_N = 64
-# smw-diag reads Bbar_i densely for its gram's eigvalsh while
-# m_i max(m_i, n_i) is at most this; a larger block keeps its sparse gram
-# and gets lambda_max_bound's power-iteration bound
+# smw-diag gathers Bbar_i Bbar_i^T densely for its eigvalsh while m_i^2 is
+# at most this; a larger block keeps its sparse gram and gets
+# lambda_max_bound's power-iteration bound
 _DIAG_DENSE_CELLS = 4096
 # auto rejects smw when some Bbar_i Bbar_i^T has an estimated condition
 # above this: its backward error grows as about 1e-16 cond(Bbar_i Bbar_i^T),
@@ -222,12 +224,14 @@ def build_msolver(problem, strategy="auto", jbar=None):
 
     ``jbar`` overrides the strategy default: ``None`` keeps it, an explicit
     matrix is added to M (``chol`` only), and for ``block-diag`` the strings
-    ``"ebj"`` / ``"std"`` pick the coupling-norm or conservative variant.
+    ``"ebj"`` / ``"std"`` pick the coupling-norm or conservative variant;
+    any other use, ``auto`` included, raises :class:`ParameterError`.
     ``"auto"`` builds the first of :func:`auto_candidates` whose
     precondition holds, where ``smw`` also needs every ``Bbar_i Bbar_i^T``
     of estimated condition at most 1e8; an explicit strategy raises
     :class:`StrategyPrecondition` when its own precondition does not hold.
     """
+    _check_jbar(strategy, jbar)
     auto = strategy == "auto"
     max_cond = _AUTO_MAX_COND if auto else np.inf
     *tries, last = auto_candidates(problem) if auto else [strategy]
@@ -237,6 +241,18 @@ def build_msolver(problem, strategy="auto", jbar=None):
         except StrategyPrecondition:
             pass
     return _build(problem, last, jbar, max_cond)
+
+
+def _check_jbar(strategy, jbar):
+    if isinstance(jbar, str):
+        ok = strategy == "block-diag" and jbar in ("ebj", "std")
+    else:
+        ok = jbar is None or strategy == "chol"
+    if not ok:
+        raise ParameterError(
+            "jbar takes a matrix with strategy 'chol' or 'ebj' / 'std' with "
+            "'block-diag'; got %s with %r"
+            % (repr(jbar) if isinstance(jbar, str) else "a matrix", strategy))
 
 
 def _build(problem, strategy, jbar, max_cond):
@@ -258,9 +274,8 @@ def _build(problem, strategy, jbar, max_cond):
 # ---------------------------------------------------------------------------
 
 def _build_chol(problem, jbar):
-    Bs = sp.vstack([canonicalize(sp.csr_matrix(s.B)) for s in problem.scenarios])
-    M = (Bs @ Bs.T) + sp.block_diag(
-        [sp.csr_matrix(s.Bbar) @ sp.csr_matrix(s.Bbar).T for s in problem.scenarios])
+    Bs = canonicalize(sp.csr_matrix(problem.B.matrix))
+    M = Bs @ Bs.T + problem.Bbar.gram()
     apply_jbar = None
     if jbar is not None:
         M = M + sp.csr_matrix(jbar)
@@ -297,14 +312,11 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
 
 
 def _build_block_diag(problem, jbar):
-    variant = jbar if jbar in ("ebj", "std") else None
-    if variant is None:
-        variant = "std" if problem.N > _EBJ_MAX_N else "ebj"
     N = problem.N
+    variant = jbar or ("std" if N > _EBJ_MAX_N else "ebj")
     groups = _size_groups(problem)
-    coupling = _grams(_block_stacks(problem, problem.B.matrix, groups,
-                                    np.zeros(N, dtype=np.int64),
-                                    np.full(N, problem.n0)))
+    coupling = _block_stacks(problem, BlockDiagOp(problem.B.blocks).gram(),
+                             groups)
     # Jbar = diag(c_i B_i B_i^T + d_i I) - B B^T with (c_i, d_i) = (1, nu_i)
     # for ebj and (N + 1, 0) for std
     if variant == "ebj":
@@ -313,7 +325,8 @@ def _build_block_diag(problem, jbar):
                    for gram, idx in zip(coupling, groups)]
     else:
         jblocks = [(N + 1) * gram for gram in coupling]
-    E = [gram + jb for gram, jb in zip(_bbar_grams(problem, groups), jblocks)]
+    bbar = _block_stacks(problem, problem.Bbar.gram(), groups)
+    E = [gram + jb for gram, jb in zip(bbar, jblocks)]
     dinv = _inverse_csr(problem, groups, _factor_blocks(
         E, groups, np.inf, "block-diag needs its block E_{i}"))
     jdiag = _block_diag_csr(problem, groups, jblocks)
@@ -334,57 +347,31 @@ def _size_groups(problem):
     return [np.flatnonzero(sizes == m) for m in np.unique(sizes)]
 
 
-def _block_stacks(problem, mat, groups, col_starts, widths):
-    """Per group of ``groups``, the dense (n_g, m, n) stack of the blocks of
-    ``mat`` (dense or CSR, one row per row of ybar) that hold scenario i's
-    rows and its ``widths[i]`` columns from ``col_starts[i]`` on, each zero
-    padded to its group's widest block.  One pass over the stored entries
-    fills every group; the entries of scenarios in no group are skipped."""
+def _block_stacks(problem, gram, groups):
+    """Per group of ``groups``, the dense (n_g, m, m) stack of the diagonal
+    blocks of ``gram``, an mbar x mbar block-diagonal CSR matrix with one
+    m_i x m_i block per scenario (as :meth:`BlockDiagOp.gram` returns).
+    One pass over the stored entries fills every group; the entries of
+    scenarios in no group are skipped."""
     m_i = np.asarray(problem.m_i)
-    width = np.empty(problem.N, dtype=np.int64)
+    y = problem.y_offsets[:-1]
+    m_g = [int(m_i[idx[0]]) for idx in groups]
+    offs = np.cumsum([0] + [len(idx) * m * m for idx, m in zip(groups, m_g)])
     start = np.full(problem.N, -1, dtype=np.int64)
-    shapes, total = [], 0
-    for idx in groups:
-        shape = (len(idx), int(m_i[idx[0]]), int(widths[idx].max()))
-        width[idx] = shape[2]
-        start[idx] = total + np.arange(len(idx)) * shape[1] * shape[2]
-        shapes.append(shape)
-        total += shape[0] * shape[1] * shape[2]
-    entries = sp.coo_matrix(mat)
-    owner = np.repeat(np.arange(problem.N), m_i)[entries.row]
-    keep = start[owner] >= 0
-    rows, cols, owner = entries.row[keep], entries.col[keep], owner[keep]
-    buf = np.zeros(total)
-    buf[start[owner] + (rows - problem.y_offsets[owner]) * width[owner]
-        + cols - col_starts[owner]] = entries.data[keep]
-    stacks, pos = [], 0
-    for shape in shapes:
-        size = shape[0] * shape[1] * shape[2]
-        stacks.append(buf[pos:pos + size].reshape(shape))
-        pos += size
-    return stacks
-
-
-def _grams(stacks):
-    """Per (n_g, m, n) stack S, the (n_g, m, m) stack of grams S_i S_i^T.
-    The sum runs over the columns in increasing order, as scipy.sparse's CSR
-    product does, so each gram equals that product of the canonical CSR
-    S_i bit for bit (``np.matmul`` and ``einsum`` sum in other orders)."""
-    out = []
-    for S in stacks:
-        gram = np.zeros(S.shape[:2] + S.shape[1:2])
-        for k in range(S.shape[2]):
-            gram += S[:, :, k, None] * S[:, None, :, k]
-        out.append(gram)
-    return out
-
-
-def _bbar_grams(problem, groups):
-    """Per group, the (n_g, m, m) stack of Bbar_i Bbar_i^T, read from the
-    assembled ``problem.Bbar``."""
-    x = problem.x_offsets
-    return _grams(_block_stacks(problem, problem.Bbar.matrix, groups,
-                                x[:-1], np.diff(x)))
+    for idx, m, off in zip(groups, m_g, offs):
+        start[idx] = off + np.arange(len(idx)) * m * m
+    # entry (r, c) of block i lands at start_i + (r - y_i) m_i + c - y_i
+    row_base = (np.repeat(start - y * (m_i + 1), m_i)
+                + np.arange(problem.mbar) * np.repeat(m_i, m_i))
+    counts = np.diff(gram.indptr)
+    pos, data = np.repeat(row_base, counts) + gram.indices, gram.data
+    if np.any(start < 0):
+        keep = np.repeat(np.repeat(start >= 0, m_i), counts)
+        pos, data = pos[keep], data[keep]
+    buf = np.zeros(offs[-1])
+    buf[pos] = data
+    return [buf[off:off + len(idx) * m * m].reshape(len(idx), m, m)
+            for idx, m, off in zip(groups, m_g, offs)]
 
 
 def _bbar_gram_factors(problem, requirement, max_cond=np.inf):
@@ -392,16 +379,17 @@ def _bbar_gram_factors(problem, requirement, max_cond=np.inf):
     the (n_g, m, m) stack of lower Cholesky factors of Bbar_i Bbar_i^T,
     each of estimated condition at most ``max_cond``."""
     groups = _size_groups(problem)
-    return groups, _factor_blocks(_bbar_grams(problem, groups), groups,
-                                  max_cond,
+    grams = _block_stacks(problem, problem.Bbar.gram(), groups)
+    return groups, _factor_blocks(grams, groups, max_cond,
                                   requirement + " Bbar_{i} Bbar_{i}^T")
 
 
 def _diag_shifts(problem):
-    """Per scenario, lam_i >= lambda_max(Bbar_i Bbar_i^T).
+    """Per scenario, lam_i >= lambda_max(Bbar_i Bbar_i^T), from the gram
+    product :meth:`BlockDiagOp.gram`.
 
-    A block of at most ``_DIAG_DENSE_CELLS`` cells (``m max(m, n)``) is
-    read into its row-count group's dense gram stack, and one batched
+    A block whose gram has at most ``_DIAG_DENSE_CELLS`` cells (``m^2``)
+    is gathered into its row-count group's dense stack, and one batched
     ``eigvalsh`` per group gives the top eigenvalues.  The computed gram of
     an (m, n) block is within n eps tr(Bbar_i Bbar_i^T) of the exact one in
     the 2-norm, and the top computed eigenvalue within a small multiple of
@@ -414,20 +402,21 @@ def _diag_shifts(problem):
     lams = np.ones(problem.N)
     rows = np.asarray(problem.m_i)
     widths = np.diff(problem.x_offsets)
-    dense = rows * np.maximum(rows, widths) <= _DIAG_DENSE_CELLS
+    dense = rows * rows <= _DIAG_DENSE_CELLS
     groups = [g for g in (idx[dense[idx]] for idx in _size_groups(problem))
               if g.size]
+    gram_all = problem.Bbar.gram()
     eps = np.finfo(float).eps
-    for gram, idx in zip(_bbar_grams(problem, groups), groups):
+    for gram, idx in zip(_block_stacks(problem, gram_all, groups), groups):
         m = gram.shape[1]
         if m == 0:
             continue
         trace = np.trace(gram, axis1=1, axis2=2)
         lams[idx] = (np.linalg.eigvalsh(gram)[:, -1]
                      + 2.0 * (widths[idx] + m * m) * eps * trace)
+    y = problem.y_offsets
     for i in np.flatnonzero(~dense):
-        bb = canonicalize(sp.csr_matrix(problem.scenarios[i].Bbar))
-        lams[i] = lambda_max_bound(bb @ bb.T)
+        lams[i] = lambda_max_bound(gram_all[y[i]:y[i + 1], y[i]:y[i + 1]])
     bad = np.flatnonzero(lams <= 0)
     if bad.size:
         raise StrategyPrecondition(

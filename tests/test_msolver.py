@@ -11,7 +11,7 @@ import dbasolve.msolver as msolver
 from dbasolve.blocklinalg import CholFactor, chol_factor, mv, to_dense
 from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
                                random_ufl)
-from dbasolve.errors import StrategyPrecondition
+from dbasolve.errors import ParameterError, StrategyPrecondition
 from dbasolve.model import DBAProblem, ScenarioBlock
 from dbasolve.msolver import (assemble_m_dense, auto_strategy, build_msolver,
                               ebj_block_diag_J, pairwise_coupling_norms,
@@ -442,14 +442,15 @@ def _csr_gram(mat):
 
 
 def diag_shift(bbar):
-    """smw-diag's lam_i for one block: 1 for a block without rows; above
-    ``_DIAG_DENSE_CELLS`` cells, lambda_max_bound of the sparse gram;
+    """smw-diag's lam_i for one block: 1 for a block without rows; for a
+    gram of more than ``_DIAG_DENSE_CELLS`` cells (``m^2``),
+    lambda_max_bound of the sparse gram;
     otherwise the top eigenvalue of the gram raised by
     2 (n + m^2) eps tr(gram)."""
     m, n = bbar.shape
     if m == 0:
         return 1.0
-    if m * max(m, n) > msolver._DIAG_DENSE_CELLS:
+    if m * m > msolver._DIAG_DENSE_CELLS:
         return blocklinalg.lambda_max_bound(_csr_gram(bbar))
     gram = to_dense(_csr_gram(bbar))
     return (np.linalg.eigvalsh(gram)[-1]
@@ -631,21 +632,139 @@ def gram_structure(sizes, seed):
                       blocks)
 
 
+# gram_structure gives Bbar_1 no columns; in the last case it is the only
+# block with rows
+GRAM_CASES = [
+    ([4], False),                           # N=1
+    ([3, 0, 2, 3, 5, 1, 0, 2], False),      # ragged, blocks with no rows
+    ([0, 1, 2, 3, 4, 5] * 10, True),        # assembled Bbar stored CSR
+    ([5] * 40, True),
+    ([0, 4], False)]
+
+
 class TestBatchedBuild:
-    @pytest.mark.parametrize("sizes,csr", [
-        ([4], False),                           # N=1
-        ([3, 0, 2, 3, 5, 1, 0, 2], False),      # ragged, blocks with no rows
-        ([0, 1, 2, 3, 4, 5] * 10, True),        # assembled Bbar stored CSR
-        ([5] * 40, True)])
+    @pytest.mark.parametrize("sizes,csr", GRAM_CASES)
     def test_grams_equal_sparse_products(self, sizes, csr):
         prob = gram_structure(sizes, seed=len(sizes))
         assert sp.issparse(prob.Bbar.matrix) == csr
         groups = msolver._size_groups(prob)
         assert sorted(np.concatenate(groups)) == list(range(prob.N))
-        for idx, grams in zip(groups, msolver._bbar_grams(prob, groups)):
+        stacks = msolver._block_stacks(prob, prob.Bbar.gram(), groups)
+        for idx, grams in zip(groups, stacks):
+            assert grams.shape == (len(idx),) + (prob.m_i[idx[0]],) * 2
             for i, gram in zip(idx, grams):
                 assert np.array_equal(
                     gram, to_dense(_csr_gram(prob.scenarios[i].Bbar)))
+
+    @pytest.mark.parametrize("sizes,csr", GRAM_CASES)
+    def test_gram_product_equals_block_products(self, sizes, csr):
+        prob = gram_structure(sizes, seed=len(sizes))
+        gram = prob.Bbar.gram()
+        assert sp.isspmatrix_csr(gram) and gram.shape == (prob.mbar,) * 2
+        want = np.zeros((prob.mbar, prob.mbar))
+        for i, s in enumerate(prob.scenarios):
+            sl = prob.y_slice(i)
+            want[sl, sl] = to_dense(_csr_gram(s.Bbar))
+        assert np.array_equal(to_dense(gram), want)
+
+
+def parent_chol_m(problem, jbar=None):
+    """M as the chol build formed it with one sparse product per scenario:
+    the reference for the build from the assembled operators."""
+    Bs = sp.vstack([blocklinalg.canonicalize(sp.csr_matrix(s.B))
+                    for s in problem.scenarios])
+    M = (Bs @ Bs.T) + sp.block_diag(
+        [sp.csr_matrix(s.Bbar) @ sp.csr_matrix(s.Bbar).T
+         for s in problem.scenarios])
+    if jbar is not None:
+        M = M + sp.csr_matrix(jbar)
+    return blocklinalg.maybe_densify(M.tocsr())
+
+
+# the tiny instances of the four benchmark workloads (perfbench/workloads.py)
+TINY_WORKLOADS = [
+    lambda: random_two_stage(2, 6, 2, 5, N=100, seed=1, quad_eps=0.1),
+    lambda: random_sdp(2, 3, 2, 3, N=3, seed=1),
+    lambda: build_ufl_dnn(random_ufl(4, 20, seed=1)),
+    lambda: random_two_stage(2, 4, 2, 4, N=3, seed=1, quad_eps=0.1),
+]
+
+
+class TestGramProduct:
+    @pytest.mark.parametrize("make", TINY_WORKLOADS)
+    @pytest.mark.parametrize("with_jbar", [False, True])
+    def test_chol_m_equals_per_scenario_products(self, monkeypatch, make,
+                                                 with_jbar):
+        factored = []
+        orig = msolver.chol_factor
+        monkeypatch.setattr(msolver, "chol_factor",
+                            lambda S: (factored.append(S), orig(S))[1])
+        prob = make()
+        jbar = ebj_block_diag_J(prob) if with_jbar else None
+        build_msolver(prob, "chol", jbar=jbar)
+        want = parent_chol_m(prob, jbar)
+        assert sp.issparse(factored[0]) == sp.issparse(want)
+        assert np.array_equal(to_dense(factored[0]), to_dense(want))
+
+    def test_one_gram_product_per_build(self, monkeypatch):
+        # chol, smw and smw-diag form Bbar's gram product once, block-diag
+        # that and B's; the batched builds gather only square blocks
+        calls, shapes = [], []
+        orig_gram = blocklinalg.BlockDiagOp.gram
+        monkeypatch.setattr(blocklinalg.BlockDiagOp, "gram",
+                            lambda op: (calls.append(op), orig_gram(op))[1])
+        orig_stacks = msolver._block_stacks
+
+        def spy(problem, gram, groups):
+            stacks = orig_stacks(problem, gram, groups)
+            shapes.extend((s.shape, len(idx), problem.m_i[idx[0]])
+                          for s, idx in zip(stacks, groups))
+            return stacks
+        monkeypatch.setattr(msolver, "_block_stacks", spy)
+        for strategy, want in (("chol", 1), ("smw", 1), ("smw-diag", 1),
+                               ("block-diag", 2)):
+            counts = []
+            for N in (10, 100):
+                prob = random_structure(np.random.default_rng(N), N, n0=6)
+                calls.clear()
+                build_msolver(prob, strategy)
+                counts.append(len(calls))
+            assert counts == [want, want], strategy
+        assert shapes
+        for shape, n_g, m in shapes:
+            assert shape == (n_g, m, m)
+
+
+class TestJbarArgument:
+    """A jbar matrix goes with chol and a variant string with block-diag;
+    anything else is a ParameterError, raised before auto tries a
+    candidate."""
+
+    def prob(self, N=5):
+        return random_structure(np.random.default_rng(11), N, n0=6)
+
+    @pytest.mark.parametrize("strategy", ["block-diag", "smw", "smw-diag"])
+    def test_matrix_needs_chol(self, strategy):
+        prob = self.prob()
+        with pytest.raises(ParameterError, match="chol"):
+            build_msolver(prob, strategy, jbar=ebj_block_diag_J(prob))
+
+    def test_matrix_under_auto(self):
+        # auto would pick smw here, which ignored the matrix
+        prob = random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1)
+        assert auto_strategy(prob) == "smw"
+        with pytest.raises(ParameterError):
+            build_msolver(prob, "auto", jbar=np.zeros((prob.mbar,) * 2))
+
+    @pytest.mark.parametrize("strategy", ["chol", "smw", "smw-diag", "auto"])
+    @pytest.mark.parametrize("variant", ["ebj", "std"])
+    def test_variant_needs_block_diag(self, strategy, variant):
+        with pytest.raises(ParameterError, match="block-diag"):
+            build_msolver(self.prob(), strategy, jbar=variant)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ParameterError, match="ebj"):
+            build_msolver(self.prob(), "block-diag", jbar="exact")
 
 
 class TestInnerResidual:
@@ -738,23 +857,22 @@ class TestDiagonalizingBound:
 
     @pytest.mark.parametrize("cells", [0, 20])
     def test_large_blocks_take_the_sparse_bound(self, monkeypatch, cells):
-        # a block of more than _DIAG_DENSE_CELLS cells is never read into a
-        # dense stack and gets lambda_max_bound of its sparse gram (every
-        # block at 0 cells, some at 20); the solve stays bit-equal to the
-        # per-scenario reference
+        # a block whose gram has more than _DIAG_DENSE_CELLS cells is never
+        # gathered into a dense stack and gets lambda_max_bound of its
+        # sparse gram (every block at 0 cells, some at 20); the solve stays
+        # bit-equal to the per-scenario reference
         monkeypatch.setattr(msolver, "_DIAG_DENSE_CELLS", cells)
         read = []
-        orig = msolver._bbar_grams
+        orig = msolver._block_stacks
 
-        def spy(problem, groups):
+        def spy(problem, gram, groups):
             read.extend(i for idx in groups for i in idx)
-            return orig(problem, groups)
-        monkeypatch.setattr(msolver, "_bbar_grams", spy)
+            return orig(problem, gram, groups)
+        monkeypatch.setattr(msolver, "_block_stacks", spy)
         rng = np.random.default_rng(41)
         prob = random_structure(rng, N=9, n0=7, mi_max=6)
         lams = msolver._diag_shifts(prob)
-        large = [s.m * max(s.m, s.Bbar.shape[1]) > cells
-                 for s in prob.scenarios]
+        large = [s.m * s.m > cells for s in prob.scenarios]
         assert any(large)
         for i, s in enumerate(prob.scenarios):
             assert (i in read) != large[i]
