@@ -344,9 +344,22 @@ class BlockDiagOp:
         self.n = sum(self.col_sizes)
         self.row_offsets = np.concatenate(([0], np.cumsum(self.row_sizes)))
         self.col_offsets = np.concatenate(([0], np.cumsum(self.col_sizes)))
-        diag = sp.block_diag([sp.csr_matrix(b) for b in blocks]).tocsr()
-        self._assembled = compact_for_matvec(diag)
+        self._assembled = compact_for_matvec(self._assemble(blocks))
         self._assembled_t = transposed(self._assembled)
+
+    def _assemble(self, blocks):
+        """The canonical CSR diag(blocks): the blocks' own CSR arrays
+        concatenated, column indices shifted by the block's column offset
+        and row pointers by the entries before it (explicit zeros kept).
+        ``blocks`` are :func:`canonicalize` d: dense or canonical CSR."""
+        parts = [b if sp.issparse(b) else sp.csr_matrix(b) for b in blocks]
+        nnz = np.cumsum([0] + [p.nnz for p in parts])
+        indptr = np.concatenate(
+            [p.indptr[:-1] + k for p, k in zip(parts, nnz)] + [nnz[-1:]])
+        indices = np.concatenate(
+            [p.indices + k for p, k in zip(parts, self.col_offsets)])
+        data = np.concatenate([p.data for p in parts])
+        return sp.csr_matrix((data, indices, indptr), shape=(self.m, self.n))
 
     def all_finite(self):
         """True when every block entry is finite."""

@@ -144,8 +144,6 @@ def _run_one(problem, solver, args):
         return admm_solve(problem, _config_from_args(args, solver)), LOG_COLUMNS
     if solver == "sgs-alm":
         return alm_solve(problem, _config_from_args(args, solver)), LOG_COLUMNS
-    if args.sigma is not None and not 0.0 < args.sigma < np.inf:
-        raise ParameterError("rho must be positive and finite")
     cfg = PhaConfig(rho=args.sigma,
                     tau=args.tau if args.tau is not None else 1.618,
                     tol_nonant=args.tol_kkt, tol_rel=args.tol_kkt,

@@ -4,6 +4,10 @@ A problem couples one optional first-stage equality block ``A x = b`` with
 ``N`` scenario rows ``B_i x + Bbar_i xbar_i = bbar_i``; the objective is
 ``theta(x) + <c, x> + sum_i (thetabar_i(xbar_i) + <cbar_i, xbar_i>)`` over
 ``x in K``, ``xbar_i in K_i``.
+
+Objectives and KKT residues are evaluated at ``xx = x|xbar`` with the
+operators of the sGS sweep: ``W = [B Bbar]``, the joint cone and the joint
+function over x|xbar.
 """
 
 from __future__ import annotations
@@ -121,9 +125,6 @@ class DBAProblem:
     def y_slice(self, i):
         return slice(self.y_offsets[i], self.y_offsets[i + 1])
 
-    def x_slice(self, i):
-        return slice(self.x_offsets[i], self.x_offsets[i + 1])
-
 
 def _joint_operator(B, Bbar):
     """``[B Bbar]`` from the assembled operators: dense when both are,
@@ -153,6 +154,11 @@ class PrimalPoint:
     def stacked(self):
         return np.concatenate(self.xbar)
 
+    @property
+    def xx(self):
+        """The point as one vector over x|xbar."""
+        return np.concatenate((self.x, *self.xbar))
+
 
 @dataclass
 class DualPoint:
@@ -162,6 +168,10 @@ class DualPoint:
     zbar: np.ndarray       # stacked
     v: np.ndarray
     vbar: np.ndarray       # stacked
+
+    # the cone and function multipliers as vectors over x|xbar
+    zz = property(lambda self: np.concatenate((self.z, self.zbar)))
+    vv = property(lambda self: np.concatenate((self.v, self.vbar)))
 
 
 def zero_primal(problem):
@@ -255,11 +265,7 @@ def validate(problem, rank_check=True):
                 warnings.append(
                     "A appears rank deficient (rank %d of %d rows)" % (r, problem.m0))
         if problem.mbar <= _RANK_CHECK_DIM and problem.n0 + problem.nbar <= _RANK_CHECK_DIM:
-            full = np.hstack([
-                np.vstack([to_dense(s.B) for s in problem.scenarios]),
-                _blockdiag_dense(problem),
-            ])
-            r = _qr_rank(full)
+            r = _qr_rank(to_dense(problem.W))
             if r < problem.mbar:
                 warnings.append(
                     "[B, Bbar] appears rank deficient (rank %d of %d rows)"
@@ -291,47 +297,38 @@ def _qr_rank(mat):
     return int(np.sum(diag > tol))
 
 
-def _blockdiag_dense(problem):
-    out = np.zeros((problem.mbar, problem.nbar))
-    for i, s in enumerate(problem.scenarios):
-        out[problem.y_slice(i), problem.x_slice(i)] = to_dense(s.Bbar)
-    return out
-
-
 def primal_objective(problem, point):
     """theta(x) + <c, x> + sum_i (thetabar_i(xbar_i) + <cbar_i, xbar_i>).
 
     Indicator components contribute 0; their feasibility is measured by the
     cone residues instead.
     """
-    return _primal_objective(problem, point.x, point.stacked())
+    return _primal_objective(problem, point.xx)
 
 
-def _primal_objective(problem, x, xbar):
-    return (problem.theta.value(x) + float(problem.c @ x)
-            + problem.scen_theta.value(xbar)
-            + float(problem.cbar @ xbar))
+def _primal_objective(problem, xx):
+    return problem.joint_theta.value(xx) + float(problem.cc @ xx)
 
 
 def dual_objective(problem, dual, feas_tol=1e-8):
-    """-theta*(-v) - delta*_K(-z) + <b,y> - sum_i(...) + <bbar, ybar>.
+    """-theta*(-v) - delta*_K(-z) + <b,y> - sum_i(...) + <bbar, ybar>, with
+    the conjugates of the joint function and cone over x|xbar; ``dual`` is
+    read as in :func:`kkt_full`.
 
     Returns ``-inf`` when any conjugate is infinite beyond the clamp."""
-    conj = []
-    for f, w in ((problem.theta, dual.v), (problem.cone, dual.z),
-                 (problem.scen_theta, dual.vbar), (problem.scen_cone, dual.zbar)):
-        conj.append(conjugate_value(f, -w, feas_tol))
-        if not np.isfinite(conj[-1]):
-            return -np.inf
-    total = 0.0 - conj[0] - conj[1]
+    conj = (conjugate_value(problem.joint_theta, -dual.vv, feas_tol)
+            + conjugate_value(problem.joint_cone, -dual.zz, feas_tol))
+    if not np.isfinite(conj):
+        return -np.inf
+    total = -conj
     if problem.A is not None:
         total += float(problem.b @ dual.y)
-    return total - conj[2] - conj[3] + float(problem.bbar @ dual.ybar)
+    return total + float(problem.bbar @ dual.ybar)
 
 
 def kkt_residues(problem, point, dual, feas_tol=1e-8):
     """Relative KKT residues, their weighted maximum and the duality gap."""
-    return kkt_full(problem, point.x, point.stacked(), dual, feas_tol)[0]
+    return kkt_full(problem, point.xx, dual, feas_tol)[0]
 
 
 class LinearResidues(NamedTuple):
@@ -344,23 +341,6 @@ class LinearResidues(NamedTuple):
     eta_Dbar: float
 
 
-def dual_sums(problem, dual):
-    """The dual constraint sums ``A*y + B*ybar + z + v`` and
-    ``Bbar*ybar + zbar + vbar``, added left to right; ``dual`` is read as in
-    :func:`kkt_full`."""
-    Aty = mv(problem.A_T, dual.y) if problem.A is not None else 0.0
-    return (Aty + problem.B.apply_adjoint(dual.ybar) + dual.z + dual.v,
-            problem.Bbar.apply_adjoint(dual.ybar) + dual.zbar + dual.vbar)
-
-
-def dual_residues(problem, dual):
-    """The dual constraint residues ``A*y + B*ybar + z + v - c`` and
-    ``Bbar*ybar + zbar + vbar - cbar``: the :func:`dual_sums` less the
-    costs."""
-    S, Sbar = dual_sums(problem, dual)
-    return S - problem.c, Sbar - problem.cbar
-
-
 def residue_denominators(problem):
     """``(1+||b||, 1+||c||, 1+||bbar||, 1+||cbar||)``, the scales of the
     four :class:`LinearResidues` (the first is ``None`` without ``A``).
@@ -371,29 +351,11 @@ def residue_denominators(problem):
             1.0 + nrm(problem.cbar))
 
 
-def linear_residues(problem, x, xbar, d_res, d_res_bar, denoms):
-    """Relative primal residues at ``(x, xbar)`` and relative dual residues
-    of the :func:`dual_residues` vectors ``d_res``, ``d_res_bar``;
-    ``denoms`` is :func:`residue_denominators` of ``problem``."""
-    nrm = np.linalg.norm
-    den_P, den_D, den_Pbar, den_Dbar = denoms
-    if problem.A is not None:
-        eta_P = nrm(mv(problem.A_mv, x) - problem.b) / den_P
-    else:
-        eta_P = 0.0
-    p_res = problem.B.apply(x) + problem.Bbar.apply(xbar) - problem.bbar
-    return LinearResidues(
-        eta_P=float(eta_P),
-        eta_D=float(nrm(d_res) / den_D),
-        eta_Pbar=float(nrm(p_res) / den_Pbar),
-        eta_Dbar=float(nrm(d_res_bar) / den_Dbar))
-
-
 def joint_dual_sums(problem, y, ybar, zz, vv):
-    """The :func:`dual_sums` as one vector over x|xbar: ``W*ybar + zz + vv``
-    with ``A*y`` added to its first ``n0`` entries, at
-    ``zz = z|zbar`` and ``vv = v|vbar``.  Only the product ``W*ybar``
-    rounds differently from the pair ``B*ybar``, ``Bbar*ybar``."""
+    """The dual constraint sums ``A*y + B*ybar + z + v`` and
+    ``Bbar*ybar + zbar + vbar`` as one vector over x|xbar:
+    ``W*ybar + zz + vv`` with ``A*y`` added to its first ``n0`` entries, at
+    ``zz = z|zbar`` and ``vv = v|vbar``."""
     S = mv(problem.W_T, ybar)
     if problem.A is not None:
         S[:problem.n0] += mv(problem.A_T, y)
@@ -403,8 +365,11 @@ def joint_dual_sums(problem, y, ybar, zz, vv):
 
 
 def joint_linear_residues(problem, xx, d_res, d_res_bar, denoms):
-    """:func:`linear_residues` at the primal point ``xx = x|xbar``, with the
-    scenario rows' residue ``W xx - bbar`` formed by one product."""
+    """The relative primal residues at ``xx = x|xbar``, the scenario rows'
+    ``W xx - bbar`` formed by one product, and the relative norms of the
+    dual residues ``d_res``, ``d_res_bar`` (the :func:`joint_dual_sums` less
+    ``c|cbar``, split after ``n0``); ``denoms`` is
+    :func:`residue_denominators` of ``problem``."""
     den_P, den_D, den_Pbar, den_Dbar = denoms
     eta_P = 0.0
     if problem.A is not None:
@@ -416,29 +381,34 @@ def joint_linear_residues(problem, xx, d_res, d_res_bar, denoms):
         eta_Dbar=_norm(d_res_bar) / den_Dbar)
 
 
-def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
+def kkt_full(problem, xx, dual, feas_tol=1e-8):
     """Residues plus both objective values (computed once) at the primal
-    point ``(x, xbar)``, ``xbar`` stacked over scenarios.  ``dual`` is read
-    through its ``y, ybar, z, zbar, v, vbar`` attributes, so a
-    ``DualPoint`` or a solver state carrying them will do; no argument is
-    written to."""
-    nrm = np.linalg.norm
-    lin = linear_residues(problem, x, xbar, *dual_residues(problem, dual),
-                          residue_denominators(problem))
+    point ``xx = x|xbar``, with the operators of the sGS sweep: one ``W``
+    product each way, one projection onto the joint cone and one prox of
+    the joint function, whose first ``n0`` entries give the first-stage
+    residues and the rest the scenario ones.  ``dual`` is read through its
+    ``y``, ``ybar``, ``zz = z|zbar`` and ``vv = v|vbar`` attributes, so a
+    ``DualPoint`` or a solver state will do; no argument is written to."""
+    n0 = problem.n0
+    zz, vv = dual.zz, dual.vv
+    DD = joint_dual_sums(problem, dual.y, dual.ybar, zz, vv) - problem.cc
+    lin = joint_linear_residues(problem, xx, DD[:n0], DD[n0:],
+                                residue_denominators(problem))
 
-    eta_K = nrm(x - problem.cone.project(x - dual.z)) / (1.0 + nrm(x) + nrm(dual.z))
-    eta_theta = nrm(x - prox(problem.theta, 1.0, x - dual.v)) / (
-        1.0 + nrm(x) + nrm(dual.v))
+    def split(r, w):
+        """The relative norms of ``r``'s two stages, scaled by the point's
+        and the multiplier ``w``'s."""
+        return (_norm(r[:n0]) / (1.0 + _norm(xx[:n0]) + _norm(w[:n0])),
+                _norm(r[n0:]) / (1.0 + _norm(xx[n0:]) + _norm(w[n0:])))
 
-    proj_bar = problem.scen_cone.project(xbar - dual.zbar)
-    prox_bar = prox(problem.scen_theta, 1.0, xbar - dual.vbar)
-    eta_Kbar = nrm(xbar - proj_bar) / (1.0 + nrm(xbar) + nrm(dual.zbar))
-    eta_thetabar = nrm(xbar - prox_bar) / (1.0 + nrm(xbar) + nrm(dual.vbar))
+    eta_K, eta_Kbar = split(xx - problem.joint_cone.project(xx - zz), zz)
+    eta_theta, eta_thetabar = split(
+        xx - prox(problem.joint_theta, 1.0, xx - vv), vv)
 
     eta = max(lin.eta_P, lin.eta_D, 0.2 * eta_K, 0.2 * eta_theta,
               lin.eta_Pbar, lin.eta_Dbar, 0.2 * eta_Kbar, 0.2 * eta_thetabar)
 
-    obj_p = _primal_objective(problem, x, xbar)
+    obj_p = _primal_objective(problem, xx)
     obj_d = dual_objective(problem, dual, feas_tol)
     if np.isfinite(obj_d):
         eta_gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
@@ -446,10 +416,8 @@ def kkt_full(problem, x, xbar, dual, feas_tol=1e-8):
         eta_gap = np.inf
 
     res = KktResidues(
-        eta_P=lin.eta_P, eta_D=lin.eta_D, eta_K=float(eta_K),
-        eta_theta=float(eta_theta), eta_Pbar=lin.eta_Pbar,
-        eta_Dbar=lin.eta_Dbar, eta_Kbar=float(eta_Kbar),
-        eta_thetabar=float(eta_thetabar), eta=float(eta),
-        eta_gap=float(eta_gap),
+        eta_P=lin.eta_P, eta_D=lin.eta_D, eta_K=eta_K, eta_theta=eta_theta,
+        eta_Pbar=lin.eta_Pbar, eta_Dbar=lin.eta_Dbar, eta_Kbar=eta_Kbar,
+        eta_thetabar=eta_thetabar, eta=eta, eta_gap=float(eta_gap),
     )
     return res, obj_p, obj_d

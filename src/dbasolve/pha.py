@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .blocklinalg import mv
 from .errors import ParameterError, SubproblemFailure
 from .model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
-                    dual_objective, kkt_full, kkt_residues, primal_objective)
+                    dual_objective, joint_dual_sums, kkt_full, kkt_residues,
+                    primal_objective)
 from .proxcone import (BlockCone, BlockFunction, add_diag_quadratic,
                        scale_function)
 from .solvers import (SolveReport, SolverConfig, TAU_ADMM_MAX, admm_solve,
@@ -49,6 +49,8 @@ class PhaConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        if self.rho is not None and not 0.0 < self.rho < np.inf:
+            raise ParameterError("rho must be positive and finite")
         if not 0.0 < self.tau < TAU_ADMM_MAX:
             raise ParameterError("PHA step length must lie in (0, (1+sqrt(5))/2)")
         if self.max_iter < 0:
@@ -155,7 +157,7 @@ def pha_solve(problem, config=None):
 
         primal = PrimalPoint(xhat, rep.primal.xbar)
         dual = _averaged_dual(problem, probs, rep)
-        res, obj_p, obj_d = kkt_full(problem, xhat, primal.stacked(), dual)
+        res, obj_p, obj_d = kkt_full(problem, primal.xx, dual)
         log_rows.append((k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                          res.eta_Pbar, res.eta_Dbar, res.eta_Kbar,
                          res.eta_thetabar, res.eta, res.eta_gap, rho, obj_p,
@@ -201,7 +203,7 @@ def _averaged_dual(problem, probs, rep):
         z = probs @ d.z.reshape(problem.N, problem.n0)
         ybar = np.repeat(probs, problem.m_i) * d.ybar
         zbar = np.repeat(probs, problem.n_i) * d.zbar
-    Aty = mv(problem.A_T, y) if problem.A is not None else 0.0
-    v = problem.c - Aty - problem.B.apply_adjoint(ybar) - z
-    vbar = problem.cbar - problem.Bbar.apply_adjoint(ybar) - zbar
-    return DualPoint(y=y, ybar=ybar, z=z, zbar=zbar, v=v, vbar=vbar)
+    zz = np.concatenate((z, zbar))
+    vv = problem.cc - joint_dual_sums(problem, y, ybar, zz, 0.0)
+    return DualPoint(y=y, ybar=ybar, z=z, zbar=zbar, v=vv[:problem.n0],
+                     vbar=vv[problem.n0:])

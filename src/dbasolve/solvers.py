@@ -370,7 +370,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
         # prox residues, objectives, gap) runs only once all four pass;
         # kkt_full only reads its arguments, so the state goes in uncopied
         if eta_lin <= cfg.tol_kkt:
-            res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st)
+            res, obj_p, obj_d = kkt_full(problem, st.xx, st)
             row = (k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                    res.eta_Pbar, res.eta_Dbar, res.eta_Kbar, res.eta_thetabar,
                    res.eta, res.eta_gap, sigma, obj_p, obj_d, inner_iters)
@@ -421,7 +421,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
         obj_p = primal_objective(problem, primal)
         obj_d = dual_objective(problem, dual)
     elif res is None:
-        res, obj_p, obj_d = kkt_full(problem, st.x, st.xbar, st)
+        res, obj_p, obj_d = kkt_full(problem, st.xx, st)
     return SolveReport(
         status=status, iterations=k, kkt=res, obj_p=obj_p, obj_d=obj_d,
         primal=primal, dual=dual, sigma=sigma,
@@ -455,10 +455,10 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
                    alm=False, sums=None):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count, the
-    dual residues ``d_res``, ``d_res_bar`` (see
-    :func:`~dbasolve.model.dual_residues`; views of one vector over x|xbar)
-    of the new dual iterate, which the multiplier step moves ``xx`` along,
-    and its :func:`~dbasolve.model.joint_dual_sums` ``SS``.  Passed back as
+    dual residues ``d_res``, ``d_res_bar`` (the
+    :func:`~dbasolve.model.joint_dual_sums` ``SS`` less ``c|cbar``, split
+    after ``n0``: views of one vector over x|xbar) of the new dual iterate,
+    which the multiplier step moves ``xx`` along, and ``SS``.  Passed back as
     ``sums``, they spare the next iteration their recomputation; ``None``
     computes them from ``st``.
 

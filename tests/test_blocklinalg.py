@@ -339,6 +339,43 @@ class TestBlockOps:
             assert op.apply(x) @ y == pytest.approx(
                 x @ op.apply_adjoint(y), abs=1e-12)
 
+    @staticmethod
+    def _explicit_zero(rng):
+        blk = sp.random(4, 6, density=0.4, format="csr", random_state=rng)
+        blk.data[::2] = 0.0                     # stored, not removed
+        return blk
+
+    @pytest.mark.parametrize("case", ["ragged", "zero_rows", "zero_cols",
+                                      "dense", "explicit_zeros", "large"])
+    def test_blockdiag_assembly_equals_scipy(self, case):
+        rng = np.random.default_rng(12)
+        sprand = lambda m, n: sp.random(m, n, density=0.5, format="csr",
+                                        random_state=rng)
+        blocks = {
+            "ragged": [sprand(3, 2), sprand(1, 7), sprand(5, 4)],
+            "zero_rows": [sprand(2, 3), sp.csr_matrix((0, 4)), sprand(3, 1),
+                          sp.csr_matrix((0, 0))],
+            "zero_cols": [sp.csr_matrix((3, 0)), sprand(2, 5),
+                          sp.csr_matrix((1, 0))],
+            "dense": [rng.normal(size=(3, 4)), sprand(2, 2),
+                      np.zeros((2, 3)), np.zeros((0, 2))],
+            "explicit_zeros": [self._explicit_zero(rng), sprand(2, 3),
+                               self._explicit_zero(rng)],
+            "large": [sprand(5, 15) for _ in range(400)],
+        }[case]
+        op = BlockDiagOp(blocks)
+        got = op._assemble(op.blocks)
+        want = sp.block_diag([sp.csr_matrix(b) for b in op.blocks]).tocsr()
+        assert type(got) is type(want) and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        stored = blocklinalg.compact_for_matvec(want)
+        if sp.issparse(stored):
+            assert blocklinalg.same_canonical(op.matrix, stored)
+        else:
+            assert np.array_equal(op.matrix, stored)
+
     def test_stacked_requires_common_domain(self):
         with pytest.raises(DimensionMismatch):
             StackedOp([np.ones((2, 3)), np.ones((2, 4))])

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 import dbasolve.blocklinalg as blocklinalg
 import dbasolve.model as model
 from dbasolve.blocklinalg import smat, svec
-from dbasolve.builders import random_sdp, random_two_stage
+from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
+                               random_ufl)
 from dbasolve.errors import DbaError, DimensionMismatch, NonFiniteData
 from dbasolve.model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
                             dual_objective, kkt_residues, primal_objective,
                             validate, zero_dual, zero_primal)
 from dbasolve.pha import _bundle
-from dbasolve.proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
-                               NonnegOrthant, PsdCone, Zero)
+from dbasolve.proxcone import (BlockCone, BlockFunction, Box, DenseQuadratic,
+                               DiagQuadratic, FreeSpace, IndicatorCone,
+                               NonnegOrthant, NonnegSymMatrices, PsdCone, Zero)
 
 from conftest import make_free_qp, make_two_scenario_lp
 
@@ -22,16 +24,18 @@ from conftest import make_free_qp, make_two_scenario_lp
 # --- independent straight-line evaluation of the residue formulas ---------
 
 def _oracle_project(cone, x):
-    if isinstance(cone, NonnegOrthant):
+    if isinstance(cone, (NonnegOrthant, NonnegSymMatrices)):
         return np.maximum(x, 0.0)
     if isinstance(cone, FreeSpace):
         return x
     if isinstance(cone, Box):
         return np.minimum(np.maximum(x, cone.lower), cone.upper)
     if isinstance(cone, PsdCone):
-        mat = smat(x, cone.d)
-        w, V = np.linalg.eigh(mat)
-        return svec((V * np.maximum(w, 0.0)) @ V.T)
+        out = []
+        for xj in np.split(x, cone.k):
+            w, V = np.linalg.eigh(smat(xj, cone.d))
+            out.append(svec((V * np.maximum(w, 0.0)) @ V.T))
+        return np.concatenate(out)
     raise AssertionError
 
 
@@ -42,6 +46,8 @@ def _oracle_prox(f, x):
         return x / (1.0 + f.diag)
     if isinstance(f, DenseQuadratic):
         return np.linalg.solve(np.eye(f.dim) + f.Q.full(), x)
+    if isinstance(f, IndicatorCone):
+        return _oracle_project(f.cone, x)
     raise AssertionError
 
 
@@ -375,14 +381,14 @@ def _no_a_problem():
 
 class TestResidueDenominators:
     @staticmethod
-    def recomputed(problem, x, xbar, d_res, d_res_bar):
+    def recomputed(problem, xx, d_res, d_res_bar):
         """The four residues with every scale recomputed from ``problem``."""
         nrm = np.linalg.norm
         eta_P = 0.0
         if problem.A is not None:
-            eta_P = nrm(blocklinalg.mv(problem.A_mv, x) - problem.b) / (
-                1.0 + nrm(problem.b))
-        p_res = problem.B.apply(x) + problem.Bbar.apply(xbar) - problem.bbar
+            eta_P = nrm(blocklinalg.mv(problem.A_mv, xx[:problem.n0])
+                        - problem.b) / (1.0 + nrm(problem.b))
+        p_res = blocklinalg.mv(problem.W, xx) - problem.bbar
         return model.LinearResidues(
             float(eta_P), float(nrm(d_res) / (1.0 + nrm(problem.c))),
             float(nrm(p_res) / (1.0 + nrm(problem.bbar))),
@@ -396,12 +402,13 @@ class TestResidueDenominators:
         rng = np.random.default_rng(7)
         for prob in (problem, problem.with_cost(problem.c + 1.0)):
             point, dual = random_state(rng, prob)
-            d_res, d_res_bar = model.dual_residues(prob, dual)
-            got = model.linear_residues(prob, point.x, point.stacked(), d_res,
-                                        d_res_bar,
-                                        model.residue_denominators(prob))
-            want = self.recomputed(prob, point.x, point.stacked(), d_res,
-                                   d_res_bar)
+            DD = model.joint_dual_sums(prob, dual.y, dual.ybar, dual.zz,
+                                       dual.vv) - prob.cc
+            d_res, d_res_bar = DD[:prob.n0], DD[prob.n0:]
+            got = model.joint_linear_residues(
+                prob, point.xx, d_res, d_res_bar,
+                model.residue_denominators(prob))
+            want = self.recomputed(prob, point.xx, d_res, d_res_bar)
             assert got == want
             res = kkt_residues(prob, point, dual)
             assert (res.eta_P, res.eta_D, res.eta_Pbar, res.eta_Dbar) == want
@@ -493,27 +500,239 @@ class TestJointOperator:
         assert sp.issparse(lp.Bbar.matrix) and type(lp.W) is sp.csr_matrix
         assert type(lp.W_T) is sp.csr_matrix
 
-    @pytest.mark.parametrize("build", [
-        make_two_scenario_lp, make_free_qp, _no_a_problem,
-        lambda: random_sdp(2, 3, 2, 3, N=3, seed=1)])
-    def test_joint_sums_and_screen(self, build):
-        prob = build()
-        rng = np.random.default_rng(11)
-        point, dual = random_state(rng, prob)
-        zz = np.concatenate((dual.z, dual.zbar))
-        vv = np.concatenate((dual.v, dual.vbar))
-        SS = model.joint_dual_sums(prob, dual.y, dual.ybar, zz, vv)
-        S, Sbar = model.dual_sums(prob, dual)
-        assert np.allclose(SS, np.concatenate((S, Sbar)), rtol=1e-13,
-                           atol=1e-13)
-        d_res, d_res_bar = model.dual_residues(prob, dual)
-        denoms = model.residue_denominators(prob)
-        got = model.joint_linear_residues(
-            prob, np.concatenate((point.x, point.stacked())), d_res,
-            d_res_bar, denoms)
-        want = model.linear_residues(prob, point.x, point.stacked(), d_res,
-                                     d_res_bar, denoms)
-        # the dual residues are the same vectors: bit-equal norms
-        assert (got.eta_D, got.eta_Dbar) == (want.eta_D, want.eta_Dbar)
-        assert got.eta_P == want.eta_P
-        assert got.eta_Pbar == pytest.approx(want.eta_Pbar, rel=1e-12)
+
+# --- kkt_full against a dense, block-by-block oracle ------------------------
+
+_FEAS_TOL = 1e-8
+
+
+def _dense(mat):
+    return np.asarray(mat.todense()) if sp.issparse(mat) else np.asarray(mat)
+
+
+def _pieces(f, x):
+    """``(leaf, part of x)`` for each leaf cone or function of ``f``, every
+    :class:`BlockCone` and :class:`BlockFunction` unnested."""
+    if not isinstance(f, (BlockCone, BlockFunction)):
+        return [(f, x)]
+    ends = np.cumsum([b.dim for b in f.blocks])
+    assert ends[-1] == x.size
+    return [leaf for b, xb in zip(f.blocks, np.split(x, ends[:-1]))
+            for leaf in _pieces(b, xb)]
+
+
+def _blockwise(f, x, fn):
+    return np.concatenate([fn(leaf, xb) for leaf, xb in _pieces(f, x)])
+
+
+def _oracle_value(f, x):
+    if isinstance(f, (Zero, IndicatorCone)):
+        return 0.0
+    if isinstance(f, DiagQuadratic):
+        return 0.5 * float(np.sum(f.diag * x * x))
+    if isinstance(f, DenseQuadratic):
+        return 0.5 * float(x @ f.Q.full() @ x)
+    raise AssertionError
+
+
+def _oracle_support(cone, w):
+    tol = _FEAS_TOL * (1.0 + np.linalg.norm(w))
+    if isinstance(cone, (NonnegOrthant, NonnegSymMatrices)):
+        feasible = w.size == 0 or np.max(w) <= tol
+    elif isinstance(cone, FreeSpace):
+        feasible = np.linalg.norm(w) <= tol
+    elif isinstance(cone, PsdCone):
+        feasible = all(
+            np.linalg.eigvalsh(smat(wj, cone.d))[-1]
+            <= _FEAS_TOL * (1.0 + np.linalg.norm(wj))
+            for wj in np.split(w, cone.k))
+    else:
+        raise AssertionError
+    return 0.0 if feasible else np.inf
+
+
+def _oracle_conjugate(f, w):
+    if isinstance(f, IndicatorCone):
+        return _oracle_support(f.cone, w)
+    if isinstance(f, Zero):
+        return 0.0 if np.linalg.norm(w) <= _FEAS_TOL else np.inf
+    if isinstance(f, DiagQuadratic):
+        pos = f.diag > 0
+        if np.any(np.abs(w[~pos]) > _FEAS_TOL):
+            return np.inf
+        return 0.5 * float(np.sum(w[pos] ** 2 / f.diag[pos]))
+    if isinstance(f, DenseQuadratic):
+        return 0.5 * float(w @ np.linalg.solve(f.Q.full(), w))
+    raise AssertionError
+
+
+def _oracle_sum(f, x, fn):
+    return sum(fn(leaf, xb) for leaf, xb in _pieces(f, x))
+
+
+def kkt_dense_oracle(problem, point, dual):
+    """Every KKT residue, both objectives and ``eta_gap`` at ``(point,
+    dual)``, from dense ``A``, ``B_i`` and ``Bbar_i`` and each block's own
+    cone and function, first stage and scenario by scenario."""
+    norm = np.linalg.norm
+    x, xbar = point.x, point.xbar
+    ybar = np.split(dual.ybar, problem.y_offsets[1:-1])
+    zbar = np.split(dual.zbar, problem.x_offsets[1:-1])
+    vbar = np.split(dual.vbar, problem.x_offsets[1:-1])
+    out = {}
+    obj_p = _oracle_sum(problem.theta, x, _oracle_value) + problem.c @ x
+    conj = [_oracle_sum(problem.theta, -dual.v, _oracle_conjugate),
+            _oracle_sum(problem.cone, -dual.z, _oracle_support)]
+    lin_d = problem.c.copy()
+    lin_dual = 0.0
+    if problem.A is not None:
+        Ad = _dense(problem.A)
+        out["eta_P"] = norm(Ad @ x - problem.b) / (1 + norm(problem.b))
+        lin_d = lin_d - Ad.T @ dual.y
+        lin_dual += problem.b @ dual.y
+    else:
+        out["eta_P"] = 0.0
+    pr, dr, kr, tr = [], [], [], []
+    for i, s in enumerate(problem.scenarios):
+        B, Bbar = _dense(s.B), _dense(s.Bbar)
+        lin_d = lin_d - B.T @ ybar[i]
+        pr.append(B @ x + Bbar @ xbar[i] - s.bbar)
+        dr.append(Bbar.T @ ybar[i] + zbar[i] + vbar[i] - s.cbar)
+        kr.append(xbar[i] - _blockwise(s.cone, xbar[i] - zbar[i],
+                                       _oracle_project))
+        tr.append(xbar[i] - _blockwise(s.theta, xbar[i] - vbar[i],
+                                       _oracle_prox))
+        obj_p += _oracle_sum(s.theta, xbar[i], _oracle_value) + s.cbar @ xbar[i]
+        conj += [_oracle_sum(s.theta, -vbar[i], _oracle_conjugate),
+                 _oracle_sum(s.cone, -zbar[i], _oracle_support)]
+        lin_dual += s.bbar @ ybar[i]
+    xb = np.concatenate(xbar)
+    out["eta_D"] = norm(dual.z + dual.v - lin_d) / (1 + norm(problem.c))
+    out["eta_K"] = norm(x - _blockwise(problem.cone, x - dual.z,
+                                       _oracle_project)) / (
+        1 + norm(x) + norm(dual.z))
+    out["eta_theta"] = norm(x - _blockwise(problem.theta, x - dual.v,
+                                           _oracle_prox)) / (
+        1 + norm(x) + norm(dual.v))
+    out["eta_Pbar"] = norm(np.concatenate(pr)) / (1 + norm(problem.bbar))
+    out["eta_Dbar"] = norm(np.concatenate(dr)) / (1 + norm(problem.cbar))
+    out["eta_Kbar"] = norm(np.concatenate(kr)) / (
+        1 + norm(xb) + norm(dual.zbar))
+    out["eta_thetabar"] = norm(np.concatenate(tr)) / (
+        1 + norm(xb) + norm(dual.vbar))
+    out["eta"] = max(out["eta_P"], out["eta_D"], 0.2 * out["eta_K"],
+                     0.2 * out["eta_theta"], out["eta_Pbar"], out["eta_Dbar"],
+                     0.2 * out["eta_Kbar"], 0.2 * out["eta_thetabar"])
+    obj_d = -np.inf if np.isinf(sum(conj)) else lin_dual - sum(conj)
+    out["eta_gap"] = (np.inf if np.isinf(obj_d) else
+                      abs(obj_p - obj_d) / (1 + abs(obj_p) + abs(obj_d)))
+    return out, obj_p, obj_d
+
+
+def _dual_cone_point(rng, cone):
+    """A random point of the dual cone of a leaf ``cone``."""
+    if isinstance(cone, (NonnegOrthant, NonnegSymMatrices)):
+        return np.abs(rng.normal(size=cone.dim))
+    if isinstance(cone, FreeSpace):
+        return np.zeros(cone.dim)
+    if isinstance(cone, PsdCone):
+        return np.concatenate([svec(G @ G.T) for G in
+                               rng.normal(size=(cone.k, cone.d, cone.d))])
+    raise AssertionError
+
+
+def _conjugate_domain_point(rng, f):
+    """A random ``v`` with ``f*(-v)`` finite, for a leaf function ``f``."""
+    if isinstance(f, IndicatorCone):
+        return _dual_cone_point(rng, f.cone)
+    if isinstance(f, Zero):
+        return np.zeros(f.dim)
+    if isinstance(f, DiagQuadratic):
+        return rng.normal(size=f.dim) * (f.diag > 0)
+    if isinstance(f, DenseQuadratic):
+        return rng.normal(size=f.dim)
+    raise AssertionError
+
+
+def finite_dual(rng, problem):
+    """A random dual whose conjugates are all finite: each ``z`` block in its
+    cone's dual cone and each ``-v`` block in its function's conjugate
+    domain."""
+    def draw(f, fn):
+        return np.concatenate([fn(rng, leaf) for leaf, _ in
+                               _pieces(f, np.zeros(f.dim))])
+
+    return DualPoint(
+        y=rng.normal(size=problem.m0), ybar=rng.normal(size=problem.mbar),
+        z=draw(problem.cone, _dual_cone_point),
+        zbar=np.concatenate([draw(s.cone, _dual_cone_point)
+                             for s in problem.scenarios]),
+        v=draw(problem.theta, _conjugate_domain_point),
+        vbar=np.concatenate([draw(s.theta, _conjugate_domain_point)
+                             for s in problem.scenarios]))
+
+
+_ORACLE_CASES = {
+    "two_scenario_lp": make_two_scenario_lp,
+    "free_qp": make_free_qp,
+    "no_a": _no_a_problem,
+    "sdp": lambda: random_sdp(2, 3, 2, 3, N=3, seed=1),
+    "ufl_dnn": lambda: build_ufl_dnn(random_ufl(2, 3, seed=1)),
+    "pha_bundle": lambda: _bundle(random_two_stage(2, 4, 2, 4, N=3, seed=2,
+                                                   quad_eps=0.1), 10.0),
+}
+
+
+class TestKktFullDenseOracle:
+    """``kkt_full`` evaluates x|xbar with the sweep's joint operators; an
+    oracle that treats every block on its own, densely, checks it."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_matches_dense_oracle(self, name):
+        problem = _ORACLE_CASES[name]()
+        rng = np.random.default_rng(13)
+        for k in range(4):
+            point, dual = random_state(rng, problem)
+            if k:
+                dual = finite_dual(rng, problem)
+            res, obj_p, obj_d = model.kkt_full(problem, point.xx, dual)
+            want, want_p, want_d = kkt_dense_oracle(problem, point, dual)
+            assert res == kkt_residues(problem, point, dual)
+            assert (obj_p, obj_d) == (primal_objective(problem, point),
+                                      dual_objective(problem, dual))
+            got = dict(res.as_dict(), obj_p=obj_p, obj_d=obj_d)
+            want = dict(want, obj_p=want_p, obj_d=want_d)
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
+            # a random dual leaves some conjugate infinite; the others none
+            assert np.isinf(want_d) == (k == 0)
+            if k == 0:
+                assert obj_d == -np.inf and res.eta_gap == np.inf
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_one_projection_one_prox_no_block_operator(self, name,
+                                                       monkeypatch):
+        problem = _ORACLE_CASES[name]()
+        point, dual = random_state(np.random.default_rng(5), problem)
+        want = model.kkt_full(problem, point.xx, dual)
+        calls = []
+
+        def counted(obj, method):
+            inner = getattr(obj, method)
+
+            def wrapper(*args):
+                calls.append(method)
+                return inner(*args)
+            monkeypatch.setattr(obj, method, wrapper)
+
+        counted(problem.joint_cone, "project")
+        counted(problem.joint_theta, "prox")
+
+        class Forbidden:
+            def __getattr__(self, name):
+                raise AssertionError("kkt_full read a separate block object")
+
+        for attr in ("B", "Bbar", "cone", "theta", "scen_cone", "scen_theta"):
+            monkeypatch.setattr(problem, attr, Forbidden())
+        assert model.kkt_full(problem, point.xx, dual) == want
+        assert sorted(calls) == ["project", "prox"]

@@ -4,8 +4,7 @@ import pytest
 import dbasolve.pha as pha
 import dbasolve.solvers as solvers
 from dbasolve.builders import ScenarioData, build_two_stage, random_two_stage
-from dbasolve.errors import (NonFiniteData, ParameterError,
-                             SubproblemFailure)
+from dbasolve.errors import ParameterError, SubproblemFailure
 from dbasolve.io import iteration_csv_text
 from dbasolve.pha import (PHA_LOG_COLUMNS, PhaConfig, _bundle, pha_solve,
                           scenario_subsolve)
@@ -206,9 +205,16 @@ class TestSetupReuse:
         assert (len(calls), counts) == (1, {"msolver": 1, "afactor": 1})
 
     def test_non_finite_subproblem_cost_typed_error(self):
-        # a NaN rho makes the first effective cost c + w - rho * xhat NaN
-        with pytest.raises(NonFiniteData, match="NaN or Inf in c"):
+        # a NaN rho would make the first effective cost c + w - rho * xhat
+        # NaN; the config refuses it before any solve
+        with pytest.raises(ParameterError, match="rho must be positive"):
             pha_solve(self.problem(), PhaConfig(rho=np.nan, max_iter=2))
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_rho_is_a_parameter_error(self, rho):
+        with pytest.raises(ParameterError,
+                           match="^rho must be positive and finite$"):
+            PhaConfig(rho=rho)
 
     def test_no_iteration_builds_nothing(self, monkeypatch):
         counts = count_setup_builds(monkeypatch)
