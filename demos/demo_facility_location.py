@@ -2,9 +2,10 @@
 
 Lifts the binary opening variables to a PSD + entrywise-nonnegative matrix
 and treats every customer as one scenario block.  All customer blocks share
-identical coupling and recourse maps, which the structured linear solver
-exploits through a closed-form inverse.  On tiny instances the relaxation
-value is checked against the exact integer optimum by enumeration.
+identical coupling and recourse maps; the structured linear solver treats
+them like any other blocks and picks its strategy by the cost model.  On
+tiny instances the relaxation value is checked against the exact integer
+optimum by enumeration.
 """
 
 import itertools
@@ -47,17 +48,22 @@ prob = build_ufl_dnn(inst)
 print("lifted dimensions: matrix order %d, %d customer blocks of size %d"
       % (1 + inst.p, prob.N, prob.n_i[0]))
 
-# the shared-block structure makes the analytic strategy applicable
-rep = admm_solve(prob, SolverConfig(strategy="ufl", tol_kkt=1e-7,
-                                    tol_gap=1e-7))
+rep = admm_solve(prob, SolverConfig(tol_kkt=1e-7, tol_gap=1e-7))
 ip = integer_optimum(inst)
 print("relaxation value %.6f  <=  integer optimum %.6f  (gap %.2f%%)"
       % (rep.obj_p, ip, 100 * (ip - rep.obj_p) / ip))
 assert rep.obj_p <= ip + 1e-6 * (1 + abs(ip))
 
-# smw factors Bbar_j Bbar_j^T where ufl inverts it in closed form: the
-# same exact M, so the same iterate stream up to rounding
-rep_smw = admm_solve(prob, SolverConfig(strategy="smw", tol_kkt=1e-7,
-                                        tol_gap=1e-7))
-print("smw strategy reproduces the objective: %.2e"
-      % abs(rep.obj_p - rep_smw.obj_p))
+# with 100 customers the cost model prefers smw, which factors every
+# Bbar_j Bbar_j^T once at setup, to a Cholesky factor of the 500 x 500 M:
+# the same exact M, so the same iterate stream up to rounding
+big = build_ufl_dnn(random_ufl(p=4, q=100, seed=7, quadratic=True))
+reps = {strategy: admm_solve(big, SolverConfig(strategy=strategy,
+                                               tol_kkt=1e-7, tol_gap=1e-7))
+        for strategy in ("auto", "chol")}
+assert reps["auto"].extra["strategy"] == "smw"
+for strategy, r in reps.items():
+    print("%-4s -> %-4s  %s in %d iterations, objective %.8f"
+          % (strategy, r.extra["strategy"], r.status, r.iterations, r.obj_p))
+print("auto (smw) reproduces chol's objective: %.2e"
+      % abs(reps["auto"].obj_p - reps["chol"].obj_p))

@@ -54,31 +54,18 @@ def sparse_from_triplets(shape, rows, cols, vals):
 
 
 def canonicalize(mat):
-    """Return ``mat`` as a canonical CSR matrix (dense input left dense)."""
+    """Return ``mat`` as a canonical CSR matrix (dense input left dense).
+    A float64 CSR matrix already in canonical form is returned as it is,
+    not copied."""
     if isinstance(mat, np.ndarray):
+        return mat
+    if (type(mat) is sp.csr_matrix and mat.dtype == _F64
+            and mat.has_canonical_format):
         return mat
     out = sp.csr_matrix(mat)
     out.sum_duplicates()
     out.sort_indices()
     return out
-
-
-def same_canonical(a, b):
-    """Exact structural and numerical equality of two canonical matrices."""
-    a_sparse = sp.issparse(a)
-    if a_sparse != sp.issparse(b):
-        return False
-    if a.shape != b.shape:
-        return False
-    if not a_sparse:
-        return np.array_equal(a, b)
-    a = canonicalize(a)
-    b = canonicalize(b)
-    return (
-        np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-    )
 
 
 def density(mat):
@@ -290,43 +277,25 @@ class StackedOp:
         self.row_sizes = [b.shape[0] for b in blocks]
         self.m = sum(self.row_sizes)
         self.offsets = np.concatenate(([0], np.cumsum(self.row_sizes)))
-        # identical blocks allow one product per apply; otherwise the blocks
-        # are assembled into a single matrix so an apply is one matvec
-        self.shared = all(same_canonical(blocks[0], b) for b in blocks[1:])
-        if self.shared:
-            self._one = compact_for_matvec(blocks[0])
-            self._one_t = transposed(self._one)
-            self._assembled = None
-            self._assembled_t = None
-        else:
-            stack = sp.vstack([sp.csr_matrix(b) for b in blocks]).tocsr()
-            self._assembled = compact_for_matvec(stack)
-            self._assembled_t = transposed(self._assembled)
+        # the blocks assembled into one matrix: an apply is one mat-vec
+        stack = sp.vstack([sp.csr_matrix(b) for b in blocks]).tocsr()
+        self._assembled = compact_for_matvec(stack)
+        self._assembled_t = transposed(self._assembled)
 
     def all_finite(self):
         """True when every block entry is finite (one check, not one per
         block)."""
-        return all_finite(self._one if self.shared else self._assembled)
+        return all_finite(self._assembled)
 
     @property
     def matrix(self):
-        """[B_1; ...; B_N] as one dense or CSR matrix (tiled on each access
-        when the blocks are shared)."""
-        if not self.shared:
-            return self._assembled
-        if sp.issparse(self._one):
-            return sp.vstack([self._one] * len(self.blocks), format="csr")
-        return np.tile(self._one, (len(self.blocks), 1))
+        """[B_1; ...; B_N] as one dense or CSR matrix."""
+        return self._assembled
 
     def apply(self, x):
-        if self.shared:
-            return np.tile(mv(self._one, x), len(self.blocks))
         return mv(self._assembled, x)
 
     def apply_adjoint(self, ybar):
-        if self.shared:
-            total = ybar.reshape(len(self.blocks), -1).sum(axis=0)
-            return mv(self._one_t, total)
         return mv(self._assembled_t, ybar)
 
 

@@ -236,7 +236,7 @@ def cmd_generate(args):
 
 def cmd_check(args):
     problem = io.read_problem(args.problem)
-    primal, dual = io.read_solution(args.solution)
+    primal, dual = io.read_solution(args.solution, problem)
     res = kkt_residues(problem, primal, dual)
     for name, val in res.as_dict().items():
         print("%-14s %.6e" % (name, val))

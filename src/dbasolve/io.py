@@ -222,7 +222,10 @@ def write_solution(problem, primal, dual, path):
         fh.write(dumps(solution_to_dict(problem, primal, dual)))
 
 
-def read_solution(path):
+def read_solution(path, problem=None):
+    """The primal and dual points of a solution file.  With ``problem``,
+    each field's length is compared with the problem's and the first one
+    that differs raises :class:`ParseError`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -239,9 +242,29 @@ def read_solution(path):
                                         for p in doc["xbar"]])
         dual = DualPoint(y=arr("y"), ybar=cat("ybar"), z=arr("z"),
                          zbar=cat("zbar"), v=arr("v"), vbar=cat("vbar"))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad solution document: %s" % exc) from exc
+    if problem is not None:
+        _check_lengths(problem, primal, dual)
     return primal, dual
+
+
+def _check_lengths(problem, primal, dual):
+    """Raise :class:`ParseError` naming the first field of the solution
+    whose shape differs from the problem's."""
+    n0, nbar = problem.n0, problem.nbar
+    fields = [("x", primal.x.shape, n0),
+              ("xbar", (len(primal.xbar),), problem.N)]
+    fields += [("xbar[%d]" % i, xb.shape, n)
+               for i, (xb, n) in enumerate(zip(primal.xbar, problem.n_i))]
+    fields += [("y", dual.y.shape, problem.m0),
+               ("ybar", dual.ybar.shape, problem.mbar),
+               ("z", dual.z.shape, n0), ("zbar", dual.zbar.shape, nbar),
+               ("v", dual.v.shape, n0), ("vbar", dual.vbar.shape, nbar)]
+    for name, shape, want in fields:
+        if shape != (want,):
+            raise ParseError("solution field %r has shape %s, the problem "
+                             "needs (%d,)" % (name, shape, want))
 
 
 # ---------------------------------------------------------------------------

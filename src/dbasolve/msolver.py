@@ -10,12 +10,11 @@ columns of B.  Strategies:
 * ``smw-diag``   Jbar_i = lam_i I - Bbar_i Bbar_i* with lam_i a bound on
                  lambda_max(Bbar_i Bbar_i*), making D_i = lam_i I diagonal;
 * ``block-diag`` Jbar chosen so that M becomes block diagonal and each
-                 scenario solves independently;
-* ``ufl``        identical blocks B_i and Bbar_i plus the analytic inverse of
-                 Bbar_j Bbar_j* available for facility-location relaxations.
+                 scenario solves independently.
 
-Every other problem, identical blocks included, gets ``chol`` or ``smw`` by
-the cost model of :func:`m_solve_cost_ns`.
+Under ``auto`` every problem, identical blocks and facility-location
+relaxations included, gets ``chol`` or ``smw`` by the cost model of
+:func:`m_solve_cost_ns` (``smw-diag`` from 50 000 scenario rows on).
 
 Every scenario gram Bbar_i Bbar_i* comes from one sparse product of the
 assembled operator with its transpose (:meth:`BlockDiagOp.gram`): ``chol``
@@ -38,11 +37,11 @@ import scipy.sparse as sp
 
 from .blocklinalg import (_CHOL_PIVOT_RTOL, BlockDiagOp, canonicalize,
                           chol_factor, lambda_max_bound, maybe_densify, mv,
-                          op_norm_2, pcg_solve, same_canonical, to_dense)
+                          op_norm_2, pcg_solve, to_dense)
 from .errors import (NotPositiveDefinite, ParameterError,
                      StrategyPrecondition)
 
-STRATEGIES = ("chol", "smw", "smw-diag", "block-diag", "ufl")
+STRATEGIES = ("chol", "smw", "smw-diag", "block-diag")
 
 _G_CHOL_DIM = 2000
 # from this many scenario rows on, auto picks smw-diag
@@ -70,11 +69,8 @@ def auto_strategy(problem):
 
 
 def auto_candidates(problem):
-    """The strategies ``auto`` builds, in order, until one builds: ``ufl``
-    for a facility-location relaxation, otherwise :func:`row_count_strategy`
-    and then ``chol`` when that was ``smw``."""
-    if problem.meta.get("ufl_p") is not None:
-        return ["ufl"]
+    """The strategies ``auto`` builds, in order, until one builds:
+    :func:`row_count_strategy` and then ``chol`` when that was ``smw``."""
     general = row_count_strategy(problem)
     return [general] + (["chol"] if general == "smw" else [])
 
@@ -108,11 +104,6 @@ def row_count_strategy(problem):
         return "smw-diag"
     chol, smw = m_solve_cost_ns(problem)
     return "chol" if chol <= smw else "smw"
-
-
-def _bbar_shared(problem):
-    blocks = [s.Bbar for s in problem.scenarios]
-    return all(same_canonical(blocks[0], b) for b in blocks[1:])
 
 
 def assemble_m_dense(problem, jbar=None):
@@ -264,9 +255,7 @@ def _build(problem, strategy, jbar, max_cond):
         return _build_smw(problem, diagonal=False, max_cond=max_cond)
     if strategy == "smw-diag":
         return _build_smw(problem, diagonal=True)
-    if strategy == "block-diag":
-        return _build_block_diag(problem, jbar)
-    return _build_ufl(problem)
+    return _build_block_diag(problem, jbar)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +295,7 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
            else sp.identity(problem.n0, format="csr"))
     G = maybe_densify(eye + BtDB)
     g_solve, reads_tol = _make_g_solver(G)
-    impl = _make_smw_solve(problem, lambda h: mv(dinv, h), g_solve)
+    impl = _make_smw_solve(problem, dinv, g_solve)
     return MSolver(problem, "smw-diag" if diagonal else "smw", apply_jbar,
                    impl, reads_tol)
 
@@ -521,43 +510,6 @@ def _condition_error(what, max_cond, rcond):
         % (what, max_cond, 1.0 / max(rcond, 1e-300)))
 
 
-def _build_ufl(problem):
-    p = problem.meta.get("ufl_p")
-    if p is None or not problem.B.shared or not _bbar_shared(problem):
-        raise StrategyPrecondition(
-            "ufl strategy requires a facility-location problem with "
-            "bit-identical blocks B_i and Bbar_i")
-    B1d = to_dense(problem.scenarios[0].B)
-    dinv_apply = _per_block(problem, lambda H: ufl_bbar_gram_inv_apply(H, p))
-    # rows of the result are D_1^{-1} e_j; transposed they are its columns
-    dinv1_matrix = np.ascontiguousarray(
-        ufl_bbar_gram_inv_apply(np.eye(problem.scenarios[0].m), p).T)
-    G = np.eye(problem.n0) + problem.N * (B1d.T @ (dinv1_matrix @ B1d))
-    g_solve, reads_tol = _make_g_solver(G)
-    impl = _make_smw_solve(problem, dinv_apply, g_solve)
-    return MSolver(problem, "ufl", None, impl, reads_tol)
-
-
-def ufl_bbar_gram_inv_apply(h, p):
-    """Apply the closed-form inverse of Bbar_j Bbar_j^T for the facility
-    relaxation block [[e^T, 0], [-I, -I]]: the inverse is
-    [[0, 0], [0, I/2]] + (1/(2p)) [2; e][2; e]^T.  Acts on the last axis, so
-    an (n, 1 + p) array applies it to n blocks at once."""
-    h = np.asarray(h, dtype=np.float64)
-    scale = (2.0 * h[..., 0] + np.sum(h[..., 1:], axis=-1)) / (2.0 * p)
-    out = np.empty_like(h)
-    out[..., 0] = 2.0 * scale
-    out[..., 1:] = 0.5 * h[..., 1:] + scale[..., None]
-    return out
-
-
-def _per_block(problem, kernel):
-    """h -> ``kernel`` applied to the (N, m) array of h's scenario blocks:
-    identical B_i have one row count m, so this is a reshape in place."""
-    shape = (problem.N, problem.m_i[0])
-    return lambda h: kernel(h.reshape(shape)).reshape(-1)
-
-
 def _make_g_solver(G):
     """``(solve, reads_tol)`` for the dense or CSR n0 x n0 matrix G: its
     Cholesky factor up to order ``_G_CHOL_DIM``, otherwise PCG with a
@@ -577,15 +529,15 @@ def _make_g_solver(G):
     return solve, True
 
 
-def _make_smw_solve(problem, dinv_apply, g_solve):
+def _make_smw_solve(problem, dinv, g_solve):
     B_op = problem.B
 
     def impl(h, tol, stats=None):
-        u = dinv_apply(h)
+        u = mv(dinv, h)
         g = B_op.apply_adjoint(u)
         w, iters, relres = g_solve(g, tol)
         if stats is not None:
             stats["inner_iters"] = iters
             stats["inner_relres"] = relres
-        return u - dinv_apply(B_op.apply(w))
+        return u - mv(dinv, B_op.apply(w))
     return impl

@@ -4,10 +4,24 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dbasolve.blocklinalg import canonicalize
 from dbasolve.builders import ScenarioData, build_two_stage
 from dbasolve.model import DBAProblem, ScenarioBlock
 from dbasolve.proxcone import (DenseQuadratic, FreeSpace, NonnegOrthant, Zero)
+
+
+def same_canonical(a, b):
+    """Exact structural and numerical equality of two matrices in canonical
+    form: both dense, or both sparse with equal CSR arrays."""
+    if sp.issparse(a) != sp.issparse(b) or a.shape != b.shape:
+        return False
+    if not sp.issparse(a):
+        return np.array_equal(a, b)
+    a, b = canonicalize(a), canonicalize(b)
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("indptr", "indices", "data"))
 
 
 def make_two_scenario_lp(seed=3):

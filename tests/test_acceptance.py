@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from dbasolve.blocklinalg import smat, svec
+import dbasolve.msolver as msolver
+from dbasolve.blocklinalg import smat, svec, to_dense
 from dbasolve.builders import build_ufl_dnn, random_ufl
 from dbasolve.io import iteration_csv_text, read_problem
 from dbasolve.model import DBAProblem, DualPoint, PrimalPoint, ScenarioBlock, kkt_residues
 from dbasolve.msolver import (assemble_m_dense, build_msolver,
-                              ebj_block_diag_J, std_block_diag_J,
-                              ufl_bbar_gram_inv_apply)
+                              ebj_block_diag_J, std_block_diag_J)
 from dbasolve.pha import PhaConfig, pha_solve
 from dbasolve.proxcone import (DenseQuadratic, DiagQuadratic, IndicatorCone,
                                NonnegOrthant, PsdCone, Zero, Box, FreeSpace,
@@ -118,14 +118,19 @@ def test_02_smw_correctness():
         got = sol.solve(h)
         expect = np.linalg.solve(Md, h)
         assert np.linalg.norm(got - expect) <= 1e-8 * (1 + np.linalg.norm(expect))
+    # the inverse of Bbar_j Bbar_j^T that smw forms at setup for the
+    # facility-location blocks [[e^T, 0], [-I, -I]]
     for p in (2, 5, 10):
+        prob = build_ufl_dnn(random_ufl(p, 3, seed=p))
+        dinv = to_dense(msolver._inverse_csr(
+            prob, *msolver._bbar_gram_factors(prob, "smw requires")))
         Bbar = np.block([[np.ones((1, p)), np.zeros((1, p))],
                          [-np.eye(p), -np.eye(p)]])
         Ginv = np.linalg.inv(Bbar @ Bbar.T)
-        got = np.column_stack([ufl_bbar_gram_inv_apply(col, p)
-                               for col in np.eye(1 + p).T])
-        assert np.max(np.abs(got - Ginv)) <= 1e-12
-    _report(2, "SMW and analytic-inverse correctness", t0, limit=5)
+        for j in range(prob.N):
+            sl = prob.y_slice(j)
+            assert np.max(np.abs(dinv[sl, sl] - Ginv)) <= 1e-12
+    _report(2, "SMW and facility-location inverse correctness", t0, limit=5)
 
 
 def test_03_moreau_identity_suite():

@@ -11,14 +11,16 @@ import dbasolve.blocklinalg as blocklinalg
 import dbasolve.msolver as msolver
 import dbasolve.proxcone as proxcone
 from dbasolve.blocklinalg import (BlockDiagOp, CholFactor, StackedOp,
-                                  SymDense, _norm, all_finite, chol_factor, lambda_max_bound, mv, op_norm_2,
-                                  pcg_solve, power_lambda_max, same_canonical,
-                                  smat,
+                                  SymDense, _norm, all_finite, canonicalize,
+                                  chol_factor, lambda_max_bound, mv, op_norm_2,
+                                  pcg_solve, power_lambda_max, smat,
                                   sparse_from_triplets, svec, svec_dim,
                                   svec_indices, svec_maps)
 from dbasolve.builders import random_sdp
 from dbasolve.errors import Breakdown, DimensionMismatch, NotPositiveDefinite
 from dbasolve.solvers import admm_solve
+
+from conftest import same_canonical
 
 
 def _load_perfbench_workloads():
@@ -64,6 +66,37 @@ class TestSparse:
         assert same_canonical(a, b)
         c = sparse_from_triplets((2, 2), [0, 1], [0, 1], [1.0, 2.5])
         assert not same_canonical(a, c)
+
+    def test_canonical_input_is_returned_as_is(self):
+        m = sparse_from_triplets((3, 4), [0, 2, 2], [3, 0, 1], [1.0, 2.0, 0.0])
+        before = [arr.copy() for arr in (m.indptr, m.indices, m.data)]
+        assert canonicalize(m) is m
+        for arr, old in zip((m.indptr, m.indices, m.data), before):
+            assert np.array_equal(arr, old)
+        dense = np.ones((2, 2))
+        assert canonicalize(dense) is dense
+
+    @pytest.mark.parametrize("case", ["unsorted", "duplicates", "coo",
+                                      "int", "csc"])
+    def test_other_input_is_canonicalized(self, case):
+        rows, cols = [1, 0, 0, 1], [0, 2, 1, 0]
+        vals = [1.0, 2.0, 3.0, 4.0]
+        if case == "unsorted":
+            mat = sp.csr_matrix((np.array([2.0, 3.0, 5.0]), np.array([2, 1, 0]),
+                                 np.array([0, 2, 3])), shape=(2, 3))
+        elif case == "duplicates":
+            mat = sp.csr_matrix((np.array(vals), np.array(cols[:2] + [0, 0]),
+                                 np.array([0, 2, 4])), shape=(2, 3))
+        elif case == "coo":
+            mat = sp.coo_matrix((vals, (rows, cols)), shape=(2, 3))
+        elif case == "int":
+            mat = sp.csr_matrix(np.array([[0, 3, 2], [5, 0, 0]]))
+        else:
+            mat = sp.csc_matrix(np.array([[0.0, 3.0, 2.0], [5.0, 0.0, 0.0]]))
+        out = canonicalize(mat)
+        assert out is not mat and type(out) is sp.csr_matrix
+        assert out.has_canonical_format
+        assert np.array_equal(out.toarray(), mat.toarray())
 
 
 class TestSvec:
@@ -221,8 +254,7 @@ class TestAllFinite:
         assert not StackedOp([dense, bad]).all_finite()
         inf = dense.copy()
         inf[0, 0] = np.inf
-        shared = StackedOp([inf, inf])       # identical blocks: one stored
-        assert shared.shared and not shared.all_finite()
+        assert not StackedOp([inf, inf]).all_finite()
         assert BlockDiagOp([dense, dense]).all_finite()
         assert not BlockDiagOp([dense, sp.csr_matrix(bad)]).all_finite()
 
@@ -372,7 +404,7 @@ class TestBlockOps:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         stored = blocklinalg.compact_for_matvec(want)
         if sp.issparse(stored):
-            assert blocklinalg.same_canonical(op.matrix, stored)
+            assert same_canonical(op.matrix, stored)
         else:
             assert np.array_equal(op.matrix, stored)
 
@@ -380,13 +412,16 @@ class TestBlockOps:
         with pytest.raises(DimensionMismatch):
             StackedOp([np.ones((2, 3)), np.ones((2, 4))])
 
-    def test_shared_detection(self):
+    def test_identical_blocks_stack(self):
+        # identical blocks are assembled like any others: one stacked matrix
         b = sparse_from_triplets((2, 3), [0, 1], [0, 2], [1.0, 2.0])
         op = StackedOp([b, b.copy()])
-        assert op.shared
+        assert same_canonical(sp.csr_matrix(op.matrix),
+                              sp.vstack([b, b], format="csr"))
         rng = np.random.default_rng(11)
-        x = rng.normal(size=3)
-        assert np.allclose(op.apply(x)[:2], op.apply(x)[2:])
+        x, y = rng.normal(size=3), rng.normal(size=4)
+        assert np.array_equal(op.apply(x)[:2], op.apply(x)[2:])
+        assert np.allclose(op.apply_adjoint(y), b.T @ (y[:2] + y[2:]))
 
 
 # -- cached svec/smat maps against the triangle-mask implementations ---------

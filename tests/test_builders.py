@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbasolve.blocklinalg import same_canonical, smat, svec
+from dbasolve.blocklinalg import smat, svec
 from dbasolve.builders import (ScenarioData, UflInstance, build_two_stage,
                                build_ufl_dnn, random_qp, random_sdp,
                                random_two_stage, random_ufl,
@@ -11,6 +11,8 @@ from dbasolve.io import dumps, problem_to_dict
 from dbasolve.model import validate
 from dbasolve.proxcone import DiagQuadratic, NonnegOrthant, Zero
 from dbasolve.solvers import SolverConfig, admm_solve, alm_solve
+
+from conftest import same_canonical
 
 
 class TestTwoStage:
@@ -98,9 +100,10 @@ class TestUflBuilder:
 
     def test_blocks_bit_identical(self):
         prob = build_ufl_dnn(random_ufl(3, 5, 2))
-        assert prob.B.shared
+        first = prob.scenarios[0]
         for s in prob.scenarios[1:]:
-            assert same_canonical(prob.scenarios[0].Bbar, s.Bbar)
+            assert same_canonical(first.B, s.B)
+            assert same_canonical(first.Bbar, s.Bbar)
 
     def test_coupling_reads_u(self):
         inst = random_ufl(3, 2, 3)

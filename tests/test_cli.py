@@ -253,6 +253,44 @@ class TestCmdCheck:
         text = capsys.readouterr().out
         assert "FAIL" in text
 
+    def test_solution_of_another_problem_is_a_parse_error(self, tmp_path,
+                                                           capsys):
+        # a's solution checked against b, whose n0 is 5 instead of 4: one
+        # parse-error line naming the first field that differs, exit 2
+        paths = {}
+        for name, n0 in (("a", 4), ("b", 5)):
+            paths[name] = str(tmp_path / (name + ".json"))
+            assert main(["generate", "two-stage", "--out", paths[name],
+                         "--m0", "2", "--n0", str(n0), "--mi", "2",
+                         "--ni", "3", "--N", "3", "--seed", "1",
+                         "--quad-eps", "0.1"]) == 0
+        out = str(tmp_path / "a")
+        main(["solve", paths["a"], "--out", out])
+        capsys.readouterr()
+        assert main(["check", paths["b"], out + ".solution.json"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("parse error: ") and "'x'" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("xbar", [[0.0]]), ("ybar", [[0.0], []]), ("zbar", [[], []]),
+        ("vbar", [[0.0, 1.0], [2.0]]), ("y", []), ("z", [[0.0]]),
+        ("xbar", 3.0)])
+    def test_field_length_mismatch_is_named(self, lp_file, tmp_path, field,
+                                            value, capsys):
+        out = str(tmp_path / "run")
+        main(["solve", lp_file, "--out", out])
+        doc = json.loads(open(out + ".solution.json").read())
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(io.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", lp_file, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+        if isinstance(value, list):        # a scalar is no vector at all
+            assert "field %r" % field in err
+
     def test_analytic_optimum_zero_residues(self, tmp_path, capsys):
         # min x over x >= 1 stated through one scenario row
         from dbasolve.model import DBAProblem, ScenarioBlock

@@ -15,9 +15,11 @@ from dbasolve.errors import ParameterError, StrategyPrecondition
 from dbasolve.model import DBAProblem, ScenarioBlock
 from dbasolve.msolver import (assemble_m_dense, auto_strategy, build_msolver,
                               ebj_block_diag_J, pairwise_coupling_norms,
-                              std_block_diag_J, ufl_bbar_gram_inv_apply)
+                              std_block_diag_J)
 from dbasolve.proxcone import NonnegOrthant, Zero
 from dbasolve.solvers import SolverConfig, _msolve_with_tol, admm_solve
+
+from conftest import same_canonical
 
 
 def random_structure(rng, N=5, n0=10, mi_max=8, shared=False, equal=False,
@@ -211,16 +213,30 @@ def identical_blocks(prob, bbar=False):
     return DBAProblem(prob.A, prob.b, prob.c, prob.cone, prob.theta, blocks)
 
 
+def has_identical_blocks(prob, bbar=False):
+    """Whether every B_i (and, when ``bbar``, every Bbar_i) equals the
+    first scenario's entry for entry."""
+    s0 = prob.scenarios[0]
+    return all(same_canonical(s0.B, s.B)
+               and (not bbar or same_canonical(s0.Bbar, s.Bbar))
+               for s in prob.scenarios[1:])
+
+
 class TestShared:
     """Identical (shared) blocks B_i have no strategy of their own: they go
     through the cost model, to chol or smw, like every other problem."""
 
     def test_shared_is_not_a_strategy(self):
+        # nor is ufl: facility-location relaxations have identical blocks
+        # too, and smw builds their exact D^{-1}
         prob = random_structure(np.random.default_rng(10), shared=True,
                                 bbar_shared=True)
-        assert prob.B.shared and "shared" not in msolver.STRATEGIES
-        with pytest.raises(StrategyPrecondition, match="unknown strategy"):
-            build_msolver(prob, "shared")
+        ufl = build_ufl_dnn(random_ufl(3, 4, 0))
+        assert msolver.STRATEGIES == ("chol", "smw", "smw-diag", "block-diag")
+        for p, strategy in ((prob, "shared"), (ufl, "ufl")):
+            assert has_identical_blocks(p, bbar=True)
+            with pytest.raises(StrategyPrecondition, match="unknown strategy"):
+                build_msolver(p, strategy)
 
     def test_auto_falls_back_when_a_gram_is_singular(self):
         # both B_i are [[1]]; the second scenario has no second-stage
@@ -230,7 +246,8 @@ class TestShared:
                           Zero(1)),
             ScenarioBlock([[1.0]], np.zeros((1, 0)), [1.0], np.zeros(0),
                           NonnegOrthant(0), Zero(0))])
-        assert prob.B.shared and msolver.auto_candidates(prob) == ["chol"]
+        assert has_identical_blocks(prob)
+        assert msolver.auto_candidates(prob) == ["chol"]
         with pytest.raises(StrategyPrecondition,
                            match=r"Bbar_1 Bbar_1\^T positive definite"):
             build_msolver(prob, "smw")
@@ -250,7 +267,7 @@ class TestShared:
         blocks[0] = ScenarioBlock(s.B, np.zeros((s.m, 0)), s.bbar, np.zeros(0),
                                   NonnegOrthant(0), Zero(0))
         prob = DBAProblem(big.A, big.b, big.c, big.cone, big.theta, blocks)
-        assert prob.B.shared
+        assert has_identical_blocks(prob)
         assert msolver.auto_candidates(prob) == ["smw", "chol"]
         with pytest.raises(StrategyPrecondition,
                            match=r"Bbar_0 Bbar_0\^T positive definite"):
@@ -281,29 +298,40 @@ class TestShared:
                     assert np.allclose(sol.solve(h), want, atol=1e-8)
 
 
+def ufl_gram_inverse(p):
+    """The closed-form inverse of Bbar_j Bbar_j^T for the facility-location
+    block [[e^T, 0], [-I, -I]]: [[0, 0], [0, I/2]] + (1/(2p)) [2; e][2; e]^T."""
+    u = np.concatenate(([2.0], np.ones(p)))
+    inv = np.outer(u, u) / (2.0 * p)
+    inv[1:, 1:] += 0.5 * np.eye(p)
+    return inv
+
+
 class TestUflAnalytic:
+    """Facility-location relaxations go through smw, which forms the exact
+    inverse of every Bbar_j Bbar_j^T at setup."""
+
     @pytest.mark.parametrize("p", [2, 5, 10])
     def test_analytic_inverse(self, p):
-        Bbar = np.block([[np.ones((1, p)), np.zeros((1, p))],
-                         [-np.eye(p), -np.eye(p)]])
-        G = Bbar @ Bbar.T
-        Ginv = np.linalg.inv(G)
-        got = np.column_stack([ufl_bbar_gram_inv_apply(col, p)
-                               for col in np.eye(1 + p).T])
-        assert np.max(np.abs(got - Ginv)) <= 1e-12
+        prob = build_ufl_dnn(random_ufl(p, 3, seed=p))
+        dinv = to_dense(msolver._inverse_csr(
+            prob, *msolver._bbar_gram_factors(prob, "smw requires")))
+        want = ufl_gram_inverse(p)
+        for i in range(prob.N):
+            sl = prob.y_slice(i)
+            assert np.max(np.abs(dinv[sl, sl] - want)) <= 1e-12
+        assert np.array_equal(dinv, sp.block_diag(
+            [to_dense(dinv[prob.y_slice(0), prob.y_slice(0)])] * prob.N
+        ).toarray())
 
-    def test_ufl_strategy_matches_dense(self):
+    def test_smw_matches_dense(self):
         prob = build_ufl_dnn(random_ufl(3, 4, 0))
-        sol = build_msolver(prob, "ufl")
+        sol = build_msolver(prob, "smw")
         Md = assemble_m_dense(prob)
         rng = np.random.default_rng(12)
         h = rng.normal(size=prob.mbar)
         y = sol.solve(h)
         assert np.linalg.norm(Md @ y - h) <= 1e-9 * (1 + np.linalg.norm(h))
-
-    def test_auto_selects_ufl(self):
-        prob = build_ufl_dnn(random_ufl(3, 4, 1))
-        assert auto_strategy(prob) == "ufl"
 
 
 class TestAutoSelection:
@@ -316,11 +344,22 @@ class TestAutoSelection:
         rng = np.random.default_rng(14)
         for bbar in (False, True):
             prob = random_structure(rng, shared=True, bbar_shared=bbar)
-            assert prob.B.shared and auto_strategy(prob) == "chol"
+            assert has_identical_blocks(prob, bbar)
+            assert auto_strategy(prob) == "chol"
             big = identical_blocks(random_two_stage(5, 20, 5, 15, N=120,
                                                     seed=1, quad_eps=0.1), bbar)
-            assert big.B.shared
+            assert has_identical_blocks(big, bbar)
             assert msolver.auto_candidates(big) == ["smw", "chol"]
+
+    def test_ufl_uses_the_cost_model(self):
+        # facility-location relaxations are priced like every other
+        # problem: chol for 4 customers, smw for the benchmark's 150
+        small = build_ufl_dnn(random_ufl(3, 4, 1))
+        assert msolver.auto_candidates(small) == ["chol"]
+        assert build_msolver(small).strategy == "chol"
+        big = build_ufl_dnn(random_ufl(10, 150, 1))
+        assert msolver.auto_candidates(big) == ["smw", "chol"]
+        assert build_msolver(big).strategy == "smw"
 
     def test_reference_instances(self):
         # by the per-solve cost estimate: a 4x4, a 12x12 and a 48x48 M factor
@@ -374,7 +413,7 @@ class TestAutoSelection:
                           blocks)
         if kind == "shared-bbar":
             prob = identical_blocks(prob, bbar=True)
-        assert prob.B.shared is (kind != "smw")
+        assert has_identical_blocks(prob) is (kind != "smw")
         assert msolver.auto_candidates(prob) == ["smw", "chol"]
         assert build_msolver(prob, "smw").strategy == "smw"
         # under auto's bound the batched build names the first ill block
@@ -502,12 +541,6 @@ def reference_msolver(problem, strategy, variant=None):
                 sl = problem.y_slice(i)
                 out[sl] = lam * w[sl] - mv(gram, w[sl])
             return out
-    elif strategy == "ufl":
-        p = problem.meta["ufl_p"]
-        fns = [lambda h: ufl_bbar_gram_inv_apply(h, p)] * N
-        dinv1 = np.column_stack([fns[0](e) for e in np.eye(scen[0].m)])
-        B1d = to_dense(scen[0].B)
-        G = np.eye(n0) + N * (B1d.T @ (dinv1 @ B1d))
     else:
         facs = [chol_factor(to_dense(_csr_gram(s.Bbar))) for s in scen]
         fns = [f.solve for f in facs]
@@ -564,22 +597,19 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("N", [1, 2, 7])
     def test_ufl_solve_bit_equal_to_per_scenario_loop(self, N):
+        # the facility-location structure on smw, as the cases above
         prob = build_ufl_dnn(random_ufl(3, N, seed=N))
-        sol = build_msolver(prob, "ufl")
-        ref_solve, _ = reference_msolver(prob, "ufl")
+        sol = build_msolver(prob, "smw")
+        ref_solve, _ = reference_msolver(prob, "smw")
         rng = np.random.default_rng(N)
         for _ in range(3):
             h = rng.normal(size=prob.mbar)
-            assert np.array_equal(sol.solve(h), ref_solve(h))
-
-    @pytest.mark.parametrize("p", [1, 3, 10, 200])
-    def test_ufl_inverse_on_stacked_rows(self, p):
-        H = np.random.default_rng(p).normal(size=(13, 1 + p))
-        rows = np.stack([ufl_bbar_gram_inv_apply(h, p) for h in H])
-        assert np.array_equal(ufl_bbar_gram_inv_apply(H, p), rows)
+            got, want = sol.solve(h), ref_solve(h)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_smw_kernel_calls_do_not_grow_with_n(self, monkeypatch):
-        # an smw solve applies D^{-1}, one block-diagonal CSR matrix, twice
+        # an smw solve applies D^{-1}, one block-diagonal CSR matrix, twice,
+        # on distinct blocks as on the identical blocks of facility location
         calls = []
         orig = msolver.mv
 
@@ -589,31 +619,15 @@ class TestStackedKernels:
         monkeypatch.setattr(msolver, "mv", counted)
         counts = []
         for N in (10, 100):
-            prob = random_structure(np.random.default_rng(N), N, n0=6,
-                                    equal=True)
-            sol = build_msolver(prob, "smw")
-            calls.clear()
-            sol.solve(np.ones(prob.mbar))
-            assert set(calls) == {((prob.mbar, prob.mbar), True)}
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 2
-
-    def test_kernel_calls_do_not_grow_with_n(self, monkeypatch):
-        calls = []
-        orig = msolver.ufl_bbar_gram_inv_apply
-
-        def counted(h, p):
-            calls.append(np.shape(h))
-            return orig(h, p)
-        monkeypatch.setattr(msolver, "ufl_bbar_gram_inv_apply", counted)
-        counts = []
-        for N in (20, 40):
-            prob = build_ufl_dnn(random_ufl(3, N, seed=0))
-            sol = build_msolver(prob, "ufl")
-            calls.clear()
-            sol.solve(np.ones(prob.mbar))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+            for prob in (random_structure(np.random.default_rng(N), N, n0=6,
+                                          equal=True),
+                         build_ufl_dnn(random_ufl(3, N, seed=0))):
+                sol = build_msolver(prob, "smw")
+                calls.clear()
+                sol.solve(np.ones(prob.mbar))
+                assert set(calls) == {((prob.mbar, prob.mbar), True)}
+                counts.append(len(calls))
+        assert counts == [2] * 4
 
 
 def gram_structure(sizes, seed):
@@ -794,15 +808,15 @@ class TestToleranceReaders:
         prob = random_structure(np.random.default_rng(5), shared=True,
                                 bbar_shared=True)
         ufl = build_ufl_dnn(random_ufl(4, 20, seed=1))
-        cases = [(prob, s) for s in ("chol", "smw", "smw-diag", "block-diag")]
-        cases.append((ufl, "ufl"))
+        cases = [(p, s) for p in (prob, ufl)
+                 for s in ("chol", "smw", "smw-diag", "block-diag")]
         for p, strategy in cases:
             assert build_msolver(p, strategy).reads_tol is False
         # a G of any order above _G_CHOL_DIM is solved by PCG
         monkeypatch.setattr(msolver, "_G_CHOL_DIM", 0)
         for p, strategy in cases:
             assert build_msolver(p, strategy).reads_tol \
-                is (strategy in ("smw", "smw-diag", "ufl"))
+                is (strategy in ("smw", "smw-diag"))
 
     def test_pcg_receives_the_same_tol(self, monkeypatch):
         seen = []
@@ -967,7 +981,7 @@ def own_m(sol, mbar):
     return np.array([sol.apply_m(e) for e in np.eye(mbar)]).T.reshape(mbar, mbar)
 
 
-NO_JBAR = ("chol", "smw", "ufl")
+NO_JBAR = ("chol", "smw")
 
 
 class TestOracle:
