@@ -607,9 +607,10 @@ class TestStackedKernels:
             got, want = sol.solve(h), ref_solve(h)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_smw_kernel_calls_do_not_grow_with_n(self, monkeypatch):
-        # an smw solve applies D^{-1}, one block-diagonal CSR matrix, twice,
-        # on distinct blocks as on the identical blocks of facility location
+    @staticmethod
+    def count_d_inverse_calls(monkeypatch, problems):
+        """mv calls of one smw solve on each problem; every call must be a
+        mat-vec with the block-diagonal CSR matrix D^{-1}."""
         calls = []
         orig = msolver.mv
 
@@ -618,16 +619,27 @@ class TestStackedKernels:
             return orig(op, x)
         monkeypatch.setattr(msolver, "mv", counted)
         counts = []
-        for N in (10, 100):
-            for prob in (random_structure(np.random.default_rng(N), N, n0=6,
-                                          equal=True),
-                         build_ufl_dnn(random_ufl(3, N, seed=0))):
-                sol = build_msolver(prob, "smw")
-                calls.clear()
-                sol.solve(np.ones(prob.mbar))
-                assert set(calls) == {((prob.mbar, prob.mbar), True)}
-                counts.append(len(calls))
-        assert counts == [2] * 4
+        for prob in problems:
+            sol = build_msolver(prob, "smw")
+            calls.clear()
+            sol.solve(np.ones(prob.mbar))
+            assert set(calls) == {((prob.mbar, prob.mbar), True)}
+            counts.append(len(calls))
+        return counts
+
+    def test_smw_kernel_calls_do_not_grow_with_n(self, monkeypatch):
+        # an smw solve applies D^{-1}, one block-diagonal CSR matrix, twice
+        counts = self.count_d_inverse_calls(monkeypatch, [
+            random_structure(np.random.default_rng(N), N, n0=6, equal=True)
+            for N in (10, 100)])
+        assert counts == [2, 2]
+
+    def test_kernel_calls_do_not_grow_with_n(self, monkeypatch):
+        # the identical blocks of facility location take the same two
+        # D^{-1} mat-vecs per solve, whatever N
+        counts = self.count_d_inverse_calls(monkeypatch, [
+            build_ufl_dnn(random_ufl(3, N, seed=0)) for N in (20, 40)])
+        assert counts == [2, 2]
 
 
 def gram_structure(sizes, seed):
