@@ -55,14 +55,15 @@ def sparse_from_triplets(shape, rows, cols, vals):
 
 def canonicalize(mat):
     """Return ``mat`` as a canonical CSR matrix (dense input left dense).
-    A float64 CSR matrix already in canonical form is returned as it is,
-    not copied."""
+    A float64 CSR matrix already in canonical form is returned as it is;
+    any other input is copied first, so the caller's arrays are not
+    reordered or summed in place."""
     if isinstance(mat, np.ndarray):
         return mat
     if (type(mat) is sp.csr_matrix and mat.dtype == _F64
             and mat.has_canonical_format):
         return mat
-    out = sp.csr_matrix(mat)
+    out = sp.csr_matrix(mat, copy=True)
     out.sum_duplicates()
     out.sort_indices()
     return out
@@ -210,50 +211,6 @@ def smat(v, d):
     out = v[..., gather]
     out /= gscale
     return out.reshape(v.shape[:-1] + (d, d))
-
-
-class SymDense:
-    """Symmetric dense matrix stored as its lower triangle, row-major.
-
-    Symmetry holds by construction; the full matrix is expanded only where an
-    eigensolve or factorization needs it.
-    """
-
-    __slots__ = ("dim", "packed")
-
-    def __init__(self, dim, packed):
-        packed = np.asarray(packed, dtype=np.float64)
-        if packed.size != svec_dim(dim):
-            raise DimensionMismatch(
-                "packed length %d does not match dim %d" % (packed.size, dim))
-        self.dim = dim
-        self.packed = packed
-
-    @classmethod
-    def from_full(cls, x):
-        x = np.asarray(x, dtype=np.float64)
-        d = x.shape[0]
-        x = 0.5 * (x + x.T)
-        il, jl = svec_indices(d, lower=True)
-        return cls(d, x[il, jl].copy())
-
-    def full(self):
-        d = self.dim
-        il, jl = svec_indices(d, lower=True)
-        out = np.zeros((d, d))
-        out[il, jl] = self.packed
-        out[jl, il] = self.packed
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymDense)
-            and self.dim == other.dim
-            and np.array_equal(self.packed, other.packed)
-        )
-
-    def __hash__(self):  # pragma: no cover - identity hashing is enough
-        return id(self)
 
 
 # ---------------------------------------------------------------------------

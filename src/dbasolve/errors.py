@@ -17,10 +17,6 @@ class Breakdown(DbaError):
     """Conjugate gradient met nonpositive curvature (operator not PD)."""
 
 
-class SingularSystem(DbaError):
-    """A linear system that should be nonsingular could not be solved."""
-
-
 class StrategyPrecondition(DbaError):
     """A structured-solver strategy was requested but its prerequisites fail."""
 

@@ -1,7 +1,8 @@
 """Problem and solution files (versioned JSON) and iteration logs (CSV).
 
 Matrices are stored as canonical triplet lists (sorted, duplicates summed),
-vectors as plain arrays, symmetric dense matrices as packed lower triangles.
+vectors as plain arrays, the ``Q`` of a ``dense_quad`` as its packed
+row-major lower triangle (:func:`svec_indices` order, unscaled).
 Floats rely on the shortest round-trip representation, so write -> parse ->
 write is byte identical.  Box bounds use ``null`` for infinities.
 """
@@ -14,7 +15,7 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from .blocklinalg import SymDense, canonicalize
+from .blocklinalg import canonicalize, svec_dim, svec_indices
 from .errors import ParseError
 from .model import DBAProblem, DualPoint, PrimalPoint, ScenarioBlock
 from .proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
@@ -69,8 +70,8 @@ def _enc_function(f):
     if isinstance(f, DiagQuadratic):
         return {"type": "diag_quad", "diag": f.diag.tolist()}
     if isinstance(f, DenseQuadratic):
-        return {"type": "dense_quad", "dim": f.Q.dim,
-                "lower": f.Q.packed.tolist()}
+        return {"type": "dense_quad", "dim": f.dim,
+                "lower": f.Q[svec_indices(f.dim, lower=True)].tolist()}
     if isinstance(f, IndicatorCone):
         return {"type": "indicator", "cone": _enc_cone(f.cone)}
     raise ParseError("cannot encode function %s" % type(f).__name__)
@@ -134,6 +135,23 @@ def _dec_bound(vals, default):
     return np.array([default if x is None else float(x) for x in vals])
 
 
+def _dec_lower(dim, lower, where):
+    """The symmetric matrix of order ``dim`` with packed lower triangle ``lower``."""
+    try:
+        d = int(dim)
+        lower = np.asarray(lower, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("bad dense_quad in %s: %s" % (where, exc)) from exc
+    if d < 0 or lower.shape != (svec_dim(d),):
+        raise ParseError("%s.lower has shape %s, dim %d needs (%d,)"
+                         % (where, lower.shape, d, svec_dim(max(d, 0))))
+    il, jl = svec_indices(d, lower=True)
+    Q = np.zeros((d, d))
+    Q[il, jl] = lower
+    Q[jl, il] = lower
+    return Q
+
+
 def _dec_cone(doc, where):
     kind = _req(doc, "type", where)
     if kind == "free":
@@ -157,8 +175,8 @@ def _dec_function(doc, where):
     if kind == "diag_quad":
         return DiagQuadratic(np.asarray(_req(doc, "diag", where), dtype=np.float64))
     if kind == "dense_quad":
-        return DenseQuadratic(SymDense(_req(doc, "dim", where),
-                                       _req(doc, "lower", where)))
+        return DenseQuadratic(_dec_lower(_req(doc, "dim", where),
+                                         _req(doc, "lower", where), where))
     if kind == "indicator":
         return IndicatorCone(_dec_cone(_req(doc, "cone", where), where))
     raise ParseError("unknown function type %r in %s" % (kind, where))

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .errors import ParameterError, SubproblemFailure
 from .model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
                     dual_objective, joint_dual_sums, kkt_full, kkt_residues,
-                    primal_objective)
+                    primal_objective, validate)
 from .proxcone import (BlockCone, BlockFunction, add_diag_quadratic,
                        scale_function)
 from .solvers import (SolveReport, SolverConfig, TAU_ADMM_MAX, admm_solve,
@@ -118,6 +118,8 @@ def pha_solve(problem, config=None):
             "problem with build_two_stage")
     cfg = config or PhaConfig()
     t0 = time.perf_counter()
+    if cfg.rho is None:     # the default reads c and cbar: check them first
+        validate(problem, rank_check=False)
     rho = cfg.rho if cfg.rho is not None else default_sigma0(problem)
     N, n0 = problem.N, problem.n0
     probs = np.asarray(problem.meta["probabilities"], dtype=np.float64)

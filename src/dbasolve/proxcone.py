@@ -18,8 +18,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .blocklinalg import SymDense, chol_factor, smat, svec, svec_dim
-from .errors import DimensionMismatch, SingularSystem
+from .blocklinalg import all_finite, smat, svec, svec_dim
+from .errors import DimensionMismatch, NonFiniteData
 
 _PSD_EIG_TOL = 1e-10
 
@@ -71,13 +71,15 @@ class NonnegOrthant(Cone):
 
 
 class Box(Cone):
-    """Box with elementwise bounds; ``-inf`` / ``inf`` entries are allowed."""
+    """Box with elementwise bounds; ``-inf`` / ``inf`` are allowed, NaN is not."""
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=np.float64)
         upper = np.asarray(upper, dtype=np.float64)
         if lower.shape != upper.shape:
             raise DimensionMismatch("box bounds must have equal length")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise NonFiniteData("NaN in box bounds")
         if np.any(lower > upper):
             raise DimensionMismatch("box requires lower <= upper elementwise")
         self.lower = lower
@@ -210,11 +212,13 @@ class Zero(SeparableFunction):
 
 
 class DiagQuadratic(SeparableFunction):
-    """f(x) = (1/2) <x, diag(q) x> with q >= 0 elementwise."""
+    """f(x) = (1/2) <x, diag(q) x> with q >= 0 and finite elementwise."""
 
     def __init__(self, diag):
         diag = np.asarray(diag, dtype=np.float64)
-        if np.any(diag < 0):
+        if not np.isfinite(diag).all():
+            raise NonFiniteData("NaN or Inf in diagonal quadratic")
+        if (diag < 0).any():
             raise DimensionMismatch("diagonal quadratic requires q >= 0")
         self.diag = diag
         self.dim = diag.size
@@ -235,63 +239,43 @@ class DiagQuadratic(SeparableFunction):
 
 
 class DenseQuadratic(SeparableFunction):
-    """f(x) = (1/2) <x, Q x> with Q symmetric positive semidefinite."""
+    """f(x) = (1/2) <x, Q x> with Q symmetric positive semidefinite.
+
+    The constructor symmetrizes ``Q`` and keeps its eigendecomposition
+    ``Q = V diag(lam) V^T``, which gives the PSD check, the prox at every
+    ``t`` and the conjugate; nothing is cached or written afterwards."""
 
     def __init__(self, Q):
-        if isinstance(Q, np.ndarray):
-            Q = SymDense.from_full(Q)
-        self.Q = Q
-        self.dim = Q.dim
-        full = Q.full()
-        if full.size and float(np.linalg.eigvalsh(full)[0]) < -1e-10:
+        Q = np.asarray(Q, dtype=np.float64)
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+            raise DimensionMismatch("dense quadratic requires a square Q")
+        if not all_finite(Q):
+            raise NonFiniteData("NaN or Inf in dense quadratic Q")
+        self.Q = 0.5 * (Q + Q.T)
+        self.dim = Q.shape[0]
+        self.lam, self.V = np.linalg.eigh(self.Q)
+        if self.dim and float(self.lam[0]) < -_PSD_EIG_TOL:
             raise DimensionMismatch("dense quadratic requires Q >= 0")
-        self._full = full
-        # (t, factor of I + t Q) for the latest t other than 1 only: the
-        # object may be shared by many problems, and its cache must not grow
-        # with every penalty they have used.  The factor of I + Q, which
-        # the KKT residues' prox reads, has its own slot, so certifying an
-        # iterate does not evict the solve's factor.
-        self._prox_cache = None
-        self._unit_factor = None
-        self._conj_factor = None
+        # eigenvalues at or below 1e-12 max(1, lam_max) count as zero
+        self.on_range = self.lam > 1e-12 * np.max(self.lam, initial=1.0)
 
     def value(self, x):
         x = np.asarray(x)
-        return 0.5 * float(x @ (self._full @ x))
+        return 0.5 * float(x @ (self.Q @ x))
 
     def prox(self, t, x):
-        if t == 1.0:
-            if self._unit_factor is None:
-                self._unit_factor = self._prox_factor(t)
-            fac = self._unit_factor
-        else:
-            if self._prox_cache is None or self._prox_cache[0] != t:
-                self._prox_cache = (t, self._prox_factor(t))
-            fac = self._prox_cache[1]
-        return fac.solve(np.asarray(x, dtype=np.float64))
-
-    def _prox_factor(self, t):
-        try:
-            return chol_factor(np.eye(self.dim) + t * self._full)
-        except Exception as exc:  # cannot happen for PSD Q
-            raise SingularSystem(str(exc)) from exc
+        """V ((V^T x) / (1 + t lam)), the solution u of (I + t Q) u = x."""
+        return self.V @ ((self.V.T @ x) / (1.0 + t * self.lam))
 
     def conjugate(self, w, feas_tol):
+        """(1/2) w^T Q^+ w on the range of Q; ``inf`` when the part of ``w``
+        off the range exceeds the relative feasibility clamp."""
         w = np.asarray(w, dtype=np.float64)
-        if self._conj_factor is None:
-            try:
-                self._conj_factor = chol_factor(self._full)
-            except Exception:
-                self._conj_factor = "singular"
-        if self._conj_factor == "singular":
-            # PSD but singular: value is finite only on the range of Q
-            vals, vecs = np.linalg.eigh(self._full)
-            keep = vals > 1e-12 * max(1.0, vals[-1] if vals.size else 1.0)
-            coef = vecs.T @ w
-            if np.linalg.norm(coef[~keep]) > feas_tol * (1.0 + np.linalg.norm(w)):
-                return np.inf
-            return 0.5 * float(np.sum(coef[keep] ** 2 / vals[keep]))
-        return 0.5 * float(w @ self._conj_factor.solve(w))
+        coef = self.V.T @ w
+        keep = self.on_range
+        if np.linalg.norm(coef[~keep]) > feas_tol * (1.0 + np.linalg.norm(w)):
+            return np.inf
+        return 0.5 * float(np.sum(coef[keep] ** 2 / self.lam[keep]))
 
 
 class IndicatorCone(SeparableFunction):
@@ -473,7 +457,7 @@ def scale_function(f, alpha):
     if isinstance(f, DiagQuadratic):
         return DiagQuadratic(alpha * f.diag)
     if isinstance(f, DenseQuadratic):
-        return DenseQuadratic(SymDense(f.Q.dim, alpha * f.Q.packed))
+        return DenseQuadratic(alpha * f.Q)
     raise DimensionMismatch("cannot scale function of type %s" % type(f).__name__)
 
 
@@ -486,6 +470,6 @@ def add_diag_quadratic(f, eps):
     if isinstance(f, DiagQuadratic):
         return DiagQuadratic(f.diag + eps)
     if isinstance(f, DenseQuadratic):
-        return DenseQuadratic(f._full + eps * np.eye(f.dim))
+        return DenseQuadratic(f.Q + eps * np.eye(f.dim))
     raise DimensionMismatch(
         "cannot add a quadratic term to %s" % type(f).__name__)

@@ -117,7 +117,7 @@ def qp_kkt_solve(problem):
     sets; returns (objective, primal_stack)."""
     import scipy.linalg as sla
 
-    Qblocks = [problem.theta._full] + [s.theta._full for s in problem.scenarios]
+    Qblocks = [problem.theta.Q] + [s.theta.Q for s in problem.scenarios]
     Qhat = sla.block_diag(*Qblocks)
     E, f, cost = lp_standard_form(problem)
     m = E.shape[0]

@@ -11,7 +11,7 @@ import dbasolve.blocklinalg as blocklinalg
 import dbasolve.msolver as msolver
 import dbasolve.proxcone as proxcone
 from dbasolve.blocklinalg import (BlockDiagOp, CholFactor, StackedOp,
-                                  SymDense, _norm, all_finite, canonicalize,
+                                  _norm, all_finite, canonicalize,
                                   chol_factor, lambda_max_bound, mv, op_norm_2,
                                   pcg_solve, power_lambda_max, smat,
                                   sparse_from_triplets, svec, svec_dim,
@@ -98,6 +98,18 @@ class TestSparse:
         assert out.has_canonical_format
         assert np.array_equal(out.toarray(), mat.toarray())
 
+    def test_non_canonical_input_is_not_written(self):
+        # unsorted rows with a duplicate entry: the canonical copy sorts and
+        # sums, the caller's arrays keep their order and length
+        indptr, indices = np.array([0, 2, 4]), np.array([2, 0, 1, 1])
+        data = np.array([1.0, 2.0, 3.0, 4.0])
+        mat = sp.csr_matrix((data, indices, indptr), shape=(2, 3))
+        out = canonicalize(mat)
+        assert np.array_equal(out.toarray(), [[2.0, 0.0, 1.0], [0.0, 7.0, 0.0]])
+        assert np.array_equal(mat.indptr, [0, 2, 4])
+        assert np.array_equal(mat.indices, [2, 0, 1, 1])
+        assert np.array_equal(mat.data, [1.0, 2.0, 3.0, 4.0])
+
 
 class TestSvec:
     def test_inner_product_preserved(self):
@@ -108,13 +120,6 @@ class TestSvec:
             Y = rng.normal(size=(d, d)); Y = Y + Y.T
             assert svec(X) @ svec(Y) == pytest.approx(np.trace(X @ Y), rel=1e-12)
             assert np.allclose(smat(svec(X), d), X, atol=1e-13)
-
-    def test_symdense_roundtrip(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(5, 5)); X = X + X.T
-        sd = SymDense.from_full(X)
-        assert sd.packed.size == svec_dim(5)
-        assert np.allclose(sd.full(), X)
 
     def test_indices_cached_and_read_only(self):
         for d in (1, 4, 7):

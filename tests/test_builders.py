@@ -195,9 +195,9 @@ class TestRandomQp:
 
     def test_quadratic_terms_positive_definite(self):
         prob = random_qp(5, 12, 5, 12, 2, seed=12)
-        assert np.linalg.eigvalsh(prob.theta._full)[0] > 0
+        assert np.linalg.eigvalsh(prob.theta.Q)[0] > 0
         for s in prob.scenarios:
-            assert np.linalg.eigvalsh(s.theta._full)[0] > 0
+            assert np.linalg.eigvalsh(s.theta.Q)[0] > 0
 
 
 class TestRandomSdp:

@@ -115,6 +115,43 @@ class TestCmdSolve:
         assert "Traceback" not in err
         assert err == "invalid data: NaN or Inf in c\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        ("dense_quad", "NaN or Inf in dense quadratic Q"),
+        ("diag_quad", "NaN or Inf in diagonal quadratic"),
+        ("box", "NaN in box bounds")])
+    def test_non_finite_objective_or_box_exit_two(self, tmp_path, capsys,
+                                                  edit, message):
+        if edit == "diag_quad":
+            prob = random_two_stage(2, 6, 3, 6, 2, 2, quad_eps=0.1)
+        else:
+            prob = random_qp(4, 8, 4, 8, 2, 1)
+        doc = io.problem_to_dict(prob)
+        fs = doc["first_stage"]
+        if edit == "dense_quad":
+            fs["theta"]["lower"][1] = float("nan")
+        elif edit == "diag_quad":
+            fs["theta"]["diag"][0] = float("nan")
+        else:
+            fs["cone"] = {"type": "box", "lower": [0.0] * 7 + [float("nan")],
+                          "upper": [None] * 8}
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == "invalid data: %s\n" % message
+
+    def test_dense_quad_packed_length_is_a_parse_error(self, tmp_path,
+                                                       capsys):
+        doc = io.problem_to_dict(random_qp(4, 8, 4, 8, 2, 1))
+        doc["scenarios"][0]["theta"]["lower"].pop()
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "parse error: scenario 0.theta.lower has shape (35,), "
+            "dim 8 needs (36,)\n")
+
     def test_max_iter_one_exit_one(self, lp_file, tmp_path):
         code = main(["solve", lp_file, "--max-iter", "1",
                      "--out", str(tmp_path / "r")])

@@ -45,7 +45,7 @@ def _oracle_prox(f, x):
     if isinstance(f, DiagQuadratic):
         return x / (1.0 + f.diag)
     if isinstance(f, DenseQuadratic):
-        return np.linalg.solve(np.eye(f.dim) + f.Q.full(), x)
+        return np.linalg.solve(np.eye(f.dim) + f.Q, x)
     if isinstance(f, IndicatorCone):
         return _oracle_project(f.cone, x)
     raise AssertionError
@@ -531,7 +531,7 @@ def _oracle_value(f, x):
     if isinstance(f, DiagQuadratic):
         return 0.5 * float(np.sum(f.diag * x * x))
     if isinstance(f, DenseQuadratic):
-        return 0.5 * float(x @ f.Q.full() @ x)
+        return 0.5 * float(x @ f.Q @ x)
     raise AssertionError
 
 
@@ -562,7 +562,7 @@ def _oracle_conjugate(f, w):
             return np.inf
         return 0.5 * float(np.sum(w[pos] ** 2 / f.diag[pos]))
     if isinstance(f, DenseQuadratic):
-        return 0.5 * float(w @ np.linalg.solve(f.Q.full(), w))
+        return 0.5 * float(w @ np.linalg.solve(f.Q, w))
     raise AssertionError
 
 

@@ -103,7 +103,7 @@ class TestScenarioSubsolve:
 
         # dense KKT of each penalized subproblem
         for i, s in enumerate(scen):
-            Qhat = sla.block_diag(rho * np.eye(n0), s.theta.Q.full())
+            Qhat = sla.block_diag(rho * np.eye(n0), s.theta.Q)
             E = np.zeros((3, n0 + ni))
             E[0, :n0] = A
             E[1:, :n0] = s.B_tilde

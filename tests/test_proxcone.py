@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dbasolve.blocklinalg import smat, svec
-from dbasolve.errors import DimensionMismatch
+from dbasolve.errors import DimensionMismatch, NonFiniteData
 from dbasolve.proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
                                IndicatorCone, NonnegOrthant, NonnegSymMatrices,
                                PsdCone, Zero, conjugate_value, project_cone,
@@ -89,14 +89,19 @@ class TestProx:
             direct = np.linalg.solve(np.eye(5) + t * Q, x)
             assert np.allclose(u, direct, atol=1e-12)
 
+    def test_dense_quadratic_rejects_bad_shape_and_indefinite_q(self):
+        for Q in (np.ones((2, 3)), np.ones(3), np.diag([1.0, -1e-6])):
+            with pytest.raises(DimensionMismatch):
+                DenseQuadratic(Q)
+
     def test_indicator(self):
         f = IndicatorCone(NonnegOrthant(2))
         assert np.allclose(prox(f, 0.7, np.array([1.0, -1.0])), [1, 0])
 
     def test_dense_quadratic_keeps_one_factor(self):
-        # a DenseQuadratic is shared by every problem built from it, so its
-        # prox cache holds the latest parameter's factor only, and a cached
-        # factor gives what a fresh instance computes
+        # a DenseQuadratic is shared by every problem built from it; its
+        # prox at any parameter, in any order, gives what a fresh instance
+        # computes
         rng = np.random.default_rng(8)
         M = rng.normal(size=(4, 4))
         Q = M @ M.T
@@ -105,43 +110,73 @@ class TestProx:
         ts = np.linspace(0.1, 5.0, 50)
         for t in ts:
             assert np.array_equal(prox(f, t, x), prox(DenseQuadratic(Q), t, x))
-        assert f._prox_cache[0] == ts[-1]
         assert np.array_equal(prox(f, ts[-1], x),
                               prox(DenseQuadratic(Q), ts[-1], x))
         assert np.array_equal(prox(f, ts[0], x),
                               prox(DenseQuadratic(Q), ts[0], x))
 
 
-class TestDenseQuadraticCache:
-    def test_certifying_iterations_do_not_evict_the_solve_factor(
-            self, monkeypatch):
-        # the loop's prox runs at t = sigma, the KKT residues' at t = 1: each
-        # has its slot, so a solve factors I + t Q once per distinct sigma
-        # and once more for t = 1, per dense quadratic
-        import dbasolve.proxcone as proxcone
+def _state(obj, seen):
+    """Everything ``obj`` holds, arrays by value and other leaves by
+    identity, walked through attributes and containers."""
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (bool, int, float, str, type(None))):
+        return ("value", obj)
+    if id(obj) in seen:
+        return ("seen", id(obj))
+    seen.add(id(obj))
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, [_state(v, seen) for v in obj])
+    if isinstance(obj, dict):
+        return ("dict", {k: _state(v, seen) for k, v in obj.items()})
+    if hasattr(obj, "__dict__"):
+        return (type(obj).__name__,
+                {k: _state(v, seen) for k, v in vars(obj).items()})
+    return ("leaf", id(obj))
+
+
+class TestSolveWritesNoOperator:
+    def test_problem_state_unchanged_and_solves_repeat(self):
+        # the README's contract: operators and functions are not changed by
+        # a solve, so a second solve of the same problem repeats the first
         from dbasolve.builders import random_qp
         from dbasolve.solvers import admm_solve
 
         prob = random_qp(5, 40, 5, 30, 20, seed=1)
-        quads = [prob.theta] + [s.theta for s in prob.scenarios]
-        assert all(isinstance(f, DenseQuadratic) for f in quads)
-        for f in quads:
-            # the conjugate's own factor of Q, built once, is not counted
-            f.conjugate(np.zeros(f.dim), 1e-8)
-        calls = []
-        orig = proxcone.chol_factor
-        monkeypatch.setattr(proxcone, "chol_factor",
-                            lambda S: calls.append(1) or orig(S))
+        assert all(isinstance(f, DenseQuadratic)
+                   for f in [prob.theta] + [s.theta for s in prob.scenarios])
+        before = _state(prob, set())
         first = admm_solve(prob)
-        monkeypatch.undo()
-        assert first.converged
-        sigmas = {row[11] for row in first.log_rows}
-        assert len(calls) <= (len(sigmas) + 1) * len(quads)
-        # the cached factors give what this fresh instance computed
         again = admm_solve(prob)
+        assert _state(prob, set()) == before
+        assert first.converged
         assert again.log_rows == first.log_rows
-        assert np.array_equal(again.primal.x, first.primal.x)
-        assert np.array_equal(again.dual.vbar, first.dual.vbar)
+        for name in ("x", "xbar"):
+            assert np.array_equal(np.hstack(getattr(again.primal, name)),
+                                  np.hstack(getattr(first.primal, name)))
+        for name in ("y", "ybar", "z", "zbar", "v", "vbar"):
+            assert np.array_equal(getattr(again.dual, name),
+                                  getattr(first.dual, name))
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_quadratics(self, bad):
+        Q = np.eye(3)
+        Q[0, 1] = bad
+        with pytest.raises(NonFiniteData):
+            DenseQuadratic(Q)
+        with pytest.raises(NonFiniteData):
+            DiagQuadratic(np.array([1.0, bad, 0.0]))
+
+    def test_box_rejects_nan_bounds_only(self):
+        with pytest.raises(NonFiniteData):
+            Box([0.0, np.nan], [1.0, 1.0])
+        with pytest.raises(NonFiniteData):
+            Box([0.0, 0.0], [np.nan, 1.0])
+        box = Box([-np.inf, 0.0], [1.0, np.inf])
+        assert np.array_equal(box.project(np.array([-5.0, 5.0])), [-5.0, 5.0])
 
 
 class TestMoreau:
@@ -230,6 +265,21 @@ class TestConjugateValue:
         w = rng.normal(size=4)
         assert conjugate_value(f, w) == pytest.approx(
             0.5 * w @ np.linalg.solve(Q, w), rel=1e-10)
+
+    def test_dense_quad_singular_conjugate(self):
+        # a rotated rank-2 Q of order 3: 0.5 w^T Q^+ w on its range, inf off
+        # it beyond the feasibility clamp and finite within it
+        R, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(3, 3)))
+        Q = R @ np.diag([2.0, 0.5, 0.0]) @ R.T
+        f = DenseQuadratic(Q)
+        w = R @ np.array([1.0, -3.0, 0.0])
+        assert conjugate_value(f, w) == pytest.approx(
+            0.5 * w @ np.linalg.pinv(Q) @ w, rel=1e-10)
+        assert conjugate_value(f, w) == pytest.approx(0.25 + 9.0, rel=1e-10)
+        off = w + 1e-3 * R[:, 2]
+        assert conjugate_value(f, off, feas_tol=1e-8) == np.inf
+        assert conjugate_value(f, off, feas_tol=1e-2) == pytest.approx(
+            9.25, rel=1e-10)
 
     def test_zero_function_conjugate(self):
         f = Zero(2)
