@@ -131,8 +131,27 @@ def _dec_matrix(doc, where):
         raise ParseError("bad matrix in %s: %s" % (where, exc)) from exc
 
 
-def _dec_bound(vals, default):
-    return np.array([default if x is None else float(x) for x in vals])
+def _dec_vector(vals, where):
+    """``vals`` as a 1-d float array; :class:`ParseError` naming ``where``
+    for anything but a list of numbers (``null`` entries included: only box
+    bounds give them a meaning)."""
+    try:
+        if isinstance(vals, list) and None in vals:
+            raise ValueError("null entry")
+        vec = np.array(vals, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("bad vector in %s: %s" % (where, exc)) from exc
+    if vec.ndim != 1:
+        raise ParseError("bad vector in %s: not a list of numbers" % where)
+    return vec
+
+
+def _dec_bound(vals, default, where):
+    """Box bounds: a list of numbers with ``null`` for ``default``."""
+    try:
+        return np.array([default if x is None else float(x) for x in vals])
+    except (TypeError, ValueError) as exc:
+        raise ParseError("bad bound in %s: %s" % (where, exc)) from exc
 
 
 def _dec_lower(dim, lower, where):
@@ -159,8 +178,10 @@ def _dec_cone(doc, where):
     if kind == "nonneg":
         return NonnegOrthant(_req(doc, "n", where))
     if kind == "box":
-        return Box(_dec_bound(_req(doc, "lower", where), -np.inf),
-                   _dec_bound(_req(doc, "upper", where), np.inf))
+        return Box(_dec_bound(_req(doc, "lower", where), -np.inf,
+                              where + ".lower"),
+                   _dec_bound(_req(doc, "upper", where), np.inf,
+                              where + ".upper"))
     if kind == "psd":
         return PsdCone(_req(doc, "d", where))
     if kind == "nonneg_sym":
@@ -173,7 +194,8 @@ def _dec_function(doc, where):
     if kind == "zero":
         return Zero(_req(doc, "n", where))
     if kind == "diag_quad":
-        return DiagQuadratic(np.asarray(_req(doc, "diag", where), dtype=np.float64))
+        return DiagQuadratic(_dec_vector(_req(doc, "diag", where),
+                                         where + ".diag"))
     if kind == "dense_quad":
         return DenseQuadratic(_dec_lower(_req(doc, "dim", where),
                                          _req(doc, "lower", where), where))
@@ -188,8 +210,8 @@ def problem_from_dict(doc):
     fs = _req(doc, "first_stage", "document")
     A = _dec_matrix(fs.get("A"), "first_stage.A")
     b = fs.get("b")
-    b = None if b is None else np.asarray(b, dtype=np.float64)
-    c = np.asarray(_req(fs, "c", "first_stage"), dtype=np.float64)
+    b = None if b is None else _dec_vector(b, "first_stage.b")
+    c = _dec_vector(_req(fs, "c", "first_stage"), "first_stage.c")
     cone = _dec_cone(_req(fs, "cone", "first_stage"), "first_stage.cone")
     theta = _dec_function(_req(fs, "theta", "first_stage"), "first_stage.theta")
     blocks = []
@@ -198,8 +220,8 @@ def problem_from_dict(doc):
         blocks.append(ScenarioBlock(
             B=_dec_matrix(_req(sdoc, "B", where), where + ".B"),
             Bbar=_dec_matrix(_req(sdoc, "Bbar", where), where + ".Bbar"),
-            bbar=np.asarray(_req(sdoc, "bbar", where), dtype=np.float64),
-            cbar=np.asarray(_req(sdoc, "cbar", where), dtype=np.float64),
+            bbar=_dec_vector(_req(sdoc, "bbar", where), where + ".bbar"),
+            cbar=_dec_vector(_req(sdoc, "cbar", where), where + ".cbar"),
             cone=_dec_cone(_req(sdoc, "cone", where), where + ".cone"),
             theta=_dec_function(_req(sdoc, "theta", where), where + ".theta")))
     meta = doc.get("header", {}).get("metadata", {})

@@ -21,12 +21,19 @@ assembled operator with its transpose (:meth:`BlockDiagOp.gram`): ``chol``
 adds it to B B*, and the batched builds gather its diagonal blocks into one
 dense (n_g, m, m) stack per row count.  ``smw`` and ``block-diag`` (whose
 B_i B_i* come the same way) factor a stack by one batched Cholesky and
-assemble D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR matrix;
+assemble D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR matrix,
+applied by one sparse mat-vec whatever the row counts.  When every scenario
+has the same row count m and the same gram bit for bit (fixed recourse, as
+in facility location), ``smw`` factors and inverts that one m x m gram
+instead and applies D^{-1} h as one GEMM of h reshaped to (N, m).
 ``smw-diag`` takes lam_i from one batched ``eigvalsh`` for its small blocks
-and from a sparse power iteration per large block.  Applying D^{-1} is one
-sparse mat-vec whatever the row counts, and both SMW forms make
-G = I + B* D^{-1} B from the assembled B, kept in CSR unless it is more
-than 25% full.
+and from a sparse power iteration per large block.
+
+G = I + B* D^{-1} B is the identity off the set S of columns where B has
+stored entries, and B* D^{-1} h vanishes there, so both SMW forms build
+and solve only G_SS = I + B_S* D^{-1} B_S and multiply by the columns B_S.
+A G_SS built from a CSR B stays CSR unless the whole G is more than 25%
+full.  With S empty (B = 0), M^{-1} = D^{-1}.
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .blocklinalg import (_CHOL_PIVOT_RTOL, BlockDiagOp, canonicalize,
-                          chol_factor, lambda_max_bound, maybe_densify, mv,
-                          op_norm_2, pcg_solve, to_dense)
+from .blocklinalg import (_CHOL_PIVOT_RTOL, DENSE_FALLBACK_DENSITY,
+                          BlockDiagOp, canonicalize, chol_factor,
+                          lambda_max_bound, maybe_densify, mv, op_norm_2,
+                          pcg_solve, to_dense, transposed)
 from .errors import (NotPositiveDefinite, ParameterError,
                      StrategyPrecondition)
 
@@ -81,19 +89,30 @@ def auto_candidates(problem):
 #         bound: 4 us + 0.66 ns per factor entry (fitted to one 1-d solve on
 #         14 instances: random_two_stage with mbar 48-2000 and random
 #         ragged blocks with 1-6 row counts).
-#   smw:  two mat-vecs with the block-diagonal CSR D^{-1}, 0.45 ns per
-#         stored entry and 0.75 ns per row each; 0.5 ns per entry of the
-#         dense-shaped B for its two products; the n0 x n0 solve with G,
-#         priced as chol's; and 14.7 us fixed, the least-squares constant
-#         over whole solves on the same 14 instances, on all of which this
-#         rule picks the faster strategy (estimates within 25% of measured).
+#   smw:  two applications of D^{-1}, priced as the block-diagonal CSR
+#         mat-vec (0.45 ns per stored entry and 0.75 ns per row each; the
+#         GEMM that applies identical grams is cheaper); 0.5 ns per entry of
+#         the dense-shaped B_S for its two products; the |S| x |S| solve
+#         with G_SS, priced as chol's; and 14.7 us fixed, the least-squares
+#         constant over whole solves on the same 14 instances (B touching
+#         every column), on all of which this rule picks the faster
+#         strategy (estimates within 25% of measured).
 def m_solve_cost_ns(problem):
     """Estimated ns per M solve: ``(chol, smw)``."""
     m = np.asarray(problem.m_i)
+    s = float(_column_support(problem.B.matrix).size)
     chol = 4000.0 + 0.66 * float(problem.mbar) ** 2
     smw = (14700.0 + 0.9 * float(np.sum(m * m)) + 1.5 * problem.mbar
-           + 0.5 * problem.mbar * problem.n0 + 0.66 * float(problem.n0) ** 2)
+           + 0.5 * problem.mbar * s + 0.66 * s ** 2)
     return chol, smw
+
+
+def _column_support(Bm):
+    """Sorted indices of the columns of the dense or CSR matrix ``Bm`` that
+    hold a stored entry (a nonzero one, for dense ``Bm``)."""
+    if sp.issparse(Bm):
+        return np.unique(Bm.indices[:Bm.indptr[-1]])
+    return np.flatnonzero((Bm != 0).any(axis=0))
 
 
 def row_count_strategy(problem):
@@ -280,24 +299,40 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
         # D_i = lam_i I: D^{-1} scales every row of ybar by its block's 1/lam
         lam_rows = np.repeat(_diag_shifts(problem), problem.m_i)
         dinv = sp.diags(1.0 / lam_rows, format="csr")
+        apply_dinv, dinv_times = (lambda h: mv(dinv, h)), dinv.__matmul__
         Bbar_op = problem.Bbar
 
         def apply_jbar(w):
             return lam_rows * w - Bbar_op.apply(Bbar_op.apply_adjoint(w))
     else:
-        dinv = _inverse_csr(problem, *_bbar_gram_factors(
-            problem, "smw requires", max_cond))
+        apply_dinv, dinv_times = _bbar_gram_inverse(problem, max_cond)
         apply_jbar = None
+    strategy = "smw-diag" if diagonal else "smw"
     Bm = problem.B.matrix
-    BtDB = Bm.T @ (dinv @ Bm)
-    # B may be stored dense; a sparse G stays sparse unless it is dense-ish
-    eye = (np.eye(problem.n0) if isinstance(BtDB, np.ndarray)
-           else sp.identity(problem.n0, format="csr"))
-    G = maybe_densify(eye + BtDB)
+    S = _column_support(Bm)
+    if S.size == 0:
+        # B = 0: M = D
+        return MSolver(problem, strategy, apply_jbar,
+                       lambda h, tol, stats=None: apply_dinv(h))
+    if S.size == problem.n0:
+        Bs, b_apply, b_adjoint = Bm, problem.B.apply, problem.B.apply_adjoint
+    else:
+        Bs = canonicalize(Bm[:, S])
+        Bs_t = transposed(Bs)
+        b_apply, b_adjoint = (lambda w: mv(Bs, w)), (lambda u: mv(Bs_t, u))
+    BtDB = Bs.T @ dinv_times(Bs)
+    eye = (np.eye(S.size) if isinstance(BtDB, np.ndarray)
+           else sp.identity(S.size, format="csr"))
+    G = eye + BtDB
+    # B may be stored dense; a sparse G_SS stays sparse unless the whole
+    # n0 x n0 G, G_SS and the identity off S, is dense-ish: the support
+    # changes the order of the G solve, not the storage it picks
+    if sp.issparse(G) and (G.nnz + problem.n0 - S.size
+                           > DENSE_FALLBACK_DENSITY * float(problem.n0) ** 2):
+        G = to_dense(G)
     g_solve, reads_tol = _make_g_solver(G)
-    impl = _make_smw_solve(problem, dinv, g_solve)
-    return MSolver(problem, "smw-diag" if diagonal else "smw", apply_jbar,
-                   impl, reads_tol)
+    impl = _make_smw_solve(apply_dinv, b_apply, b_adjoint, g_solve)
+    return MSolver(problem, strategy, apply_jbar, impl, reads_tol)
 
 
 def _build_block_diag(problem, jbar):
@@ -371,6 +406,57 @@ def _bbar_gram_factors(problem, requirement, max_cond=np.inf):
     grams = _block_stacks(problem, problem.Bbar.gram(), groups)
     return groups, _factor_blocks(grams, groups, max_cond,
                                   requirement + " Bbar_{i} Bbar_{i}^T")
+
+
+def _bbar_gram_inverse(problem, max_cond):
+    """``(apply, times)``: D^{-1} = blockdiag(Bbar_i Bbar_i^T)^{-1} applied
+    to a vector and to a dense or CSR matrix, every gram of estimated
+    condition at most ``max_cond``.  When all scenarios have one row count
+    and every gram equals the first bit for bit, that one gram is factored,
+    checked and inverted, and D^{-1} is applied by
+    :func:`_shared_block_apply` and :func:`_shared_block_times`; otherwise
+    it is the block-diagonal CSR matrix of :func:`_inverse_csr`."""
+    what = "smw requires Bbar_{i} Bbar_{i}^T"
+    groups = _size_groups(problem)
+    grams = _block_stacks(problem, problem.Bbar.gram(), groups)
+    if len(grams) == 1 and (grams[0] == grams[0][:1]).all():
+        low = _factor_blocks([grams[0][:1]], [groups[0][:1]], max_cond,
+                             what)[0][0]
+        # dtrtri rejects order 0: scenarios with no rows
+        inv = sla.lapack.dtrtri(low, lower=1)[0] if low.size else low
+        dinv1, N = inv.T @ inv, problem.N
+        return ((lambda h: _shared_block_apply(dinv1, N, h)),
+                (lambda X: _shared_block_times(dinv1, N, X)))
+    dinv = _inverse_csr(problem, groups,
+                        _factor_blocks(grams, groups, max_cond, what))
+    return (lambda h: mv(dinv, h)), dinv.__matmul__
+
+
+def _shared_block_apply(dinv1, N, h):
+    """blockdiag(dinv1, ..., dinv1) h for N blocks: one GEMM."""
+    return (h.reshape(N, dinv1.shape[0]) @ dinv1.T).ravel()
+
+
+def _shared_block_times(dinv1, N, X):
+    """blockdiag(dinv1, ..., dinv1) X for N blocks of order m and an
+    (N m) x s matrix X.  A dense X gives a dense product.  A CSR X gives a
+    CSR product that stores, per block, its m rows on the columns its block
+    of X touches (the fill of the block-diagonal CSR product), from one
+    GEMM of dinv1 with those m-row columns side by side."""
+    m, s = dinv1.shape[0], X.shape[1]
+    if isinstance(X, np.ndarray):
+        return np.matmul(dinv1, X.reshape(N, m, s)).reshape(X.shape)
+    coo = canonicalize(X).tocoo()
+    block, row = np.divmod(coo.row.astype(np.int64), m)
+    keys, col_of = np.unique(block * s + coo.col, return_inverse=True)
+    cols = np.zeros((m, keys.size))
+    cols[row, col_of] = coo.data
+    block, col = np.divmod(keys, s)
+    out_rows = block * m + np.arange(m)[:, None]
+    out_cols = np.broadcast_to(col, out_rows.shape)
+    return sp.csr_matrix(((dinv1 @ cols).ravel(),
+                          (out_rows.ravel(), out_cols.ravel())),
+                         shape=X.shape)
 
 
 def _diag_shifts(problem):
@@ -511,7 +597,7 @@ def _condition_error(what, max_cond, rcond):
 
 
 def _make_g_solver(G):
-    """``(solve, reads_tol)`` for the dense or CSR n0 x n0 matrix G: its
+    """``(solve, reads_tol)`` for the dense or CSR matrix G_SS: its
     Cholesky factor up to order ``_G_CHOL_DIM``, otherwise PCG with a
     Jacobi preconditioner, the one solve that reads the tolerance threaded
     to it."""
@@ -529,15 +615,14 @@ def _make_g_solver(G):
     return solve, True
 
 
-def _make_smw_solve(problem, dinv, g_solve):
-    B_op = problem.B
-
+def _make_smw_solve(apply_dinv, b_apply, b_adjoint, g_solve):
+    """M^{-1} h = D^{-1} h - D^{-1} B_S G_SS^{-1} B_S* D^{-1} h, with
+    ``b_apply`` / ``b_adjoint`` the products with B_S and B_S*."""
     def impl(h, tol, stats=None):
-        u = mv(dinv, h)
-        g = B_op.apply_adjoint(u)
-        w, iters, relres = g_solve(g, tol)
+        u = apply_dinv(h)
+        w, iters, relres = g_solve(b_adjoint(u), tol)
         if stats is not None:
             stats["inner_iters"] = iters
             stats["inner_relres"] = relres
-        return u - mv(dinv, B_op.apply(w))
+        return u - apply_dinv(b_apply(w))
     return impl

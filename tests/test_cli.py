@@ -152,6 +152,51 @@ class TestCmdSolve:
             "parse error: scenario 0.theta.lower has shape (35,), "
             "dim 8 needs (36,)\n")
 
+    @pytest.mark.parametrize("field", [
+        "first_stage.c", "first_stage.b", "scenario 1.cbar",
+        "scenario 1.bbar", "first_stage.theta.diag", "scenario 0.theta.diag",
+        "first_stage.cone.lower", "first_stage.cone.upper"])
+    def test_non_numeric_entry_is_a_parse_error(self, tmp_path, capsys,
+                                                field):
+        # a string where a number belongs names its field, exit 2
+        doc = io.problem_to_dict(random_two_stage(2, 6, 3, 6, 2, 2,
+                                                  quad_eps=0.1))
+        part, key = field.rsplit(".", 1)
+        if part.startswith("scenario"):
+            parent = doc["scenarios"][int(part.split(" ")[1].split(".")[0])]
+        else:
+            parent = doc["first_stage"]
+        for step in part.split(".")[1:]:
+            parent = parent[step]
+        if key in ("lower", "upper"):
+            parent.update(type="box", lower=[None] * 6, upper=[None] * 6)
+            parent.pop("n")
+        parent[key][1] = "a"
+        bad = tmp_path / "text.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        kind = "bound" if key in ("lower", "upper") else "vector"
+        assert capsys.readouterr().err == (
+            "parse error: bad %s in %s: could not convert string to float: "
+            "'a'\n" % (kind, field))
+
+    @pytest.mark.parametrize("value", [None, 2.0, [[1.0, 2.0]], [1.0, None]])
+    def test_diag_not_a_list_of_numbers_is_a_parse_error(self, tmp_path,
+                                                         capsys, value):
+        # "diag": null once became a NaN array reported as invalid data
+        doc = io.problem_to_dict(random_two_stage(2, 6, 3, 6, 2, 2,
+                                                  quad_eps=0.1))
+        doc["first_stage"]["theta"]["diag"] = value
+        bad = tmp_path / "null.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "parse error: bad vector in first_stage.theta.diag: ")
+        assert err.count("\n") == 1
+
     def test_max_iter_one_exit_one(self, lp_file, tmp_path):
         code = main(["solve", lp_file, "--max-iter", "1",
                      "--out", str(tmp_path / "r")])

@@ -635,11 +635,223 @@ class TestStackedKernels:
         assert counts == [2, 2]
 
     def test_kernel_calls_do_not_grow_with_n(self, monkeypatch):
-        # the identical blocks of facility location take the same two
-        # D^{-1} mat-vecs per solve, whatever N
-        counts = self.count_d_inverse_calls(monkeypatch, [
-            build_ufl_dnn(random_ufl(3, N, seed=0)) for N in (20, 40)])
+        # the identical grams of facility location apply D^{-1} as two
+        # GEMMs per solve, whatever N, and never as a CSR mat-vec
+        gemms, matvecs = [], []
+        orig_gemm, orig_mv = msolver._shared_block_apply, msolver.mv
+
+        def gemm(dinv1, N, h):
+            gemms.append((dinv1.shape, N, h.shape))
+            return orig_gemm(dinv1, N, h)
+
+        def counted_mv(op, x):
+            matvecs.append(op.shape)
+            return orig_mv(op, x)
+        monkeypatch.setattr(msolver, "_shared_block_apply", gemm)
+        monkeypatch.setattr(msolver, "mv", counted_mv)
+        counts = []
+        for N in (20, 40):
+            prob = build_ufl_dnn(random_ufl(3, N, seed=0))
+            sol = build_msolver(prob, "smw")
+            gemms.clear()
+            matvecs.clear()
+            sol.solve(np.ones(prob.mbar))
+            m = prob.m_i[0]
+            assert set(gemms) == {((m, m), N, (prob.mbar,))}
+            assert (prob.mbar, prob.mbar) not in matvecs
+            counts.append(len(gemms))
         assert counts == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# fixed recourse: one gram inverse applied by GEMM; G on B's column support
+# ---------------------------------------------------------------------------
+
+def split_size_groups(monkeypatch):
+    """Make smw take its block-diagonal CSR D^{-1} on identical grams: the
+    scenarios of each row count come in two groups, so no single group
+    holds every gram."""
+    orig = msolver._size_groups
+    monkeypatch.setattr(msolver, "_size_groups", lambda problem: [
+        part for idx in orig(problem) for part in np.array_split(idx, 2)
+        if part.size])
+
+
+def spy_gemm(monkeypatch):
+    """The list that every D^{-1} GEMM application appends its N to."""
+    calls = []
+    orig = msolver._shared_block_apply
+    monkeypatch.setattr(msolver, "_shared_block_apply", lambda d, N, h: (
+        calls.append(N), orig(d, N, h))[1])
+    return calls
+
+
+def spy_g(monkeypatch):
+    """The list of every G passed to ``_make_g_solver``."""
+    seen = []
+    orig = msolver._make_g_solver
+    monkeypatch.setattr(msolver, "_make_g_solver",
+                        lambda G: (seen.append(G), orig(G))[1])
+    return seen
+
+
+def column_structure(rng, cols, N=5, n0=9, m=3):
+    """Distinct blocks whose B_i have nonzeros only in the columns
+    ``cols`` (every B_i touches all of them)."""
+    blocks = []
+    for _ in range(N):
+        B = np.zeros((m, n0))
+        B[:, cols] = rng.normal(size=(m, len(cols)))
+        Bbar = rng.normal(size=(m, m + 2))
+        blocks.append(ScenarioBlock(B, Bbar, np.zeros(m), np.zeros(m + 2),
+                                    NonnegOrthant(m + 2), Zero(m + 2)))
+    return DBAProblem(None, None, np.zeros(n0), NonnegOrthant(n0), Zero(n0),
+                      blocks)
+
+
+FIXED_RECOURSE = [
+    # B stored dense (N = 2, 7) and CSR (N = 140)
+    lambda: build_ufl_dnn(random_ufl(3, 2, seed=2)),
+    lambda: build_ufl_dnn(random_ufl(3, 7, seed=7)),
+    lambda: build_ufl_dnn(random_ufl(5, 140, seed=1)),
+    lambda: random_structure(np.random.default_rng(50), shared=True,
+                             bbar_shared=True),
+    # identical grams, distinct B_i
+    lambda: random_structure(np.random.default_rng(51), equal=True,
+                             bbar_shared=True),
+]
+
+
+class TestFixedRecourse:
+    @pytest.mark.parametrize("make", FIXED_RECOURSE)
+    def test_gemm_path_matches_dense_and_csr(self, monkeypatch, make):
+        prob = make()
+        gemms = spy_gemm(monkeypatch)
+        rng = np.random.default_rng(prob.N)
+        hs = [rng.normal(size=prob.mbar) for _ in range(3)]
+        sol = build_msolver(prob, "smw")
+        got = [sol.solve(h) for h in hs]
+        assert gemms == [prob.N] * 6
+        Md = assemble_m_dense(prob)
+        for h, y in zip(hs, got):
+            assert np.linalg.norm(Md @ y - h) <= 1e-9 * (1 + np.linalg.norm(h))
+        split_size_groups(monkeypatch)
+        gemms.clear()
+        csr = build_msolver(prob, "smw")
+        for h, y in zip(hs, got):
+            want = csr.solve(h)
+            assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+        assert gemms == []
+
+    def test_one_gram_factored_checked_and_inverted(self, monkeypatch):
+        # 150 identical grams: one factorization, one condition estimate
+        # under auto's bound, one dtrtri
+        prob = build_ufl_dnn(random_ufl(10, 150, seed=1))
+        counts = {"factor": [], "dpocon": 0, "dtrtri": 0}
+        orig_factor = msolver._factor_blocks
+        monkeypatch.setattr(msolver, "_factor_blocks", lambda grams, *a: (
+            counts["factor"].extend(g.shape[0] for g in grams),
+            orig_factor(grams, *a))[1])
+        lapack = msolver.sla.lapack
+        for name in ("dpocon", "dtrtri"):
+            orig = getattr(lapack, name)
+            monkeypatch.setattr(lapack, name, (lambda name, orig: (
+                lambda *a, **kw: (counts.__setitem__(name, counts[name] + 1),
+                                  orig(*a, **kw))[1]))(name, orig))
+        assert build_msolver(prob).strategy == "smw"
+        assert counts == {"factor": [1], "dpocon": 1, "dtrtri": 1}
+
+    def test_shared_block_times_on_csr_columns(self):
+        # the CSR product stores what blockdiag(dinv1) @ X stores
+        rng = np.random.default_rng(52)
+        N, m, s = 6, 4, 5
+        X = sp.random(N * m, s, density=0.2, random_state=3, format="csr")
+        dinv1 = rng.normal(size=(m, m))
+        got = msolver._shared_block_times(dinv1, N, X)
+        want = sp.block_diag([dinv1] * N, format="csr") @ X
+        assert sp.isspmatrix_csr(got)
+        assert np.allclose(to_dense(got), to_dense(want), rtol=1e-15,
+                           atol=1e-15)
+        assert got.nnz == want.nnz
+        assert np.array_equal(msolver._shared_block_times(dinv1, N,
+                                                          to_dense(X)),
+                              np.matmul(dinv1, to_dense(X).reshape(N, m, s))
+                              .reshape(N * m, s))
+
+    @pytest.mark.parametrize("strategy", ["smw", "smw-diag"])
+    @pytest.mark.parametrize("cols", [[4], [1, 5, 8]])
+    def test_g_on_the_support(self, monkeypatch, strategy, cols):
+        # B touching one or three of nine columns: G is |S| x |S|, and the
+        # solve agrees with the full-order G of the per-scenario reference
+        rng = np.random.default_rng(53 + len(cols))
+        prob = column_structure(rng, cols)
+        assert list(msolver._column_support(prob.B.matrix)) == cols
+        seen = spy_g(monkeypatch)
+        sol = build_msolver(prob, strategy)
+        assert [G.shape for G in seen] == [(len(cols), len(cols))]
+        ref_solve, _ = reference_msolver(prob, strategy)
+        for _ in range(3):
+            h = rng.normal(size=prob.mbar)
+            y = sol.solve(h, check_residual=True)
+            want = ref_solve(h)
+            assert sol.last_relres <= 1e-9
+            assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("strategy", ["smw", "smw-diag"])
+    def test_b_zero_solves_d(self, monkeypatch, strategy):
+        # TestTrivial's problem: S is empty, no G is built and M^-1 = D^-1
+        blocks = [ScenarioBlock(np.zeros((2, 3)), np.eye(2), np.zeros(2),
+                                np.zeros(2), NonnegOrthant(2), Zero(2))]
+        prob = DBAProblem(None, None, np.zeros(3), NonnegOrthant(3), Zero(3),
+                          blocks)
+        seen = spy_g(monkeypatch)
+        sol = build_msolver(prob, strategy)
+        assert seen == [] and sol.reads_tol is False
+        h = np.array([1.0, -2.0])
+        y = sol.solve(h, check_residual=True)
+        assert sol.last_relres <= 1e-9
+        if strategy == "smw":
+            assert np.allclose(y, h, atol=1e-12)
+
+    def test_support_below_the_chol_order(self, monkeypatch):
+        # n0 = 9 above _G_CHOL_DIM = 4 would take PCG; a support of 3
+        # columns is factored, a support of 5 still takes PCG
+        monkeypatch.setattr(msolver, "_G_CHOL_DIM", 4)
+        rng = np.random.default_rng(55)
+        for cols, pcg in (([0, 3, 6], False), ([0, 2, 4, 6, 8], True)):
+            prob = column_structure(rng, cols)
+            sol = build_msolver(prob, "smw")
+            assert sol.reads_tol is pcg
+            h = rng.normal(size=prob.mbar)
+            y = sol.solve(h, tol=1e-12, check_residual=True)
+            assert sol.last_relres <= 1e-9
+            assert (sol.last_inner_iters > 0) is pcg
+            Md = assemble_m_dense(prob)
+            expect = np.linalg.solve(Md, h)
+            assert np.linalg.norm(y - expect) <= 1e-8 * (1 + np.linalg.norm(expect))
+
+    def test_reference_instances_keep_their_candidates(self):
+        # pricing |S| instead of n0 moves no benchmark reference instance,
+        # nor the bundle that progressive hedging solves
+        from dbasolve.pha import _bundle
+        pha = random_two_stage(3, 8, 4, 8, N=12, seed=1, quad_eps=0.1)
+        cases = [
+            (random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1),
+             ["smw", "chol"]),
+            (random_sdp(3, 6, 3, 6, N=4, seed=1), ["chol"]),
+            (build_ufl_dnn(random_ufl(10, 150, seed=1)), ["smw", "chol"]),
+            (pha, ["chol"]), (_bundle(pha, 10.0), ["chol"])]
+        for prob, want in cases:
+            assert msolver.auto_candidates(prob) == want
+
+    @pytest.mark.parametrize("seed, iterations", [(1, 238), (2, 227),
+                                                  (3, 202)])
+    def test_ufl_iterations_unchanged(self, seed, iterations):
+        prob = build_ufl_dnn(random_ufl(10, 150, seed=seed))
+        report = admm_solve(prob, SolverConfig())
+        assert report.extra["strategy"] == "smw"
+        assert report.status == "Converged"
+        assert report.iterations == iterations
 
 
 def gram_structure(sizes, seed):
