@@ -31,9 +31,9 @@ and from a sparse power iteration per large block.
 
 G = I + B* D^{-1} B is the identity off the set S of columns where B has
 stored entries, and B* D^{-1} h vanishes there, so both SMW forms build
-and solve only G_SS = I + B_S* D^{-1} B_S and multiply by the columns B_S.
-A G_SS built from a CSR B stays CSR unless the whole G is more than 25%
-full.  With S empty (B = 0), M^{-1} = D^{-1}.
+and solve only G_SS = I + B_S* D^{-1} B_S.  The columns B_S are copied for
+that build only; a solve keeps the entries S of B* u and applies B to w
+scattered into a zero n0-vector.  With S empty (B = 0), M^{-1} = D^{-1}.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import scipy.sparse as sp
 from .blocklinalg import (_CHOL_PIVOT_RTOL, DENSE_FALLBACK_DENSITY,
                           BlockDiagOp, canonicalize, chol_factor,
                           lambda_max_bound, maybe_densify, mv, op_norm_2,
-                          pcg_solve, to_dense, transposed)
+                          pcg_solve, to_dense)
 from .errors import (NotPositiveDefinite, ParameterError,
                      StrategyPrecondition)
 
@@ -314,24 +314,28 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
         # B = 0: M = D
         return MSolver(problem, strategy, apply_jbar,
                        lambda h, tol, stats=None: apply_dinv(h))
-    if S.size == problem.n0:
-        Bs, b_apply, b_adjoint = Bm, problem.B.apply, problem.B.apply_adjoint
-    else:
-        Bs = canonicalize(Bm[:, S])
-        Bs_t = transposed(Bs)
-        b_apply, b_adjoint = (lambda w: mv(Bs, w)), (lambda u: mv(Bs_t, u))
+    # take keeps a dense B_S row-major as B is (B[:, S] would not), so with
+    # S all of n0 the G build is the same GEMM as with B itself
+    Bs = canonicalize(Bm[:, S] if sp.issparse(Bm) else Bm.take(S, axis=1))
     BtDB = Bs.T @ dinv_times(Bs)
     eye = (np.eye(S.size) if isinstance(BtDB, np.ndarray)
            else sp.identity(S.size, format="csr"))
     G = eye + BtDB
-    # B may be stored dense; a sparse G_SS stays sparse unless the whole
-    # n0 x n0 G, G_SS and the identity off S, is dense-ish: the support
-    # changes the order of the G solve, not the storage it picks
+    # the storage maybe_densify picks for the whole n0 x n0 G (G_SS and the
+    # identity off S), kept only so that S changes no storage choice
     if sp.issparse(G) and (G.nnz + problem.n0 - S.size
                            > DENSE_FALLBACK_DENSITY * float(problem.n0) ** 2):
         G = to_dense(G)
     g_solve, reads_tol = _make_g_solver(G)
-    impl = _make_smw_solve(apply_dinv, b_apply, b_adjoint, g_solve)
+    B_op, n0 = problem.B, problem.n0
+
+    def b_apply(w):
+        full = np.zeros(n0)
+        full[S] = w
+        return B_op.apply(full)
+
+    impl = _make_smw_solve(apply_dinv, b_apply,
+                           lambda u: B_op.apply_adjoint(u)[S], g_solve)
     return MSolver(problem, strategy, apply_jbar, impl, reads_tol)
 
 
@@ -413,9 +417,10 @@ def _bbar_gram_inverse(problem, max_cond):
     to a vector and to a dense or CSR matrix, every gram of estimated
     condition at most ``max_cond``.  When all scenarios have one row count
     and every gram equals the first bit for bit, that one gram is factored,
-    checked and inverted, and D^{-1} is applied by
-    :func:`_shared_block_apply` and :func:`_shared_block_times`; otherwise
-    it is the block-diagonal CSR matrix of :func:`_inverse_csr`."""
+    checked and inverted, D^{-1} is applied to a vector by
+    :func:`_shared_block_apply` and to a matrix, densified, by one batched
+    matmul; otherwise it is the block-diagonal CSR matrix of
+    :func:`_inverse_csr`."""
     what = "smw requires Bbar_{i} Bbar_{i}^T"
     groups = _size_groups(problem)
     grams = _block_stacks(problem, problem.Bbar.gram(), groups)
@@ -424,9 +429,10 @@ def _bbar_gram_inverse(problem, max_cond):
                              what)[0][0]
         # dtrtri rejects order 0: scenarios with no rows
         inv = sla.lapack.dtrtri(low, lower=1)[0] if low.size else low
-        dinv1, N = inv.T @ inv, problem.N
+        dinv1, N, m = inv.T @ inv, problem.N, low.shape[0]
         return ((lambda h: _shared_block_apply(dinv1, N, h)),
-                (lambda X: _shared_block_times(dinv1, N, X)))
+                (lambda X: np.matmul(dinv1, to_dense(X).reshape(N, m, -1))
+                 .reshape(X.shape)))
     dinv = _inverse_csr(problem, groups,
                         _factor_blocks(grams, groups, max_cond, what))
     return (lambda h: mv(dinv, h)), dinv.__matmul__
@@ -435,28 +441,6 @@ def _bbar_gram_inverse(problem, max_cond):
 def _shared_block_apply(dinv1, N, h):
     """blockdiag(dinv1, ..., dinv1) h for N blocks: one GEMM."""
     return (h.reshape(N, dinv1.shape[0]) @ dinv1.T).ravel()
-
-
-def _shared_block_times(dinv1, N, X):
-    """blockdiag(dinv1, ..., dinv1) X for N blocks of order m and an
-    (N m) x s matrix X.  A dense X gives a dense product.  A CSR X gives a
-    CSR product that stores, per block, its m rows on the columns its block
-    of X touches (the fill of the block-diagonal CSR product), from one
-    GEMM of dinv1 with those m-row columns side by side."""
-    m, s = dinv1.shape[0], X.shape[1]
-    if isinstance(X, np.ndarray):
-        return np.matmul(dinv1, X.reshape(N, m, s)).reshape(X.shape)
-    coo = canonicalize(X).tocoo()
-    block, row = np.divmod(coo.row.astype(np.int64), m)
-    keys, col_of = np.unique(block * s + coo.col, return_inverse=True)
-    cols = np.zeros((m, keys.size))
-    cols[row, col_of] = coo.data
-    block, col = np.divmod(keys, s)
-    out_rows = block * m + np.arange(m)[:, None]
-    out_cols = np.broadcast_to(col, out_rows.shape)
-    return sp.csr_matrix(((dinv1 @ cols).ravel(),
-                          (out_rows.ravel(), out_cols.ravel())),
-                         shape=X.shape)
 
 
 def _diag_shifts(problem):

@@ -761,23 +761,6 @@ class TestFixedRecourse:
         assert build_msolver(prob).strategy == "smw"
         assert counts == {"factor": [1], "dpocon": 1, "dtrtri": 1}
 
-    def test_shared_block_times_on_csr_columns(self):
-        # the CSR product stores what blockdiag(dinv1) @ X stores
-        rng = np.random.default_rng(52)
-        N, m, s = 6, 4, 5
-        X = sp.random(N * m, s, density=0.2, random_state=3, format="csr")
-        dinv1 = rng.normal(size=(m, m))
-        got = msolver._shared_block_times(dinv1, N, X)
-        want = sp.block_diag([dinv1] * N, format="csr") @ X
-        assert sp.isspmatrix_csr(got)
-        assert np.allclose(to_dense(got), to_dense(want), rtol=1e-15,
-                           atol=1e-15)
-        assert got.nnz == want.nnz
-        assert np.array_equal(msolver._shared_block_times(dinv1, N,
-                                                          to_dense(X)),
-                              np.matmul(dinv1, to_dense(X).reshape(N, m, s))
-                              .reshape(N * m, s))
-
     @pytest.mark.parametrize("strategy", ["smw", "smw-diag"])
     @pytest.mark.parametrize("cols", [[4], [1, 5, 8]])
     def test_g_on_the_support(self, monkeypatch, strategy, cols):
