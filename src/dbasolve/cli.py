@@ -115,7 +115,15 @@ def _add_solver_flags(p):
     p.add_argument("--tol-kkt", type=float, default=1e-5)
     p.add_argument("--tol-gap", type=float, default=1e-4)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=float, default=None,
+                   help="step length. sgs-admm: unset runs the Halpern "
+                        "step (unit-step sweep anchored at the last "
+                        "restart, HPR-LP's restart rules, sigma changed "
+                        "only at restarts, --ssn auto off), set runs the "
+                        "classic relaxed multiplier step of that length. "
+                        "sgs-alm: the classic step, default 1.9. pha: the "
+                        "outer multiplier step, default 1.618; its bundle "
+                        "solves run the classic step at 1.618")
     p.add_argument("--max-iter", type=int, default=None,
                    help="iteration cap (default: 50000 for sgs-admm and "
                         "sgs-alm, 300 outer iterations for pha)")

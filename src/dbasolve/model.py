@@ -351,14 +351,21 @@ def residue_denominators(problem):
             1.0 + nrm(problem.cbar))
 
 
-def joint_dual_sums(problem, y, ybar, zz, vv):
-    """The dual constraint sums ``A*y + B*ybar + z + v`` and
-    ``Bbar*ybar + zbar + vbar`` as one vector over x|xbar:
-    ``W*ybar + zz + vv`` with ``A*y`` added to its first ``n0`` entries, at
-    ``zz = z|zbar`` and ``vv = v|vbar``."""
+def linear_dual_sums(problem, y, ybar):
+    """``W*ybar`` with ``A*y`` added to its first ``n0`` entries: the part
+    of :func:`joint_dual_sums` that is linear in ``(y, ybar)``."""
     S = mv(problem.W_T, ybar)
     if problem.A is not None:
         S[:problem.n0] += mv(problem.A_T, y)
+    return S
+
+
+def joint_dual_sums(problem, y, ybar, zz, vv):
+    """The dual constraint sums ``A*y + B*ybar + z + v`` and
+    ``Bbar*ybar + zbar + vbar`` as one vector over x|xbar:
+    :func:`linear_dual_sums` plus ``zz + vv``, at ``zz = z|zbar`` and
+    ``vv = v|vbar``."""
+    S = linear_dual_sums(problem, y, ybar)
     S += zz
     S += vv
     return S

@@ -402,16 +402,6 @@ def _block_stacks(problem, gram, groups):
             for idx, m, off in zip(groups, m_g, offs)]
 
 
-def _bbar_gram_factors(problem, requirement, max_cond=np.inf):
-    """``(groups, lows)``: the scenarios grouped by row count and, per group,
-    the (n_g, m, m) stack of lower Cholesky factors of Bbar_i Bbar_i^T,
-    each of estimated condition at most ``max_cond``."""
-    groups = _size_groups(problem)
-    grams = _block_stacks(problem, problem.Bbar.gram(), groups)
-    return groups, _factor_blocks(grams, groups, max_cond,
-                                  requirement + " Bbar_{i} Bbar_{i}^T")
-
-
 def _bbar_gram_inverse(problem, max_cond):
     """``(apply, times)``: D^{-1} = blockdiag(Bbar_i Bbar_i^T)^{-1} applied
     to a vector and to a dense or CSR matrix, every gram of estimated

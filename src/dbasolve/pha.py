@@ -35,6 +35,10 @@ PHA_LOG_COLUMNS = ("k", "eta_P", "eta_D", "eta_K", "eta_theta", "eta_Pbar",
 # _SUB_MAX_ITER iterations
 _SUB_FACTOR = 0.1
 _SUB_MAX_ITER = 100000
+# the bundle solves run the classic relaxed multiplier step: warm-started
+# from the previous outer iteration they end in a few iterations, and the
+# Halpern step took more of them and more outer iterations
+_SUB_TAU = 1.618
 
 
 @dataclass
@@ -98,7 +102,7 @@ def scenario_subsolve(bundle, w, xhat, rho, tol, warm=None, setup=None):
     not given.
     """
     tol = tol / np.sqrt(len(w))
-    cfg = SolverConfig(tol_kkt=tol, tol_gap=max(tol, 1e-9),
+    cfg = SolverConfig(tau=_SUB_TAU, tol_kkt=tol, tol_gap=max(tol, 1e-9),
                        max_iter=_SUB_MAX_ITER)
     c = bundle.c.reshape(w.shape) + w - rho * xhat
     report = admm_solve(bundle.with_cost(c.ravel()), cfg, initial=warm,

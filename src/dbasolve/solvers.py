@@ -1,7 +1,8 @@
 """Main iteration loop: the two-group proximal ADMM on the dual and the
 proximal ALM variant for problems without smooth objective terms, both run
 by one sGS sweep engine, plus the semismooth Newton subproblem solver for
-the (z, y) block.
+the (z, y) block.  ADMM without a set step length runs Halpern's anchored
+iteration with restarts on the unit-step sweep.
 
 The loop keeps all iterates stacked over scenarios and terminates on the
 relative KKT residue together with the duality gap.
@@ -10,19 +11,21 @@ relative KKT residue together with the duality gap.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .blocklinalg import (_norm, chol_factor, lambda_max_bound, maybe_densify,
                           mv, to_dense)
 from .errors import (LineSearchFailure, NotPositiveDefinite, ParameterError,
                      UnsupportedObjective)
 from .model import (DualPoint, PrimalPoint, dual_objective, joint_dual_sums,
-                    joint_linear_residues, kkt_full, primal_objective,
-                    residue_denominators, validate)
+                    joint_linear_residues, kkt_full, linear_dual_sums,
+                    primal_objective, residue_denominators, validate)
 from .msolver import build_msolver
 from .proxcone import Box, FreeSpace, NonnegOrthant, prox_conjugate
 
@@ -47,6 +50,14 @@ _SIGMA_FACTOR = 1.4
 _SIGMA_RATIO = 5.0
 _SIGMA_MIN = 1e-6
 _SIGMA_MAX = 1e6
+# Halpern step: restart once the fixed-point residual is at most
+# _RESTART_SUFFICIENT of its value at the last restart, or at most
+# _RESTART_NECESSARY of it and rising, or after _RESTART_LONG of all
+# iterations; sigma moves by at most the factor _SIGMA_RESTART_CLAMP
+_RESTART_SUFFICIENT = 0.2
+_RESTART_NECESSARY = 0.8
+_RESTART_LONG = 0.2
+_SIGMA_RESTART_CLAMP = 1.5
 # stalled once the largest linear residue has not dropped by a _STALL_REL
 # fraction in _STALL_WINDOW iterations
 _STALL_WINDOW = 2000
@@ -56,7 +67,9 @@ _STALL_REL = 1e-3
 @dataclass
 class SolverConfig:
     sigma0: float | None = None
-    tau: float | None = None            # 1.618 for ADMM, 1.9 for ALM
+    # None: the Halpern step for ADMM, 1.9 for ALM; set: the relaxed
+    # multiplier step of that length
+    tau: float | None = None
     tol_kkt: float = 1e-5
     tol_gap: float = 1e-4
     max_iter: int = 50000
@@ -203,12 +216,15 @@ def _proj_conj(cone, sigma, u):
     return cone.project(sigma * u) / sigma - u
 
 
-def _ssn_eligible(problem, cfg):
+def _ssn_eligible(problem, cfg, halpern=False):
+    """Whether the (z, y) step runs semismooth Newton; ``ssn="auto"`` picks
+    it for small first stages with many scenarios, never under the Halpern
+    step."""
     if problem.A is None or not isinstance(problem.cone, _SSN_POLYHEDRAL):
         return False
     if cfg.ssn == "on":
         return True
-    if cfg.ssn == "off":
+    if cfg.ssn == "off" or halpern:
         return False
     return problem.m0 <= 10 and problem.n0 <= 20 and problem.N >= 100
 
@@ -310,6 +326,10 @@ def _checked(config, tau_default, tau_max, tau_error):
 def admm_solve(problem, config=None, initial=None, setup=None):
     """Two-group inexact sGS proximal ADMM on the dual problem.
 
+    Without a set ``config.tau`` each iteration is a Halpern step with
+    restarts on the unit-step sweep (:class:`_Halpern`); a set ``tau`` runs
+    the relaxed multiplier step of that length instead.
+
     ``initial`` is a :class:`SolveReport` of a problem with the same
     dimensions: the solve starts from its points and, unless
     ``config.sigma0`` is set, its final sigma.  ``setup`` is a
@@ -319,9 +339,10 @@ def admm_solve(problem, config=None, initial=None, setup=None):
     setup skips that check: the problem differs from the one it was built
     for only in costs, whose finiteness
     :meth:`~dbasolve.model.DBAProblem.with_cost` checks."""
-    cfg, tau = _checked(config, 1.618, TAU_ADMM_MAX,
+    cfg, tau = _checked(config, 1.0, TAU_ADMM_MAX,
                         "ADMM step length must lie in (0, (1+sqrt(5))/2)")
-    return _run_loop(problem, cfg, tau, initial, alm=False, setup=setup)
+    return _run_loop(problem, cfg, tau, initial, alm=False, setup=setup,
+                     halpern=cfg.tau is None)
 
 
 def alm_solve(problem, config=None, initial=None):
@@ -335,17 +356,104 @@ def alm_solve(problem, config=None, initial=None):
     return _run_loop(problem, cfg, tau, initial, alm=True)
 
 
-def _run_loop(problem, cfg, tau, initial, alm, setup=None):
+class _Halpern:
+    """Halpern's anchored iteration with restarts on the unit-step sweep
+    ``T`` (Sun, Yuan, Zhang & Zhao, arXiv:2403.18618; restarts and sigma
+    as in HPR-LP, arXiv:2408.12179).
+
+    The anchored variables are ``w = (xx, y, ybar)``; ``zz`` and ``vv`` are
+    taken from ``T(w)``, since the next sweep recomputes them.  From anchor
+    ``w0``, the ``j``-th step since the last restart is
+    ``w+ = a w0 + (1 - a)(2 T(w) - w)`` with ``a = 1/(j+2)`` (the first is
+    ``T(w0)`` itself).  ``w`` is packed into one vector together with its
+    linear dual sums ``W*ybar + A*y`` (:func:`linear_dual_sums`), which
+    are linear in ``w``: the step combines them with ``w`` and forms the
+    next sweep's sums without a product."""
+
+    def __init__(self, problem, st):
+        n = st.xx.size
+        self._cuts = (n, n + st.y.size, n + st.y.size + st.ybar.size)
+        self.anchor = np.concatenate(
+            (st.xx, st.y, st.ybar, linear_dual_sums(problem, st.y, st.ybar)))
+        # w, T(w), their difference and the joint sums live in buffers
+        # that every step overwrites
+        self.w = self.anchor.copy()
+        self._t = np.empty_like(self.w)
+        self._d = np.empty(self._cuts[2])
+        self._sums = np.empty(n)
+        self.j = 0
+        self.r0 = self.r_prev = 0.0
+
+    def step(self, st, lin, SS, sigma, k, sigma_fixed):
+        """Move ``w`` on from ``st``, the image ``T(w)`` whose linear and
+        joint dual sums are ``lin`` and ``SS``, at iteration ``k``.  Returns
+        the sigma and the joint dual sums of the new ``w``, which ``st``
+        holds."""
+        n, m, mm = self._cuts
+        t, w = self._t, self.w
+        np.concatenate((st.xx, st.y, st.ybar, lin), out=t)
+        px, py = self._split_squares(t, w)
+        r = math.sqrt(px / sigma + sigma * py)
+        if self.j == 0:
+            self.r0 = r
+        elif (r <= _RESTART_SUFFICIENT * self.r0
+              or (r <= _RESTART_NECESSARY * self.r0 and r > self.r_prev)
+              or self.j >= _RESTART_LONG * k):
+            if not sigma_fixed:
+                sigma = self._restart_sigma(t, sigma)
+            np.copyto(self.anchor, t)
+            self.w, self._t = t, w
+            self.j = 0
+            return sigma, SS
+        self.r_prev = r
+        self.j += 1
+        if self.j == 1:
+            # a = 1/2 with w = w0: the step is T(w0)
+            self.w, self._t = t, w
+            return sigma, SS
+        # w+ = a w0 + 2 (1 - a) T(w) - (1 - a) w, in place, one pass a term
+        a = 1.0 / (self.j + 1)
+        w *= a - 1.0
+        w = daxpy(t, w, a=2.0 * (1.0 - a))
+        self.w = w = daxpy(self.anchor, w, a=a)
+        st.xx, st.y, st.ybar = w[:n], w[n:m], w[m:mm]
+        S = np.add(w[mm:], st.zz, out=self._sums)
+        return sigma, daxpy(st.vv, S)
+
+    def _split_squares(self, u, v):
+        """The squared norms of ``u - v`` on ``xx`` and on ``(y, ybar)``."""
+        n, _, mm = self._cuts
+        d = np.subtract(u[:mm], v[:mm], out=self._d)
+        dx, dy = d[:n], d[n:]
+        return dx.dot(dx), dy.dot(dy)
+
+    def _restart_sigma(self, t, sigma):
+        """``sqrt(sigma ||d_xx|| / ||d_(y, ybar)||)`` for the move
+        ``d = t - w0`` of the anchor, within a factor
+        ``_SIGMA_RESTART_CLAMP`` of ``sigma`` and [_SIGMA_MIN, _SIGMA_MAX];
+        ``sigma`` when either part is 0."""
+        px, py = self._split_squares(t, self.anchor)
+        if px == 0.0 or py == 0.0:
+            return sigma
+        new = math.sqrt(sigma * math.sqrt(px / py))
+        new = min(max(new, sigma / _SIGMA_RESTART_CLAMP),
+                  sigma * _SIGMA_RESTART_CLAMP)
+        return min(max(new, _SIGMA_MIN), _SIGMA_MAX)
+
+
+def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     t0 = time.perf_counter()
     if setup is None:
         setup = solve_setup(problem, cfg)
     msol, facA = setup
-    use_ssn = _ssn_eligible(problem, cfg)
+    use_ssn = _ssn_eligible(problem, cfg, halpern)
     # the residue scales depend on the data only
     denoms = residue_denominators(problem)
     st, sigma = _start(problem, cfg, initial)
     if alm:
         st.vv = np.zeros_like(st.vv)
+    # no step follows the last iteration, so a single one needs no anchor
+    anchored = _Halpern(problem, st) if halpern and cfg.max_iter > 1 else None
 
     log_rows = []
     status = "MaxIter"
@@ -360,7 +468,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
 
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k)
-        inner_iters, d_res, d_res_bar, sums = _sgs_iteration(
+        inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
             problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm,
             sums)
         lin = joint_linear_residues(problem, st.xx, d_res, d_res_bar, denoms)
@@ -402,7 +510,13 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None):
             k += 1
             break
 
-        if not cfg.sigma_fixed and k >= next_sigma_check:
+        if anchored is not None:
+            # st holds T(w) until here: the last iterate the loop leaves
+            # it at is the one certified and returned
+            if k + 1 < cfg.max_iter:
+                sigma, sums = anchored.step(st, lin_sums, sums, sigma, k,
+                                            cfg.sigma_fixed)
+        elif not cfg.sigma_fixed and k >= next_sigma_check:
             new_sigma = sigma_update(lin, sigma)
             if new_sigma != sigma:
                 # lengthen the interval after each change so the penalty
@@ -458,9 +572,10 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     dual residues ``d_res``, ``d_res_bar`` (the
     :func:`~dbasolve.model.joint_dual_sums` ``SS`` less ``c|cbar``, split
     after ``n0``: views of one vector over x|xbar) of the new dual iterate,
-    which the multiplier step moves ``xx`` along, and ``SS``.  Passed back as
-    ``sums``, they spare the next iteration their recomputation; ``None``
-    computes them from ``st``.
+    which the multiplier step moves ``xx`` along, ``SS`` and its part
+    :func:`~dbasolve.model.linear_dual_sums`.  Passed back as ``sums``,
+    ``SS`` spares the next iteration its recomputation; ``None`` computes
+    it from ``st``.
 
     Two group steps act on the residual RR = SS - c_k over x|xbar
     (SS = A*y + B*ybar + z + v | Bbar*ybar + zbar + vbar, c_k = c|cbar less
@@ -534,7 +649,9 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
 
     st.y, st.ybar, st.zz, st.vv = new["y"], ybar, new["zz"], new["vv"]
     # multiplier step
-    SS = joint_dual_sums(problem, st.y, st.ybar, st.zz, st.vv)
+    lin = linear_dual_sums(problem, st.y, st.ybar)
+    SS = lin + st.zz
+    SS += st.vv
     DD = SS - problem.cc
     st.xx = st.xx + tau * sigma * DD
-    return inner, DD[:n0], DD[n0:], SS
+    return inner, DD[:n0], DD[n0:], SS, lin

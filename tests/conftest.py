@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import dbasolve.msolver as msolver
 from dbasolve.blocklinalg import canonicalize
 from dbasolve.builders import ScenarioData, build_two_stage
 from dbasolve.model import DBAProblem, ScenarioBlock
@@ -22,6 +23,17 @@ def same_canonical(a, b):
     a, b = canonicalize(a), canonicalize(b)
     return all(np.array_equal(getattr(a, k), getattr(b, k))
                for k in ("indptr", "indices", "data"))
+
+
+def bbar_gram_factors(problem, requirement, max_cond=np.inf):
+    """``(groups, lows)``: the scenarios grouped by row count and, per group,
+    the (n_g, m, m) stack of lower Cholesky factors of Bbar_i Bbar_i^T,
+    each of estimated condition at most ``max_cond``; with
+    ``msolver._inverse_csr`` an oracle for the block-diagonal D^{-1}."""
+    groups = msolver._size_groups(problem)
+    grams = msolver._block_stacks(problem, problem.Bbar.gram(), groups)
+    return groups, msolver._factor_blocks(
+        grams, groups, max_cond, requirement + " Bbar_{i} Bbar_{i}^T")
 
 
 def make_two_scenario_lp(seed=3):

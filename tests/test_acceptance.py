@@ -28,8 +28,8 @@ from dbasolve.sgs import sgs_operator_dense, sgs_sweep
 from dbasolve.solvers import (LOG_COLUMNS, SolverConfig, admm_solve,
                               alm_solve, ssn_zy)
 
-from conftest import (lp_standard_form, lp_vertex_optimum, make_free_qp,
-                      make_two_scenario_lp, qp_kkt_solve)
+from conftest import (bbar_gram_factors, lp_standard_form, lp_vertex_optimum,
+                      make_free_qp, make_two_scenario_lp, qp_kkt_solve)
 from test_model import kkt_oracle, random_state
 from test_sgs import make_prox1, orthant_block_qp_argmin, random_block_q, split
 from test_solvers import ssn_oracle
@@ -123,7 +123,7 @@ def test_02_smw_correctness():
     for p in (2, 5, 10):
         prob = build_ufl_dnn(random_ufl(p, 3, seed=p))
         dinv = to_dense(msolver._inverse_csr(
-            prob, *msolver._bbar_gram_factors(prob, "smw requires")))
+            prob, *bbar_gram_factors(prob, "smw requires")))
         Bbar = np.block([[np.ones((1, p)), np.zeros((1, p))],
                          [-np.eye(p), -np.eye(p)]])
         Ginv = np.linalg.inv(Bbar @ Bbar.T)

@@ -20,7 +20,7 @@ from dbasolve.builders import random_sdp
 from dbasolve.errors import Breakdown, DimensionMismatch, NotPositiveDefinite
 from dbasolve.solvers import admm_solve
 
-from conftest import same_canonical
+from conftest import bbar_gram_factors, same_canonical
 
 
 def _load_perfbench_workloads():
@@ -590,7 +590,7 @@ class TestMv:
             prob = w.tiny(1)
             ops = [prob.B.matrix, prob.Bbar.matrix,
                    msolver._inverse_csr(
-                       prob, *msolver._bbar_gram_factors(prob, ""))]
+                       prob, *bbar_gram_factors(prob, ""))]
             ops += [blocklinalg.transposed(op) for op in ops[:2]]
             for op in ops:
                 x = rng.normal(size=op.shape[1])

@@ -15,11 +15,12 @@ import pytest
 WORKLOADS_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "workloads.py")
 
-# iterations (outer iterations for PHA) of instance seeds 1-5
+# iterations (outer iterations for PHA) of instance seeds 1-5; the ADMM
+# rows are the Halpern step's counts
 MAX_ITERATIONS = {
-    "two-stage-ssn": (1072, 713, 1276, 925, 1151),
-    "sdp-psd": (2509, 1931, 1299, 2430, 1458),
-    "ufl-dnn": (238, 227, 202, 190, 236),
+    "two-stage-ssn": (711, 558, 703, 519, 498),
+    "sdp-psd": (651, 366, 353, 820, 351),
+    "ufl-dnn": (149, 151, 124, 134, 117),
     "pha-two-stage": (155, 66, 269, 59, 120),
 }
 

@@ -22,39 +22,59 @@ def small_sdp():
     return random_sdp(2, 3, 2, 3, N=3, seed=2)
 
 
-# (solver, instance, stop iteration, status, report.kkt) as computed with a
-# full KKT evaluation on every iteration
+# (solver, instance, step length, stop iteration, status, report.kkt) as
+# computed with a full KKT evaluation on every iteration; ADMM with tau=1.618
+# runs the classic multiplier step, without a step length the Halpern step
+CLASSIC = 1.618
 PINNED = [
-    (admm_solve, make_two_scenario_lp, 76, "Converged", dict(
+    (admm_solve, make_two_scenario_lp, CLASSIC, 76, "Converged", dict(
         eta_P=9.256692165227065e-06, eta_D=3.260758724727181e-06,
         eta_K=2.4191116434826307e-06, eta_theta=0.0,
         eta_Pbar=2.367783793992493e-16, eta_Dbar=9.849544618065713e-06,
         eta_Kbar=3.1776350702402565e-06, eta_thetabar=0.0,
         eta=9.849544618065713e-06, eta_gap=2.914720845774868e-07)),
-    (alm_solve, make_two_scenario_lp, 116, "Converged", dict(
+    (alm_solve, make_two_scenario_lp, None, 116, "Converged", dict(
         eta_P=3.1682076148120686e-06, eta_D=6.046067093073228e-06,
         eta_K=1.3919845145576119e-06, eta_theta=0.0,
         eta_Pbar=3.7555536503595916e-06, eta_Dbar=9.171993390688882e-06,
         eta_Kbar=5.679298609870764e-07, eta_thetabar=0.0,
         eta=9.171993390688882e-06, eta_gap=3.975446623139448e-06)),
-    (admm_solve, make_free_qp, 43, "Converged", dict(
+    (admm_solve, make_free_qp, CLASSIC, 43, "Converged", dict(
         eta_P=9.754405472708122e-06, eta_D=3.3123276429023414e-06,
         eta_K=0.0, eta_theta=1.855407288038756e-07,
         eta_Pbar=6.819763649688599e-10, eta_Dbar=4.924565659800795e-06,
         eta_Kbar=0.0, eta_thetabar=8.659804649686131e-08,
         eta=9.754405472708122e-06, eta_gap=1.600700746400157e-06)),
-    (admm_solve, small_sdp, 2225, "Converged", dict(
+    (admm_solve, small_sdp, CLASSIC, 2225, "Converged", dict(
         eta_P=9.839308768145958e-06, eta_D=2.2943065017697696e-07,
         eta_K=2.587742252762992e-06, eta_theta=0.0,
         eta_Pbar=1.1101026685248462e-15, eta_Dbar=2.1493240189761796e-06,
         eta_Kbar=3.3971884733680404e-07, eta_thetabar=0.0,
         eta=9.839308768145958e-06, eta_gap=4.063886575537888e-06)),
-    (alm_solve, small_sdp, 2211, "Converged", dict(
+    (alm_solve, small_sdp, None, 2211, "Converged", dict(
         eta_P=9.838324208657511e-06, eta_D=1.0563289850325711e-07,
         eta_K=1.2361165645852403e-06, eta_theta=0.0,
         eta_Pbar=2.138677804825515e-15, eta_Dbar=5.141993031643912e-06,
         eta_Kbar=3.458765464733354e-07, eta_thetabar=0.0,
         eta=9.838324208657511e-06, eta_gap=6.257772080556116e-05)),
+    (admm_solve, make_two_scenario_lp, None, 30, "Converged", dict(
+        eta_P=5.8218858570713294e-06, eta_D=6.47502462459888e-06,
+        eta_K=1.0235481892023708e-06, eta_theta=1.1102180809984653e-16,
+        eta_Pbar=1.745122317634948e-16, eta_Dbar=6.033421607234477e-06,
+        eta_Kbar=2.5857213192585335e-06, eta_thetabar=0.0,
+        eta=6.47502462459888e-06, eta_gap=7.318565684016306e-07)),
+    (admm_solve, make_free_qp, None, 63, "Converged", dict(
+        eta_P=1.929137569285737e-06, eta_D=5.022386846883298e-07,
+        eta_K=2.783606927011603e-16, eta_theta=5.278739096136222e-09,
+        eta_Pbar=1.4297505251709488e-15, eta_Dbar=8.733824422494123e-06,
+        eta_Kbar=0.0, eta_thetabar=1.6572851649945544e-08,
+        eta=8.733824422494123e-06, eta_gap=6.655777864899038e-08)),
+    (admm_solve, small_sdp, None, 1253, "Converged", dict(
+        eta_P=9.825856217154502e-06, eta_D=6.158868733841509e-08,
+        eta_K=3.734390357251074e-06, eta_theta=0.0,
+        eta_Pbar=4.738158829196887e-15, eta_Dbar=3.518473434988571e-07,
+        eta_Kbar=2.883938476985922e-07, eta_thetabar=0.0,
+        eta=9.825856217154502e-06, eta_gap=7.915101301411652e-06)),
 ]
 
 
@@ -72,12 +92,14 @@ def check_log(report, cfg):
             assert row[LOG_COLUMNS.index("eta")] >= lin_max
 
 
-@pytest.mark.parametrize("solve, build, iters, status, kkt", PINNED,
+@pytest.mark.parametrize("solve, build, tau, iters, status, kkt", PINNED,
                          ids=["admm-lp", "alm-lp", "admm-qp", "admm-sdp",
-                              "alm-sdp"])
-def test_stop_and_certificate_unchanged(solve, build, iters, status, kkt):
+                              "alm-sdp", "halpern-lp", "halpern-qp",
+                              "halpern-sdp"])
+def test_stop_and_certificate_unchanged(solve, build, tau, iters, status,
+                                        kkt):
     problem = build()
-    cfg = SolverConfig()
+    cfg = SolverConfig(tau=tau)
     report = solve(problem, cfg)
     assert (report.iterations, report.status) == (iters, status)
     for key, value in kkt.items():
@@ -88,16 +110,22 @@ def test_stop_and_certificate_unchanged(solve, build, iters, status, kkt):
     assert report.kkt == kkt_residues(problem, report.primal, report.dual)
 
 
-@pytest.mark.parametrize("solve", [admm_solve, alm_solve])
-def test_max_iter_exit_certifies_the_last_iterate(solve):
+# the Halpern step converges at 30 iterations on this problem
+@pytest.mark.parametrize("solve, tau, max_iter", [
+    (admm_solve, CLASSIC, 30), (alm_solve, None, 30), (admm_solve, None, 29)],
+    ids=["admm_solve", "alm_solve", "halpern"])
+def test_max_iter_exit_certifies_the_last_iterate(solve, tau, max_iter):
     problem = make_two_scenario_lp()
-    cfg = SolverConfig(max_iter=30)
+    cfg = SolverConfig(tau=tau, max_iter=max_iter)
     report = solve(problem, cfg)
-    assert (report.status, report.iterations) == ("MaxIter", 30)
+    assert (report.status, report.iterations) == ("MaxIter", max_iter)
     check_log(report, cfg)
     assert report.log_rows[-1][LAZY[0]] is None
     assert report.kkt == kkt_residues(problem, report.primal, report.dual)
     assert report.kkt.eta > cfg.tol_kkt
+    # the returned point is the one the last row's residues were taken at
+    assert [report.log_rows[-1][i] for i in LINEAR] == [
+        getattr(report.kkt, LOG_COLUMNS[i]) for i in LINEAR]
 
 
 def test_full_check_runs_only_on_passing_rows(monkeypatch):
@@ -115,15 +143,15 @@ def test_full_check_runs_only_on_passing_rows(monkeypatch):
     assert len(calls) == certified < report.iterations
 
 
-def test_stall_reads_the_linear_residues():
+def check_stall(tau, iters):
     # x, xbar >= 0 with x + xbar = -1 has no feasible point: the primal
     # residue levels off while the dual iterate diverges
     problem = DBAProblem(None, None, [1.0], NonnegOrthant(1), Zero(1), [
         ScenarioBlock([[1.0]], [[1.0]], [-1.0], [1.0], NonnegOrthant(1),
                       Zero(1))])
-    report = admm_solve(problem, SolverConfig(max_iter=20000))
+    report = admm_solve(problem, SolverConfig(tau=tau, max_iter=20000))
     assert report.status == "Stalled"
-    assert report.iterations == 2071
+    assert report.iterations == iters
     # the last new low came _STALL_WINDOW rows before the end, and no row
     # since improved on it by a _STALL_REL fraction
     lin = [max(row[i] for i in LINEAR) for row in report.log_rows]
@@ -132,3 +160,11 @@ def test_stall_reads_the_linear_residues():
     assert min(lin[-window:]) >= lin[-window - 1] * (1.0 - solvers._STALL_REL)
     assert report.kkt == kkt_residues(problem, report.primal, report.dual)
     assert np.isfinite(report.kkt.eta)
+
+
+def test_stall_reads_the_linear_residues():
+    check_stall(CLASSIC, 2071)
+
+
+def test_halpern_stall_reads_the_linear_residues():
+    check_stall(None, 2009)

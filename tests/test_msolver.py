@@ -19,7 +19,7 @@ from dbasolve.msolver import (assemble_m_dense, auto_strategy, build_msolver,
 from dbasolve.proxcone import NonnegOrthant, Zero
 from dbasolve.solvers import SolverConfig, _msolve_with_tol, admm_solve
 
-from conftest import same_canonical
+from conftest import bbar_gram_factors, same_canonical
 
 
 def random_structure(rng, N=5, n0=10, mi_max=8, shared=False, equal=False,
@@ -315,7 +315,7 @@ class TestUflAnalytic:
     def test_analytic_inverse(self, p):
         prob = build_ufl_dnn(random_ufl(p, 3, seed=p))
         dinv = to_dense(msolver._inverse_csr(
-            prob, *msolver._bbar_gram_factors(prob, "smw requires")))
+            prob, *bbar_gram_factors(prob, "smw requires")))
         want = ufl_gram_inverse(p)
         for i in range(prob.N):
             sl = prob.y_slice(i)
@@ -420,8 +420,7 @@ class TestAutoSelection:
         with pytest.raises(StrategyPrecondition,
                            match=r"Bbar_%d Bbar_%d\^T of condition at most"
                            % (ill, ill)):
-            msolver._bbar_gram_factors(prob, "smw requires",
-                                       msolver._AUTO_MAX_COND)
+            bbar_gram_factors(prob, "smw requires", msolver._AUTO_MAX_COND)
         sol = build_msolver(prob)
         assert sol.strategy == "chol"
         h = np.random.default_rng(22).normal(size=prob.mbar)
@@ -830,6 +829,15 @@ class TestFixedRecourse:
     @pytest.mark.parametrize("seed, iterations", [(1, 238), (2, 227),
                                                   (3, 202)])
     def test_ufl_iterations_unchanged(self, seed, iterations):
+        prob = build_ufl_dnn(random_ufl(10, 150, seed=seed))
+        report = admm_solve(prob, SolverConfig(tau=1.618))
+        assert report.extra["strategy"] == "smw"
+        assert report.status == "Converged"
+        assert report.iterations == iterations
+
+    @pytest.mark.parametrize("seed, iterations", [(1, 149), (2, 151),
+                                                  (3, 124)])
+    def test_ufl_halpern_iterations(self, seed, iterations):
         prob = build_ufl_dnn(random_ufl(10, 150, seed=seed))
         report = admm_solve(prob, SolverConfig())
         assert report.extra["strategy"] == "smw"
@@ -1252,7 +1260,7 @@ class TestOracle:
         rng = np.random.default_rng(structure[-1])
         h = rng.normal(size=prob.mbar)
         try:
-            groups, lows = msolver._bbar_gram_factors(prob, "")
+            groups, lows = bbar_gram_factors(prob, "")
         except StrategyPrecondition:
             groups = None
         if groups is not None:

@@ -250,3 +250,32 @@ class TestSetupReuse:
         texts = [iteration_csv_text(PHA_LOG_COLUMNS, pha_solve(
             self.problem(), self.config()).log_rows) for _ in range(2)]
         assert texts[0] == texts[1]
+
+
+class TestClassicSubsolves:
+    """PHA's bundle solves keep the classic relaxed multiplier step, so its
+    logs do not depend on admm_solve's default step."""
+
+    def test_every_subsolve_sets_the_classic_step(self, monkeypatch):
+        taus = []
+        solve = pha.admm_solve
+
+        def recorded(problem, config=None, **kwargs):
+            taus.append(config.tau)
+            return solve(problem, config, **kwargs)
+
+        monkeypatch.setattr(pha, "admm_solve", recorded)
+        report = pha_solve(random_two_stage(2, 4, 2, 4, N=3, seed=1,
+                                            quad_eps=0.1), PhaConfig(rho=10.0))
+        assert len(taus) == report.iterations
+        assert set(taus) == {1.618}
+
+    def test_subsolve_iterations_pinned(self):
+        # the counts with the classic step in every bundle solve
+        report = pha_solve(random_two_stage(2, 4, 2, 4, N=3, seed=1,
+                                            quad_eps=0.1), PhaConfig(rho=10.0))
+        inner = [row[PHA_LOG_COLUMNS.index("inner_iters")]
+                 for row in report.log_rows]
+        assert (report.status, report.iterations) == ("Converged", 88)
+        assert inner[:12] == [26, 31, 28, 17, 8, 8, 27, 11, 8, 7, 7, 8]
+        assert sum(inner) == 1823

@@ -293,19 +293,29 @@ class TestSsnEvaluations:
 
 
 class TestProgressLog:
-    def test_progress_goes_to_the_dbasolve_logger(self, two_scenario_lp,
-                                                  caplog, capsys):
-        quiet = admm_solve(two_scenario_lp, SolverConfig(max_iter=60))
+    @staticmethod
+    def check_progress(two_scenario_lp, caplog, capsys, tau, iterations):
+        quiet = admm_solve(two_scenario_lp, SolverConfig(tau=tau, max_iter=60))
         caplog.set_level(logging.INFO, logger="dbasolve")
-        loud = admm_solve(two_scenario_lp, SolverConfig(max_iter=60,
+        loud = admm_solve(two_scenario_lp, SolverConfig(tau=tau, max_iter=60,
                                                         log_every=7))
+        assert loud.iterations == iterations
         assert loud.log_rows == quiet.log_rows
         records = [r for r in caplog.records if r.name == "dbasolve"]
         assert [r.getMessage().split()[:2] for r in records] == [
-            ["iter", str(k)] for k in range(0, 60, 7)]
+            ["iter", str(k)] for k in range(0, iterations, 7)]
         assert all(r.levelno == logging.INFO for r in records)
         out = capsys.readouterr()
         assert out.out == "" and out.err == ""
+
+    def test_progress_goes_to_the_dbasolve_logger(self, two_scenario_lp,
+                                                  caplog, capsys):
+        self.check_progress(two_scenario_lp, caplog, capsys, 1.618, 60)
+
+    def test_halpern_progress_goes_to_the_dbasolve_logger(
+            self, two_scenario_lp, caplog, capsys):
+        # the Halpern step converges after 30 of the 60 iterations
+        self.check_progress(two_scenario_lp, caplog, capsys, None, 30)
 
 
 class TestDeterminism:
@@ -496,7 +506,7 @@ class TestCarriedSums:
         for k in range(n):
             if k == 25:
                 sigma *= 1.4          # the sums do not depend on sigma
-            inner, d_res, d_res_bar, sums = _sgs_iteration(
+            inner, d_res, d_res_bar, sums, _ = _sgs_iteration(
                 prob, st, sigma, 1.9 if alm else 1.618, msol, facA, use_ssn,
                 eps_schedule(k), cfg, alm, sums if carry else None)
             out.append([inner, d_res, d_res_bar, *sums] + [
@@ -555,7 +565,7 @@ class TestFlatState:
         self.assert_views(st, prob.n0)
         sums = None
         for k in range(5):
-            _, d_res, d_res_bar, sums = _sgs_iteration(
+            _, d_res, d_res_bar, sums, _ = _sgs_iteration(
                 prob, st, 0.5, 1.618, msol, facA, _ssn_eligible(prob, cfg),
                 eps_schedule(k), cfg, sums=sums)
             self.assert_views(st, prob.n0)
@@ -572,3 +582,97 @@ class TestFlatState:
         _sgs_iteration(prob, warm, 0.5, 1.618, msol, facA,
                        _ssn_eligible(prob, cfg), 1e-6, cfg)
         assert np.array_equal(rep.primal.x, x_before)
+
+
+class TestHalpernStep:
+    """admm_solve without a step length: Halpern's anchored iteration with
+    restarts on the unit-step sweep T."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_sdp(2, 3, 2, 3, N=3, seed=1),
+        lambda: random_two_stage(2, 6, 2, 5, N=100, seed=1, quad_eps=0.1),
+        lambda: build_ufl_dnn(random_ufl(4, 20, seed=1)),
+        _no_a_problem], ids=["sdp", "two-stage", "ufl", "no-a"])
+    def test_step_is_the_anchored_reflection(self, build):
+        from dbasolve.model import joint_dual_sums
+        from dbasolve.solvers import (PrimalDualState, _Halpern,
+                                      _sgs_iteration, default_sigma0,
+                                      solve_setup, zero_state)
+
+        def flat(st):
+            return np.concatenate((st.xx, st.y, st.ybar))
+
+        prob = build()
+        cfg = SolverConfig()
+        msol, facA = solve_setup(prob, cfg)
+        st, sigma = zero_state(prob), default_sigma0(prob)
+        hal = _Halpern(prob, st)
+        sums, combined = None, 0
+        for k in range(60):
+            w, j = flat(st), hal.j
+            w0 = hal.anchor[:w.size].copy()
+            # T(w): one unit-step iteration from a copy of w, its sums
+            # computed from the state
+            ref = PrimalDualState(prob.n0, st.xx.copy(), st.y.copy(),
+                                  st.ybar.copy(), st.zz.copy(), st.vv.copy())
+            _sgs_iteration(prob, ref, sigma, 1.0, msol, facA, False,
+                           eps_schedule(k), cfg)
+            _, _, _, SS, lin = _sgs_iteration(
+                prob, st, sigma, 1.0, msol, facA, False, eps_schedule(k),
+                cfg, sums=sums)
+            t = flat(st)
+            scale = 1e-12 * (1.0 + np.abs(t).max())
+            assert np.allclose(t, flat(ref), rtol=1e-9, atol=scale)
+            sigma, sums = hal.step(st, lin, SS, sigma, k, False)
+            if hal.j == 0 or j == 0:
+                want = t               # a restart, or the first step after
+            else:
+                a = 1.0 / (j + 2)
+                want = a * w0 + (1.0 - a) * (2.0 * t - w)
+                combined += 1
+            assert np.allclose(flat(st), want, rtol=1e-12, atol=scale)
+            # the carried sums are those of the new state
+            assert np.allclose(
+                sums, joint_dual_sums(prob, st.y, st.ybar, st.zz, st.vv),
+                rtol=1e-12, atol=1e-12 * (1.0 + np.abs(sums).max()))
+        assert combined >= 10
+
+    def test_sigma_fixed_keeps_sigma_across_restarts(self, monkeypatch):
+        restarts = []
+        step = solvers._Halpern.step
+
+        def recorded(self, st, lin, SS, sigma, k, sigma_fixed):
+            out = step(self, st, lin, SS, sigma, k, sigma_fixed)
+            if self.j == 0:
+                restarts.append(k)
+            return out
+
+        monkeypatch.setattr(solvers._Halpern, "step", recorded)
+        prob = random_sdp(2, 3, 2, 3, N=3, seed=2)
+        sig = LOG_COLUMNS.index("sigma")
+        sigma0 = solvers.default_sigma0(prob)
+
+        fixed = admm_solve(prob, SolverConfig(sigma_fixed=True, max_iter=300))
+        assert len(restarts) >= 3
+        assert {row[sig] for row in fixed.log_rows} == {sigma0}
+        assert fixed.sigma == sigma0
+
+        # without the flag sigma moves, only right after restarts
+        del restarts[:]
+        free = admm_solve(prob, SolverConfig(max_iter=300))
+        rows = free.log_rows
+        moved = [k - 1 for k in range(1, len(rows))
+                 if rows[k][sig] != rows[k - 1][sig]]
+        assert moved and set(moved) <= set(restarts)
+        assert all(abs(np.log(rows[k + 1][sig] / rows[k][sig]))
+                   <= np.log(solvers._SIGMA_RESTART_CLAMP) + 1e-12
+                   for k in moved)
+
+    def test_ssn_auto_is_off(self):
+        # auto picks semismooth Newton here for the classic step
+        prob = random_two_stage(2, 6, 2, 5, N=100, seed=1, quad_eps=0.1)
+        assert not admm_solve(prob, SolverConfig(max_iter=1)).extra["ssn"]
+        assert admm_solve(prob, SolverConfig(max_iter=1,
+                                             tau=1.618)).extra["ssn"]
+        assert admm_solve(prob, SolverConfig(max_iter=1,
+                                             ssn="on")).extra["ssn"]
