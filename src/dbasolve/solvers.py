@@ -511,8 +511,8 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
             break
 
         if anchored is not None:
-            # st holds T(w) until here: the last iterate the loop leaves
-            # it at is the one certified and returned
+            # st holds T(w) until here; no step follows the last iteration,
+            # so a MaxIter report returns the image its last row certified
             if k + 1 < cfg.max_iter:
                 sigma, sums = anchored.step(st, lin_sums, sums, sigma, k,
                                             cfg.sigma_fixed)
