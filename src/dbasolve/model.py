@@ -388,19 +388,22 @@ def joint_linear_residues(problem, xx, d_res, d_res_bar, denoms):
         eta_Dbar=_norm(d_res_bar) / den_Dbar)
 
 
-def kkt_full(problem, xx, dual, feas_tol=1e-8):
+def kkt_full(problem, xx, dual, feas_tol=1e-8, denoms=None):
     """Residues plus both objective values (computed once) at the primal
     point ``xx = x|xbar``, with the operators of the sGS sweep: one ``W``
     product each way, one projection onto the joint cone and one prox of
     the joint function, whose first ``n0`` entries give the first-stage
     residues and the rest the scenario ones.  ``dual`` is read through its
     ``y``, ``ybar``, ``zz = z|zbar`` and ``vv = v|vbar`` attributes, so a
-    ``DualPoint`` or a solver state will do; no argument is written to."""
+    ``DualPoint`` or a solver state will do; no argument is written to.
+    ``denoms`` is :func:`residue_denominators` of ``problem``, computed
+    here when not given."""
     n0 = problem.n0
     zz, vv = dual.zz, dual.vv
     DD = joint_dual_sums(problem, dual.y, dual.ybar, zz, vv) - problem.cc
-    lin = joint_linear_residues(problem, xx, DD[:n0], DD[n0:],
-                                residue_denominators(problem))
+    if denoms is None:
+        denoms = residue_denominators(problem)
+    lin = joint_linear_residues(problem, xx, DD[:n0], DD[n0:], denoms)
 
     def split(r, w):
         """The relative norms of ``r``'s two stages, scaled by the point's

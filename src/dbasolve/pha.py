@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .errors import ParameterError, SubproblemFailure
 from .model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
                     dual_objective, joint_dual_sums, kkt_full, kkt_residues,
-                    primal_objective, validate)
+                    primal_objective, residue_denominators, validate)
 from .proxcone import (BlockCone, BlockFunction, add_diag_quadratic,
                        scale_function)
 from .solvers import (SolveReport, SolverConfig, TAU_ADMM_MAX, admm_solve,
@@ -136,6 +136,8 @@ def pha_solve(problem, config=None):
     xhat = np.zeros(n0)                 # consensus
 
     sub_tol_final = _SUB_FACTOR * cfg.tol_nonant
+    # the scales of the averaged point's residues depend on the data only
+    denoms = residue_denominators(problem)
     log_rows = []
     status = "MaxIter"
     k = 0
@@ -163,7 +165,7 @@ def pha_solve(problem, config=None):
 
         primal = PrimalPoint(xhat, rep.primal.xbar)
         dual = _averaged_dual(problem, probs, rep)
-        res, obj_p, obj_d = kkt_full(problem, primal.xx, dual)
+        res, obj_p, obj_d = kkt_full(problem, primal.xx, dual, denoms=denoms)
         log_rows.append((k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                          res.eta_Pbar, res.eta_Dbar, res.eta_Kbar,
                          res.eta_thetabar, res.eta, res.eta_gap, rho, obj_p,

@@ -2,7 +2,11 @@
 proximal ALM variant for problems without smooth objective terms, both run
 by one sGS sweep engine, plus the semismooth Newton subproblem solver for
 the (z, y) block.  ADMM without a set step length runs Halpern's anchored
-iteration with restarts on the unit-step sweep.
+iteration with restarts on the unit-step sweep.  Without a smooth objective
+(theta = 0, as in LPs and linear SDPs) the conjugate theta*(-v) is the
+indicator of v = 0: ADMM's sweep is then nonsmooth -> ybar with
+v = vbar = 0, one M solve an iteration, which is the full sweep in exact
+arithmetic; ALM's sweep is the same either way.
 
 The loop keeps all iterates stacked over scenarios and terminates on the
 relative KKT residue together with the duality gap.
@@ -330,14 +334,17 @@ def admm_solve(problem, config=None, initial=None, setup=None):
     restarts on the unit-step sweep (:class:`_Halpern`); a set ``tau`` runs
     the relaxed multiplier step of that length instead.
 
+    Without a smooth objective (``problem.joint_theta.is_zero``) each
+    sweep solves for ybar once and keeps v|vbar = 0.
+
     ``initial`` is a :class:`SolveReport` of a problem with the same
-    dimensions: the solve starts from its points and, unless
-    ``config.sigma0`` is set, its final sigma.  ``setup`` is a
-    :class:`SolveSetup` from :func:`solve_setup` for a problem with the
-    same ``A``, ``B`` and ``Bbar`` and a config with the same ``strategy``;
-    without one it is built here, which validates the problem.  A given
-    setup skips that check: the problem differs from the one it was built
-    for only in costs, whose finiteness
+    dimensions: the solve starts from its points, with v|vbar = 0 when
+    theta is, and, unless ``config.sigma0`` is set, its final sigma.
+    ``setup`` is a :class:`SolveSetup` from :func:`solve_setup` for a
+    problem with the same ``A``, ``B`` and ``Bbar`` and a config with the
+    same ``strategy``; without one it is built here, which validates the
+    problem.  A given setup skips that check: the problem differs from the
+    one it was built for only in costs, whose finiteness
     :meth:`~dbasolve.model.DBAProblem.with_cost` checks."""
     cfg, tau = _checked(config, 1.0, TAU_ADMM_MAX,
                         "ADMM step length must lie in (0, (1+sqrt(5))/2)")
@@ -449,8 +456,11 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     use_ssn = _ssn_eligible(problem, cfg, halpern)
     # the residue scales depend on the data only
     denoms = residue_denominators(problem)
+    # without theta, theta*(-v) is the indicator of v = 0: v|vbar stays 0
+    # (ALM's sweep has no v step) and ADMM's sweep solves for ybar once
+    v_free = problem.joint_theta.is_zero
     st, sigma = _start(problem, cfg, initial)
-    if alm:
+    if v_free:
         st.vv = np.zeros_like(st.vv)
     # no step follows the last iteration, so a single one needs no anchor
     anchored = _Halpern(problem, st) if halpern and cfg.max_iter > 1 else None
@@ -470,7 +480,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         eps_k = eps_schedule(k)
         inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
             problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm,
-            sums)
+            sums, v_free)
         lin = joint_linear_residues(problem, st.xx, d_res, d_res_bar, denoms)
         eta_lin = max(lin)
 
@@ -478,7 +488,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         # prox residues, objectives, gap) runs only once all four pass;
         # kkt_full only reads its arguments, so the state goes in uncopied
         if eta_lin <= cfg.tol_kkt:
-            res, obj_p, obj_d = kkt_full(problem, st.xx, st)
+            res, obj_p, obj_d = kkt_full(problem, st.xx, st, denoms=denoms)
             row = (k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                    res.eta_Pbar, res.eta_Dbar, res.eta_Kbar, res.eta_thetabar,
                    res.eta, res.eta_gap, sigma, obj_p, obj_d, inner_iters)
@@ -535,7 +545,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         obj_p = primal_objective(problem, primal)
         obj_d = dual_objective(problem, dual)
     elif res is None:
-        res, obj_p, obj_d = kkt_full(problem, st.xx, st)
+        res, obj_p, obj_d = kkt_full(problem, st.xx, st, denoms=denoms)
     return SolveReport(
         status=status, iterations=k, kkt=res, obj_p=obj_p, obj_d=obj_d,
         primal=primal, dual=dual, sigma=sigma,
@@ -566,7 +576,7 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
 
 
 def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                   alm=False, sums=None):
+                   alm=False, sums=None, v_free=False):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count, the
     dual residues ``d_res``, ``d_res_bar`` (the
@@ -575,7 +585,8 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     which the multiplier step moves ``xx`` along, ``SS`` and its part
     :func:`~dbasolve.model.linear_dual_sums`.  Passed back as ``sums``,
     ``SS`` spares the next iteration its recomputation; ``None`` computes
-    it from ``st``.
+    it from ``st``.  ``v_free`` says that the problem has no smooth
+    objective and ``st.vv`` is 0 (see below).
 
     Two group steps act on the residual RR = SS - c_k over x|xbar
     (SS = A*y + B*ybar + z + v | Bbar*ybar + zbar + vbar, c_k = c|cbar less
@@ -588,6 +599,10 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     ybar -> nonsmooth -> ybar.  Inside a ybar sweep a step sees the
     residual at the backward ybar and returns the one at the old ybar with
     its own blocks updated, which is what the forward ybar solve needs.
+    With ``v_free`` ADMM runs nonsmooth -> ybar and keeps v = vbar = 0:
+    theta = 0 makes theta*(-v) the indicator of v = 0, so the smooth step
+    returns v|vbar = 0 and leaves the residual as it was, and the forward
+    ybar solve repeats the backward one.  ALM's sweep does not change.
     """
     A, At, W, WT = problem.A_mv, problem.A_T, problem.W, problem.W_T
     b, bbar = problem.b, problem.bbar
@@ -643,6 +658,8 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
 
     if alm:
         ybar = ybar_sweep(nonsmooth, RR)
+    elif v_free:
+        ybar = ybar_solve(nonsmooth(RR, RR, st.ybar))
     else:
         RR = nonsmooth(RR, RR, st.ybar)
         ybar = ybar_sweep(smooth, RR)
@@ -651,7 +668,8 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     # multiplier step
     lin = linear_dual_sums(problem, st.y, st.ybar)
     SS = lin + st.zz
-    SS += st.vv
+    if not v_free:
+        SS += st.vv
     DD = SS - problem.cc
     st.xx = st.xx + tau * sigma * DD
     return inner, DD[:n0], DD[n0:], SS, lin

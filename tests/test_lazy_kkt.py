@@ -163,7 +163,7 @@ def check_stall(tau, iters):
 
 
 def test_stall_reads_the_linear_residues():
-    check_stall(CLASSIC, 2071)
+    check_stall(CLASSIC, 2068)
 
 
 def test_halpern_stall_reads_the_linear_residues():

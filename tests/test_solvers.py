@@ -12,9 +12,11 @@ from dbasolve.errors import ParameterError, UnsupportedObjective
 from dbasolve.io import iteration_csv_text
 from dbasolve.model import (DBAProblem, ScenarioBlock, kkt_residues)
 from dbasolve.pha import _bundle
-from dbasolve.proxcone import Box, FreeSpace, NonnegOrthant, Zero
+from dbasolve.proxcone import (Box, DiagQuadratic, FreeSpace, NonnegOrthant,
+                               Zero)
 from dbasolve.solvers import (LOG_COLUMNS, SolverConfig, admm_solve,
-                              alm_solve, eps_schedule, sigma_update, ssn_zy)
+                              alm_solve, eps_schedule, sigma_update,
+                              solve_setup, ssn_zy)
 
 from conftest import lp_standard_form, lp_vertex_optimum, qp_kkt_solve
 
@@ -676,3 +678,79 @@ class TestHalpernStep:
                                              tau=1.618)).extra["ssn"]
         assert admm_solve(prob, SolverConfig(max_iter=1,
                                              ssn="on")).extra["ssn"]
+
+
+def _zero_quadratic_theta(prob):
+    """``prob`` with every objective a zero :class:`DiagQuadratic`: the same
+    function, whose prox is the identity, but not ``is_zero``, so its ADMM
+    sweep runs ybar -> (v, vbar) -> ybar."""
+    blocks = [ScenarioBlock(s.B, s.Bbar, s.bbar, s.cbar, s.cone,
+                            DiagQuadratic(np.zeros(s.n)))
+              for s in prob.scenarios]
+    return DBAProblem(prob.A, prob.b, prob.c, prob.cone,
+                      DiagQuadratic(np.zeros(prob.n0)), blocks, prob.meta)
+
+
+class TestThetaFreeSweep:
+    """Without theta, theta*(-v) is the indicator of v = 0: admm_solve keeps
+    v|vbar = 0 and its sweep is nonsmooth -> ybar, one M solve.  The oracle
+    is the same problem with zero quadratics, which runs the full sweep."""
+
+    BUILDS = [lambda: random_sdp(2, 3, 2, 3, N=3, seed=2),
+              lambda: random_two_stage(2, 6, 2, 5, N=10, seed=1)]
+    STEPS = pytest.mark.parametrize("tau", [None, 1.618],
+                                    ids=["halpern", "classic"])
+
+    @staticmethod
+    def flat(rep):
+        return [rep.primal.xx, rep.dual.y, rep.dual.ybar, rep.dual.zz]
+
+    @STEPS
+    @pytest.mark.parametrize("build", BUILDS, ids=["sdp", "lp"])
+    def test_matches_the_full_sweep(self, build, tau):
+        prob = build()
+        assert prob.joint_theta.is_zero
+        cfg = SolverConfig(tau=tau)
+        got = admm_solve(prob, cfg)
+        oracle = _zero_quadratic_theta(prob)
+        assert not oracle.joint_theta.is_zero
+        want = admm_solve(oracle, cfg)
+        assert got.converged
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        for g, w in zip(self.flat(got), self.flat(want)):
+            assert np.allclose(g, w, rtol=1e-9,
+                               atol=1e-9 * (1.0 + np.abs(w).max()))
+
+    @STEPS
+    def test_one_m_solve_per_iteration(self, monkeypatch, tau):
+        prob = random_two_stage(2, 6, 2, 5, N=10, seed=1)
+        cfg = SolverConfig(tau=tau, max_iter=40)
+        for problem, per_iter in ((prob, 1), (_zero_quadratic_theta(prob), 2)):
+            setup = solve_setup(problem, cfg)
+            calls = []
+            solve = setup.msolver.solve
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(setup.msolver, "solve", counted)
+            rep = admm_solve(problem, cfg, setup=setup)
+            assert rep.iterations == 40
+            assert len(calls) == per_iter * rep.iterations
+
+    @STEPS
+    def test_v_stays_zero_from_a_warm_start(self, tau):
+        prob = random_sdp(2, 3, 2, 3, N=3, seed=2)
+        cfg = SolverConfig(tau=tau, max_iter=30)
+        cold = admm_solve(prob, cfg)
+        assert not cold.dual.v.any() and not cold.dual.vbar.any()
+        # the same report with a nonzero v|vbar starts the same solve
+        clean = admm_solve(prob, cfg, initial=cold)
+        cold.dual.v = np.ones_like(cold.dual.v)
+        cold.dual.vbar = np.full_like(cold.dual.vbar, -2.0)
+        warm = admm_solve(prob, cfg, initial=cold)
+        assert not warm.dual.v.any() and not warm.dual.vbar.any()
+        assert warm.log_rows == clean.log_rows
+        assert all(np.array_equal(g, w)
+                   for g, w in zip(self.flat(warm), self.flat(clean)))
