@@ -57,11 +57,15 @@ _SIGMA_MAX = 1e6
 # Halpern step: restart once the fixed-point residual is at most
 # _RESTART_SUFFICIENT of its value at the last restart, or at most
 # _RESTART_NECESSARY of it and rising, or after _RESTART_LONG of all
-# iterations; sigma moves by at most the factor _SIGMA_RESTART_CLAMP
+# iterations; sigma moves by at most the factor _SIGMA_RESTART_CLAMP.  With
+# an A block, a dual/primal residue ratio r outside [1/_SIGMA_BALANCE_BAND,
+# _SIGMA_BALANCE_BAND] tilts the restart sigma by r**_SIGMA_BALANCE_POWER
 _RESTART_SUFFICIENT = 0.2
 _RESTART_NECESSARY = 0.8
 _RESTART_LONG = 0.2
 _SIGMA_RESTART_CLAMP = 1.5
+_SIGMA_BALANCE_BAND = 15.0
+_SIGMA_BALANCE_POWER = 0.25
 # stalled once the largest linear residue has not dropped by a _STALL_REL
 # fraction in _STALL_WINDOW iterations
 _STALL_WINDOW = 2000
@@ -380,6 +384,7 @@ class _Halpern:
     def __init__(self, problem, st):
         n = st.xx.size
         self._cuts = (n, n + st.y.size, n + st.y.size + st.ybar.size)
+        self._has_a = problem.A is not None
         self.anchor = np.concatenate(
             (st.xx, st.y, st.ybar, linear_dual_sums(problem, st.y, st.ybar)))
         # w, T(w), their difference and the joint sums live in buffers
@@ -391,11 +396,12 @@ class _Halpern:
         self.j = 0
         self.r0 = self.r_prev = 0.0
 
-    def step(self, st, lin, SS, sigma, k, sigma_fixed):
+    def step(self, st, lin, SS, sigma, k, sigma_fixed, residues):
         """Move ``w`` on from ``st``, the image ``T(w)`` whose linear and
-        joint dual sums are ``lin`` and ``SS``, at iteration ``k``.  Returns
-        the sigma and the joint dual sums of the new ``w``, which ``st``
-        holds."""
+        joint dual sums are ``lin`` and ``SS`` and whose
+        :class:`LinearResidues` are ``residues``, at iteration ``k``.
+        Returns the sigma and the joint dual sums of the new ``w``, which
+        ``st`` holds."""
         n, m, mm = self._cuts
         t, w = self._t, self.w
         np.concatenate((st.xx, st.y, st.ybar, lin), out=t)
@@ -407,7 +413,7 @@ class _Halpern:
               or (r <= _RESTART_NECESSARY * self.r0 and r > self.r_prev)
               or self.j >= _RESTART_LONG * k):
             if not sigma_fixed:
-                sigma = self._restart_sigma(t, sigma)
+                sigma = self._restart_sigma(t, sigma, residues)
             np.copyto(self.anchor, t)
             self.w, self._t = t, w
             self.j = 0
@@ -434,15 +440,28 @@ class _Halpern:
         dx, dy = d[:n], d[n:]
         return dx.dot(dx), dy.dot(dy)
 
-    def _restart_sigma(self, t, sigma):
+    def _restart_sigma(self, t, sigma, residues):
         """``sqrt(sigma ||d_xx|| / ||d_(y, ybar)||)`` for the move
         ``d = t - w0`` of the anchor, within a factor
         ``_SIGMA_RESTART_CLAMP`` of ``sigma`` and [_SIGMA_MIN, _SIGMA_MAX];
-        ``sigma`` when either part is 0."""
+        ``sigma`` when either part is 0.  With an ``A`` block, a ratio
+        ``r`` of the largest dual to the largest primal residue of
+        ``residues`` (those of ``t``) outside the band
+        ``_SIGMA_BALANCE_BAND`` scales the estimate by
+        ``r**_SIGMA_BALANCE_POWER`` before the clamp, toward residual
+        balance (He, Yang & Wang, JOTA 2000).  Without ``A`` the primal
+        residue is at rounding level after the exact ybar solve and gives
+        no signal."""
         px, py = self._split_squares(t, self.anchor)
         if px == 0.0 or py == 0.0:
             return sigma
         new = math.sqrt(sigma * math.sqrt(px / py))
+        prim = max(residues.eta_P, residues.eta_Pbar)
+        dual = max(residues.eta_D, residues.eta_Dbar)
+        if self._has_a and prim > 0.0 and dual > 0.0:
+            r = dual / prim
+            if not 1.0 / _SIGMA_BALANCE_BAND <= r <= _SIGMA_BALANCE_BAND:
+                new *= r ** _SIGMA_BALANCE_POWER
         new = min(max(new, sigma / _SIGMA_RESTART_CLAMP),
                   sigma * _SIGMA_RESTART_CLAMP)
         return min(max(new, _SIGMA_MIN), _SIGMA_MAX)
@@ -525,7 +544,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
             # so a MaxIter report returns the image its last row certified
             if k + 1 < cfg.max_iter:
                 sigma, sums = anchored.step(st, lin_sums, sums, sigma, k,
-                                            cfg.sigma_fixed)
+                                            cfg.sigma_fixed, lin)
         elif not cfg.sigma_fixed and k >= next_sigma_check:
             new_sigma = sigma_update(lin, sigma)
             if new_sigma != sigma:

@@ -18,9 +18,9 @@ WORKLOADS_PATH = os.path.join(os.path.dirname(os.path.dirname(
 # iterations (outer iterations for PHA) of instance seeds 1-5; the ADMM
 # rows are the Halpern step's counts
 MAX_ITERATIONS = {
-    "two-stage-ssn": (711, 558, 703, 519, 498),
-    "sdp-psd": (651, 366, 353, 820, 351),
-    "ufl-dnn": (149, 151, 124, 134, 117),
+    "two-stage-ssn": (472, 558, 429, 397, 497),
+    "sdp-psd": (478, 287, 263, 708, 309),
+    "ufl-dnn": (149, 151, 124, 134, 114),
     "pha-two-stage": (155, 66, 269, 59, 120),
 }
 

@@ -63,18 +63,18 @@ PINNED = [
         eta_Pbar=1.745122317634948e-16, eta_Dbar=6.033421607234477e-06,
         eta_Kbar=2.5857213192585335e-06, eta_thetabar=0.0,
         eta=6.47502462459888e-06, eta_gap=7.318565684016306e-07)),
-    (admm_solve, make_free_qp, None, 63, "Converged", dict(
-        eta_P=1.929137569285737e-06, eta_D=5.022386846883298e-07,
-        eta_K=2.783606927011603e-16, eta_theta=5.278739096136222e-09,
-        eta_Pbar=1.4297505251709488e-15, eta_Dbar=8.733824422494123e-06,
-        eta_Kbar=0.0, eta_thetabar=1.6572851649945544e-08,
-        eta=8.733824422494123e-06, eta_gap=6.655777864899038e-08)),
-    (admm_solve, small_sdp, None, 1253, "Converged", dict(
-        eta_P=9.825856217154502e-06, eta_D=6.158868733841509e-08,
-        eta_K=3.734390357251074e-06, eta_theta=0.0,
-        eta_Pbar=4.738158829196887e-15, eta_Dbar=3.518473434988571e-07,
-        eta_Kbar=2.883938476985922e-07, eta_thetabar=0.0,
-        eta=9.825856217154502e-06, eta_gap=7.915101301411652e-06)),
+    (admm_solve, make_free_qp, None, 50, "Converged", dict(
+        eta_P=4.647293538702183e-06, eta_D=2.3802280610916783e-06,
+        eta_K=6.038490189658599e-16, eta_theta=1.2210873875777277e-08,
+        eta_Pbar=3.556817021300635e-15, eta_Dbar=9.511744072239379e-06,
+        eta_Kbar=0.0, eta_thetabar=2.8694483873129864e-08,
+        eta=9.511744072239379e-06, eta_gap=4.740641536249095e-07)),
+    (admm_solve, small_sdp, None, 1084, "Converged", dict(
+        eta_P=9.853904487916212e-06, eta_D=1.0130493489338655e-07,
+        eta_K=6.519882973811198e-06, eta_theta=0.0,
+        eta_Pbar=4.984147374187863e-15, eta_Dbar=5.795462951623246e-07,
+        eta_Kbar=2.820309128571113e-07, eta_thetabar=0.0,
+        eta=9.853904487916212e-06, eta_gap=1.61412788728438e-05)),
 ]
 
 

@@ -10,7 +10,8 @@ from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
                                random_ufl)
 from dbasolve.errors import ParameterError, UnsupportedObjective
 from dbasolve.io import iteration_csv_text
-from dbasolve.model import (DBAProblem, ScenarioBlock, kkt_residues)
+from dbasolve.model import (DBAProblem, LinearResidues, ScenarioBlock,
+                            kkt_residues)
 from dbasolve.pha import _bundle
 from dbasolve.proxcone import (Box, DiagQuadratic, FreeSpace, NonnegOrthant,
                                Zero)
@@ -596,7 +597,8 @@ class TestHalpernStep:
         lambda: build_ufl_dnn(random_ufl(4, 20, seed=1)),
         _no_a_problem], ids=["sdp", "two-stage", "ufl", "no-a"])
     def test_step_is_the_anchored_reflection(self, build):
-        from dbasolve.model import joint_dual_sums
+        from dbasolve.model import (joint_dual_sums, joint_linear_residues,
+                                    residue_denominators)
         from dbasolve.solvers import (PrimalDualState, _Halpern,
                                       _sgs_iteration, default_sigma0,
                                       solve_setup, zero_state)
@@ -619,13 +621,15 @@ class TestHalpernStep:
                                   st.ybar.copy(), st.zz.copy(), st.vv.copy())
             _sgs_iteration(prob, ref, sigma, 1.0, msol, facA, False,
                            eps_schedule(k), cfg)
-            _, _, _, SS, lin = _sgs_iteration(
+            _, d_res, d_res_bar, SS, lin = _sgs_iteration(
                 prob, st, sigma, 1.0, msol, facA, False, eps_schedule(k),
                 cfg, sums=sums)
+            residues = joint_linear_residues(prob, st.xx, d_res, d_res_bar,
+                                             residue_denominators(prob))
             t = flat(st)
             scale = 1e-12 * (1.0 + np.abs(t).max())
             assert np.allclose(t, flat(ref), rtol=1e-9, atol=scale)
-            sigma, sums = hal.step(st, lin, SS, sigma, k, False)
+            sigma, sums = hal.step(st, lin, SS, sigma, k, False, residues)
             if hal.j == 0 or j == 0:
                 want = t               # a restart, or the first step after
             else:
@@ -643,8 +647,8 @@ class TestHalpernStep:
         restarts = []
         step = solvers._Halpern.step
 
-        def recorded(self, st, lin, SS, sigma, k, sigma_fixed):
-            out = step(self, st, lin, SS, sigma, k, sigma_fixed)
+        def recorded(self, st, lin, SS, sigma, k, sigma_fixed, residues):
+            out = step(self, st, lin, SS, sigma, k, sigma_fixed, residues)
             if self.j == 0:
                 restarts.append(k)
             return out
@@ -678,6 +682,99 @@ class TestHalpernStep:
                                              tau=1.618)).extra["ssn"]
         assert admm_solve(prob, SolverConfig(max_iter=1,
                                              ssn="on")).extra["ssn"]
+
+
+class TestRestartSigma:
+    """``_Halpern._restart_sigma``: the anchor's move estimate, tilted by
+    the fourth root of the dual/primal residue ratio when that ratio leaves
+    the band, then clamped."""
+
+    CLAMP = solvers._SIGMA_RESTART_CLAMP
+
+    @staticmethod
+    def halpern(prob, ratio):
+        """A ``_Halpern`` at the zero state and an image ``t`` whose move
+        from the anchor has ``||d_xx||^2 / ||d_(y, ybar)||^2 = ratio``."""
+        st = solvers.zero_state(prob)
+        hal = solvers._Halpern(prob, st)
+        t = hal.anchor.copy()
+        t[0] += np.sqrt(ratio)
+        t[hal._cuts[0]] += 1.0
+        return hal, t
+
+    @classmethod
+    def untilted(cls, sigma, ratio):
+        """The rule without the residues, as written before the tilt."""
+        new = np.sqrt(sigma * np.sqrt(ratio))
+        new = min(max(new, sigma / cls.CLAMP), sigma * cls.CLAMP)
+        return min(max(new, solvers._SIGMA_MIN), solvers._SIGMA_MAX)
+
+    @staticmethod
+    def residues(prim, dual):
+        return LinearResidues(eta_P=prim, eta_D=dual, eta_Pbar=prim / 3,
+                              eta_Dbar=dual / 7)
+
+    def test_inside_the_band_is_the_untilted_rule(self):
+        prob = random_two_stage(2, 6, 2, 5, N=10, seed=1, quad_eps=0.1)
+        band = solvers._SIGMA_BALANCE_BAND
+        for ratio in (1.0 / 16, 0.3, 1.0, 4.0, 50.0):
+            hal, t = self.halpern(prob, ratio)
+            for sigma in (1e-3, 0.7, 2.0):
+                for r in (1.0, 0.2, 7.0, band, 1.0 / band):
+                    got = hal._restart_sigma(t, sigma, self.residues(1.0, r))
+                    assert got == self.untilted(sigma, ratio)
+
+    def test_outside_the_band_tilts_before_the_clamp(self):
+        prob = random_two_stage(2, 6, 2, 5, N=10, seed=1, quad_eps=0.1)
+        # the move alone asks for sigma / 2, which the clamp would raise to
+        # sigma / 1.5; a dual residue 16 times the primal one doubles it
+        hal, t = self.halpern(prob, 1.0 / 16)
+        assert self.untilted(1.0, 1.0 / 16) == 1.0 / self.CLAMP
+        assert hal._restart_sigma(t, 1.0, self.residues(1.0, 16.0)) == 1.0
+        assert hal._restart_sigma(t, 1.0, self.residues(1.0, 20.0)) \
+            == 0.5 * 20.0 ** 0.25
+        # a primal residue 16 times the dual one halves it: clamped
+        assert hal._restart_sigma(t, 1.0, self.residues(16.0, 1.0)) \
+            == 1.0 / self.CLAMP
+        # a large ratio is clamped after the tilt
+        assert hal._restart_sigma(t, 1.0, self.residues(1e-8, 1.0)) \
+            == self.CLAMP
+
+    def test_no_tilt_without_a_or_with_a_zero_residue(self):
+        hal, t = self.halpern(_no_a_problem(), 1.0 / 16)
+        for res in (self.residues(1e-4, 1.0), self.residues(1.0, 1e-8)):
+            assert hal._restart_sigma(t, 1.0, res) == 1.0 / self.CLAMP
+        prob = random_two_stage(2, 6, 2, 5, N=10, seed=1, quad_eps=0.1)
+        hal, t = self.halpern(prob, 1.0 / 16)
+        for res in (self.residues(0.0, 1.0), self.residues(1.0, 0.0)):
+            assert hal._restart_sigma(t, 1.0, res) == 1.0 / self.CLAMP
+
+    def test_sigma_fixed_never_moves(self, monkeypatch):
+        # the reference instance of two-stage-ssn, where the tilt fires
+        prob = random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1)
+        tilted = []
+        restart_sigma = solvers._Halpern._restart_sigma
+
+        def recorded(self, t, sigma, residues):
+            out = restart_sigma(self, t, sigma, residues)
+            prim = max(residues.eta_P, residues.eta_Pbar)
+            dual = max(residues.eta_D, residues.eta_Dbar)
+            band = solvers._SIGMA_BALANCE_BAND
+            tilted.append(not 1.0 / band <= dual / prim <= band)
+            return out
+
+        monkeypatch.setattr(solvers._Halpern, "_restart_sigma", recorded)
+        sig = LOG_COLUMNS.index("sigma")
+        free = admm_solve(prob, SolverConfig(max_iter=300))
+        assert any(tilted)
+        assert len({row[sig] for row in free.log_rows}) > 1
+
+        del tilted[:]
+        fixed = admm_solve(prob, SolverConfig(sigma_fixed=True, max_iter=300))
+        assert tilted == []
+        sigma0 = solvers.default_sigma0(prob)
+        assert {row[sig] for row in fixed.log_rows} == {sigma0}
+        assert fixed.sigma == sigma0
 
 
 def _zero_quadratic_theta(prob):
