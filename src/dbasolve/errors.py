@@ -43,3 +43,7 @@ class ParameterError(DbaError, ValueError):
 
 class NonFiniteData(DbaError, ValueError):
     """Problem data contain NaN or Inf; the message names the array."""
+
+
+class NumericalError(DbaError):
+    """An iterate turned non-finite; the message names the iteration."""

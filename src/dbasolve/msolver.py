@@ -42,10 +42,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .blocklinalg import (_CHOL_PIVOT_RTOL, DENSE_FALLBACK_DENSITY,
-                          BlockDiagOp, canonicalize, chol_factor,
-                          lambda_max_bound, maybe_densify, mv, op_norm_2,
-                          pcg_solve, to_dense)
+from .blocklinalg import (_CHOL_PIVOT_RTOL, _MATVEC_DENSE_SIZE,
+                          DENSE_FALLBACK_DENSITY, BlockDiagOp, canonicalize,
+                          chol_factor, lambda_max_bound, maybe_densify, mv,
+                          op_norm_2, pcg_solve, to_dense)
 from .errors import (NotPositiveDefinite, ParameterError,
                      StrategyPrecondition)
 
@@ -89,22 +89,50 @@ def auto_candidates(problem):
 #         bound: 4 us + 0.66 ns per factor entry (fitted to one 1-d solve on
 #         14 instances: random_two_stage with mbar 48-2000 and random
 #         ragged blocks with 1-6 row counts).
-#   smw:  two applications of D^{-1}, priced as the block-diagonal CSR
-#         mat-vec (0.45 ns per stored entry and 0.75 ns per row each; the
-#         GEMM that applies identical grams is cheaper); 0.5 ns per entry of
-#         the dense-shaped B_S for its two products; the |S| x |S| solve
-#         with G_SS, priced as chol's; and 14.7 us fixed, the least-squares
-#         constant over whole solves on the same 14 instances (B touching
-#         every column), on all of which this rule picks the faster
-#         strategy (estimates within 25% of measured).
+#   smw:  two applications of D^{-1}: the block-diagonal CSR mat-vec (0.45
+#         ns per stored entry and 0.75 ns per row each) or, when every
+#         Bbar_i is stored alike, the GEMM of h reshaped to (N, m) (1.0 ns
+#         per entry of h and 0.034 ns per multiply-add each over and above
+#         the call, fitted to N x m from 12 x 4 to 20 x 200; small m cost
+#         up to twice that); 0.5 ns per entry of the dense-shaped B_S for
+#         its two products; the |S| x |S| solve with G_SS, priced as
+#         chol's; and 14.7 us fixed, the least-squares constant over whole
+#         solves on the same 14 instances (B touching every column), on all
+#         of which this rule picks the faster strategy (estimates within 25%
+#         of measured).
 def m_solve_cost_ns(problem):
     """Estimated ns per M solve: ``(chol, smw)``."""
     m = np.asarray(problem.m_i)
     s = float(_column_support(problem.B.matrix).size)
     chol = 4000.0 + 0.66 * float(problem.mbar) ** 2
-    smw = (14700.0 + 0.9 * float(np.sum(m * m)) + 1.5 * problem.mbar
-           + 0.5 * problem.mbar * s + 0.66 * s ** 2)
+    entries = float(np.sum(m * m))
+    if _identical_blocks(problem.Bbar.blocks):
+        dinv = 2.0 * problem.mbar + 0.068 * entries
+    else:
+        dinv = 0.9 * entries + 1.5 * problem.mbar
+    smw = 14700.0 + dinv + 0.5 * problem.mbar * s + 0.66 * s ** 2
     return chol, smw
+
+
+def _identical_blocks(blocks):
+    """Whether every block is stored as the first: both dense or both CSR,
+    with equal arrays.  Their grams (:meth:`BlockDiagOp.gram`) then agree
+    bit for bit, which is when ``smw`` applies D^{-1} as one GEMM."""
+    first = blocks[0]
+    ref = _stored(first)
+
+    def same(blk):
+        return blk is first or (type(blk) is type(first)
+                                and blk.shape == first.shape
+                                and all(map(np.array_equal, _stored(blk), ref)))
+    return all(same(blk) for blk in blocks[1:])
+
+
+def _stored(blk):
+    """The arrays that hold a dense or CSR block."""
+    if isinstance(blk, np.ndarray):
+        return (blk,)
+    return blk.indptr, blk.indices, blk.data
 
 
 def _column_support(Bm):
@@ -195,15 +223,18 @@ def pairwise_coupling_norms(problem):
 class MSolver:
     """Precomputed solver for M ybar = h under a chosen strategy.
     ``reads_tol`` records whether a solve reads its ``tol`` (only a PCG
-    G-solve does); otherwise the tolerance need not be computed."""
+    G-solve does); otherwise the tolerance need not be computed.
+    ``minv_w`` is the dense ``M^{-1} W`` for ``W = [B Bbar]`` when the
+    strategy built it (``chol`` on a small system), else ``None``."""
 
     def __init__(self, problem, strategy, apply_jbar, solve_impl,
-                 reads_tol=False):
+                 reads_tol=False, minv_w=None):
         self.problem = problem
         self.strategy = strategy
         self._apply_jbar = apply_jbar
         self._solve_impl = solve_impl
         self.reads_tol = reads_tol
+        self.minv_w = minv_w
         self.last_relres = 0.0
         self.last_inner_iters = 0
         self.last_inner_relres = 0.0
@@ -290,8 +321,13 @@ def _build_chol(problem, jbar):
         jmat = canonicalize(jbar)
         apply_jbar = lambda w: mv(jmat, w)
     fac = chol_factor(maybe_densify(M.tocsr()))
+    # a small system keeps M^{-1} W, one solve with the columns of W, so
+    # that a sweep's ybar step is one dense product
+    minv_w = None
+    if problem.mbar * (problem.n0 + problem.nbar) <= _MATVEC_DENSE_SIZE:
+        minv_w = fac.solve(to_dense(problem.W))
     return MSolver(problem, "chol", apply_jbar,
-                   lambda h, tol, stats=None: fac.solve(h))
+                   lambda h, tol, stats=None: fac.solve(h), minv_w=minv_w)
 
 
 def _build_smw(problem, diagonal, max_cond=np.inf):

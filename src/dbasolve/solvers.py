@@ -23,10 +23,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.blas import daxpy
 
-from .blocklinalg import (_norm, chol_factor, lambda_max_bound, maybe_densify,
-                          mv, to_dense)
-from .errors import (LineSearchFailure, NotPositiveDefinite, ParameterError,
-                     UnsupportedObjective)
+from .blocklinalg import (_MATVEC_DENSE_SIZE, _norm, chol_factor,
+                          lambda_max_bound, maybe_densify, mv, to_dense)
+from .errors import (LineSearchFailure, NotPositiveDefinite, NumericalError,
+                     ParameterError, UnsupportedObjective)
 from .model import (DualPoint, PrimalPoint, dual_objective, joint_dual_sums,
                     joint_linear_residues, kkt_full, linear_dual_sums,
                     primal_objective, residue_denominators, validate)
@@ -115,9 +115,10 @@ class PrimalDualState:
 
 class SolveSetup(NamedTuple):
     """The fixed cost of a solve: the M solver and the A factor (``None``
-    without a first-stage block).  Both depend on ``A``, ``B``, ``Bbar`` and
-    the config's ``strategy`` only, so one setup serves every solve of
-    problems sharing those, whatever their costs."""
+    without a first-stage block), with the composed operators ``M^{-1} W``,
+    ``L`` and ``P`` of a small system.  Both depend on ``A``, ``B``,
+    ``Bbar`` and the config's ``strategy`` only, so one setup serves every
+    solve of problems sharing those, whatever their costs."""
 
     msolver: object
     afactor: object
@@ -198,7 +199,12 @@ class _AFactor:
     """Solver for (A A* + J) d = h with J = 0 by default; when factoring A A*
     is too large or the product is singular (rank-deficient rows), the choice
     J = lam_max(A A*) I - A A* turns the system diagonal at the cost of a
-    larger proximal term."""
+    larger proximal term.
+
+    When ``max(n0^2, m0 n0)`` is at most ``_MATVEC_DENSE_SIZE`` it also
+    keeps ``L = (A A* + J)^{-1} A`` and ``P = A* L``, dense, from one solve
+    with the columns of ``A``: a sweep then applies each as one product
+    (``L`` and ``P`` are ``None`` otherwise)."""
 
     def __init__(self, A):
         self.A = A
@@ -212,6 +218,12 @@ class _AFactor:
                 pass
         if self._factor is None:
             self._lam = lambda_max_bound(AAt)
+        self.L = self.P = None
+        m0, n0 = A.shape
+        if max(n0 * n0, m0 * n0) <= _MATVEC_DENSE_SIZE:
+            Ad = to_dense(A)
+            self.L = self.solve(Ad)
+            self.P = Ad.T @ self.L
 
     def solve(self, h):
         if self._factor is not None:
@@ -478,6 +490,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     # without theta, theta*(-v) is the indicator of v = 0: v|vbar stays 0
     # (ALM's sweep has no v step) and ADMM's sweep solves for ybar once
     v_free = problem.joint_theta.is_zero
+    rhs = _composed_rhs(problem, msol, facA) if cfg.max_iter else None
     st, sigma = _start(problem, cfg, initial)
     if v_free:
         st.vv = np.zeros_like(st.vv)
@@ -497,11 +510,21 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
 
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k)
-        inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
-            problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg, alm,
-            sums, v_free)
+        try:
+            inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
+                problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
+                alm, sums, v_free, rhs)
+        except ValueError as exc:
+            # a factor solve refuses a non-finite right-hand side
+            raise NumericalError("non-finite iterate at iteration %d: %s"
+                                 % (k, exc)) from exc
         lin = joint_linear_residues(problem, st.xx, d_res, d_res_bar, denoms)
         eta_lin = max(lin)
+        # max() skips a NaN that is not first; a sum keeps it
+        if not math.isfinite(sum(lin)):
+            raise NumericalError(
+                "non-finite iterate at iteration %d: linear residues %s"
+                % (k, ", ".join("%.3g" % v for v in lin)))
 
         # eta is at least each linear residue, so the full check (cone and
         # prox residues, objectives, gap) runs only once all four pass;
@@ -573,6 +596,37 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     )
 
 
+def _composed_rhs(problem, msol, facA):
+    """``(M^{-1} bbar, c, A* c)`` with ``c = (A A* + J)^{-1} b``: the
+    right-hand-side terms of the composed ybar and y steps, each ``None``
+    where the setup composes nothing.  They read ``b`` and ``bbar``, so a
+    solve computes its own and the setup stays free of them."""
+    mb = None if msol.minv_w is None else msol.solve(problem.bbar)
+    if facA is None or facA.L is None:
+        return mb, None, None
+    c = facA.solve(problem.b)
+    return mb, c, mv(problem.A_T, c)
+
+
+def _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg):
+    """``dy = M^{-1} (bbar / sigma - W RR)`` and its inner iteration count:
+    ``mb / sigma - (M^{-1} W) RR``, one dense product, when ``msol`` holds
+    ``M^{-1} W`` (``mb = M^{-1} bbar``), otherwise the mat-vec and the M
+    solve of :func:`_msolve_with_tol`.  Under ``check_inner`` the composed
+    step asserts its residual through ``msol.apply_m`` as the M solve
+    does."""
+    if mb is None:
+        return _msolve_with_tol(msol, problem.bbar / sigma
+                                - mv(problem.W, RR), sigma, eps_k, cfg)
+    dy = mb / sigma - msol.minv_w @ RR
+    if cfg.check_inner:
+        h = problem.bbar / sigma - mv(problem.W, RR)
+        delta = sigma * np.linalg.norm(msol.apply_m(dy) - h)
+        assert delta <= max(eps_k, 1e-9), \
+            "inner residual %.3e exceeds eps_k %.3e" % (delta, eps_k)
+    return dy, 0
+
+
 def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
     """``M^{-1} rhs`` by ``msol`` and its inner iteration count.  The
     tolerance ``eps_k / (sigma (1 + ||rhs||))``, clamped to [1e-14, 1e-8],
@@ -595,7 +649,7 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
 
 
 def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                   alm=False, sums=None, v_free=False):
+                   alm=False, sums=None, v_free=False, rhs=None):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count, the
     dual residues ``d_res``, ``d_res_bar`` (the
@@ -605,7 +659,8 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     :func:`~dbasolve.model.linear_dual_sums`.  Passed back as ``sums``,
     ``SS`` spares the next iteration its recomputation; ``None`` computes
     it from ``st``.  ``v_free`` says that the problem has no smooth
-    objective and ``st.vv`` is 0 (see below).
+    objective and ``st.vv`` is 0 (see below).  ``rhs`` is
+    :func:`_composed_rhs` of the solve, computed here when ``None``.
 
     Two group steps act on the residual RR = SS - c_k over x|xbar
     (SS = A*y + B*ybar + z + v | Bbar*ybar + zbar + vbar, c_k = c|cbar less
@@ -622,10 +677,18 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     theta = 0 makes theta*(-v) the indicator of v = 0, so the smooth step
     returns v|vbar = 0 and leaves the residual as it was, and the forward
     ybar solve repeats the backward one.  ALM's sweep does not change.
+
+    A setup with composed operators applies each ybar solve as
+    ``M^{-1} bbar / sigma - (M^{-1} W) RR`` (:func:`_ybar_step`), the
+    y_tmp correction ``A*(y_tmp - y)`` as ``A* c / sigma - P RR`` and the y
+    step as ``c / sigma - L r`` (``c = (A A* + J)^{-1} b``, ``L``, ``P`` of
+    :class:`_AFactor`): one dense product each in place of a mat-vec, a
+    factor solve and often a second mat-vec.
     """
-    A, At, W, WT = problem.A_mv, problem.A_T, problem.W, problem.W_T
-    b, bbar = problem.b, problem.bbar
+    A, At, WT = problem.A_mv, problem.A_T, problem.W_T
+    b = problem.b
     n0 = problem.n0
+    mb, c_a, q_a = _composed_rhs(problem, msol, facA) if rhs is None else rhs
     cck = problem.cc - st.xx / sigma
     SS = (joint_dual_sums(problem, st.y, st.ybar, st.zz, st.vv)
           if sums is None else sums)
@@ -635,8 +698,7 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
 
     def ybar_solve(RR):
         nonlocal inner
-        dy, it = _msolve_with_tol(msol, bbar / sigma - mv(W, RR), sigma,
-                                  eps_k, cfg)
+        dy, it = _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg)
         inner += it
         return st.ybar + dy
 
@@ -651,14 +713,20 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
             zz = np.concatenate((z, zbar))
         else:
             u = RRin.copy()
-            if A is not None:
+            if c_a is not None:
+                u[:n0] += q_a / sigma - facA.P @ RRin[:n0]
+            elif A is not None:
                 y_tmp = st.y + facA.solve(b / sigma - mv(A, RRin[:n0]))
                 u[:n0] += mv(At, y_tmp - st.y)
             u -= st.zz
             zz = _proj_conj(problem.joint_cone, sigma, u)
-            y = (st.y if A is None else
-                 st.y + facA.solve(b / sigma - mv(A, RRin[:n0] + zz[:n0]
-                                                  - st.z)))
+            if c_a is not None:
+                y = st.y + (c_a / sigma
+                            - facA.L @ (RRin[:n0] + zz[:n0] - st.z))
+            else:
+                y = (st.y if A is None else
+                     st.y + facA.solve(b / sigma - mv(A, RRin[:n0] + zz[:n0]
+                                                      - st.z)))
         new.update(y=y, zz=zz)
         if A is not None:
             RR = RR.copy()

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import dbasolve.msolver as msolver
+import dbasolve.solvers as solvers
 from dbasolve.blocklinalg import canonicalize
 from dbasolve.builders import ScenarioData, build_two_stage
 from dbasolve.model import DBAProblem, ScenarioBlock
@@ -174,3 +175,11 @@ def two_scenario_lp():
 @pytest.fixture
 def free_qp():
     return make_free_qp()
+
+
+def compose_nothing(monkeypatch):
+    """Make the setups built from here on compose no operator, whatever the
+    size: their sweeps run the mat-vec and factor-solve path of larger
+    systems."""
+    monkeypatch.setattr(solvers, "_MATVEC_DENSE_SIZE", -1)
+    monkeypatch.setattr(msolver, "_MATVEC_DENSE_SIZE", -1)

@@ -265,6 +265,17 @@ class TestCmdSolve:
         assert skipped[3] == skipped[9] == skipped[12] == ""
         assert float(skipped[1]) >= 0.0
 
+    def test_overflowing_iterate_exit_three(self, tmp_path, capsys):
+        # finite data whose first sweep overflows: a typed NumericalError,
+        # not a bare ValueError from a factor solve
+        prob = make_two_scenario_lp()
+        path = tmp_path / "huge.json"
+        io.write_problem(prob.with_cost(np.full(prob.n0, 1e200)), str(path))
+        with np.errstate(all="ignore"):
+            code = main(["solve", str(path), "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert "non-finite iterate at iteration 0" in capsys.readouterr().err
+
     def test_alm_on_quadratic_exit_three(self, tmp_path):
         path = tmp_path / "qp.json"
         io.write_problem(random_qp(4, 8, 4, 8, 2, 3), str(path))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,9 @@ from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
 from dbasolve.errors import ParameterError, StrategyPrecondition
 from dbasolve.model import DBAProblem, ScenarioBlock
 from dbasolve.msolver import (assemble_m_dense, auto_strategy, build_msolver,
-                              ebj_block_diag_J, pairwise_coupling_norms,
-                              std_block_diag_J)
+                              ebj_block_diag_J, m_solve_cost_ns,
+                              pairwise_coupling_norms, std_block_diag_J)
+from dbasolve.pha import _bundle
 from dbasolve.proxcone import NonnegOrthant, Zero
 from dbasolve.solvers import SolverConfig, _msolve_with_tol, admm_solve
 
@@ -371,6 +373,39 @@ class TestAutoSelection:
                                               quad_eps=0.1)) == "chol"
         assert auto_strategy(random_two_stage(5, 20, 5, 15, N=120, seed=1,
                                               quad_eps=0.1)) == "smw"
+
+    def test_benchmark_reference_instances(self):
+        # the benchmark's four reference instances, PHA's as the bundle its
+        # outer iterations solve
+        cases = [
+            (random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1),
+             "smw"),
+            (random_sdp(3, 6, 3, 6, N=4, seed=1), "chol"),
+            (build_ufl_dnn(random_ufl(10, 150, seed=1)), "smw"),
+            (_bundle(random_two_stage(3, 8, 4, 8, N=12, seed=1,
+                                      quad_eps=0.1), 10.0), "chol")]
+        for prob, strategy in cases:
+            assert auto_strategy(prob) == strategy
+            assert build_msolver(prob).strategy == strategy
+
+    def test_identical_bbar_priced_as_the_gemm(self):
+        # Bbar_i shared as one object or as equal copies get the price of
+        # the GEMM that applies their D^-1; one changed entry, the CSR
+        # mat-vec's
+        ufl = build_ufl_dnn(random_ufl(10, 150, seed=1))
+
+        def with_bbar(change):
+            blocks = [dataclasses.replace(s, Bbar=s.Bbar.copy())
+                      for s in ufl.scenarios]
+            if change:
+                blocks[3].Bbar.data[0] += 1.0
+            return DBAProblem(ufl.A, ufl.b, ufl.c, ufl.cone, ufl.theta,
+                              blocks)
+
+        chol, gemm = m_solve_cost_ns(ufl)
+        assert m_solve_cost_ns(with_bbar(False)) == (chol, gemm)
+        chol_changed, csr = m_solve_cost_ns(with_bbar(True))
+        assert chol_changed == chol and csr > gemm
 
     def test_smw_falls_back_to_chol_when_a_gram_is_singular(self):
         prob = random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dbasolve.blocklinalg as blocklinalg
 import dbasolve.pha as pha
 import dbasolve.solvers as solvers
 from dbasolve.builders import ScenarioData, build_two_stage, random_two_stage
@@ -203,6 +204,22 @@ class TestSetupReuse:
         rep = pha_solve(problem, self.config(max_iter=3))
         assert rep.iterations == 3
         assert (len(calls), counts) == (1, {"msolver": 1, "afactor": 1})
+
+    def test_compositions_built_once(self, monkeypatch):
+        # the bundle's setup composes M^-1 W and L = (A A*)^-1 A, two
+        # solves with a matrix right-hand side; each subsolve then solves
+        # once each for M^-1 bbar and (A A*)^-1 b, and its sweeps not at all
+        ndims = []
+        solve = blocklinalg.CholFactor.solve
+
+        def counted(fac, h):
+            ndims.append(np.ndim(h))
+            return solve(fac, h)
+
+        monkeypatch.setattr(blocklinalg.CholFactor, "solve", counted)
+        rep = pha_solve(self.problem(), self.config())
+        assert rep.iterations == 8
+        assert (ndims.count(2), ndims.count(1)) == (2, 2 * rep.iterations)
 
     def test_non_finite_subproblem_cost_typed_error(self):
         # a NaN rho would make the first effective cost c + w - rho * xhat

@@ -8,10 +8,12 @@ import dbasolve.blocklinalg as blocklinalg
 import dbasolve.solvers as solvers
 from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
                                random_ufl)
-from dbasolve.errors import ParameterError, UnsupportedObjective
+from dbasolve.errors import (NumericalError, ParameterError,
+                             UnsupportedObjective)
 from dbasolve.io import iteration_csv_text
 from dbasolve.model import (DBAProblem, LinearResidues, ScenarioBlock,
                             kkt_residues)
+from dbasolve.msolver import assemble_m_dense
 from dbasolve.pha import _bundle
 from dbasolve.proxcone import (Box, DiagQuadratic, FreeSpace, NonnegOrthant,
                                Zero)
@@ -19,7 +21,8 @@ from dbasolve.solvers import (LOG_COLUMNS, SolverConfig, admm_solve,
                               alm_solve, eps_schedule, sigma_update,
                               solve_setup, ssn_zy)
 
-from conftest import lp_standard_form, lp_vertex_optimum, qp_kkt_solve
+from conftest import (compose_nothing, lp_standard_form, lp_vertex_optimum,
+                      qp_kkt_solve)
 
 
 def ssn_oracle(A, b, sigma, chat):
@@ -820,21 +823,31 @@ class TestThetaFreeSweep:
 
     @STEPS
     def test_one_m_solve_per_iteration(self, monkeypatch, tau):
+        # one ybar step per iteration, two with the oracle's theta, on the
+        # composed path (a product with M^-1 W) and on the factored one
+        # (an M solve)
         prob = random_two_stage(2, 6, 2, 5, N=10, seed=1)
         cfg = SolverConfig(tau=tau, max_iter=40)
-        for problem, per_iter in ((prob, 1), (_zero_quadratic_theta(prob), 2)):
-            setup = solve_setup(problem, cfg)
-            calls = []
-            solve = setup.msolver.solve
+        steps = []
+        step = solvers._ybar_step
 
-            def counted(*args, **kwargs):
-                calls.append(1)
-                return solve(*args, **kwargs)
+        def counted(problem, msol, mb, *args):
+            steps.append(mb is not None)
+            return step(problem, msol, mb, *args)
 
-            monkeypatch.setattr(setup.msolver, "solve", counted)
-            rep = admm_solve(problem, cfg, setup=setup)
-            assert rep.iterations == 40
-            assert len(calls) == per_iter * rep.iterations
+        monkeypatch.setattr(solvers, "_ybar_step", counted)
+        for composed in (True, False):
+            if not composed:
+                compose_nothing(monkeypatch)
+            for problem, per_iter in ((prob, 1),
+                                      (_zero_quadratic_theta(prob), 2)):
+                del steps[:]
+                setup = solve_setup(problem, cfg)
+                assert (setup.msolver.minv_w is not None) == composed
+                rep = admm_solve(problem, cfg, setup=setup)
+                assert rep.iterations == 40
+                assert len(steps) == per_iter * rep.iterations
+                assert set(steps) == {composed}
 
     @STEPS
     def test_v_stays_zero_from_a_warm_start(self, tau):
@@ -851,3 +864,173 @@ class TestThetaFreeSweep:
         assert warm.log_rows == clean.log_rows
         assert all(np.array_equal(g, w)
                    for g, w in zip(self.flat(warm), self.flat(clean)))
+
+
+def _composable_problem(kind, seed, theta=False):
+    """Two scenarios of two rows on a first stage with a 3 x 12 block ``A``:
+    random, with ``A A*`` of condition 1e8, or with a repeated row, which
+    makes ``A A*`` singular and ``_AFactor`` fall back to ``lam I``.  With
+    ``theta`` every objective is a diagonal quadratic."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3, 12))
+    if kind == "cond1e8":
+        U, _, Vt = np.linalg.svd(A, full_matrices=False)
+        A = (U * np.sqrt(np.logspace(0, -8, 3))) @ Vt
+    elif kind == "fallback":
+        A = np.vstack([A, A[0]])
+
+    def fn(n):
+        return DiagQuadratic(rng.uniform(0.5, 1.5, n)) if theta else Zero(n)
+    blocks = [ScenarioBlock(rng.normal(size=(2, 12)), rng.normal(size=(2, 4)),
+                            rng.normal(size=2), rng.normal(size=4),
+                            NonnegOrthant(4), fn(4)) for _ in range(2)]
+    return DBAProblem(A, rng.normal(size=A.shape[0]), rng.normal(size=12),
+                      NonnegOrthant(12), fn(12), blocks)
+
+
+class TestComposedSteps:
+    """A small system's setup keeps ``M^-1 W``, ``L = (A A* + J)^-1 A`` and
+    ``P = A* L``, and the sweep applies each as one product; larger systems
+    keep the mat-vec and factor-solve path.  The two agree."""
+
+    @staticmethod
+    def setups(monkeypatch, prob):
+        cfg = SolverConfig(strategy="chol")
+        composed = solve_setup(prob, cfg)
+        with monkeypatch.context() as patch:
+            compose_nothing(patch)
+            factored = solve_setup(prob, cfg)
+        return composed, factored
+
+    @staticmethod
+    def sweep(prob, setup, alm):
+        """One sweep from a fixed random state; the state after it."""
+        rng = np.random.default_rng(7)
+        st = solvers.zero_state(prob)
+        st.xx, st.zz = rng.normal(size=st.xx.size), rng.normal(size=st.zz.size)
+        st.y, st.ybar = rng.normal(size=st.y.size), rng.normal(size=st.ybar.size)
+        v_free = prob.joint_theta.is_zero
+        if not v_free:
+            st.vv = rng.normal(size=st.vv.size)
+        solvers._sgs_iteration(prob, st, 0.7, 1.618, setup.msolver,
+                               setup.afactor, False, 1e-6, SolverConfig(),
+                               alm, None, v_free and not alm)
+        return [st.xx, st.y, st.ybar, st.zz, st.vv]
+
+    # the forward error of either path is about cond(A A*) eps; at 1e8 the
+    # two stayed within 7.6e-12 of each other on 20 seeds
+    @pytest.mark.parametrize("kind, rtol", [("random", 1e-13),
+                                            ("cond1e8", 1e-10),
+                                            ("fallback", 1e-13)])
+    @pytest.mark.parametrize("sweep", ["admm", "theta", "alm"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_composed_and_factored_sweeps_agree(self, monkeypatch, kind, rtol,
+                                                sweep, seed):
+        prob = _composable_problem(kind, seed, theta=sweep == "theta")
+        composed, factored = self.setups(monkeypatch, prob)
+        assert composed.afactor.L is not None
+        assert composed.msolver.minv_w is not None
+        assert factored.afactor.L is None and factored.msolver.minv_w is None
+        assert (composed.afactor._lam is not None) == (kind == "fallback")
+        got = self.sweep(prob, composed, sweep == "alm")
+        want = self.sweep(prob, factored, sweep == "alm")
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= rtol * np.linalg.norm(w)
+
+    def test_solves_agree(self, monkeypatch):
+        prob = random_two_stage(2, 6, 2, 5, N=10, seed=1)
+        composed, factored = self.setups(monkeypatch, prob)
+        got = admm_solve(prob, setup=composed)
+        want = admm_solve(prob, setup=factored)
+        assert got.converged
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert np.allclose(got.primal.xx, want.primal.xx, rtol=1e-9,
+                           atol=1e-9)
+
+    def test_check_inner_asserts_the_composed_residual(self):
+        prob = _composable_problem("random", 1)
+        setup = solve_setup(prob, SolverConfig(strategy="chol"))
+        assert setup.msolver.minv_w is not None
+        applied = []
+        apply_m = setup.msolver.apply_m
+
+        def doubled(w):
+            applied.append(1)
+            return 2.0 * apply_m(w)
+
+        setup.msolver.apply_m = doubled
+        admm_solve(prob, SolverConfig(max_iter=5), setup=setup)
+        assert applied == []
+        with pytest.raises(AssertionError, match="inner residual"):
+            admm_solve(prob, SolverConfig(max_iter=5, check_inner=True),
+                       setup=setup)
+        assert applied == [1]
+        setup.msolver.apply_m = apply_m
+        rep = admm_solve(prob, SolverConfig(max_iter=50, check_inner=True),
+                         setup=setup)
+        assert rep.iterations == 50
+
+    @pytest.mark.parametrize("n0, composed", [(128, True), (129, False)])
+    def test_a_composes_up_to_the_cutoff(self, n0, composed):
+        # max(n0^2, m0 n0) against _MATVEC_DENSE_SIZE = 128^2
+        A = np.random.default_rng(1).normal(size=(2, n0))
+        fac = solvers._AFactor(A)
+        assert (fac.L is not None, fac.P is not None) == (composed, composed)
+        if composed:
+            assert fac.L.shape == (2, n0) and fac.P.shape == (n0, n0)
+            assert np.allclose(A @ A.T @ fac.L, A)
+
+    @pytest.mark.parametrize("mbar, composed", [(127, True), (128, False)])
+    def test_m_composes_up_to_the_cutoff(self, mbar, composed):
+        # mbar (n0 + nbar) against 16384: 127 * 129 below, 128 * 129 above
+        rng = np.random.default_rng(2)
+        block = ScenarioBlock(rng.normal(size=(mbar, 9)),
+                              rng.normal(size=(mbar, 120)),
+                              rng.normal(size=mbar), rng.normal(size=120),
+                              NonnegOrthant(120), Zero(120))
+        prob = DBAProblem(None, None, rng.normal(size=9), NonnegOrthant(9),
+                          Zero(9), [block])
+        msol = solve_setup(prob, SolverConfig(strategy="chol")).msolver
+        assert (msol.minv_w is not None) == composed
+        if composed:
+            M = assemble_m_dense(prob)
+            assert np.allclose(M @ msol.minv_w, blocklinalg.to_dense(prob.W))
+
+
+class TestNumericalGuard:
+    """A non-finite iterate ends in NumericalError naming the iteration,
+    whether a factor solve refuses it or the residues show it."""
+
+    # the first composes every operator; the second is above the cutoff on
+    # both (A is 3 x 130, mbar (n0 + nbar) = 150 * 580)
+    @pytest.mark.parametrize("build, composed", [
+        (lambda: random_two_stage(2, 6, 2, 5, N=3, seed=1, quad_eps=0.1),
+         True),
+        (lambda: random_two_stage(3, 130, 5, 15, N=30, seed=1, quad_eps=0.1),
+         False)], ids=["composed", "factored"])
+    @pytest.mark.parametrize("tau", [None, 1.618], ids=["halpern", "classic"])
+    def test_nan_warm_start(self, build, composed, tau):
+        prob = build()
+        setup = solve_setup(prob, SolverConfig())
+        assert (setup.afactor.L is not None) == composed
+        assert (setup.msolver.minv_w is not None) == composed
+        cfg = SolverConfig(tau=tau, max_iter=5)
+        rep = admm_solve(prob, cfg, setup=setup)
+        rep.dual.y[0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalError, match="^non-finite iterate at iteration 0: "):
+            admm_solve(prob, cfg, initial=rep, setup=setup)
+
+    def test_nan_behind_a_finite_first_residue(self):
+        # without A, eta_P is 0 and comes first: max() of the residues would
+        # return it over the NaN of the others
+        prob = _no_a_problem()
+        setup = solve_setup(prob, SolverConfig())
+        assert setup.afactor is None and setup.msolver.minv_w is not None
+        rep = admm_solve(prob, SolverConfig(max_iter=5), setup=setup)
+        rep.dual.ybar[0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalError, match="^non-finite iterate at iteration 0: "
+                "linear residues 0, nan"):
+            admm_solve(prob, SolverConfig(max_iter=5), initial=rep,
+                       setup=setup)
