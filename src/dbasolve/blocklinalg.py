@@ -69,6 +69,30 @@ def canonicalize(mat):
     return out
 
 
+def shallow_copy(obj):
+    """A new instance of ``obj``'s class sharing its attributes: what
+    ``copy.copy`` makes of a plain object, without its reduce protocol,
+    which costs several times as much."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__)
+    return out
+
+
+def as_csr(mat):
+    """``mat`` as a canonical CSR matrix: a sparse one through
+    :func:`canonicalize`, a dense one built straight from its nonzero
+    entries, row by row in column order.  Those are the arrays SciPy's
+    own conversion gives, without its COO detour, which costs about as
+    much as a product of the small matrices it is used on."""
+    if not isinstance(mat, np.ndarray):
+        return canonicalize(sp.csr_matrix(mat))
+    nz = mat != 0
+    indptr = np.zeros(mat.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(nz, axis=1), out=indptr[1:])
+    indices = np.nonzero(nz)[1].astype(np.int32)
+    return sp.csr_matrix((mat[nz], indices, indptr), shape=mat.shape)
+
+
 def density(mat):
     if isinstance(mat, np.ndarray):
         return 1.0
@@ -128,6 +152,47 @@ def transposed(mat):
     if isinstance(mat, np.ndarray):
         return np.ascontiguousarray(mat.T)
     return mat.T.tocsr()
+
+
+def column_sq_norms(mat):
+    """Squared Euclidean column norms of a dense or CSR matrix, for CSR by
+    one ``np.bincount`` over the stored entries."""
+    if isinstance(mat, np.ndarray):
+        return np.einsum("ij,ij->j", mat, mat)
+    nnz = mat.indptr[-1]
+    return np.bincount(mat.indices[:nnz], weights=mat.data[:nnz] ** 2,
+                       minlength=mat.shape[1])
+
+
+def scale_leading(mat, n, alpha, axis):
+    """A copy of the dense or CSR matrix ``mat`` with its first ``n``
+    columns (``axis=1``) or rows (``axis=0``) times ``alpha``.  A CSR copy
+    gets new entries, one pass over them, and shares its index arrays
+    with ``mat`` (nothing writes to those in place)."""
+    if isinstance(mat, np.ndarray):
+        out = mat.copy()
+        if axis:
+            out[:, :n] *= alpha
+        else:
+            out[:n] *= alpha
+        return out
+    out = shallow_copy(mat)
+    if axis:
+        out.data = mat.data * np.where(mat.indices < n, alpha, 1.0)
+    else:
+        out.data = mat.data.copy()
+        out.data[:mat.indptr[n]] *= alpha
+    return out
+
+
+def scaled(mat, alpha):
+    """``alpha mat`` for a dense or CSR matrix; a CSR result shares its
+    index arrays with ``mat``, as in :func:`scale_leading`."""
+    if isinstance(mat, np.ndarray):
+        return alpha * mat
+    out = shallow_copy(mat)
+    out.data = alpha * mat.data
+    return out
 
 
 _MATVEC_DENSE_SIZE = 16384
@@ -255,6 +320,16 @@ class StackedOp:
     def apply_adjoint(self, ybar):
         return mv(self._assembled_t, ybar)
 
+    def scaled(self, alpha):
+        """The stack ``alpha [B_1; ...; B_N]``: the assembled operator and
+        its transpose times ``alpha``, one pass over the entries of each.
+        The per-block list is not rebuilt, so ``blocks`` is ``None``."""
+        out = shallow_copy(self)
+        out._assembled = scaled(self._assembled, alpha)
+        out._assembled_t = scaled(self._assembled_t, alpha)
+        out.blocks = None
+        return out
+
 
 class BlockDiagOp:
     """Block diagonal operator diag(Bbar_1, ..., Bbar_N)."""
@@ -307,8 +382,9 @@ class BlockDiagOp:
         assembled operator with its stored transpose.  SciPy sums each entry
         over the row's stored columns in order, so block i equals the CSR
         product of canonical Bbar_i with its transpose bit for bit."""
-        return (canonicalize(sp.csr_matrix(self._assembled))
-                @ sp.csr_matrix(self._assembled_t))
+        t = self._assembled_t
+        return as_csr(self._assembled) @ (
+            as_csr(t) if isinstance(t, np.ndarray) else sp.csr_matrix(t))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,8 @@ def cmd_solve(args):
         "obj_D": report.obj_d,
         "kkt": report.kkt.as_dict() if report.kkt else None,
         "elapsed": report.elapsed,
+        # the first stage's x = s x' of the Halpern step; 1 elsewhere
+        "stage_scale": report.extra.get("stage_scale", 1.0),
         "manifest": {
             "solver": args.solver,
             "input": args.problem,

@@ -236,26 +236,7 @@ def validate(problem, rank_check=True):
     if problem.cone.dim != n0:
         raise DimensionMismatch(
             "first-stage cone dim %d does not match n0=%d" % (problem.cone.dim, n0))
-    for i, s in enumerate(problem.scenarios):
-        if s.B.shape[1] != n0:
-            raise DimensionMismatch(
-                "block %d: B has %d columns, expected n0=%d" % (i, s.B.shape[1], n0))
-        if s.B.shape[0] != s.Bbar.shape[0]:
-            raise DimensionMismatch(
-                "block %d: B has %d rows but Bbar has %d" %
-                (i, s.B.shape[0], s.Bbar.shape[0]))
-        if s.bbar.size != s.m:
-            raise DimensionMismatch(
-                "block %d: bbar has length %d, expected %d" % (i, s.bbar.size, s.m))
-        if s.cbar.size != s.n:
-            raise DimensionMismatch(
-                "block %d: cbar has length %d, expected %d" % (i, s.cbar.size, s.n))
-        if s.cone.dim != s.n:
-            raise DimensionMismatch(
-                "block %d: cone dim %d does not match n_i=%d" % (i, s.cone.dim, s.n))
-        if s.theta.dim != s.n:
-            raise DimensionMismatch(
-                "block %d: theta dim %d does not match n_i=%d" % (i, s.theta.dim, s.n))
+    _check_blocks(problem)
     _check_finite(problem)
 
     if rank_check:
@@ -271,6 +252,35 @@ def validate(problem, rank_check=True):
                     "[B, Bbar] appears rank deficient (rank %d of %d rows)"
                     % (r, problem.mbar))
     return warnings
+
+
+def _check_blocks(problem):
+    """Raise :class:`DimensionMismatch` for the first scenario whose blocks
+    do not fit, naming its first misfit.  The sizes come from the stacked
+    operators' size lists and one list per vector, cone and function, so
+    the scenarios are compared as arrays."""
+    scen = problem.scenarios
+    m_i, n_i = np.asarray(problem.m_i), np.asarray(problem.n_i)
+    # every B_i has the stack's column count (StackedOp checks it)
+    bad = np.array([
+        np.full(problem.N, problem.B.n != problem.n0),
+        m_i != problem.Bbar.row_sizes,
+        [s.bbar.size for s in scen] != m_i,
+        [s.cbar.size for s in scen] != n_i,
+        [c.dim for c in problem.scen_cone.blocks] != n_i,
+        [f.dim for f in problem.scen_theta.blocks] != n_i])
+    if not bad.any():
+        return
+    i = int(np.flatnonzero(bad.any(axis=0))[0])
+    s = scen[i]
+    raise DimensionMismatch("block %d: " % i + (
+        "B has %d columns, expected n0=%d" % (s.B.shape[1], problem.n0),
+        "B has %d rows but Bbar has %d" % (s.m, s.Bbar.shape[0]),
+        "bbar has length %d, expected %d" % (s.bbar.size, s.m),
+        "cbar has length %d, expected %d" % (s.cbar.size, s.n),
+        "cone dim %d does not match n_i=%d" % (s.cone.dim, s.n),
+        "theta dim %d does not match n_i=%d" % (s.theta.dim, s.n),
+    )[int(np.flatnonzero(bad[:, i])[0])])
 
 
 def _check_finite(problem):

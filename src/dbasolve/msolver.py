@@ -43,9 +43,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .blocklinalg import (_CHOL_PIVOT_RTOL, _MATVEC_DENSE_SIZE,
-                          DENSE_FALLBACK_DENSITY, BlockDiagOp, canonicalize,
-                          chol_factor, lambda_max_bound, maybe_densify, mv,
-                          op_norm_2, pcg_solve, to_dense)
+                          DENSE_FALLBACK_DENSITY, BlockDiagOp, as_csr,
+                          canonicalize, chol_factor, lambda_max_bound,
+                          maybe_densify, mv, op_norm_2, pcg_solve, to_dense)
 from .errors import (NotPositiveDefinite, ParameterError,
                      StrategyPrecondition)
 
@@ -313,7 +313,7 @@ def _build(problem, strategy, jbar, max_cond):
 # ---------------------------------------------------------------------------
 
 def _build_chol(problem, jbar):
-    Bs = canonicalize(sp.csr_matrix(problem.B.matrix))
+    Bs = as_csr(problem.B.matrix)
     M = Bs @ Bs.T + problem.Bbar.gram()
     apply_jbar = None
     if jbar is not None:

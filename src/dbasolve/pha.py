@@ -189,7 +189,8 @@ def pha_solve(problem, config=None):
         status=status, iterations=k, kkt=res, obj_p=obj_p, obj_d=obj_d,
         primal=primal, dual=dual, sigma=rho,
         elapsed=time.perf_counter() - t0, log_rows=log_rows,
-        extra={"nonant_residual": nonant, "rel_change": rel_change},
+        extra={"nonant_residual": nonant, "rel_change": rel_change,
+               "strategy": None if setup is None else setup.msolver.strategy},
     )
 
 

@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .blocklinalg import all_finite, smat, svec, svec_dim
+from .blocklinalg import all_finite, shallow_copy, smat, svec, svec_dim
 from .errors import DimensionMismatch, NonFiniteData
 
 _PSD_EIG_TOL = 1e-10
@@ -417,6 +417,41 @@ class BlockFunction(_Blocks, SeparableFunction):
     def is_zero(self):
         return all(f.is_zero for f in self.blocks)
 
+    def scaled_head(self, n, alpha):
+        """This function with its blocks on the first ``n`` coordinates
+        replaced by their :func:`scale_function` by ``alpha > 0``; a block
+        must start at ``n``.  Nothing is regrouped: a merged
+        :class:`DiagQuadratic` scales its diagonal on those coordinates,
+        so the cost is one pass over the groups, not over the blocks."""
+        head, dim = 0, 0
+        while dim < n:
+            dim += self.blocks[head].dim
+            head += 1
+        if dim != n:
+            raise DimensionMismatch("no block starts at coordinate %d" % n)
+        out = shallow_copy(self)
+        scaled = {id(f): scale_function(f, alpha) for f in self.blocks[:head]}
+        out.blocks = [scaled[id(f)] for f in self.blocks[:head]] + \
+            self.blocks[head:]
+        out.groups = []
+        for part, where, starts in self.groups:
+            contiguous = isinstance(where, slice)
+            first = where.start if contiguous else where[0]
+            if first < n and isinstance(part, DiagQuadratic):
+                # a nonnegative diagonal times alpha > 0 stays one
+                diag = part.diag.copy()
+                diag[slice(n - first) if contiguous else where < n] *= alpha
+                part = shallow_copy(part)
+                part.diag = diag
+            elif first < n:
+                # a merged Zero, or a lone head block (of no merged kind)
+                part = (scaled[id(part)] if id(part) in scaled
+                        else scale_function(part, alpha))
+            out.groups.append((part, where, starts))
+        out._whole = next((p for p, _, _ in out.groups if p.dim == out.dim),
+                          None)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # module-level operations
@@ -449,11 +484,14 @@ def conjugate_value(f, w, feas_tol=1e-8):
 
 
 def scale_function(f, alpha):
-    """The function alpha * f for alpha > 0 (indicators are invariant)."""
+    """The function alpha * f for alpha > 0 (indicators are invariant), a
+    :class:`BlockFunction` block by block."""
     if alpha <= 0:
         raise DimensionMismatch("scale must be positive")
     if isinstance(f, Zero) or isinstance(f, IndicatorCone):
         return f
+    if isinstance(f, BlockFunction):
+        return BlockFunction([scale_function(b, alpha) for b in f.blocks])
     if isinstance(f, DiagQuadratic):
         return DiagQuadratic(alpha * f.diag)
     if isinstance(f, DenseQuadratic):

@@ -18,23 +18,30 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import daxpy
 
 from .blocklinalg import (_MATVEC_DENSE_SIZE, _norm, chol_factor,
-                          lambda_max_bound, maybe_densify, mv, to_dense)
+                          column_sq_norms, lambda_max_bound, maybe_densify,
+                          mv, scale_leading, scaled, shallow_copy,
+                          to_dense)
 from .errors import (LineSearchFailure, NotPositiveDefinite, NumericalError,
                      ParameterError, UnsupportedObjective)
-from .model import (DualPoint, PrimalPoint, dual_objective, joint_dual_sums,
-                    joint_linear_residues, kkt_full, linear_dual_sums,
-                    primal_objective, residue_denominators, validate)
+from .model import (DualPoint, LinearResidues, PrimalPoint, _flat,
+                    dual_objective, joint_dual_sums, joint_linear_residues,
+                    kkt_full, linear_dual_sums, primal_objective,
+                    residue_denominators, validate)
 from .msolver import build_msolver
-from .proxcone import Box, FreeSpace, NonnegOrthant, prox_conjugate
+from .proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
+                       NonnegOrthant, NonnegSymMatrices, PsdCone, Zero,
+                       prox_conjugate, scale_function)
 
 # progress lines; the CLI shows them, the library attaches no handler
 _LOG = logging.getLogger("dbasolve")
+# one line per solve on its setup (the stage scale), kept off the progress
+# lines' own logger
+_SETUP_LOG = logging.getLogger("dbasolve.setup")
 
 TAU_ADMM_MAX = (1.0 + np.sqrt(5.0)) / 2.0
 TAU_ALM_MAX = 2.0
@@ -44,6 +51,10 @@ LOG_COLUMNS = ("k", "eta_P", "eta_D", "eta_K", "eta_theta", "eta_Pbar",
                "sigma", "obj_P", "obj_D", "inner_iters")
 
 _SSN_POLYHEDRAL = (NonnegOrthant, Box, FreeSpace)
+# the stage scale x = s x' maps these first-stage cones onto themselves and
+# these functions onto s^2 times themselves
+_SCALE_INVARIANT_CONES = (NonnegOrthant, FreeSpace, PsdCone, NonnegSymMatrices)
+_QUADRATIC_FUNCTIONS = (Zero, DiagQuadratic, DenseQuadratic)
 _A_FACTOR_DIM_CAP = 20000
 
 # penalty rebalancing: checked every _SIGMA_PERIOD iterations, the interval
@@ -113,15 +124,26 @@ class PrimalDualState:
     vbar = property(lambda self: self.vv[self.n0:])
 
 
-class SolveSetup(NamedTuple):
+class SolveSetup:
     """The fixed cost of a solve: the M solver and the A factor (``None``
     without a first-stage block), with the composed operators ``M^{-1} W``,
-    ``L`` and ``P`` of a small system.  Both depend on ``A``, ``B``,
-    ``Bbar`` and the config's ``strategy`` only, so one setup serves every
-    solve of problems sharing those, whatever their costs."""
+    ``L`` and ``P`` of a small system, built in the variables
+    ``x = scale x'`` (see :func:`stage_scale`).  ``ops`` is the problem
+    with ``A``, ``B`` and the first ``n0`` columns of ``W`` times
+    ``scale``, and with its transposes to match (the problem itself at
+    ``scale`` 1).  All of it depends on ``A``, ``B``, ``Bbar``, the
+    first-stage cone and function kinds and the config's ``strategy``
+    only, so one setup serves every solve of problems sharing those,
+    whatever their costs.  Unpacks as ``(msolver, afactor)``."""
 
-    msolver: object
-    afactor: object
+    __slots__ = ("msolver", "afactor", "scale", "ops")
+
+    def __init__(self, msolver, afactor, scale, ops):
+        self.msolver, self.afactor = msolver, afactor
+        self.scale, self.ops = scale, ops
+
+    def __iter__(self):
+        return iter((self.msolver, self.afactor))
 
 
 @dataclass
@@ -179,10 +201,12 @@ def zero_state(problem):
                            np.zeros(problem.mbar), np.zeros(n), np.zeros(n))
 
 
-def _start(problem, cfg, initial):
+def _start(problem, cfg, initial, scale=1.0):
     """The loop's first state and penalty: copies of the points of report
     ``initial`` and its final sigma, or zeros and the default sigma; a set
-    ``cfg.sigma0`` overrides either penalty."""
+    ``cfg.sigma0`` overrides either penalty.  ``problem`` is in the
+    variables ``x = scale x'``, into which the report's point is mapped
+    (``x' = x / scale``, ``z' = scale z``, ``v' = scale v``)."""
     if initial is None:
         st, sigma = zero_state(problem), default_sigma0(problem)
     else:
@@ -191,8 +215,26 @@ def _start(problem, cfg, initial):
                              d.y.copy(), d.ybar.copy(),
                              np.concatenate((d.z, d.zbar)),
                              np.concatenate((d.v, d.vbar)))
+        if scale != 1.0:
+            st.x[:] /= scale
+            st.z[:] *= scale
+            st.v[:] *= scale
         sigma = initial.sigma
     return st, cfg.sigma0 if cfg.sigma0 is not None else sigma
+
+
+def _unscaled(st, scale):
+    """The state in the problem's own variables, ``x = scale x'``,
+    ``z = z' / scale`` and ``v = v' / scale``, sharing ``y`` and ``ybar``
+    with ``st``; ``st`` itself at ``scale`` 1."""
+    if scale == 1.0:
+        return st
+    out = PrimalDualState(st.n0, st.xx.copy(), st.y, st.ybar, st.zz.copy(),
+                          st.vv.copy())
+    out.x[:] *= scale
+    out.z[:] /= scale
+    out.v[:] /= scale
+    return out
 
 
 class _AFactor:
@@ -322,12 +364,81 @@ def _jacobian_mask(cone, w):
 # main loops
 # ---------------------------------------------------------------------------
 
-def solve_setup(problem, cfg):
+def solve_setup(problem, cfg, scaled=False):
     """Validate ``problem`` and build its M solver and A factor under
-    ``cfg``."""
+    ``cfg``; with ``scaled``, in the variables of :func:`stage_scale`,
+    which the default Halpern step runs in."""
     validate(problem, rank_check=False)
-    return SolveSetup(build_msolver(problem, cfg.strategy),
-                      _AFactor(problem.A) if problem.A is not None else None)
+    scale = stage_scale(problem, cfg.strategy) if scaled else 1.0
+    ops = problem if scale == 1.0 else _scaled_operators(problem, scale)
+    return SolveSetup(build_msolver(ops, cfg.strategy),
+                      _AFactor(ops.A) if ops.A is not None else None,
+                      scale, ops)
+
+
+def stage_scale(problem, strategy="auto"):
+    """The first-stage scale ``s`` of the substitution ``x = s x'``:
+    ``min(1, r^(-1/2))`` for the ratio ``r`` of the mean Euclidean column
+    norm of ``[A; B]`` to the mean norm of the nonzero columns of
+    ``Bbar``, read from the assembled ``W`` and ``A``.  It is 1 where the
+    substitution is not written: a first-stage cone not mapped onto
+    itself by a positive scalar (:class:`Box`), a first-stage function
+    other than a quadratic or zero (an :class:`IndicatorCone`), and the
+    ``block-diag`` strategy, which builds from the per-scenario blocks."""
+    if (strategy == "block-diag" or problem.n0 == 0
+            or not all(isinstance(k, _SCALE_INVARIANT_CONES)
+                       for k in _flat([problem.cone]))
+            or not all(isinstance(f, _QUADRATIC_FUNCTIONS)
+                       for f in _flat([problem.theta]))):
+        return 1.0
+    n0 = problem.n0
+    cols = column_sq_norms(problem.W)
+    head = cols[:n0]
+    if problem.A is not None:
+        head = head + column_sq_norms(problem.A_mv)
+    head = np.sqrt(head).sum() / n0
+    # the zero columns of Bbar add nothing to the sum of its norms
+    tail = np.sqrt(cols[n0:])
+    nonzero = np.count_nonzero(tail)
+    if nonzero == 0 or head == 0.0:
+        return 1.0
+    return min(1.0, math.sqrt(tail.sum() / nonzero / head))
+
+
+def _scaled_operators(problem, scale):
+    """A shallow copy of ``problem`` with ``A``, ``B`` and the first ``n0``
+    columns of ``W`` times ``scale`` (the transposes and ``A``'s mat-vec
+    copy to match), each one pass over its entries; the per-scenario
+    blocks are not rebuilt.  Costs and functions stay as they are:
+    :func:`_scaled_problem` scales them per solve."""
+    ops = shallow_copy(problem)
+    if problem.A is not None:
+        ops.A = scaled(problem.A, scale)
+        # a dense A is its own mat-vec copy
+        ops.A_mv = (ops.A if problem.A_mv is problem.A
+                    else scaled(problem.A_mv, scale))
+        ops.A_T = scaled(problem.A_T, scale)
+    ops.B = problem.B.scaled(scale)
+    ops.W = scale_leading(problem.W, problem.n0, scale, axis=1)
+    ops.W_T = scale_leading(problem.W_T, problem.n0, scale, axis=0)
+    return ops
+
+
+def _scaled_problem(problem, setup):
+    """``problem`` in the variables ``x = s x'`` of ``setup``: its
+    operators with ``c' = s c`` and ``theta'(x') = theta(s x') =
+    s^2 theta(x')``; ``problem`` itself at ``s = 1``.  The joint function
+    scales its first-stage blocks in place of a regrouping."""
+    s = setup.scale
+    if s == 1.0:
+        return problem
+    work = shallow_copy(setup.ops)
+    work.c = s * problem.c
+    work.cc = np.concatenate((work.c, problem.cbar))
+    if not problem.theta.is_zero:
+        work.theta = scale_function(problem.theta, s * s)
+        work.joint_theta = problem.joint_theta.scaled_head(problem.n0, s * s)
+    return work
 
 
 def _checked(config, tau_default, tau_max, tau_error):
@@ -347,8 +458,10 @@ def admm_solve(problem, config=None, initial=None, setup=None):
     """Two-group inexact sGS proximal ADMM on the dual problem.
 
     Without a set ``config.tau`` each iteration is a Halpern step with
-    restarts on the unit-step sweep (:class:`_Halpern`); a set ``tau`` runs
-    the relaxed multiplier step of that length instead.
+    restarts on the unit-step sweep (:class:`_Halpern`), run in the
+    first-stage variable ``x' = x / s`` of :func:`stage_scale` and stopped
+    on the problem's own residues; a set ``tau`` runs the relaxed
+    multiplier step of that length instead, unscaled.
 
     Without a smooth objective (``problem.joint_theta.is_zero``) each
     sweep solves for ybar once and keeps v|vbar = 0.
@@ -358,7 +471,8 @@ def admm_solve(problem, config=None, initial=None, setup=None):
     theta is, and, unless ``config.sigma0`` is set, its final sigma.
     ``setup`` is a :class:`SolveSetup` from :func:`solve_setup` for a
     problem with the same ``A``, ``B`` and ``Bbar`` and a config with the
-    same ``strategy``; without one it is built here, which validates the
+    same ``strategy``, and the solve runs at its scale; without one it is
+    built here (scaled under the Halpern step), which validates the
     problem.  A given setup skips that check: the problem differs from the
     one it was built for only in costs, whose finiteness
     :meth:`~dbasolve.model.DBAProblem.with_cost` checks."""
@@ -482,20 +596,31 @@ class _Halpern:
 def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     t0 = time.perf_counter()
     if setup is None:
-        setup = solve_setup(problem, cfg)
+        setup = solve_setup(problem, cfg, scaled=halpern)
     msol, facA = setup
-    use_ssn = _ssn_eligible(problem, cfg, halpern)
-    # the residue scales depend on the data only
+    # the loop runs on ``work``, the problem in the setup's variables
+    # x = scale x'; residues, objectives and the report are the problem's
+    scale = setup.scale
+    work = _scaled_problem(problem, setup)
+    if scale != 1.0:
+        _SETUP_LOG.info("stage scale %.6g: the first stage is solved in "
+                        "x' = x / %.6g", scale, scale)
+    use_ssn = _ssn_eligible(work, cfg, halpern)
+    # the residue scales depend on the data only; W' xx' = W xx and
+    # A' x' = A x, so only the first-stage dual residue, scale times the
+    # problem's, needs another scale in the loop
     denoms = residue_denominators(problem)
+    lin_denoms = (denoms if scale == 1.0 else
+                  (denoms[0], scale * denoms[1], denoms[2], denoms[3]))
     # without theta, theta*(-v) is the indicator of v = 0: v|vbar stays 0
     # (ALM's sweep has no v step) and ADMM's sweep solves for ybar once
     v_free = problem.joint_theta.is_zero
-    rhs = _composed_rhs(problem, msol, facA) if cfg.max_iter else None
-    st, sigma = _start(problem, cfg, initial)
+    rhs = _composed_rhs(work, msol, facA) if cfg.max_iter else None
+    st, sigma = _start(work, cfg, initial, scale)
     if v_free:
         st.vv = np.zeros_like(st.vv)
     # no step follows the last iteration, so a single one needs no anchor
-    anchored = _Halpern(problem, st) if halpern and cfg.max_iter > 1 else None
+    anchored = _Halpern(work, st) if halpern and cfg.max_iter > 1 else None
 
     log_rows = []
     status = "MaxIter"
@@ -512,13 +637,14 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         eps_k = eps_schedule(k)
         try:
             inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
-                problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
+                work, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
                 alm, sums, v_free, rhs)
         except ValueError as exc:
             # a factor solve refuses a non-finite right-hand side
             raise NumericalError("non-finite iterate at iteration %d: %s"
                                  % (k, exc)) from exc
-        lin = joint_linear_residues(problem, st.xx, d_res, d_res_bar, denoms)
+        lin = joint_linear_residues(work, st.xx, d_res, d_res_bar,
+                                    lin_denoms)
         eta_lin = max(lin)
         # max() skips a NaN that is not first; a sum keeps it
         if not math.isfinite(sum(lin)):
@@ -528,9 +654,11 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
 
         # eta is at least each linear residue, so the full check (cone and
         # prox residues, objectives, gap) runs only once all four pass;
-        # kkt_full only reads its arguments, so the state goes in uncopied
+        # kkt_full only reads its arguments, so at scale 1 the state goes
+        # in uncopied
         if eta_lin <= cfg.tol_kkt:
-            res, obj_p, obj_d = kkt_full(problem, st.xx, st, denoms=denoms)
+            pt = _unscaled(st, scale)
+            res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms)
             row = (k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                    res.eta_Pbar, res.eta_Dbar, res.eta_Kbar, res.eta_thetabar,
                    res.eta, res.eta_gap, sigma, obj_p, obj_d, inner_iters)
@@ -579,20 +707,32 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     else:
         k = cfg.max_iter
 
-    # nothing else holds the state's arrays, so the report takes them
-    primal = PrimalPoint(st.x, np.split(st.xbar, problem.x_offsets[1:-1]))
-    dual = DualPoint(y=st.y, ybar=st.ybar, z=st.z, zbar=st.zbar, v=st.v,
-                     vbar=st.vbar)
+    # nothing else holds the state's arrays, so the report takes them (or
+    # their unscaled copies, bit for bit those of the last full check)
+    pt = _unscaled(st, scale)
+    # views of the scenario blocks, sliced directly: np.split costs several
+    # times as much for many scenarios
+    xbar, offs = pt.xbar, problem.x_offsets.tolist()
+    primal = PrimalPoint(pt.x, [xbar[a:b] for a, b in zip(offs, offs[1:])])
+    dual = DualPoint(y=pt.y, ybar=pt.ybar, z=pt.z, zbar=pt.zbar, v=pt.v,
+                     vbar=pt.vbar)
     if not log_rows:
         obj_p = primal_objective(problem, primal)
         obj_d = dual_objective(problem, dual)
     elif res is None:
-        res, obj_p, obj_d = kkt_full(problem, st.xx, st, denoms=denoms)
+        res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms)
+        if scale != 1.0:
+            # the last row's linear residues become the returned point's
+            row = list(log_rows[-1])
+            for name in LinearResidues._fields:
+                row[LOG_COLUMNS.index(name)] = getattr(res, name)
+            log_rows[-1] = tuple(row)
     return SolveReport(
         status=status, iterations=k, kkt=res, obj_p=obj_p, obj_d=obj_d,
         primal=primal, dual=dual, sigma=sigma,
         elapsed=time.perf_counter() - t0, log_rows=log_rows,
-        extra={"ssn": use_ssn, "strategy": msol.strategy},
+        extra={"ssn": use_ssn, "strategy": msol.strategy,
+               "stage_scale": scale},
     )
 
 

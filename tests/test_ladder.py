@@ -16,10 +16,11 @@ WORKLOADS_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "workloads.py")
 
 # iterations (outer iterations for PHA) of instance seeds 1-5; the ADMM
-# rows are the Halpern step's counts
+# rows are the Halpern step's counts, in the stage-scaled variables where
+# the first stage admits the scale (two-stage-ssn, sdp-psd)
 MAX_ITERATIONS = {
-    "two-stage-ssn": (472, 558, 429, 397, 497),
-    "sdp-psd": (478, 287, 263, 708, 309),
+    "two-stage-ssn": (260, 350, 245, 180, 262),
+    "sdp-psd": (383, 271, 206, 659, 291),
     "ufl-dnn": (149, 151, 124, 134, 114),
     "pha-two-stage": (155, 66, 269, 59, 120),
 }

@@ -25,6 +25,7 @@ def small_sdp():
 # (solver, instance, step length, stop iteration, status, report.kkt) as
 # computed with a full KKT evaluation on every iteration; ADMM with tau=1.618
 # runs the classic multiplier step, without a step length the Halpern step
+# (in the stage-scaled variables)
 CLASSIC = 1.618
 PINNED = [
     (admm_solve, make_two_scenario_lp, CLASSIC, 76, "Converged", dict(
@@ -57,24 +58,24 @@ PINNED = [
         eta_Pbar=2.138677804825515e-15, eta_Dbar=5.141993031643912e-06,
         eta_Kbar=3.458765464733354e-07, eta_thetabar=0.0,
         eta=9.838324208657511e-06, eta_gap=6.257772080556116e-05)),
-    (admm_solve, make_two_scenario_lp, None, 30, "Converged", dict(
-        eta_P=5.8218858570713294e-06, eta_D=6.47502462459888e-06,
-        eta_K=1.0235481892023708e-06, eta_theta=1.1102180809984653e-16,
-        eta_Pbar=1.745122317634948e-16, eta_Dbar=6.033421607234477e-06,
-        eta_Kbar=2.5857213192585335e-06, eta_thetabar=0.0,
-        eta=6.47502462459888e-06, eta_gap=7.318565684016306e-07)),
-    (admm_solve, make_free_qp, None, 50, "Converged", dict(
-        eta_P=4.647293538702183e-06, eta_D=2.3802280610916783e-06,
-        eta_K=6.038490189658599e-16, eta_theta=1.2210873875777277e-08,
-        eta_Pbar=3.556817021300635e-15, eta_Dbar=9.511744072239379e-06,
-        eta_Kbar=0.0, eta_thetabar=2.8694483873129864e-08,
-        eta=9.511744072239379e-06, eta_gap=4.740641536249095e-07)),
-    (admm_solve, small_sdp, None, 1084, "Converged", dict(
-        eta_P=9.853904487916212e-06, eta_D=1.0130493489338655e-07,
-        eta_K=6.519882973811198e-06, eta_theta=0.0,
-        eta_Pbar=4.984147374187863e-15, eta_Dbar=5.795462951623246e-07,
-        eta_Kbar=2.820309128571113e-07, eta_thetabar=0.0,
-        eta=9.853904487916212e-06, eta_gap=1.61412788728438e-05)),
+    (admm_solve, make_two_scenario_lp, None, 32, "Converged", dict(
+        eta_P=7.937989467410311e-06, eta_D=4.766314651543062e-06,
+        eta_K=3.7198073360801203e-06, eta_theta=0.0,
+        eta_Pbar=1.0523483528855525e-16, eta_Dbar=9.125376490334083e-06,
+        eta_Kbar=3.977035247593856e-06, eta_thetabar=0.0,
+        eta=9.125376490334083e-06, eta_gap=2.173222687888691e-06)),
+    (admm_solve, make_free_qp, None, 33, "Converged", dict(
+        eta_P=2.461966666092034e-06, eta_D=7.605578475377697e-06,
+        eta_K=0.0, eta_theta=3.052119792201608e-08,
+        eta_Pbar=2.103257635560098e-15, eta_Dbar=7.774097813778045e-06,
+        eta_Kbar=1.2283911748049275e-16, eta_thetabar=2.2280437597419742e-07,
+        eta=7.774097813778045e-06, eta_gap=7.55592298467295e-08)),
+    (admm_solve, small_sdp, None, 820, "Converged", dict(
+        eta_P=9.762023057854024e-06, eta_D=9.727077489703232e-08,
+        eta_K=2.14155828171395e-06, eta_theta=0.0,
+        eta_Pbar=2.327339931057489e-15, eta_Dbar=2.6836312344583266e-06,
+        eta_Kbar=6.218864991137704e-07, eta_thetabar=0.0,
+        eta=9.762023057854024e-06, eta_gap=3.5101565263779355e-05)),
 ]
 
 

@@ -124,6 +124,50 @@ class TestValidate:
         with pytest.raises(DimensionMismatch, match="block 1"):
             validate(broken)
 
+    @staticmethod
+    def loop_reference(problem):
+        """The first block misfit, checked scenario by scenario."""
+        for i, s in enumerate(problem.scenarios):
+            for bad, text in (
+                    (s.B.shape[1] != problem.n0, "B has %d columns, "
+                     "expected n0=%d" % (s.B.shape[1], problem.n0)),
+                    (s.B.shape[0] != s.Bbar.shape[0], "B has %d rows but "
+                     "Bbar has %d" % (s.B.shape[0], s.Bbar.shape[0])),
+                    (s.bbar.size != s.m, "bbar has length %d, expected %d"
+                     % (s.bbar.size, s.m)),
+                    (s.cbar.size != s.n, "cbar has length %d, expected %d"
+                     % (s.cbar.size, s.n)),
+                    (s.cone.dim != s.n, "cone dim %d does not match n_i=%d"
+                     % (s.cone.dim, s.n)),
+                    (s.theta.dim != s.n, "theta dim %d does not match "
+                     "n_i=%d" % (s.theta.dim, s.n))):
+                if bad:
+                    return "block %d: %s" % (i, text)
+        return None
+
+    @pytest.mark.parametrize("misfits", [
+        {1: ("bbar",)}, {1: ("cbar",)}, {0: ("cone",)}, {1: ("theta",)},
+        {1: ("cone", "bbar")}, {0: ("theta",), 1: ("bbar",)}, {}])
+    def test_block_checks_match_a_scenario_loop(self, misfits):
+        prob = make_two_scenario_lp()
+        scens = []
+        for i, s in enumerate(prob.scenarios):
+            bad = misfits.get(i, ())
+            scens.append(ScenarioBlock(
+                s.B, s.Bbar, np.zeros(5) if "bbar" in bad else s.bbar,
+                np.zeros(4) if "cbar" in bad else s.cbar,
+                NonnegOrthant(2) if "cone" in bad else s.cone,
+                Zero(7) if "theta" in bad else s.theta))
+        broken = DBAProblem(prob.A, prob.b, prob.c, prob.cone, prob.theta,
+                            scens)
+        want = self.loop_reference(broken)
+        if want is None:
+            assert validate(broken) == []
+        else:
+            with pytest.raises(DimensionMismatch) as info:
+                validate(broken)
+            assert str(info.value) == want
+
     def test_rank_deficiency_warning(self):
         A = np.array([[1.0, 2.0], [1.0, 2.0]])
         prob = make_two_scenario_lp()

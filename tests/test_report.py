@@ -42,11 +42,12 @@ class TestExtra:
     @pytest.mark.parametrize("solve", [admm_solve, alm_solve])
     def test_sgs_keys(self, solve):
         rep = solve(make_two_scenario_lp(), SolverConfig(max_iter=3))
-        assert set(rep.extra) == {"ssn", "strategy"}
+        assert set(rep.extra) == {"ssn", "strategy", "stage_scale"}
 
     def test_pha_keys(self):
         rep = pha_solve(make_two_scenario_lp(), PhaConfig(max_iter=2))
-        assert set(rep.extra) == {"nonant_residual", "rel_change"}
+        assert set(rep.extra) == {"nonant_residual", "rel_change",
+                                  "strategy"}
 
 
 class TestWarmStart:

@@ -320,8 +320,8 @@ class TestProgressLog:
 
     def test_halpern_progress_goes_to_the_dbasolve_logger(
             self, two_scenario_lp, caplog, capsys):
-        # the Halpern step converges after 30 of the 60 iterations
-        self.check_progress(two_scenario_lp, caplog, capsys, None, 30)
+        # the Halpern step converges after 32 of the 60 iterations
+        self.check_progress(two_scenario_lp, caplog, capsys, None, 32)
 
 
 class TestDeterminism:
@@ -659,9 +659,9 @@ class TestHalpernStep:
         monkeypatch.setattr(solvers._Halpern, "step", recorded)
         prob = random_sdp(2, 3, 2, 3, N=3, seed=2)
         sig = LOG_COLUMNS.index("sigma")
-        sigma0 = solvers.default_sigma0(prob)
 
         fixed = admm_solve(prob, SolverConfig(sigma_fixed=True, max_iter=300))
+        sigma0 = _scaled_default_sigma0(prob, fixed)
         assert len(restarts) >= 3
         assert {row[sig] for row in fixed.log_rows} == {sigma0}
         assert fixed.sigma == sigma0
@@ -775,9 +775,16 @@ class TestRestartSigma:
         del tilted[:]
         fixed = admm_solve(prob, SolverConfig(sigma_fixed=True, max_iter=300))
         assert tilted == []
-        sigma0 = solvers.default_sigma0(prob)
+        sigma0 = _scaled_default_sigma0(prob, fixed)
         assert {row[sig] for row in fixed.log_rows} == {sigma0}
         assert fixed.sigma == sigma0
+
+
+def _scaled_default_sigma0(prob, report):
+    """The default sigma of ``prob``'s costs in the variables of the
+    report's stage scale, where the Halpern step starts."""
+    return solvers.default_sigma0(
+        prob.with_cost(report.extra["stage_scale"] * prob.c))
 
 
 def _zero_quadratic_theta(prob):
