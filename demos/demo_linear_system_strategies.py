@@ -3,14 +3,17 @@
 M = B B* + Bbar Bbar* + Jbar ties all scenarios together through the
 first-stage columns.  This script builds one random structure and walks the
 available factorizations: full Cholesky, the Woodbury reduction to a small
-first-stage system (with exact or diagonalized scenario grams), and the
-proximal choices of Jbar that make M block diagonal so every scenario can be
-solved independently.
+first-stage system (with exact or diagonalized scenario grams; in its
+factored form when B is stored dense, shown next to a facility-location
+relaxation whose sparse B keeps the other form), and the proximal choices
+of Jbar that make M block diagonal so every scenario can be solved
+independently.
 """
 
 import numpy as np
 
 from dbasolve import build_msolver
+from dbasolve.builders import build_ufl_dnn, random_ufl
 from dbasolve.model import DBAProblem, ScenarioBlock
 from dbasolve.msolver import (assemble_m_dense, ebj_block_diag_J,
                               std_block_diag_J)
@@ -29,15 +32,31 @@ problem = DBAProblem(None, None, np.zeros(n0), NonnegOrthant(n0), Zero(n0),
                      blocks)
 h = rng.normal(size=problem.mbar)
 
-# reference: dense assembly and solve
-M = assemble_m_dense(problem)
-reference = np.linalg.solve(M, h)
-print("coupled system size: %d rows over %d scenarios" % (problem.mbar, N))
 
-for strategy in ("chol", "smw"):
-    sol = build_msolver(problem, strategy)
-    err = np.linalg.norm(sol.solve(h) - reference) / np.linalg.norm(reference)
-    print("%-10s matches dense solve, rel err %.2e" % (strategy, err))
+def compare_with_dense(problem, h):
+    """chol and smw against a dense assembly and solve.  smw solves in its
+    factored form, D^-1 h - R (R^T h), when B is stored dense, and in the
+    Woodbury form through G_SS when B is stored sparse."""
+    reference = np.linalg.solve(assemble_m_dense(problem), h)
+    dense_b = isinstance(problem.B.matrix, np.ndarray)
+    print("%d rows over %d scenarios, B stored %s"
+          % (problem.mbar, problem.N, "dense" if dense_b else "sparse"))
+    for strategy in ("chol", "smw"):
+        sol = build_msolver(problem, strategy)
+        err = (np.linalg.norm(sol.solve(h) - reference)
+               / np.linalg.norm(reference))
+        label = strategy
+        if strategy == "smw":
+            label += " (factored)" if dense_b else " (G_SS form)"
+        print("  %-17s matches dense solve, rel err %.2e" % (label, err))
+
+
+# reference: dense assembly and solve
+print("coupled system:", end=" ")
+compare_with_dense(problem, h)
+ufl = build_ufl_dnn(random_ufl(5, 140, seed=1))
+print("facility location:", end=" ")
+compare_with_dense(ufl, np.random.default_rng(2).normal(size=ufl.mbar))
 
 # the diagonalizing choice changes M itself: check its own residual
 sol = build_msolver(problem, "smw-diag")

@@ -535,23 +535,32 @@ def power_lambda_max(apply_op, dim, tol=1e-8, maxit=500):
     return lam, False
 
 
-def lambda_max_bound(S, tol=1e-8, maxit=500):
-    """Upper bound on the largest eigenvalue of the symmetric PSD matrix
-    ``S``, for shifts ``lam I - S`` that must stay PSD.
+# lambda_max_bound takes the dense top eigenvalue up to this order and the
+# Gershgorin bound above it: eigvalsh of order 1000 takes about 0.1 s on
+# one core, and the dense copy of a larger sparse gram can outgrow memory
+_EIGH_MAX_DIM = 1000
 
-    A converged power iteration stops at a Rayleigh quotient, which lies
-    below lambda_max by up to about ``tol`` relative, so it is raised by
-    ``10 * tol`` relative; that covers the stopping error when the ratio of
-    the two largest eigenvalues is below about 0.9, but not reliably above
-    it, nor when the all-ones start is orthogonal to the top eigenvector.
-    An unconverged iteration can stop far below lambda_max, so the
-    Gershgorin bound max_i sum_j |S_ij|, a true upper bound, is returned
-    instead."""
-    lam, converged = power_lambda_max(lambda w: mv(S, w), S.shape[0],
-                                      tol=tol, maxit=maxit)
-    if converged:
-        return lam * (1.0 + 10.0 * tol)
-    return float(np.max(np.asarray(abs(S).sum(axis=1))))
+
+def lambda_max_bound(S):
+    """Upper bound on the largest eigenvalue of the symmetric matrix ``S``
+    (dense or CSR), for shifts ``lam I - S`` that must stay PSD.
+
+    Up to order ``_EIGH_MAX_DIM`` it is the top eigenvalue from ``eigvalsh``
+    raised by its backward-error margin: LAPACK's symmetric eigensolvers
+    return the eigenvalues of some ``S + E`` with ``||E||_2`` at most a
+    small multiple of ``n eps ||S||_2``, and by Weyl's inequality no
+    eigenvalue moves by more than ``||E||_2``.  ``||S||_2`` is at most the
+    Gershgorin bound ``g = max_i sum_j |S_ij|``, so the margin is
+    ``4 n eps g``.  Above that order it is ``g`` itself, raised by
+    ``n eps g`` for the rounding of its row sums."""
+    n = S.shape[0]
+    if n == 0:
+        return 0.0
+    eps = np.finfo(float).eps
+    g = float(np.max(np.asarray(abs(S).sum(axis=1))))
+    if n > _EIGH_MAX_DIM:
+        return g * (1.0 + n * eps)
+    return float(np.linalg.eigvalsh(to_dense(S))[-1]) + 4.0 * n * eps * g
 
 
 def op_norm_2(C, tol=1e-8, maxit=500):

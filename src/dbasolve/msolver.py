@@ -20,20 +20,33 @@ Every scenario gram Bbar_i Bbar_i* comes from one sparse product of the
 assembled operator with its transpose (:meth:`BlockDiagOp.gram`): ``chol``
 adds it to B B*, and the batched builds gather its diagonal blocks into one
 dense (n_g, m, m) stack per row count.  ``smw`` and ``block-diag`` (whose
-B_i B_i* come the same way) factor a stack by one batched Cholesky and
+B_i B_i* come the same way) factor a stack by one batched Cholesky, invert
+its factors in min(n_g, m) numpy steps (:func:`_lower_inverses`) and
 assemble D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR matrix,
-applied by one sparse mat-vec whatever the row counts.  When every scenario
-has the same row count m and the same gram bit for bit (fixed recourse, as
-in facility location), ``smw`` factors and inverts that one m x m gram
-instead and applies D^{-1} h as one GEMM of h reshaped to (N, m).
-``smw-diag`` takes lam_i from one batched ``eigvalsh`` for its small blocks
-and from a sparse power iteration per large block.
+applied by one sparse mat-vec whatever the row counts.  Under ``auto``,
+``smw`` checks the exact 1-norm condition ||D_i||_1 ||D_i^{-1}||_1 of every
+block from the stacks just built.  When every scenario has the same row
+count m and the same gram bit for bit (fixed recourse, as in facility
+location), ``smw`` factors and inverts that one m x m gram instead and
+applies D^{-1} h as one GEMM of h reshaped to (N, m).  ``smw-diag`` takes
+lam_i from one batched ``eigvalsh`` for its small blocks and from
+:func:`lambda_max_bound` per large block.
 
 G = I + B* D^{-1} B is the identity off the set S of columns where B has
 stored entries, and B* D^{-1} h vanishes there, so both SMW forms build
-and solve only G_SS = I + B_S* D^{-1} B_S.  The columns B_S are copied for
-that build only; a solve keeps the entries S of B* u and applies B to w
-scattered into a zero n0-vector.  With S empty (B = 0), M^{-1} = D^{-1}.
+only G_SS = I + B_S* D^{-1} B_S.  With S empty (B = 0), M^{-1} = D^{-1}.
+``smw`` solves in one of two forms, chosen by storage (:func:`_factored_form`):
+
+* B stored dense and G_SS Cholesky-factored (|S| <= ``_G_CHOL_DIM``): the
+  build keeps R = D^{-1} B_S L_G^{-T}, mbar x |S|, from the D^{-1} B_S and
+  the factor L_G that the G_SS build forms anyway, and a solve is
+  M^{-1} h = D^{-1} h - R (R^T h): one D^{-1} apply and two GEMVs over an
+  array of the shape of the dense B_S;
+* otherwise (B stored sparse, a PCG G-solve, and ``smw-diag``) a solve
+  applies D^{-1} twice, keeps the entries S of B* u, solves with G_SS and
+  applies B to w scattered into a zero n0-vector.  A sparse B keeps this
+  form because its products cost B's stored entries, where R would be
+  dense: on facility location, mbar x |S| against about one entry per row.
 """
 
 from __future__ import annotations
@@ -57,9 +70,9 @@ _SMW_DIAG_ROWS = 50000
 _EBJ_MAX_N = 64
 # smw-diag gathers Bbar_i Bbar_i^T densely for its eigvalsh while m_i^2 is
 # at most this; a larger block keeps its sparse gram and gets
-# lambda_max_bound's power-iteration bound
+# lambda_max_bound's bound
 _DIAG_DENSE_CELLS = 4096
-# auto rejects smw when some Bbar_i Bbar_i^T has an estimated condition
+# auto rejects smw when some Bbar_i Bbar_i^T has a 1-norm condition
 # above this: its backward error grows as about 1e-16 cond(Bbar_i Bbar_i^T),
 # while chol's does not
 _AUTO_MAX_COND = 1e8
@@ -89,28 +102,41 @@ def auto_candidates(problem):
 #         bound: 4 us + 0.66 ns per factor entry (fitted to one 1-d solve on
 #         14 instances: random_two_stage with mbar 48-2000 and random
 #         ragged blocks with 1-6 row counts).
-#   smw:  two applications of D^{-1}: the block-diagonal CSR mat-vec (0.45
-#         ns per stored entry and 0.75 ns per row each) or, when every
-#         Bbar_i is stored alike, the GEMM of h reshaped to (N, m) (1.0 ns
-#         per entry of h and 0.034 ns per multiply-add each over and above
-#         the call, fitted to N x m from 12 x 4 to 20 x 200; small m cost
-#         up to twice that); 0.5 ns per entry of the dense-shaped B_S for
-#         its two products; the |S| x |S| solve with G_SS, priced as
-#         chol's; and 14.7 us fixed, the least-squares constant over whole
-#         solves on the same 14 instances (B touching every column), on all
-#         of which this rule picks the faster strategy (estimates within 25%
-#         of measured).
+#   smw:  one application of D^{-1} per pass: the block-diagonal CSR
+#         mat-vec (0.45 ns per stored entry and 0.75 ns per row) or, when
+#         every Bbar_i is stored alike, the GEMM of h reshaped to (N, m)
+#         (1.0 ns per entry of h and 0.034 ns per multiply-add over and
+#         above the call, fitted to N x m from 12 x 4 to 20 x 200).
+#         - The factored form (dense B, |S| <= _G_CHOL_DIM) makes one pass
+#           and two GEMVs with R: 7.7 us + 3.1 ns per row + 0.39 ns per
+#           entry of R, fitted over whole solves on 22 dense-B instances
+#           (random_two_stage with mbar 16-10000, shared grams, ragged
+#           blocks, random_sdp and small facility-location relaxations;
+#           estimates within 30%).
+#         - The other form makes two passes, the products with B_S and
+#           B_S* and the |S| x |S| solve with G_SS (priced as chol's):
+#           13.6 us + 3.2 ns per row + 2.2 ns per stored entry of B_S,
+#           fitted over whole solves on 11 sparse-B instances (facility
+#           location up to mbar 6300 and random CSR B; estimates within
+#           35%).
 def m_solve_cost_ns(problem):
     """Estimated ns per M solve: ``(chol, smw)``."""
     m = np.asarray(problem.m_i)
-    s = float(_column_support(problem.B.matrix).size)
-    chol = 4000.0 + 0.66 * float(problem.mbar) ** 2
+    Bm = problem.B.matrix
+    s = float(_column_support(Bm).size)
+    mbar = float(problem.mbar)
+    chol = 4000.0 + 0.66 * mbar ** 2
     entries = float(np.sum(m * m))
     if _identical_blocks(problem.Bbar.blocks):
-        dinv = 2.0 * problem.mbar + 0.068 * entries
+        dinv = 1.0 * mbar + 0.034 * entries
     else:
-        dinv = 0.9 * entries + 1.5 * problem.mbar
-    smw = 14700.0 + dinv + 0.5 * problem.mbar * s + 0.66 * s ** 2
+        dinv = 0.45 * entries + 0.75 * mbar
+    if _factored_form(Bm, s):
+        smw = 7700.0 + dinv + 3.1 * mbar + 0.39 * mbar * s
+    else:
+        stored = Bm.nnz if sp.issparse(Bm) else mbar * s
+        smw = (13600.0 + 2.0 * dinv + 3.2 * mbar + 2.2 * stored
+               + 0.66 * s ** 2)
     return chol, smw
 
 
@@ -269,7 +295,7 @@ def build_msolver(problem, strategy="auto", jbar=None):
     any other use, ``auto`` included, raises :class:`ParameterError`.
     ``"auto"`` builds the first of :func:`auto_candidates` whose
     precondition holds, where ``smw`` also needs every ``Bbar_i Bbar_i^T``
-    of estimated condition at most 1e8; an explicit strategy raises
+    of 1-norm condition at most 1e8; an explicit strategy raises
     :class:`StrategyPrecondition` when its own precondition does not hold.
     """
     _check_jbar(strategy, jbar)
@@ -353,7 +379,8 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
     # take keeps a dense B_S row-major as B is (B[:, S] would not), so with
     # S all of n0 the G build is the same GEMM as with B itself
     Bs = canonicalize(Bm[:, S] if sp.issparse(Bm) else Bm.take(S, axis=1))
-    BtDB = Bs.T @ dinv_times(Bs)
+    DBs = dinv_times(Bs)
+    BtDB = Bs.T @ DBs
     eye = (np.eye(S.size) if isinstance(BtDB, np.ndarray)
            else sp.identity(S.size, format="csr"))
     G = eye + BtDB
@@ -362,7 +389,14 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
     if sp.issparse(G) and (G.nnz + problem.n0 - S.size
                            > DENSE_FALLBACK_DENSITY * float(problem.n0) ** 2):
         G = to_dense(G)
-    g_solve, reads_tol = _make_g_solver(G)
+    g_solve, reads_tol, g_low = _make_g_solver(G)
+    if not diagonal and _factored_form(Bm, S.size):
+        # R = D^{-1} B_S L_G^{-T}, so that D^{-1} B_S G_SS^{-1} B_S* D^{-1}
+        # = R R^T; a GEMM with L_G^{-1} takes about half the time of a
+        # triangular solve with the mbar columns of (D^{-1} B_S)^T
+        R = DBs @ sla.lapack.dtrtri(g_low, lower=1)[0].T
+        return MSolver(problem, strategy, None,
+                       _make_factored_solve(apply_dinv, R))
     B_op, n0 = problem.B, problem.n0
 
     def b_apply(w):
@@ -373,6 +407,16 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
     impl = _make_smw_solve(apply_dinv, b_apply,
                            lambda u: B_op.apply_adjoint(u)[S], g_solve)
     return MSolver(problem, strategy, apply_jbar, impl, reads_tol)
+
+
+def _factored_form(Bm, n_support):
+    """Whether ``smw`` with B stored as ``Bm`` solves as D^{-1} h - R (R^T h):
+    when ``Bm`` is dense and G_SS, of order ``n_support``, is
+    Cholesky-factored.  Then R, mbar x |S|, is no larger than the dense B_S
+    that the other form multiplies by twice.  A sparse B keeps the other
+    form, whose products with B cost its stored entries, not mbar |S|;
+    so does a PCG G-solve."""
+    return isinstance(Bm, np.ndarray) and n_support <= _G_CHOL_DIM
 
 
 def _build_block_diag(problem, jbar):
@@ -392,7 +436,7 @@ def _build_block_diag(problem, jbar):
     bbar = _block_stacks(problem, problem.Bbar.gram(), groups)
     E = [gram + jb for gram, jb in zip(bbar, jblocks)]
     dinv = _inverse_csr(problem, groups, _factor_blocks(
-        E, groups, np.inf, "block-diag needs its block E_{i}"))
+        E, groups, "block-diag needs its block E_{i}"))
     jdiag = _block_diag_csr(problem, groups, jblocks)
     B_op = problem.B
 
@@ -440,27 +484,25 @@ def _block_stacks(problem, gram, groups):
 
 def _bbar_gram_inverse(problem, max_cond):
     """``(apply, times)``: D^{-1} = blockdiag(Bbar_i Bbar_i^T)^{-1} applied
-    to a vector and to a dense or CSR matrix, every gram of estimated
+    to a vector and to a dense or CSR matrix, every gram of 1-norm
     condition at most ``max_cond``.  When all scenarios have one row count
     and every gram equals the first bit for bit, that one gram is factored,
-    checked and inverted, D^{-1} is applied to a vector by
+    inverted and checked, D^{-1} is applied to a vector by
     :func:`_shared_block_apply` and to a matrix, densified, by one batched
-    matmul; otherwise it is the block-diagonal CSR matrix of
-    :func:`_inverse_csr`."""
+    matmul; otherwise it is the block-diagonal CSR matrix of the inverses
+    of :func:`_checked_inverses`."""
     what = "smw requires Bbar_{i} Bbar_{i}^T"
     groups = _size_groups(problem)
     grams = _block_stacks(problem, problem.Bbar.gram(), groups)
     if len(grams) == 1 and (grams[0] == grams[0][:1]).all():
-        low = _factor_blocks([grams[0][:1]], [groups[0][:1]], max_cond,
-                             what)[0][0]
-        # dtrtri rejects order 0: scenarios with no rows
-        inv = sla.lapack.dtrtri(low, lower=1)[0] if low.size else low
-        dinv1, N, m = inv.T @ inv, problem.N, low.shape[0]
+        dinv1 = _checked_inverses([grams[0][:1]], [groups[0][:1]], max_cond,
+                                  what)[0][0]
+        N, m = problem.N, dinv1.shape[0]
         return ((lambda h: _shared_block_apply(dinv1, N, h)),
                 (lambda X: np.matmul(dinv1, to_dense(X).reshape(N, m, -1))
                  .reshape(X.shape)))
-    dinv = _inverse_csr(problem, groups,
-                        _factor_blocks(grams, groups, max_cond, what))
+    dinv = _block_diag_csr(problem, groups, _checked_inverses(
+        grams, groups, max_cond, what))
     return (lambda h: mv(dinv, h)), dinv.__matmul__
 
 
@@ -510,13 +552,37 @@ def _diag_shifts(problem):
     return lams
 
 
-def _factor_blocks(grams, groups, max_cond, what):
+def _checked_inverses(grams, groups, max_cond, what):
+    """Per group, the (n_g, m, m) stack of inverses of its stack of
+    symmetric matrices, from :func:`_factor_blocks` and
+    :func:`_gram_inverses`.  A block whose 1-norm condition
+    ``||D_i||_1 ||D_i^{-1}||_1``, from the blocks just built, exceeds
+    ``max_cond`` raises :class:`StrategyPrecondition` naming the first
+    such block (``what`` formatted with its scenario index ``i``); a block
+    that is not positive definite is named before any of them.  The
+    condition is exact up to rounding, so it is at least LAPACK
+    ``dpocon``'s estimate, which is a lower bound of it."""
+    invs = [_gram_inverses(low)
+            for low in _factor_blocks(grams, groups, what)]
+    if max_cond < np.inf:
+        for gram, inv, idx in zip(grams, invs, groups):
+            # the 1-norm of a symmetric block is its largest row sum
+            cond = (np.abs(gram).sum(axis=2).max(axis=1, initial=0.0)
+                    * np.abs(inv).sum(axis=2).max(axis=1, initial=0.0))
+            bad = np.flatnonzero(~(cond <= max_cond))
+            if bad.size:
+                raise StrategyPrecondition(
+                    "%s of condition at most %.0e (1-norm condition %.1e)"
+                    % (what.format(i=idx[bad[0]]), max_cond, cond[bad[0]]))
+    return invs
+
+
+def _factor_blocks(grams, groups, what):
     """Per group, the lower Cholesky factors of its (n_g, m, m) stack of
     symmetric matrices, by one batched factorization.  A block that fails
-    :func:`chol_factor`'s pivot rule, or whose condition estimate (as in
-    :func:`_gram_factor`) exceeds ``max_cond``, raises
-    :class:`StrategyPrecondition` naming it (``what`` formatted with its
-    scenario index ``i``)."""
+    :func:`chol_factor`'s pivot rule raises :class:`StrategyPrecondition`
+    naming the first such block (``what`` formatted with its scenario
+    index ``i``)."""
     lows = []
     for gram, idx in zip(grams, groups):
         low = _batched_cholesky(gram)
@@ -524,14 +590,8 @@ def _factor_blocks(grams, groups, max_cond, what):
             # only on failure: factor block by block to name the first
             # failing one (a block SciPy's factorization accepts keeps its
             # factor)
-            low = np.stack([_gram_factor(g, max_cond, what.format(i=i)).lower
+            low = np.stack([_gram_factor(g, what.format(i=i)).lower
                             for g, i in zip(gram, idx)])
-        elif max_cond < np.inf and gram.size:
-            anorms = np.abs(gram).sum(axis=1).max(axis=1)     # 1-norms
-            for lo, anorm, i in zip(low, anorms, idx):
-                rcond, _ = sla.lapack.dpocon(lo, anorm, uplo="L")
-                if rcond * max_cond < 1.0:
-                    raise _condition_error(what.format(i=i), max_cond, rcond)
         lows.append(low)
     return lows
 
@@ -553,16 +613,38 @@ def _batched_cholesky(gram):
 
 def _inverse_csr(problem, groups, lows):
     """blockdiag(L_i^{-T} L_i^{-1}), the inverse of blockdiag(L_i L_i^T), as
-    one CSR matrix, from the per-group stacks of lower factors L_i: L_i^{-1}
-    by LAPACK ``dtrtri`` per block, then one batched matmul per group."""
-    blocks = []
-    for low in lows:
-        inv = np.zeros_like(low)
-        if low.size:        # dtrtri rejects order 0: scenarios with no rows
-            for k, lo in enumerate(low):
-                inv[k] = sla.lapack.dtrtri(lo, lower=1)[0]
-        blocks.append(np.matmul(inv.transpose(0, 2, 1), inv))
-    return _block_diag_csr(problem, groups, blocks)
+    one CSR matrix, from the per-group stacks of lower factors L_i."""
+    return _block_diag_csr(problem, groups,
+                           [_gram_inverses(low) for low in lows])
+
+
+def _gram_inverses(low):
+    """L_i^{-T} L_i^{-1} for a (n, m, m) stack of lower factors L_i, by
+    :func:`_lower_inverses` and one batched matmul."""
+    inv = _lower_inverses(low)
+    return np.matmul(inv.transpose(0, 2, 1), inv)
+
+
+def _lower_inverses(low):
+    """L_i^{-1} for a (n, m, m) stack of nonsingular lower-triangular L_i,
+    in min(n, m) numpy steps: for a stack of at least m blocks, forward
+    substitution row by row over the whole stack, row k of every inverse
+    from rows 0..k-1 of all of them; otherwise LAPACK ``dtrtri`` per
+    block."""
+    n, m, _ = low.shape
+    inv = np.zeros_like(low)
+    if m == 0:
+        return inv
+    if n < m:
+        for k, lo in enumerate(low):
+            inv[k] = sla.lapack.dtrtri(lo, lower=1)[0]
+        return inv
+    for k in range(m):
+        # row k of L X = I: X_k = (e_k - L[k, :k] X[:k]) / L[k, k]
+        row = -np.matmul(low[:, k:k + 1, :k], inv[:, :k, :])[:, 0, :]
+        row[:, k] += 1.0
+        inv[:, k, :] = row / low[:, k, k:k + 1]
+    return inv
 
 
 def _block_diag_csr(problem, groups, blocks):
@@ -583,38 +665,25 @@ def _block_diag_csr(problem, groups, blocks):
                          shape=(problem.mbar, problem.mbar))
 
 
-def _gram_factor(gram, max_cond, what):
+def _gram_factor(gram, what):
     """Cholesky factor of ``gram``; :class:`StrategyPrecondition`, naming
-    ``what``, when it is not positive definite or its 1-norm condition
-    estimate (LAPACK ``dpocon`` on the factor) exceeds ``max_cond``."""
+    ``what``, when it is not positive definite."""
     try:
-        fac = chol_factor(gram)
+        return chol_factor(gram)
     except NotPositiveDefinite as exc:
         raise StrategyPrecondition(
             "%s positive definite: %s" % (what, exc)) from exc
-    if gram.size and max_cond < np.inf:
-        anorm = float(abs(gram).sum(axis=0).max())       # the 1-norm
-        rcond, _ = sla.lapack.dpocon(fac.lower, anorm, uplo="L")
-        if rcond * max_cond < 1.0:
-            raise _condition_error(what, max_cond, rcond)
-    return fac
-
-
-def _condition_error(what, max_cond, rcond):
-    return StrategyPrecondition(
-        "%s of condition at most %.0e (estimate %.1e)"
-        % (what, max_cond, 1.0 / max(rcond, 1e-300)))
 
 
 def _make_g_solver(G):
-    """``(solve, reads_tol)`` for the dense or CSR matrix G_SS: its
-    Cholesky factor up to order ``_G_CHOL_DIM``, otherwise PCG with a
-    Jacobi preconditioner, the one solve that reads the tolerance threaded
-    to it."""
+    """``(solve, reads_tol, lower)`` for the dense or CSR matrix G_SS: its
+    Cholesky factor ``lower`` up to order ``_G_CHOL_DIM``, otherwise PCG
+    with a Jacobi preconditioner, the one solve that reads the tolerance
+    threaded to it (``lower`` is then ``None``)."""
     n = G.shape[0]
     if n <= _G_CHOL_DIM:
         fac = chol_factor(to_dense(G))
-        return (lambda g, tol: (fac.solve(g), 0, 0.0)), False
+        return (lambda g, tol: (fac.solve(g), 0, 0.0)), False, fac.lower
     diag = np.array(G.diagonal())
     diag = np.where(diag > 0, diag, 1.0)
     gop = (lambda x: mv(G, x))
@@ -622,7 +691,7 @@ def _make_g_solver(G):
     def solve(g, tol):
         return pcg_solve(gop, g, precond=lambda r: r / diag,
                          tol=max(tol, 1e-14), maxit=10 * n + 100)
-    return solve, True
+    return solve, True, None
 
 
 def _make_smw_solve(apply_dinv, b_apply, b_adjoint, g_solve):
@@ -635,4 +704,19 @@ def _make_smw_solve(apply_dinv, b_apply, b_adjoint, g_solve):
             stats["inner_iters"] = iters
             stats["inner_relres"] = relres
         return u - apply_dinv(b_apply(w))
+    return impl
+
+
+def _make_factored_solve(apply_dinv, R):
+    """M^{-1} h = D^{-1} h - R (R^T h): one D^{-1} apply and two GEMVs.
+    A non-finite ``R^T h`` raises ``ValueError``, as the G_SS factor's
+    solve does in the other form: a NaN or infinite entry of ``h`` makes
+    every entry of it NaN or infinite, since 0 times either is NaN."""
+    def impl(h, tol, stats=None):
+        t = h @ R
+        if not np.isfinite(t).all():
+            raise ValueError("array must not contain infs or NaNs")
+        y = apply_dinv(h)
+        y -= R @ t
+        return y
     return impl

@@ -29,12 +29,30 @@ def same_canonical(a, b):
 def bbar_gram_factors(problem, requirement, max_cond=np.inf):
     """``(groups, lows)``: the scenarios grouped by row count and, per group,
     the (n_g, m, m) stack of lower Cholesky factors of Bbar_i Bbar_i^T,
-    each of estimated condition at most ``max_cond``; with
+    each of 1-norm condition at most ``max_cond``; with
     ``msolver._inverse_csr`` an oracle for the block-diagonal D^{-1}."""
     groups = msolver._size_groups(problem)
     grams = msolver._block_stacks(problem, problem.Bbar.gram(), groups)
-    return groups, msolver._factor_blocks(
-        grams, groups, max_cond, requirement + " Bbar_{i} Bbar_{i}^T")
+    what = requirement + " Bbar_{i} Bbar_{i}^T"
+    if max_cond < np.inf:
+        # the build's check, which raises naming the first failing block
+        msolver._checked_inverses(grams, groups, max_cond, what)
+    return groups, msolver._factor_blocks(grams, groups, what)
+
+
+def exactly_positive_definite(A):
+    """Whether the symmetric matrix ``A`` of Fractions is positive definite:
+    Gaussian elimination without pivoting, whose pivots are the ratios of
+    its leading principal minors, meets only positive ones."""
+    A = [row[:] for row in A]
+    for k in range(len(A)):
+        if A[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(A)):
+            f = A[i][k] / A[k][k]
+            for j in range(k, len(A)):
+                A[i][j] -= f * A[k][j]
+    return True
 
 
 def make_two_scenario_lp(seed=3):

@@ -20,7 +20,10 @@ from dbasolve.builders import random_sdp
 from dbasolve.errors import Breakdown, DimensionMismatch, NotPositiveDefinite
 from dbasolve.solvers import admm_solve
 
-from conftest import bbar_gram_factors, same_canonical
+from fractions import Fraction
+
+from conftest import (bbar_gram_factors, exactly_positive_definite,
+                      same_canonical)
 
 
 def _load_perfbench_workloads():
@@ -333,9 +336,39 @@ class TestPower:
             assert ev[-1] <= bound <= ev[-1] * (1 + 1e-6)
             checked += 1
 
-    def test_lambda_max_bound_gershgorin_when_unconverged(self):
+    def test_lambda_max_bound_certified_on_random_grams(self):
+        # 3000 symmetric PSD matrices of order 2-8, half of them with a top
+        # eigenvalue pair 1e-9 to 1e-2 apart (the converged power estimate
+        # raised by 10 tol fell below lambda_max on 647 of these): the
+        # bound is never below eigvalsh's top eigenvalue, and on the first
+        # 60 lam I - S is positive definite in exact rational arithmetic
+        rng = np.random.default_rng(2026)
+        for k in range(3000):
+            n = int(rng.integers(2, 9))
+            if k % 2:
+                Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                ev = np.sort(rng.uniform(0.0, 1.0, n))
+                ev[-2] = ev[-1] * (1.0 - 10.0 ** rng.uniform(-9, -2))
+                S = (Q * ev) @ Q.T
+                S = 0.5 * (S + S.T)
+            else:
+                B = rng.normal(size=(n, int(rng.integers(1, 2 * n + 1))))
+                S = B @ B.T
+            lam = lambda_max_bound(S)
+            assert lam >= np.linalg.eigvalsh(S)[-1]
+            if k < 60:
+                assert exactly_positive_definite(
+                    [[(Fraction(lam) if r == c else 0) - Fraction(S[r, c])
+                      for c in range(n)] for r in range(n)])
+
+    def test_lambda_max_bound_gershgorin_above_the_cap(self, monkeypatch):
+        # above _EIGH_MAX_DIM no dense eigenvalue: the Gershgorin bound,
+        # raised by n eps for the rounding of its row sums
+        monkeypatch.setattr(blocklinalg, "_EIGH_MAX_DIM", 1)
         G = np.array([[2.0, -1.0], [-1.0, 3.0]])
-        assert lambda_max_bound(G, maxit=1) == 4.0
+        eps = np.finfo(float).eps
+        assert lambda_max_bound(G) == 4.0 * (1.0 + 2.0 * eps)
+        assert lambda_max_bound(sp.csr_matrix(G)) == lambda_max_bound(G)
 
 
 class TestOpNorm:

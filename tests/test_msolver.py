@@ -1,8 +1,10 @@
 import dataclasses
+import traceback
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,16 +14,19 @@ import dbasolve.msolver as msolver
 from dbasolve.blocklinalg import CholFactor, chol_factor, mv, to_dense
 from dbasolve.builders import (build_ufl_dnn, random_sdp, random_two_stage,
                                random_ufl)
-from dbasolve.errors import ParameterError, StrategyPrecondition
+from dbasolve.errors import (NumericalError, ParameterError,
+                             StrategyPrecondition)
 from dbasolve.model import DBAProblem, ScenarioBlock
 from dbasolve.msolver import (assemble_m_dense, auto_strategy, build_msolver,
                               ebj_block_diag_J, m_solve_cost_ns,
                               pairwise_coupling_norms, std_block_diag_J)
 from dbasolve.pha import _bundle
 from dbasolve.proxcone import NonnegOrthant, Zero
-from dbasolve.solvers import SolverConfig, _msolve_with_tol, admm_solve
+from dbasolve.solvers import (SolverConfig, _msolve_with_tol, admm_solve,
+                              solve_setup)
 
-from conftest import bbar_gram_factors, same_canonical
+from conftest import (bbar_gram_factors, exactly_positive_definite,
+                      same_canonical)
 
 
 def random_structure(rng, N=5, n0=10, mi_max=8, shared=False, equal=False,
@@ -662,15 +667,17 @@ class TestStackedKernels:
         return counts
 
     def test_smw_kernel_calls_do_not_grow_with_n(self, monkeypatch):
-        # an smw solve applies D^{-1}, one block-diagonal CSR matrix, twice
+        # an smw solve with dense B (the factored form) applies D^{-1}, one
+        # block-diagonal CSR matrix, once
         counts = self.count_d_inverse_calls(monkeypatch, [
             random_structure(np.random.default_rng(N), N, n0=6, equal=True)
             for N in (10, 100)])
-        assert counts == [2, 2]
+        assert counts == [1, 1]
 
     def test_kernel_calls_do_not_grow_with_n(self, monkeypatch):
-        # the identical grams of facility location apply D^{-1} as two
-        # GEMMs per solve, whatever N, and never as a CSR mat-vec
+        # the identical grams of facility location apply D^{-1} as one GEMM
+        # per solve (B is stored dense at these N: the factored form),
+        # whatever N, and never as a CSR mat-vec
         gemms, matvecs = [], []
         orig_gemm, orig_mv = msolver._shared_block_apply, msolver.mv
 
@@ -691,10 +698,11 @@ class TestStackedKernels:
             matvecs.clear()
             sol.solve(np.ones(prob.mbar))
             m = prob.m_i[0]
+            assert isinstance(prob.B.matrix, np.ndarray)
             assert set(gemms) == {((m, m), N, (prob.mbar,))}
             assert (prob.mbar, prob.mbar) not in matvecs
             counts.append(len(gemms))
-        assert counts == [2, 2]
+        assert counts == [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +773,10 @@ class TestFixedRecourse:
         hs = [rng.normal(size=prob.mbar) for _ in range(3)]
         sol = build_msolver(prob, "smw")
         got = [sol.solve(h) for h in hs]
-        assert gemms == [prob.N] * 6
+        # one GEMM per solve in the factored form (B stored dense), two in
+        # the other (B stored CSR)
+        per_solve = 1 if isinstance(prob.B.matrix, np.ndarray) else 2
+        assert gemms == [prob.N] * (3 * per_solve)
         Md = assemble_m_dense(prob)
         for h, y in zip(hs, got):
             assert np.linalg.norm(Md @ y - h) <= 1e-9 * (1 + np.linalg.norm(h))
@@ -778,14 +789,18 @@ class TestFixedRecourse:
         assert gemms == []
 
     def test_one_gram_factored_checked_and_inverted(self, monkeypatch):
-        # 150 identical grams: one factorization, one condition estimate
-        # under auto's bound, one dtrtri
+        # 150 identical grams: one factorization, one exact condition check
+        # under auto's bound (no dpocon estimate), one dtrtri
         prob = build_ufl_dnn(random_ufl(10, 150, seed=1))
-        counts = {"factor": [], "dpocon": 0, "dtrtri": 0}
+        counts = {"factor": [], "checked": [], "dpocon": 0, "dtrtri": 0}
         orig_factor = msolver._factor_blocks
         monkeypatch.setattr(msolver, "_factor_blocks", lambda grams, *a: (
             counts["factor"].extend(g.shape[0] for g in grams),
             orig_factor(grams, *a))[1])
+        orig_checked = msolver._checked_inverses
+        monkeypatch.setattr(msolver, "_checked_inverses", lambda grams, *a: (
+            counts["checked"].extend((g.shape[0], a[1]) for g in grams),
+            orig_checked(grams, *a))[1])
         lapack = msolver.sla.lapack
         for name in ("dpocon", "dtrtri"):
             orig = getattr(lapack, name)
@@ -793,7 +808,9 @@ class TestFixedRecourse:
                 lambda *a, **kw: (counts.__setitem__(name, counts[name] + 1),
                                   orig(*a, **kw))[1]))(name, orig))
         assert build_msolver(prob).strategy == "smw"
-        assert counts == {"factor": [1], "dpocon": 1, "dtrtri": 1}
+        assert counts == {"factor": [1],
+                          "checked": [(1, msolver._AUTO_MAX_COND)],
+                          "dpocon": 0, "dtrtri": 1}
 
     @pytest.mark.parametrize("strategy", ["smw", "smw-diag"])
     @pytest.mark.parametrize("cols", [[4], [1, 5, 8]])
@@ -880,6 +897,139 @@ class TestFixedRecourse:
         assert report.iterations == iterations
 
 
+def spy_forms(monkeypatch):
+    """The list that every smw build with B != 0 appends its solve form
+    to: ``"factored"`` (D^{-1} h - R R^T h) or ``"smw"`` (the other)."""
+    forms = []
+    for name, form in (("_make_factored_solve", "factored"),
+                       ("_make_smw_solve", "smw")):
+        orig = getattr(msolver, name)
+        monkeypatch.setattr(msolver, name, (lambda orig, form: lambda *a: (
+            forms.append(form), orig(*a))[1])(orig, form))
+    return forms
+
+
+def zero_b_structure(rng, N=4, n0=5):
+    """Distinct ragged blocks with B_i = 0 stored dense: S is empty."""
+    blocks = []
+    for _ in range(N):
+        m = int(rng.integers(1, 5))
+        blocks.append(ScenarioBlock(np.zeros((m, n0)),
+                                    rng.normal(size=(m, m + 2)), np.zeros(m),
+                                    np.zeros(m + 2), NonnegOrthant(m + 2),
+                                    Zero(m + 2)))
+    return DBAProblem(None, None, np.zeros(n0), NonnegOrthant(n0), Zero(n0),
+                      blocks)
+
+
+# every B stored dense
+FACTORED_CASES = {
+    "distinct-ragged": lambda: random_structure(np.random.default_rng(60),
+                                                N=7),
+    "identical-grams": lambda: random_structure(
+        np.random.default_rng(61), equal=True, bbar_shared=True),
+    "identical-blocks": lambda: random_structure(
+        np.random.default_rng(62), shared=True, bbar_shared=True),
+    "support-below-n0": lambda: column_structure(np.random.default_rng(63),
+                                                 [1, 5, 8]),
+    "zero-row-scenarios": lambda: oracle_structure([0, 3, 2, 0, 4], 4, False,
+                                                   False, 64),
+    "b-zero": lambda: zero_b_structure(np.random.default_rng(65)),
+}
+
+
+class TestFactoredForm:
+    """smw with B stored dense and G_SS factored solves M^{-1} h as
+    D^{-1} h - R (R^T h), R = D^{-1} B_S L_G^{-T}; a sparse B, smw-diag and a
+    PCG G-solve keep the other form."""
+
+    @pytest.mark.parametrize("name", sorted(FACTORED_CASES))
+    def test_matches_dense_and_per_scenario_reference(self, monkeypatch,
+                                                      name):
+        prob = FACTORED_CASES[name]()
+        assert isinstance(prob.B.matrix, np.ndarray)
+        forms = spy_forms(monkeypatch)
+        sol = build_msolver(prob, "smw")
+        # with B = 0, M = D: no G, no R
+        assert forms == ([] if name == "b-zero" else ["factored"])
+        ref_solve, _ = reference_msolver(prob, "smw")
+        M = assemble_m_dense(prob)
+        rng = np.random.default_rng(len(name))
+        for _ in range(3):
+            h = rng.normal(size=prob.mbar)
+            y, want = sol.solve(h, check_residual=True), ref_solve(h)
+            assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.linalg.norm(M @ y - h) <= 1e-13 * (
+                np.linalg.norm(M, 2) * np.linalg.norm(y) + np.linalg.norm(h))
+            assert sol.last_relres <= 1e-13 * np.linalg.norm(M, 2) * (
+                1.0 + np.linalg.norm(y))
+            assert (sol.last_inner_iters, sol.last_inner_relres) == (0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_raises_value_error(self, bad):
+        # as the G_SS factor's solve does in the other form
+        prob = FACTORED_CASES["distinct-ragged"]()
+        sol = build_msolver(prob, "smw")
+        h = np.ones(prob.mbar)
+        h[prob.mbar // 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="must not contain infs or NaNs"):
+            sol.solve(h)
+
+    def test_nan_rhs_ends_admm_in_numerical_error(self):
+        # a NaN warm start reaches the ybar step's right-hand side; the
+        # factored solve refuses it and the loop reports the iteration
+        prob = random_two_stage(5, 20, 5, 15, N=30, seed=1, quad_eps=0.1)
+        setup = solve_setup(prob, SolverConfig(), scaled=True)
+        assert setup.msolver.strategy == "smw"
+        cfg = SolverConfig(max_iter=5)
+        rep = admm_solve(prob, cfg, setup=setup)
+        rep.dual.ybar[0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalError, match="^non-finite iterate at iteration 0: "
+                "array must not contain infs or NaNs") as exc:
+            admm_solve(prob, cfg, initial=rep, setup=setup)
+        last = traceback.extract_tb(exc.value.__cause__.__traceback__)[-1]
+        assert last.name == "impl" and last.filename.endswith("msolver.py")
+
+    def test_check_inner_asserts_the_residual(self):
+        prob = random_two_stage(5, 20, 5, 15, N=30, seed=1, quad_eps=0.1)
+        setup = solve_setup(prob, SolverConfig(), scaled=True)
+        msol = setup.msolver
+        assert msol.minv_w is None and not msol.reads_tol
+        rep = admm_solve(prob, SolverConfig(max_iter=20, check_inner=True),
+                         setup=setup)
+        assert rep.iterations == 20
+        apply_m = msol.apply_m
+        msol.apply_m = lambda w: 2.0 * apply_m(w)
+        with pytest.raises(AssertionError, match="inner residual"):
+            admm_solve(prob, SolverConfig(max_iter=5, check_inner=True),
+                       setup=setup)
+
+    @pytest.mark.parametrize("case", ["sparse-b", "smw-diag", "pcg"])
+    def test_other_form_where_it_applies(self, monkeypatch, case):
+        # a B stored CSR (facility location at N = 140), smw-diag and a
+        # G_SS above _G_CHOL_DIM keep D^{-1} h - D^{-1} B_S G^{-1} B_S* D^{-1} h
+        strategy = "smw-diag" if case == "smw-diag" else "smw"
+        if case == "sparse-b":
+            prob = build_ufl_dnn(random_ufl(5, 140, seed=1))
+            assert sp.issparse(prob.B.matrix)
+        else:
+            prob = FACTORED_CASES["distinct-ragged"]()
+        if case == "pcg":
+            monkeypatch.setattr(msolver, "_G_CHOL_DIM", 0)
+        forms = spy_forms(monkeypatch)
+        sol = build_msolver(prob, strategy)
+        assert forms == ["smw"]
+        ref_solve, _ = reference_msolver(prob, strategy)
+        rng = np.random.default_rng(66)
+        for _ in range(3):
+            h = rng.normal(size=prob.mbar)
+            y, want = sol.solve(h, tol=1e-14), ref_solve(h)
+            tol = 1e-10 if case == "pcg" else 1e-13
+            assert np.linalg.norm(y - want) <= tol * np.linalg.norm(want)
+
+
 def gram_structure(sizes, seed):
     """Blocks with the given row counts; Bbar_i is about half zeros, stored
     sparse for odd i, and Bbar_1 has no columns."""
@@ -930,6 +1080,58 @@ class TestBatchedBuild:
             sl = prob.y_slice(i)
             want[sl, sl] = to_dense(_csr_gram(s.Bbar))
         assert np.array_equal(to_dense(gram), want)
+
+
+    @pytest.mark.parametrize("n, m", [(40, 5), (5, 40), (7, 7), (1, 3),
+                                      (3, 0)])
+    def test_lower_inverses_match_dtrtri(self, n, m):
+        # forward substitution over the stack (n >= m) or dtrtri per block
+        # (n < m): lower triangular, and LAPACK's inverse to rounding
+        rng = np.random.default_rng(100 * n + m)
+        X = rng.normal(size=(n, m, m + 3))
+        low = msolver._batched_cholesky(X @ X.transpose(0, 2, 1))
+        got = msolver._lower_inverses(low)
+        assert got.shape == low.shape
+        for g, lo in zip(got, low):
+            if not m:
+                continue
+            want = sla.lapack.dtrtri(lo, lower=1)[0]
+            assert np.array_equal(np.triu(g, 1), np.zeros((m, m)))
+            assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_condition_check_is_exact_and_names_the_first_block(self):
+        # blocks 4, 7 and 9 of a stack of 12 are ill-conditioned, block 4
+        # only a few times over the bound (2-norm condition 10^8.5): the
+        # first is named, with ||G||_1 ||G^-1||_1, which is at least LAPACK
+        # dpocon's estimate; the others pass as they did under dpocon
+        rng = np.random.default_rng(67)
+        m = 5
+        grams = []
+        for k in range(12):
+            U, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            low = {4: -8.5, 7: -10, 9: -10}.get(k, -3)
+            ev = np.logspace(0, low, m)
+            grams.append(0.5 * ((U * ev) @ U.T + ((U * ev) @ U.T).T))
+        grams = np.array(grams)
+        idx = np.arange(12) + 100
+        with pytest.raises(StrategyPrecondition,
+                           match=r"^gram 104 of condition at most 1e\+08 "
+                           r"\(1-norm condition ") as exc:
+            msolver._checked_inverses([grams], [idx], 1e8, "gram {i}")
+        cond = float(str(exc.value).rsplit(" ", 1)[1].rstrip(")"))
+        # the message prints two digits
+        assert cond == pytest.approx(np.linalg.cond(grams[4], 1), rel=0.05)
+        for gram in grams:
+            low = np.linalg.cholesky(gram)
+            rcond, _ = sla.lapack.dpocon(low, np.abs(gram).sum(axis=0).max(),
+                                         uplo="L")
+            inv = msolver._gram_inverses(low[None])[0]
+            exact = np.abs(gram).sum(axis=0).max() * np.abs(inv).sum(
+                axis=0).max()
+            assert exact >= (1.0 - 1e-9) / rcond
+        ok = np.delete(grams, [4, 7, 9], axis=0)
+        invs = msolver._checked_inverses([ok], [idx[:9]], 1e8, "gram {i}")
+        assert np.allclose(invs[0] @ ok, np.eye(m), atol=1e-9)
 
 
 def parent_chol_m(problem, jbar=None):
@@ -1209,21 +1411,6 @@ def structures(draw):
     shared = equal and draw(st.booleans())
     return (sizes, draw(st.integers(1, 5)), shared, shared and draw(st.booleans()),
             draw(st.integers(0, 2**32 - 1)))
-
-
-def exactly_positive_definite(A):
-    """Whether the symmetric matrix ``A`` of Fractions is positive definite:
-    Gaussian elimination without pivoting, whose pivots are the ratios of
-    its leading principal minors, meets only positive ones."""
-    A = [row[:] for row in A]
-    for k in range(len(A)):
-        if A[k][k] <= 0:
-            return False
-        for i in range(k + 1, len(A)):
-            f = A[i][k] / A[k][k]
-            for j in range(k, len(A)):
-                A[i][j] -= f * A[k][j]
-    return True
 
 
 def own_m(sol, mbar):
