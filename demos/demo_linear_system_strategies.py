@@ -3,9 +3,9 @@
 M = B B* + Bbar Bbar* + Jbar ties all scenarios together through the
 first-stage columns.  This script builds one random structure and walks the
 available factorizations: full Cholesky, the Woodbury reduction to a small
-first-stage system (with exact or diagonalized scenario grams; in its
-factored form when B is stored dense, shown next to a facility-location
-relaxation whose sparse B keeps the other form), and the proximal choices
+first-stage system (with exact or diagonalized scenario grams; in the
+form the cost model prices lower, shown on two facility-location
+relaxations with sparse B, one on each side), and the proximal choices
 of Jbar that make M block diagonal so every scenario can be solved
 independently.
 """
@@ -15,7 +15,8 @@ import numpy as np
 from dbasolve import build_msolver
 from dbasolve.builders import build_ufl_dnn, random_ufl
 from dbasolve.model import DBAProblem, ScenarioBlock
-from dbasolve.msolver import (assemble_m_dense, ebj_block_diag_J,
+from dbasolve.msolver import (_column_support, _factored_form,
+                              assemble_m_dense, ebj_block_diag_J,
                               std_block_diag_J)
 from dbasolve.proxcone import NonnegOrthant, Zero
 
@@ -35,10 +36,12 @@ h = rng.normal(size=problem.mbar)
 
 def compare_with_dense(problem, h):
     """chol and smw against a dense assembly and solve.  smw solves in its
-    factored form, D^-1 h - R (R^T h), when B is stored dense, and in the
-    Woodbury form through G_SS when B is stored sparse."""
+    factored form, D^-1 h - R (R^T h), or in the Woodbury form through
+    G_SS, whichever the cost model prices lower: the factored one always
+    when B is stored dense."""
     reference = np.linalg.solve(assemble_m_dense(problem), h)
     dense_b = isinstance(problem.B.matrix, np.ndarray)
+    factored = _factored_form(problem, _column_support(problem.B.matrix).size)
     print("%d rows over %d scenarios, B stored %s"
           % (problem.mbar, problem.N, "dense" if dense_b else "sparse"))
     for strategy in ("chol", "smw"):
@@ -47,16 +50,19 @@ def compare_with_dense(problem, h):
                / np.linalg.norm(reference))
         label = strategy
         if strategy == "smw":
-            label += " (factored)" if dense_b else " (G_SS form)"
+            label += " (factored)" if factored else " (G_SS form)"
         print("  %-17s matches dense solve, rel err %.2e" % (label, err))
 
 
 # reference: dense assembly and solve
 print("coupled system:", end=" ")
 compare_with_dense(problem, h)
-ufl = build_ufl_dnn(random_ufl(5, 140, seed=1))
-print("facility location:", end=" ")
-compare_with_dense(ufl, np.random.default_rng(2).normal(size=ufl.mbar))
+# 5 facilities: R has 5 dense columns; 40: the G_SS form's sparse products
+# cost less than R's 40 columns
+for p, q in ((5, 140), (40, 20)):
+    ufl = build_ufl_dnn(random_ufl(p, q, seed=1))
+    print("facility location:", end=" ")
+    compare_with_dense(ufl, np.random.default_rng(2).normal(size=ufl.mbar))
 
 # the diagonalizing choice changes M itself: check its own residual
 sol = build_msolver(problem, "smw-diag")

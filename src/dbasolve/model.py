@@ -12,7 +12,6 @@ function over x|xbar.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,11 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blocklinalg import (BlockDiagOp, StackedOp, _norm, all_finite,
-                          canonicalize, compact_for_matvec, mv, to_dense,
-                          transposed)
+                          canonicalize, compact_for_matvec, mv, shallow_copy,
+                          to_dense, transposed)
 from .errors import DimensionMismatch, NonFiniteData
 from .proxcone import (BlockCone, BlockFunction, Cone, SeparableFunction,
-                       conjugate_value, prox)
+                       prox)
 
 _RANK_CHECK_DIM = 500
 
@@ -117,7 +116,7 @@ class DBAProblem:
                 "cost has shape %s, expected %s" % (c.shape, self.c.shape))
         if not all_finite(c):
             raise NonFiniteData("NaN or Inf in c")
-        out = copy.copy(self)
+        out = shallow_copy(self)
         out.c = c
         out.cc = np.concatenate((c, self.cbar))
         return out
@@ -326,14 +325,21 @@ def dual_objective(problem, dual, feas_tol=1e-8):
     read as in :func:`kkt_full`.
 
     Returns ``-inf`` when any conjugate is infinite beyond the clamp."""
-    conj = (conjugate_value(problem.joint_theta, -dual.vv, feas_tol)
-            + conjugate_value(problem.joint_cone, -dual.zz, feas_tol))
+    return _dual_objective(problem, dual.y, dual.ybar, dual.zz, dual.vv,
+                           feas_tol)
+
+
+def _dual_objective(problem, y, ybar, zz, vv, feas_tol):
+    """:func:`dual_objective` at the multipliers ``zz = z|zbar`` and
+    ``vv = v|vbar`` as given."""
+    conj = (problem.joint_theta.conjugate(-vv, feas_tol)
+            + problem.joint_cone.support(-zz, feas_tol))
     if not np.isfinite(conj):
         return -np.inf
     total = -conj
     if problem.A is not None:
-        total += float(problem.b @ dual.y)
-    return total + float(problem.bbar @ dual.ybar)
+        total += float(problem.b @ y)
+    return total + float(problem.bbar @ ybar)
 
 
 def kkt_residues(problem, point, dual, feas_tol=1e-8):
@@ -398,22 +404,31 @@ def joint_linear_residues(problem, xx, d_res, d_res_bar, denoms):
         eta_Dbar=_norm(d_res_bar) / den_Dbar)
 
 
-def kkt_full(problem, xx, dual, feas_tol=1e-8, denoms=None):
+def kkt_full(problem, xx, dual, feas_tol=1e-8, denoms=None, sums=None,
+             lin=None):
     """Residues plus both objective values (computed once) at the primal
     point ``xx = x|xbar``, with the operators of the sGS sweep: one ``W``
     product each way, one projection onto the joint cone and one prox of
     the joint function, whose first ``n0`` entries give the first-stage
     residues and the rest the scenario ones.  ``dual`` is read through its
-    ``y``, ``ybar``, ``zz = z|zbar`` and ``vv = v|vbar`` attributes, so a
-    ``DualPoint`` or a solver state will do; no argument is written to.
-    ``denoms`` is :func:`residue_denominators` of ``problem``, computed
-    here when not given."""
+    ``y``, ``ybar``, ``zz = z|zbar`` and ``vv = v|vbar`` attributes, each
+    once, so a ``DualPoint`` or a solver state will do; no argument is
+    written to.  ``denoms`` is :func:`residue_denominators` of ``problem``,
+    computed here when not given.
+
+    A caller that holds them passes ``sums``, the :func:`joint_dual_sums`
+    at ``dual``, and ``lin``, the :func:`joint_linear_residues` at
+    ``(xx, dual)``; given, they are not recomputed (``sums`` is read only
+    to form ``lin``), and the result is the same bit for bit."""
     n0 = problem.n0
     zz, vv = dual.zz, dual.vv
-    DD = joint_dual_sums(problem, dual.y, dual.ybar, zz, vv) - problem.cc
-    if denoms is None:
-        denoms = residue_denominators(problem)
-    lin = joint_linear_residues(problem, xx, DD[:n0], DD[n0:], denoms)
+    if lin is None:
+        if sums is None:
+            sums = joint_dual_sums(problem, dual.y, dual.ybar, zz, vv)
+        DD = sums - problem.cc
+        if denoms is None:
+            denoms = residue_denominators(problem)
+        lin = joint_linear_residues(problem, xx, DD[:n0], DD[n0:], denoms)
 
     def split(r, w):
         """The relative norms of ``r``'s two stages, scaled by the point's
@@ -429,7 +444,7 @@ def kkt_full(problem, xx, dual, feas_tol=1e-8, denoms=None):
               lin.eta_Pbar, lin.eta_Dbar, 0.2 * eta_Kbar, 0.2 * eta_thetabar)
 
     obj_p = _primal_objective(problem, xx)
-    obj_d = dual_objective(problem, dual, feas_tol)
+    obj_d = _dual_objective(problem, dual.y, dual.ybar, zz, vv, feas_tol)
     if np.isfinite(obj_d):
         eta_gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
     else:

@@ -35,18 +35,21 @@ lam_i from one batched ``eigvalsh`` for its small blocks and from
 G = I + B* D^{-1} B is the identity off the set S of columns where B has
 stored entries, and B* D^{-1} h vanishes there, so both SMW forms build
 only G_SS = I + B_S* D^{-1} B_S.  With S empty (B = 0), M^{-1} = D^{-1}.
-``smw`` solves in one of two forms, chosen by storage (:func:`_factored_form`):
+``smw`` solves in one of two forms, the cheaper by the two estimates of
+:func:`m_solve_cost_ns` (:func:`_factored_form`), which ``auto`` prices:
 
-* B stored dense and G_SS Cholesky-factored (|S| <= ``_G_CHOL_DIM``): the
-  build keeps R = D^{-1} B_S L_G^{-T}, mbar x |S|, from the D^{-1} B_S and
-  the factor L_G that the G_SS build forms anyway, and a solve is
-  M^{-1} h = D^{-1} h - R (R^T h): one D^{-1} apply and two GEMVs over an
-  array of the shape of the dense B_S;
-* otherwise (B stored sparse, a PCG G-solve, and ``smw-diag``) a solve
-  applies D^{-1} twice, keeps the entries S of B* u, solves with G_SS and
-  applies B to w scattered into a zero n0-vector.  A sparse B keeps this
-  form because its products cost B's stored entries, where R would be
-  dense: on facility location, mbar x |S| against about one entry per row.
+* the factored form, when G_SS is Cholesky-factored (|S| <=
+  ``_G_CHOL_DIM``): the build keeps R = D^{-1} B_S L_G^{-T}, a dense
+  mbar x |S| array, from the D^{-1} B_S and the factor L_G that the G_SS
+  build forms anyway, and a solve is M^{-1} h = D^{-1} h - R (R^T h): one
+  D^{-1} apply and two GEMVs.  It always wins with B stored dense, whose
+  B_S the other form multiplies by twice, and with a CSR B while |S| is
+  small against the fixed cost of the other form's extra calls;
+* the ``G_SS`` form (a PCG G-solve and ``smw-diag`` take it too) applies
+  D^{-1} twice, keeps the entries S of B* u, solves with G_SS and applies
+  B to w scattered into a zero n0-vector.  Its products with a CSR B cost
+  B's stored entries, where R is dense: it wins where mbar |S| is large
+  against them, as on facility location with many facilities.
 """
 
 from __future__ import annotations
@@ -107,9 +110,9 @@ def auto_candidates(problem):
 #         every Bbar_i is stored alike, the GEMM of h reshaped to (N, m)
 #         (1.0 ns per entry of h and 0.034 ns per multiply-add over and
 #         above the call, fitted to N x m from 12 x 4 to 20 x 200).
-#         - The factored form (dense B, |S| <= _G_CHOL_DIM) makes one pass
-#           and two GEMVs with R: 7.7 us + 3.1 ns per row + 0.39 ns per
-#           entry of R, fitted over whole solves on 22 dense-B instances
+#         - The factored form (|S| <= _G_CHOL_DIM) makes one pass and two
+#           GEMVs with R: 7.7 us + 3.1 ns per row + 0.39 ns per entry of
+#           R, fitted over whole solves on 22 dense-B instances
 #           (random_two_stage with mbar 16-10000, shared grams, ragged
 #           blocks, random_sdp and small facility-location relaxations;
 #           estimates within 30%).
@@ -120,24 +123,34 @@ def auto_candidates(problem):
 #           location up to mbar 6300 and random CSR B; estimates within
 #           35%).
 def m_solve_cost_ns(problem):
-    """Estimated ns per M solve: ``(chol, smw)``."""
-    m = np.asarray(problem.m_i)
-    Bm = problem.B.matrix
-    s = float(_column_support(Bm).size)
+    """Estimated ns per M solve: ``(chol, smw)``, ``smw`` in the form that
+    :func:`_factored_form` picks, the cheaper of :func:`smw_form_costs`."""
     mbar = float(problem.mbar)
     chol = 4000.0 + 0.66 * mbar ** 2
+    factored, other = smw_form_costs(
+        problem, _column_support(problem.B.matrix).size)
+    return chol, min(factored, other)
+
+
+def smw_form_costs(problem, n_support):
+    """Estimated ns per ``smw`` solve, ``(factored, other)``: the factored
+    form (``inf`` when G_SS, of order ``n_support`` = |S|, is solved by
+    PCG) and the G_SS form."""
+    m = np.asarray(problem.m_i)
+    Bm = problem.B.matrix
+    s = float(n_support)
+    mbar = float(problem.mbar)
     entries = float(np.sum(m * m))
     if _identical_blocks(problem.Bbar.blocks):
         dinv = 1.0 * mbar + 0.034 * entries
     else:
         dinv = 0.45 * entries + 0.75 * mbar
-    if _factored_form(Bm, s):
-        smw = 7700.0 + dinv + 3.1 * mbar + 0.39 * mbar * s
-    else:
-        stored = Bm.nnz if sp.issparse(Bm) else mbar * s
-        smw = (13600.0 + 2.0 * dinv + 3.2 * mbar + 2.2 * stored
-               + 0.66 * s ** 2)
-    return chol, smw
+    factored = (7700.0 + dinv + 3.1 * mbar + 0.39 * mbar * s
+                if n_support <= _G_CHOL_DIM else np.inf)
+    stored = Bm.nnz if sp.issparse(Bm) else mbar * s
+    other = (13600.0 + 2.0 * dinv + 3.2 * mbar + 2.2 * stored
+             + 0.66 * s ** 2)
+    return factored, other
 
 
 def _identical_blocks(blocks):
@@ -390,7 +403,7 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
                            > DENSE_FALLBACK_DENSITY * float(problem.n0) ** 2):
         G = to_dense(G)
     g_solve, reads_tol, g_low = _make_g_solver(G)
-    if not diagonal and _factored_form(Bm, S.size):
+    if not diagonal and _factored_form(problem, S.size):
         # R = D^{-1} B_S L_G^{-T}, so that D^{-1} B_S G_SS^{-1} B_S* D^{-1}
         # = R R^T; a GEMM with L_G^{-1} takes about half the time of a
         # triangular solve with the mbar columns of (D^{-1} B_S)^T
@@ -409,14 +422,12 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
     return MSolver(problem, strategy, apply_jbar, impl, reads_tol)
 
 
-def _factored_form(Bm, n_support):
-    """Whether ``smw`` with B stored as ``Bm`` solves as D^{-1} h - R (R^T h):
-    when ``Bm`` is dense and G_SS, of order ``n_support``, is
-    Cholesky-factored.  Then R, mbar x |S|, is no larger than the dense B_S
-    that the other form multiplies by twice.  A sparse B keeps the other
-    form, whose products with B cost its stored entries, not mbar |S|;
-    so does a PCG G-solve."""
-    return isinstance(Bm, np.ndarray) and n_support <= _G_CHOL_DIM
+def _factored_form(problem, n_support):
+    """Whether ``smw`` solves as D^{-1} h - R (R^T h): when its estimate in
+    :func:`smw_form_costs` is at most the G_SS form's, for the column
+    support S of B of size ``n_support``.  A PCG G-solve never does."""
+    factored, other = smw_form_costs(problem, n_support)
+    return factored <= other
 
 
 def _build_block_diag(problem, jbar):

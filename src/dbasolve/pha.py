@@ -136,8 +136,10 @@ def pha_solve(problem, config=None):
     xhat = np.zeros(n0)                 # consensus
 
     sub_tol_final = _SUB_FACTOR * cfg.tol_nonant
-    # the scales of the averaged point's residues depend on the data only
+    # the scales of the averaged point's residues and the probabilities
+    # per scenario row and column depend on the data only
     denoms = residue_denominators(problem)
+    weights = (np.repeat(probs, problem.m_i), np.repeat(probs, problem.n_i))
     log_rows = []
     status = "MaxIter"
     k = 0
@@ -164,8 +166,9 @@ def pha_solve(problem, config=None):
             1.0 + np.linalg.norm(xhat))
 
         primal = PrimalPoint(xhat, rep.primal.xbar)
-        dual = _averaged_dual(problem, probs, rep)
-        res, obj_p, obj_d = kkt_full(problem, primal.xx, dual, denoms=denoms)
+        dual, sums = _averaged_dual(problem, probs, weights, rep)
+        res, obj_p, obj_d = kkt_full(problem, primal.xx, dual, denoms=denoms,
+                                     sums=sums)
         log_rows.append((k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                          res.eta_Pbar, res.eta_Dbar, res.eta_Kbar,
                          res.eta_thetabar, res.eta, res.eta_gap, rho, obj_p,
@@ -181,7 +184,7 @@ def pha_solve(problem, config=None):
 
     if not log_rows:
         primal = PrimalPoint(xhat, [np.zeros(n) for n in problem.n_i])
-        dual = _averaged_dual(problem, probs, rep)
+        dual = _averaged_dual(problem, probs, weights, rep)[0]
         res = kkt_residues(problem, primal, dual)
         obj_p = primal_objective(problem, primal)
         obj_d = dual_objective(problem, dual)
@@ -194,14 +197,17 @@ def pha_solve(problem, config=None):
     )
 
 
-def _averaged_dual(problem, probs, rep):
+def _averaged_dual(problem, probs, weights, rep):
     """Dual candidate at the averaged point, assembled from the
     probability-scaled duals of the bundle report ``rep`` (zero before the
-    first subsolve).
+    first subsolve), and its :func:`~dbasolve.model.joint_dual_sums`.
 
     Scenario multipliers scale by p_i (the subproblems carry unweighted
-    costs); v and vbar are then defined through the dual constraints so the
-    remaining error shows up in the prox and cone residues.
+    costs), ``weights`` holding p_i repeated over the rows and over the
+    columns of scenario i; v and vbar are then defined through the dual
+    constraints so the remaining error shows up in the prox and cone
+    residues.  The sums are the ones at ``vv = 0`` plus ``vv``, which is
+    how :func:`~dbasolve.model.joint_dual_sums` adds them.
     """
     if rep is None:
         y, z = np.zeros(problem.m0), np.zeros(problem.n0)
@@ -210,9 +216,11 @@ def _averaged_dual(problem, probs, rep):
         d = rep.dual
         y = probs @ d.y.reshape(problem.N, problem.m0)
         z = probs @ d.z.reshape(problem.N, problem.n0)
-        ybar = np.repeat(probs, problem.m_i) * d.ybar
-        zbar = np.repeat(probs, problem.n_i) * d.zbar
+        ybar = weights[0] * d.ybar
+        zbar = weights[1] * d.zbar
     zz = np.concatenate((z, zbar))
-    vv = problem.cc - joint_dual_sums(problem, y, ybar, zz, 0.0)
+    S0 = joint_dual_sums(problem, y, ybar, zz, 0.0)
+    vv = problem.cc - S0
+    S0 += vv
     return DualPoint(y=y, ybar=ybar, z=z, zbar=zbar, v=vv[:problem.n0],
-                     vbar=vv[problem.n0:])
+                     vbar=vv[problem.n0:]), S0

@@ -222,6 +222,8 @@ class DiagQuadratic(SeparableFunction):
             raise DimensionMismatch("diagonal quadratic requires q >= 0")
         self.diag = diag
         self.dim = diag.size
+        # without a zero on the diagonal the conjugate needs no masks
+        self.has_zero = bool((diag == 0.0).any())
 
     def value(self, x):
         return 0.5 * float(self.diag @ (np.asarray(x) ** 2))
@@ -231,6 +233,8 @@ class DiagQuadratic(SeparableFunction):
 
     def conjugate(self, w, feas_tol):
         w = np.asarray(w, dtype=np.float64)
+        if not self.has_zero:
+            return 0.5 * float(np.sum(w ** 2 / self.diag))
         zero = self.diag == 0.0
         if np.any(np.abs(w[zero]) > feas_tol):
             return np.inf
@@ -351,6 +355,9 @@ def _blockwise_clamp(part, w, starts, feas_tol):
     if not isinstance(part, (NonnegOrthant, FreeSpace, Box, Zero)):
         # PsdCone, DiagQuadratic and BlockCone parts clamp per block themselves
         return conjugate_value(part, w, feas_tol)
+    if isinstance(part, NonnegOrthant) and w.max() <= feas_tol:
+        # every block's clamp is at least feas_tol (a NaN fails this test)
+        return 0.0
     norms = np.sqrt(np.add.reduceat(w * w, starts))
     tol = feas_tol if isinstance(part, Zero) else feas_tol * (1.0 + norms)
     if isinstance(part, Box):
@@ -441,8 +448,7 @@ class BlockFunction(_Blocks, SeparableFunction):
                 # a nonnegative diagonal times alpha > 0 stays one
                 diag = part.diag.copy()
                 diag[slice(n - first) if contiguous else where < n] *= alpha
-                part = shallow_copy(part)
-                part.diag = diag
+                part = DiagQuadratic(diag)
             elif first < n:
                 # a merged Zero, or a lone head block (of no merged kind)
                 part = (scaled[id(part)] if id(part) in scaled

@@ -134,13 +134,17 @@ class SolveSetup:
     ``scale`` 1).  All of it depends on ``A``, ``B``, ``Bbar``, the
     first-stage cone and function kinds and the config's ``strategy``
     only, so one setup serves every solve of problems sharing those,
-    whatever their costs.  Unpacks as ``(msolver, afactor)``."""
+    whatever their costs.  Those problems differ in costs only: ``b`` and
+    ``bbar`` too are the ones it was built for, and ``rhs_memo`` keeps the
+    :func:`_composed_rhs` terms that read them, computed at the first solve
+    (``None`` before it).  Unpacks as ``(msolver, afactor)``."""
 
-    __slots__ = ("msolver", "afactor", "scale", "ops")
+    __slots__ = ("msolver", "afactor", "scale", "ops", "rhs_memo")
 
     def __init__(self, msolver, afactor, scale, ops):
         self.msolver, self.afactor = msolver, afactor
         self.scale, self.ops = scale, ops
+        self.rhs_memo = None
 
     def __iter__(self):
         return iter((self.msolver, self.afactor))
@@ -615,7 +619,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     # without theta, theta*(-v) is the indicator of v = 0: v|vbar stays 0
     # (ALM's sweep has no v step) and ADMM's sweep solves for ybar once
     v_free = problem.joint_theta.is_zero
-    rhs = _composed_rhs(work, msol, facA) if cfg.max_iter else None
+    rhs = _composed_rhs(work, msol, facA, setup) if cfg.max_iter else None
     st, sigma = _start(work, cfg, initial, scale)
     if v_free:
         st.vv = np.zeros_like(st.vv)
@@ -655,10 +659,14 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         # eta is at least each linear residue, so the full check (cone and
         # prox residues, objectives, gap) runs only once all four pass;
         # kkt_full only reads its arguments, so at scale 1 the state goes
-        # in uncopied
+        # in uncopied, with the iteration's dual sums and linear residues,
+        # which are the state's own (at another scale they are the scaled
+        # problem's, and kkt_full forms the problem's)
+        held = {"sums": sums, "lin": lin} if scale == 1.0 else {}
         if eta_lin <= cfg.tol_kkt:
             pt = _unscaled(st, scale)
-            res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms)
+            res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms,
+                                         **held)
             row = (k, res.eta_P, res.eta_D, res.eta_K, res.eta_theta,
                    res.eta_Pbar, res.eta_Dbar, res.eta_Kbar, res.eta_thetabar,
                    res.eta, res.eta_gap, sigma, obj_p, obj_d, inner_iters)
@@ -720,7 +728,9 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         obj_p = primal_objective(problem, primal)
         obj_d = dual_objective(problem, dual)
     elif res is None:
-        res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms)
+        # no step followed the last row, so its sums are the state's
+        res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms,
+                                     **held)
         if scale != 1.0:
             # the last row's linear residues become the returned point's
             row = list(log_rows[-1])
@@ -736,16 +746,28 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     )
 
 
-def _composed_rhs(problem, msol, facA):
+def _composed_rhs(problem, msol, facA, setup=None):
     """``(M^{-1} bbar, c, A* c)`` with ``c = (A A* + J)^{-1} b``: the
     right-hand-side terms of the composed ybar and y steps, each ``None``
-    where the setup composes nothing.  They read ``b`` and ``bbar``, so a
-    solve computes its own and the setup stays free of them."""
-    mb = None if msol.minv_w is None else msol.solve(problem.bbar)
+    where the setup composes nothing.  With ``setup``, whose ``msolver``
+    and ``afactor`` are ``msol`` and ``facA``, they are kept in its
+    ``rhs_memo``, keyed on the identity of the ``b`` and ``bbar`` arrays
+    they read: the problems a setup serves differ in costs only, and
+    :meth:`~dbasolve.model.DBAProblem.with_cost` shares both arrays, so
+    a setup computes them once and every later solve reads them."""
+    b, bbar = problem.b, problem.bbar
+    memo = setup.rhs_memo if setup is not None else None
+    if memo is not None and memo[0] is b and memo[1] is bbar:
+        return memo[2]
+    mb = None if msol.minv_w is None else msol.solve(bbar)
     if facA is None or facA.L is None:
-        return mb, None, None
-    c = facA.solve(problem.b)
-    return mb, c, mv(problem.A_T, c)
+        rhs = mb, None, None
+    else:
+        c = facA.solve(b)
+        rhs = mb, c, mv(problem.A_T, c)
+    if setup is not None:
+        setup.rhs_memo = (b, bbar, rhs)
+    return rhs
 
 
 def _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg):

@@ -752,7 +752,8 @@ def column_structure(rng, cols, N=5, n0=9, m=3):
 
 
 FIXED_RECOURSE = [
-    # B stored dense (N = 2, 7) and CSR (N = 140)
+    # B stored dense (N = 2, 7) and CSR (N = 140, priced to the factored
+    # form)
     lambda: build_ufl_dnn(random_ufl(3, 2, seed=2)),
     lambda: build_ufl_dnn(random_ufl(3, 7, seed=7)),
     lambda: build_ufl_dnn(random_ufl(5, 140, seed=1)),
@@ -761,7 +762,17 @@ FIXED_RECOURSE = [
     # identical grams, distinct B_i
     lambda: random_structure(np.random.default_rng(51), equal=True,
                              bbar_shared=True),
+    # B stored CSR with 40 support columns over 820 rows: priced to the
+    # G_SS form
+    lambda: build_ufl_dnn(random_ufl(40, 20, seed=1)),
 ]
+
+
+def priced_factored(prob):
+    """Whether the cost model sends ``prob``'s smw solve to the factored
+    form."""
+    return msolver._factored_form(
+        prob, msolver._column_support(prob.B.matrix).size)
 
 
 class TestFixedRecourse:
@@ -773,9 +784,8 @@ class TestFixedRecourse:
         hs = [rng.normal(size=prob.mbar) for _ in range(3)]
         sol = build_msolver(prob, "smw")
         got = [sol.solve(h) for h in hs]
-        # one GEMM per solve in the factored form (B stored dense), two in
-        # the other (B stored CSR)
-        per_solve = 1 if isinstance(prob.B.matrix, np.ndarray) else 2
+        # one GEMM per solve in the factored form, two in the G_SS form
+        per_solve = 1 if priced_factored(prob) else 2
         assert gemms == [prob.N] * (3 * per_solve)
         Md = assemble_m_dense(prob)
         for h, y in zip(hs, got):
@@ -790,7 +800,8 @@ class TestFixedRecourse:
 
     def test_one_gram_factored_checked_and_inverted(self, monkeypatch):
         # 150 identical grams: one factorization, one exact condition check
-        # under auto's bound (no dpocon estimate), one dtrtri
+        # under auto's bound (no dpocon estimate), one dtrtri for the gram
+        # and one for L_G, since the cost model picks the factored form
         prob = build_ufl_dnn(random_ufl(10, 150, seed=1))
         counts = {"factor": [], "checked": [], "dpocon": 0, "dtrtri": 0}
         orig_factor = msolver._factor_blocks
@@ -810,7 +821,7 @@ class TestFixedRecourse:
         assert build_msolver(prob).strategy == "smw"
         assert counts == {"factor": [1],
                           "checked": [(1, msolver._AUTO_MAX_COND)],
-                          "dpocon": 0, "dtrtri": 1}
+                          "dpocon": 0, "dtrtri": 2}
 
     @pytest.mark.parametrize("strategy", ["smw", "smw-diag"])
     @pytest.mark.parametrize("cols", [[4], [1, 5, 8]])
@@ -935,19 +946,22 @@ FACTORED_CASES = {
     "zero-row-scenarios": lambda: oracle_structure([0, 3, 2, 0, 4], 4, False,
                                                    False, 64),
     "b-zero": lambda: zero_b_structure(np.random.default_rng(65)),
+    # B stored CSR, |S| = 5 over 840 rows
+    "csr-facility": lambda: build_ufl_dnn(random_ufl(5, 140, seed=1)),
 }
 
 
 class TestFactoredForm:
-    """smw with B stored dense and G_SS factored solves M^{-1} h as
-    D^{-1} h - R (R^T h), R = D^{-1} B_S L_G^{-T}; a sparse B, smw-diag and a
-    PCG G-solve keep the other form."""
+    """smw with G_SS factored solves M^{-1} h as D^{-1} h - R (R^T h),
+    R = D^{-1} B_S L_G^{-T}, where the cost model prices that form at most
+    the other (always with B stored dense); smw-diag and a PCG G-solve keep
+    the other form."""
 
     @pytest.mark.parametrize("name", sorted(FACTORED_CASES))
     def test_matches_dense_and_per_scenario_reference(self, monkeypatch,
                                                       name):
         prob = FACTORED_CASES[name]()
-        assert isinstance(prob.B.matrix, np.ndarray)
+        assert sp.issparse(prob.B.matrix) == (name == "csr-facility")
         forms = spy_forms(monkeypatch)
         sol = build_msolver(prob, "smw")
         # with B = 0, M = D: no G, no R
@@ -1008,12 +1022,13 @@ class TestFactoredForm:
 
     @pytest.mark.parametrize("case", ["sparse-b", "smw-diag", "pcg"])
     def test_other_form_where_it_applies(self, monkeypatch, case):
-        # a B stored CSR (facility location at N = 140), smw-diag and a
-        # G_SS above _G_CHOL_DIM keep D^{-1} h - D^{-1} B_S G^{-1} B_S* D^{-1} h
+        # a B stored CSR that the cost model prices to the G_SS form
+        # (facility location with 40 facilities), smw-diag and a G_SS above
+        # _G_CHOL_DIM keep D^{-1} h - D^{-1} B_S G^{-1} B_S* D^{-1} h
         strategy = "smw-diag" if case == "smw-diag" else "smw"
         if case == "sparse-b":
-            prob = build_ufl_dnn(random_ufl(5, 140, seed=1))
-            assert sp.issparse(prob.B.matrix)
+            prob = build_ufl_dnn(random_ufl(40, 20, seed=1))
+            assert sp.issparse(prob.B.matrix) and not priced_factored(prob)
         else:
             prob = FACTORED_CASES["distinct-ragged"]()
         if case == "pcg":
@@ -1028,6 +1043,37 @@ class TestFactoredForm:
             y, want = sol.solve(h, tol=1e-14), ref_solve(h)
             tol = 1e-10 if case == "pcg" else 1e-13
             assert np.linalg.norm(y - want) <= tol * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("make, factored", [
+        # the ufl-dnn benchmark instance, B stored CSR
+        (lambda: build_ufl_dnn(random_ufl(10, 150, seed=1)), True),
+        (lambda: build_ufl_dnn(random_ufl(40, 20, seed=1)), False),
+        (lambda: random_two_stage(5, 20, 5, 15, N=30, seed=1,
+                                  quad_eps=0.1), True),
+    ])
+    def test_form_is_the_cheaper_estimate(self, monkeypatch, make, factored):
+        # the build takes the form the cost model prices lower, and auto's
+        # smw price is that form's
+        prob = make()
+        costs = msolver.smw_form_costs(
+            prob, msolver._column_support(prob.B.matrix).size)
+        assert (costs[0] <= costs[1]) == factored
+        assert msolver.m_solve_cost_ns(prob)[1] == min(costs)
+        forms = spy_forms(monkeypatch)
+        build_msolver(prob, "smw")
+        assert forms == ["factored" if factored else "smw"]
+
+    def test_ufl_dnn_prices(self):
+        # |S| = 10 columns over mbar = 1650 rows: 21.5 us factored against
+        # 26.8 us in the G_SS form
+        prob = build_ufl_dnn(random_ufl(10, 150, seed=1))
+        assert msolver.smw_form_costs(prob, 10) == pytest.approx(
+            (21.5e3, 26.8e3), abs=50.0)
+
+    def test_pcg_g_solve_prices_no_factored_form(self):
+        prob = FACTORED_CASES["distinct-ragged"]()
+        assert msolver.smw_form_costs(prob, msolver._G_CHOL_DIM + 1)[0] \
+            == np.inf
 
 
 def gram_structure(sizes, seed):
