@@ -117,22 +117,36 @@ def maybe_densify(mat):
     return mat
 
 
-def mv(op, x):
-    """Matrix-vector product returning a 1-d ndarray for dense or sparse op.
+def mv(op, x, out=None):
+    """Matrix-vector product returning a 1-d ndarray for dense or sparse op;
+    with ``out``, a contiguous float64 vector of the result's length, it is
+    written there (by the same product or kernel, or copied) and ``out``
+    is returned.
 
     A float64 CSR matrix times a float64 vector of matching length is one
     call of the kernel that ``op @ x`` ends in, on the same zero-filled
     output, so the result is bit-identical; calling it directly skips
     SciPy's operator dispatch, which costs about as much as the product on
     scenario-sized operators.  The kernel does not check bounds, so the
-    length check guards it: any other input goes through ``op @ x``."""
-    if type(op) is sp.csr_matrix and type(x) is np.ndarray:
-        m, n = op.shape
-        if x.shape == (n,) and x.dtype == _F64 and op.data.dtype == _F64:
-            out = np.zeros(m)
-            _csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
-            return out
-    return np.asarray(op @ x).ravel()
+    length check guards it.  A plain 2-d ndarray times a 1-d ndarray is
+    ``op @ x`` itself, already a 1-d ndarray.  Any other input goes through
+    ``np.asarray(op @ x).ravel()``."""
+    if type(x) is np.ndarray:
+        if type(op) is np.ndarray and op.ndim == 2 and x.ndim == 1:
+            return op @ x if out is None else np.matmul(op, x, out=out)
+        if type(op) is sp.csr_matrix:
+            m, n = op.shape
+            if x.shape == (n,) and x.dtype == _F64 and op.data.dtype == _F64:
+                if out is None:
+                    out = np.zeros(m)
+                else:
+                    out.fill(0.0)
+                _csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
+                return out
+    if out is None:
+        return np.asarray(op @ x).ravel()
+    out[...] = np.asarray(op @ x).ravel()
+    return out
 
 
 def _norm(v):
@@ -259,21 +273,23 @@ def svec_maps(d):
 def svec(x):
     """Vectorize a symmetric matrix (or a stack of them): upper triangle,
     off-diagonals scaled by sqrt(2) so ``svec(x) @ svec(y) == trace(x @ y)``."""
-    x = np.asarray(x, dtype=np.float64)
+    if type(x) is not np.ndarray or x.dtype != _F64:
+        x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
     flat, scale, _, _ = svec_maps(d)
-    out = x.reshape(x.shape[:-2] + (d * d,))[..., flat]
+    out = x.reshape(x.shape[:-2] + (d * d,)).take(flat, axis=-1)
     out *= scale
     return out
 
 
 def smat(v, d):
     """Inverse of :func:`svec`, stacks included."""
-    v = np.asarray(v, dtype=np.float64)
+    if type(v) is not np.ndarray or v.dtype != _F64:
+        v = np.asarray(v, dtype=np.float64)
     if v.shape[-1:] != (svec_dim(d),):
         raise DimensionMismatch("svec length %d does not match dimension %d" % (v.size, d))
     _, _, gather, gscale = svec_maps(d)
-    out = v[..., gather]
+    out = v.take(gather, axis=-1)
     out /= gscale
     return out.reshape(v.shape[:-1] + (d, d))
 

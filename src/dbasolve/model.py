@@ -12,6 +12,7 @@ function over x|xbar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -367,10 +368,11 @@ def residue_denominators(problem):
             1.0 + nrm(problem.cbar))
 
 
-def linear_dual_sums(problem, y, ybar):
+def linear_dual_sums(problem, y, ybar, out=None):
     """``W*ybar`` with ``A*y`` added to its first ``n0`` entries: the part
-    of :func:`joint_dual_sums` that is linear in ``(y, ybar)``."""
-    S = mv(problem.W_T, ybar)
+    of :func:`joint_dual_sums` that is linear in ``(y, ybar)``; written
+    into ``out`` when given (see :func:`~dbasolve.blocklinalg.mv`)."""
+    S = mv(problem.W_T, ybar, out)
     if problem.A is not None:
         S[:problem.n0] += mv(problem.A_T, y)
     return S
@@ -396,12 +398,13 @@ def joint_linear_residues(problem, xx, d_res, d_res_bar, denoms):
     den_P, den_D, den_Pbar, den_Dbar = denoms
     eta_P = 0.0
     if problem.A is not None:
-        eta_P = _norm(mv(problem.A_mv, xx[:problem.n0]) - problem.b) / den_P
-    return LinearResidues(
-        eta_P=eta_P,
-        eta_D=_norm(d_res) / den_D,
-        eta_Pbar=_norm(mv(problem.W, xx) - problem.bbar) / den_Pbar,
-        eta_Dbar=_norm(d_res_bar) / den_Dbar)
+        r = mv(problem.A_mv, xx[:problem.n0]) - problem.b
+        eta_P = math.sqrt(r.dot(r)) / den_P
+    # the norms are _norm's sqrt(v.dot(v)), written out
+    r = mv(problem.W, xx) - problem.bbar
+    return LinearResidues(eta_P, math.sqrt(d_res.dot(d_res)) / den_D,
+                          math.sqrt(r.dot(r)) / den_Pbar,
+                          math.sqrt(d_res_bar.dot(d_res_bar)) / den_Dbar)
 
 
 def kkt_full(problem, xx, dual, feas_tol=1e-8, denoms=None, sums=None,

@@ -95,8 +95,19 @@ def auto_strategy(problem):
 def auto_candidates(problem):
     """The strategies ``auto`` builds, in order, until one builds:
     :func:`row_count_strategy` and then ``chol`` when that was ``smw``."""
-    general = row_count_strategy(problem)
-    return [general] + (["chol"] if general == "smw" else [])
+    return _auto_plan(problem)[0]
+
+
+def _auto_plan(problem):
+    """:func:`auto_candidates` and the ``smw`` form the cost model priced
+    for them, ``(S, factored)`` as :func:`_priced` gives it (``None``
+    without ``smw``), so that the ``smw`` build prices nothing again."""
+    if problem.mbar >= _SMW_DIAG_ROWS:
+        return ["smw-diag"], None
+    chol, smw, form = _priced(problem)
+    if chol <= smw:
+        return ["chol"], None
+    return ["smw", "chol"], form
 
 
 # Estimated time of one M solve in ns, from block shapes.  Timeit minima on
@@ -125,11 +136,18 @@ def auto_candidates(problem):
 def m_solve_cost_ns(problem):
     """Estimated ns per M solve: ``(chol, smw)``, ``smw`` in the form that
     :func:`_factored_form` picks, the cheaper of :func:`smw_form_costs`."""
+    return _priced(problem)[:2]
+
+
+def _priced(problem):
+    """:func:`m_solve_cost_ns` and the form it priced ``smw`` in:
+    ``(S, factored)``, the column support of ``B`` and whether the
+    factored form is the cheaper (:func:`_factored_form`)."""
     mbar = float(problem.mbar)
     chol = 4000.0 + 0.66 * mbar ** 2
-    factored, other = smw_form_costs(
-        problem, _column_support(problem.B.matrix).size)
-    return chol, min(factored, other)
+    S = _column_support(problem.B.matrix)
+    factored, other = smw_form_costs(problem, S.size)
+    return chol, min(factored, other), (S, factored <= other)
 
 
 def smw_form_costs(problem, n_support):
@@ -186,10 +204,7 @@ def row_count_strategy(problem):
     """The general strategy: ``smw-diag`` from 50 000 scenario rows on (its
     proximal term changes the iterates), otherwise the cheaper of ``chol``
     and ``smw`` per M solve by :func:`m_solve_cost_ns`."""
-    if problem.mbar >= _SMW_DIAG_ROWS:
-        return "smw-diag"
-    chol, smw = m_solve_cost_ns(problem)
-    return "chol" if chol <= smw else "smw"
+    return _auto_plan(problem)[0][0]
 
 
 def assemble_m_dense(problem, jbar=None):
@@ -314,13 +329,14 @@ def build_msolver(problem, strategy="auto", jbar=None):
     _check_jbar(strategy, jbar)
     auto = strategy == "auto"
     max_cond = _AUTO_MAX_COND if auto else np.inf
-    *tries, last = auto_candidates(problem) if auto else [strategy]
+    candidates, form = _auto_plan(problem) if auto else ([strategy], None)
+    *tries, last = candidates
     for candidate in tries:
         try:
-            return _build(problem, candidate, jbar, max_cond)
+            return _build(problem, candidate, jbar, max_cond, form)
         except StrategyPrecondition:
             pass
-    return _build(problem, last, jbar, max_cond)
+    return _build(problem, last, jbar, max_cond, form)
 
 
 def _check_jbar(strategy, jbar):
@@ -335,13 +351,14 @@ def _check_jbar(strategy, jbar):
             % (repr(jbar) if isinstance(jbar, str) else "a matrix", strategy))
 
 
-def _build(problem, strategy, jbar, max_cond):
+def _build(problem, strategy, jbar, max_cond, form=None):
     if strategy not in STRATEGIES:
         raise StrategyPrecondition("unknown strategy %r" % (strategy,))
     if strategy == "chol":
         return _build_chol(problem, jbar)
     if strategy == "smw":
-        return _build_smw(problem, diagonal=False, max_cond=max_cond)
+        return _build_smw(problem, diagonal=False, max_cond=max_cond,
+                          form=form)
     if strategy == "smw-diag":
         return _build_smw(problem, diagonal=True)
     return _build_block_diag(problem, jbar)
@@ -369,7 +386,11 @@ def _build_chol(problem, jbar):
                    lambda h, tol, stats=None: fac.solve(h), minv_w=minv_w)
 
 
-def _build_smw(problem, diagonal, max_cond=np.inf):
+def _build_smw(problem, diagonal, max_cond=np.inf, form=None):
+    """The ``smw`` or ``smw-diag`` solver.  ``form`` is ``(S, factored)``:
+    the column support of ``B`` and whether ``smw`` solves in the factored
+    form, as ``auto`` priced it (:func:`_priced`); found here when
+    ``None``.  ``smw-diag`` never takes the factored form."""
     if diagonal:
         # D_i = lam_i I: D^{-1} scales every row of ybar by its block's 1/lam
         lam_rows = np.repeat(_diag_shifts(problem), problem.m_i)
@@ -384,7 +405,7 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
         apply_jbar = None
     strategy = "smw-diag" if diagonal else "smw"
     Bm = problem.B.matrix
-    S = _column_support(Bm)
+    S, factored = (_column_support(Bm), None) if form is None else form
     if S.size == 0:
         # B = 0: M = D
         return MSolver(problem, strategy, apply_jbar,
@@ -403,7 +424,9 @@ def _build_smw(problem, diagonal, max_cond=np.inf):
                            > DENSE_FALLBACK_DENSITY * float(problem.n0) ** 2):
         G = to_dense(G)
     g_solve, reads_tol, g_low = _make_g_solver(G)
-    if not diagonal and _factored_form(problem, S.size):
+    if factored is None:
+        factored = not diagonal and _factored_form(problem, S.size)
+    if factored:
         # R = D^{-1} B_S L_G^{-T}, so that D^{-1} B_S G_SS^{-1} B_S* D^{-1}
         # = R R^T; a GEMM with L_G^{-1} takes about half the time of a
         # triangular solve with the mbar columns of (D^{-1} B_S)^T

@@ -122,9 +122,9 @@ class PsdCone(Cone):
         self.dim = self.k * svec_dim(self.d)
 
     def project(self, x):
-        vals, vecs = np.linalg.eigh(smat(np.reshape(x, (self.k, -1)), self.d))
-        vals = np.maximum(vals, 0.0)
-        return svec((vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)).ravel()
+        vals, vecs = np.linalg.eigh(smat(x.reshape(self.k, -1), self.d))
+        np.maximum(vals, 0.0, out=vals)
+        return svec((vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2)).ravel()
 
     def support(self, w, feas_tol):
         """Clamped per block: 0 when every lam_max(w_j) <= feas_tol (1 + ||w_j||)."""

@@ -134,10 +134,11 @@ class SolveSetup:
     ``scale`` 1).  All of it depends on ``A``, ``B``, ``Bbar``, the
     first-stage cone and function kinds and the config's ``strategy``
     only, so one setup serves every solve of problems sharing those,
-    whatever their costs.  Those problems differ in costs only: ``b`` and
-    ``bbar`` too are the ones it was built for, and ``rhs_memo`` keeps the
-    :func:`_composed_rhs` terms that read them, computed at the first solve
-    (``None`` before it).  Unpacks as ``(msolver, afactor)``."""
+    whatever their costs and right-hand sides: a solve takes all but the
+    operators from the problem it is given (:func:`_scaled_problem`).
+    ``rhs_memo`` keeps the :func:`_composed_rhs` terms that read ``b``
+    and ``bbar``, with those arrays (``None`` before the first solve).
+    Unpacks as ``(msolver, afactor)``."""
 
     __slots__ = ("msolver", "afactor", "scale", "ops", "rhs_memo")
 
@@ -429,14 +430,18 @@ def _scaled_operators(problem, scale):
 
 
 def _scaled_problem(problem, setup):
-    """``problem`` in the variables ``x = s x'`` of ``setup``: its
-    operators with ``c' = s c`` and ``theta'(x') = theta(s x') =
-    s^2 theta(x')``; ``problem`` itself at ``s = 1``.  The joint function
+    """``problem`` in the variables ``x = s x'`` of ``setup``: ``problem``
+    with the operators that :func:`_scaled_operators` scaled for the
+    setup, ``c' = s c`` and ``theta'(x') = theta(s x') = s^2 theta(x')``;
+    ``problem`` itself at ``s = 1``.  Right-hand sides, ``cbar``, cones
+    and scenario functions are the problem's own.  The joint function
     scales its first-stage blocks in place of a regrouping."""
     s = setup.scale
     if s == 1.0:
         return problem
-    work = shallow_copy(setup.ops)
+    ops, work = setup.ops, shallow_copy(problem)
+    work.A, work.A_mv, work.A_T = ops.A, ops.A_mv, ops.A_T
+    work.B, work.W, work.W_T = ops.B, ops.W, ops.W_T
     work.c = s * problem.c
     work.cc = np.concatenate((work.c, problem.cbar))
     if not problem.theta.is_zero:
@@ -478,8 +483,9 @@ def admm_solve(problem, config=None, initial=None, setup=None):
     same ``strategy``, and the solve runs at its scale; without one it is
     built here (scaled under the Halpern step), which validates the
     problem.  A given setup skips that check: the problem differs from the
-    one it was built for only in costs, whose finiteness
-    :meth:`~dbasolve.model.DBAProblem.with_cost` checks."""
+    one it was built for in costs and right-hand sides at most, and
+    :meth:`~dbasolve.model.DBAProblem.with_cost` checks a new cost's
+    finiteness."""
     cfg, tau = _checked(config, 1.0, TAU_ADMM_MAX,
                         "ADMM step length must lie in (0, (1+sqrt(5))/2)")
     return _run_loop(problem, cfg, tau, initial, alm=False, setup=setup,
@@ -509,7 +515,10 @@ class _Halpern:
     ``T(w0)`` itself).  ``w`` is packed into one vector together with its
     linear dual sums ``W*ybar + A*y`` (:func:`linear_dual_sums`), which
     are linear in ``w``: the step combines them with ``w`` and forms the
-    next sweep's sums without a product."""
+    next sweep's sums without a product.  The sweep writes ``T(w)``,
+    packed alike, straight into a second buffer, ``image``; the two trade
+    places when ``w`` becomes ``T(w)``.  Each is held with its views
+    ``(buffer, xx, y, ybar, sums, xx|y|ybar)``."""
 
     def __init__(self, problem, st):
         n = st.xx.size
@@ -519,24 +528,27 @@ class _Halpern:
             (st.xx, st.y, st.ybar, linear_dual_sums(problem, st.y, st.ybar)))
         # w, T(w), their difference and the joint sums live in buffers
         # that every step overwrites
-        self.w = self.anchor.copy()
-        self._t = np.empty_like(self.w)
+        m, mm = self._cuts[1:]
+        self.w, self.image = [(b, b[:n], b[n:m], b[m:mm], b[mm:], b[:mm])
+                              for b in (self.anchor.copy(),
+                                        np.empty_like(self.anchor))]
         self._d = np.empty(self._cuts[2])
         self._sums = np.empty(n)
         self.j = 0
         self.r0 = self.r_prev = 0.0
 
     def step(self, st, lin, SS, sigma, k, sigma_fixed, residues):
-        """Move ``w`` on from ``st``, the image ``T(w)`` whose linear and
-        joint dual sums are ``lin`` and ``SS`` and whose
-        :class:`LinearResidues` are ``residues``, at iteration ``k``.
-        Returns the sigma and the joint dual sums of the new ``w``, which
-        ``st`` holds."""
-        n, m, mm = self._cuts
-        t, w = self._t, self.w
-        np.concatenate((st.xx, st.y, st.ybar, lin), out=t)
-        px, py = self._split_squares(t, w)
-        r = math.sqrt(px / sigma + sigma * py)
+        """Move ``w`` on from ``st``, the image ``T(w)`` that the sweep wrote
+        into ``image`` with its linear dual sums ``lin``, whose joint dual
+        sums are ``SS`` and whose :class:`LinearResidues` are
+        ``residues``, at iteration ``k``.  Returns the sigma and the joint
+        dual sums of the new ``w``, which ``st`` holds."""
+        n = self._cuts[0]
+        image, old = self.image, self.w
+        t, w = image[0], old[0]
+        d = np.subtract(image[5], old[5], out=self._d)
+        dx, dy = d[:n], d[n:]
+        r = math.sqrt(dx.dot(dx) / sigma + sigma * dy.dot(dy))
         if self.j == 0:
             self.r0 = r
         elif (r <= _RESTART_SUFFICIENT * self.r0
@@ -545,30 +557,24 @@ class _Halpern:
             if not sigma_fixed:
                 sigma = self._restart_sigma(t, sigma, residues)
             np.copyto(self.anchor, t)
-            self.w, self._t = t, w
+            self.w, self.image = image, old
             self.j = 0
             return sigma, SS
         self.r_prev = r
         self.j += 1
         if self.j == 1:
             # a = 1/2 with w = w0: the step is T(w0)
-            self.w, self._t = t, w
+            self.w, self.image = image, old
             return sigma, SS
         # w+ = a w0 + 2 (1 - a) T(w) - (1 - a) w, in place, one pass a term
+        # (daxpy writes to a contiguous float64 y in place)
         a = 1.0 / (self.j + 1)
         w *= a - 1.0
-        w = daxpy(t, w, a=2.0 * (1.0 - a))
-        self.w = w = daxpy(self.anchor, w, a=a)
-        st.xx, st.y, st.ybar = w[:n], w[n:m], w[m:mm]
-        S = np.add(w[mm:], st.zz, out=self._sums)
+        daxpy(t, w, a=2.0 * (1.0 - a))
+        daxpy(self.anchor, w, a=a)
+        st.xx, st.y, st.ybar = old[1:4]
+        S = np.add(old[4], st.zz, out=self._sums)
         return sigma, daxpy(st.vv, S)
-
-    def _split_squares(self, u, v):
-        """The squared norms of ``u - v`` on ``xx`` and on ``(y, ybar)``."""
-        n, _, mm = self._cuts
-        d = np.subtract(u[:mm], v[:mm], out=self._d)
-        dx, dy = d[:n], d[n:]
-        return dx.dot(dx), dy.dot(dy)
 
     def _restart_sigma(self, t, sigma, residues):
         """``sqrt(sigma ||d_xx|| / ||d_(y, ybar)||)`` for the move
@@ -582,7 +588,9 @@ class _Halpern:
         balance (He, Yang & Wang, JOTA 2000).  Without ``A`` the primal
         residue is at rounding level after the exact ybar solve and gives
         no signal."""
-        px, py = self._split_squares(t, self.anchor)
+        n, _, mm = self._cuts
+        d = np.subtract(t[:mm], self.anchor[:mm], out=self._d)
+        px, py = d[:n].dot(d[:n]), d[n:].dot(d[n:])
         if px == 0.0 or py == 0.0:
             return sigma
         new = math.sqrt(sigma * math.sqrt(px / py))
@@ -642,7 +650,8 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         try:
             inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
                 work, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                alm, sums, v_free, rhs)
+                alm, sums, v_free, rhs,
+                None if anchored is None else anchored.image)
         except ValueError as exc:
             # a factor solve refuses a non-finite right-hand side
             raise NumericalError("non-finite iterate at iteration %d: %s"
@@ -662,8 +671,8 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         # in uncopied, with the iteration's dual sums and linear residues,
         # which are the state's own (at another scale they are the scaled
         # problem's, and kkt_full forms the problem's)
-        held = {"sums": sums, "lin": lin} if scale == 1.0 else {}
         if eta_lin <= cfg.tol_kkt:
+            held = {"sums": sums, "lin": lin} if scale == 1.0 else {}
             pt = _unscaled(st, scale)
             res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms,
                                          **held)
@@ -729,6 +738,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         obj_d = dual_objective(problem, dual)
     elif res is None:
         # no step followed the last row, so its sums are the state's
+        held = {"sums": sums, "lin": lin} if scale == 1.0 else {}
         res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms,
                                      **held)
         if scale != 1.0:
@@ -752,9 +762,10 @@ def _composed_rhs(problem, msol, facA, setup=None):
     where the setup composes nothing.  With ``setup``, whose ``msolver``
     and ``afactor`` are ``msol`` and ``facA``, they are kept in its
     ``rhs_memo``, keyed on the identity of the ``b`` and ``bbar`` arrays
-    they read: the problems a setup serves differ in costs only, and
-    :meth:`~dbasolve.model.DBAProblem.with_cost` shares both arrays, so
-    a setup computes them once and every later solve reads them."""
+    they read: the problems a setup serves may differ in costs and in
+    right-hand sides, and :meth:`~dbasolve.model.DBAProblem.with_cost`
+    shares both arrays, so a setup computes them once for every solve of
+    a new cost, and again for a problem with other ``b`` or ``bbar``."""
     b, bbar = problem.b, problem.bbar
     memo = setup.rhs_memo if setup is not None else None
     if memo is not None and memo[0] is b and memo[1] is bbar:
@@ -811,7 +822,7 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
 
 
 def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                   alm=False, sums=None, v_free=False, rhs=None):
+                   alm=False, sums=None, v_free=False, rhs=None, out=None):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count, the
     dual residues ``d_res``, ``d_res_bar`` (the
@@ -823,6 +834,8 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     it from ``st``.  ``v_free`` says that the problem has no smooth
     objective and ``st.vv`` is 0 (see below).  ``rhs`` is
     :func:`_composed_rhs` of the solve, computed here when ``None``.
+    ``out`` is :class:`_Halpern`'s ``image``, whose views receive the new
+    ``xx``, ``y``, ``ybar`` and linear sums.
 
     Two group steps act on the residual RR = SS - c_k over x|xbar
     (SS = A*y + B*ybar + z + v | Bbar*ybar + zbar + vbar, c_k = c|cbar less
@@ -847,78 +860,71 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     :class:`_AFactor`): one dense product each in place of a mat-vec, a
     factor solve and often a second mat-vec.
     """
-    A, At, WT = problem.A_mv, problem.A_T, problem.W_T
-    b = problem.b
+    A, At = problem.A_mv, problem.A_T
     n0 = problem.n0
+    xo, yo, ybo, lo = (None,) * 4 if out is None else out[1:5]
     mb, c_a, q_a = _composed_rhs(problem, msol, facA) if rhs is None else rhs
     cck = problem.cc - st.xx / sigma
-    SS = (joint_dual_sums(problem, st.y, st.ybar, st.zz, st.vv)
-          if sums is None else sums)
-    RR = SS - cck
-    new = {"vv": st.vv}
+    RR = (joint_dual_sums(problem, st.y, st.ybar, st.zz, st.vv)
+          if sums is None else sums) - cck
+    # the residual the nonsmooth step sees and the ybar its Newton solve
+    # reads: ADMM's at the old ybar, ALM's after the backward ybar solve
+    RRin, ybar, vv = RR, st.ybar, st.vv
     inner = 0
+    if alm:
+        dy, inner = _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg)
+        ybar = st.ybar + dy
+        RRin = mv(problem.W_T, ybar - st.ybar) + RR
 
-    def ybar_solve(RR):
-        nonlocal inner
+    # nonsmooth: the (z, y) pair and zbar
+    if use_ssn:
+        zbar = _proj_conj(problem.scen_cone, sigma, RRin[n0:] - st.zbar)
+        chat = cck[:n0] - problem.B.apply_adjoint(ybar) - st.v
+        y, z, it = ssn_zy(A, problem.b, problem.cone, sigma, chat, y0=st.y,
+                          tol=max(min(1e-9, eps_k), 1e-12))
+        inner += it
+        zz = np.concatenate((z, zbar))
+        if yo is not None:
+            yo[...] = y
+            y = yo
+    else:
+        u = RRin.copy()
+        if c_a is not None:
+            u[:n0] += q_a / sigma - facA.P @ RRin[:n0]
+        elif A is not None:
+            y_tmp = st.y + facA.solve(problem.b / sigma - mv(A, RRin[:n0]))
+            u[:n0] += mv(At, y_tmp - st.y)
+        u -= st.zz
+        zz = _proj_conj(problem.joint_cone, sigma, u)
+        if c_a is not None:
+            ystep = c_a / sigma - facA.L @ (RRin[:n0] + zz[:n0] - st.z)
+        elif A is not None:
+            ystep = facA.solve(problem.b / sigma
+                               - mv(A, RRin[:n0] + zz[:n0] - st.z))
+        y = st.y if A is None else np.add(st.y, ystep, out=yo)
+    # RR is the sweep's own array and RRin is read no more (ALM's is
+    # another), so the steps' blocks go in in place
+    if A is not None:
+        RR[:n0] += mv(At, y - st.y)
+    RR += zz - st.zz
+
+    if not (alm or v_free):
+        # ybar -> smooth: one prox of the joint function for (v, vbar)
         dy, it = _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg)
         inner += it
-        return st.ybar + dy
-
-    def nonsmooth(RRin, RR, ybar):
-        nonlocal inner
-        if use_ssn:
-            zbar = _proj_conj(problem.scen_cone, sigma, RRin[n0:] - st.zbar)
-            chat = cck[:n0] - problem.B.apply_adjoint(ybar) - st.v
-            y, z, it = ssn_zy(A, b, problem.cone, sigma, chat, y0=st.y,
-                              tol=max(min(1e-9, eps_k), 1e-12))
-            inner += it
-            zz = np.concatenate((z, zbar))
-        else:
-            u = RRin.copy()
-            if c_a is not None:
-                u[:n0] += q_a / sigma - facA.P @ RRin[:n0]
-            elif A is not None:
-                y_tmp = st.y + facA.solve(b / sigma - mv(A, RRin[:n0]))
-                u[:n0] += mv(At, y_tmp - st.y)
-            u -= st.zz
-            zz = _proj_conj(problem.joint_cone, sigma, u)
-            if c_a is not None:
-                y = st.y + (c_a / sigma
-                            - facA.L @ (RRin[:n0] + zz[:n0] - st.z))
-            else:
-                y = (st.y if A is None else
-                     st.y + facA.solve(b / sigma - mv(A, RRin[:n0] + zz[:n0]
-                                                      - st.z)))
-        new.update(y=y, zz=zz)
-        if A is not None:
-            RR = RR.copy()
-            RR[:n0] += mv(At, y - st.y)
-        return RR + (zz - st.zz)
-
-    def smooth(RRin, RR, ybar):
+        RRin = mv(problem.W_T, st.ybar + dy - st.ybar) + RR
         vv = -prox_conjugate(problem.joint_theta, sigma, RRin - st.vv)
-        new["vv"] = vv
-        return RR + vv - st.vv
+        RR += vv
+        RR -= st.vv
+    dy, it = _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg)
+    inner += it
 
-    def ybar_sweep(step, RR):
-        ybar_tmp = ybar_solve(RR)
-        RR = step(mv(WT, ybar_tmp - st.ybar) + RR, RR, ybar_tmp)
-        return ybar_solve(RR)
-
-    if alm:
-        ybar = ybar_sweep(nonsmooth, RR)
-    elif v_free:
-        ybar = ybar_solve(nonsmooth(RR, RR, st.ybar))
-    else:
-        RR = nonsmooth(RR, RR, st.ybar)
-        ybar = ybar_sweep(smooth, RR)
-
-    st.y, st.ybar, st.zz, st.vv = new["y"], ybar, new["zz"], new["vv"]
+    st.y, st.ybar, st.zz, st.vv = y, np.add(st.ybar, dy, out=ybo), zz, vv
     # multiplier step
-    lin = linear_dual_sums(problem, st.y, st.ybar)
+    lin = linear_dual_sums(problem, st.y, st.ybar, lo)
     SS = lin + st.zz
     if not v_free:
         SS += st.vv
     DD = SS - problem.cc
-    st.xx = st.xx + tau * sigma * DD
+    st.xx = np.add(st.xx, tau * sigma * DD, out=xo)
     return inner, DD[:n0], DD[n0:], SS, lin

@@ -263,6 +263,18 @@ def test_batched_psd_projection_bit_equal(d, k):
                           ref_map(blocks, ref_project, x))
 
 
+@pytest.mark.parametrize("d", [1, 2, 6, 11])
+@pytest.mark.parametrize("k", [1, 5])
+def test_psd_projection_is_the_function_form(d, k):
+    # array methods and an in-place clip give the np.reshape / np.maximum /
+    # np.swapaxes formula bit for bit
+    x = np.random.default_rng(10 * d + k).normal(size=k * svec_dim(d))
+    vals, vecs = np.linalg.eigh(smat(np.reshape(x, (k, -1)), d))
+    vals = np.maximum(vals, 0.0)
+    want = svec((vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)).ravel()
+    assert np.array_equal(PsdCone(d, k).project(x), want)
+
+
 # -- the joint cone and function of a problem over x|xbar ---------------------
 
 def make_pair(cone_kind, fn_kind, n, rng):

@@ -532,6 +532,20 @@ class TestSvecBitIdentity:
         with pytest.raises(DimensionMismatch):
             smat(np.ones((2, 7)), 3)
 
+    @pytest.mark.parametrize("convert", [
+        lambda a: a.astype(np.int64), lambda a: a.tolist(),
+        lambda a: a.astype(np.float32)], ids=["int", "list", "float32"])
+    def test_other_inputs_are_converted(self, convert):
+        # only a float64 ndarray skips the conversion
+        rng = np.random.default_rng(31)
+        m = rng.integers(-5, 5, size=(2, 3, 3)).astype(np.float64)
+        v = rng.integers(-5, 5, size=(2, 6)).astype(np.float64)
+        for got, want in ((svec(convert(m)), svec(m)),
+                          (smat(convert(v), 3), smat(v, 3))):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        with pytest.raises(DimensionMismatch):
+            smat(convert(np.ones(5)), 3)
+
     def test_solve_log_unchanged_by_masked_kernels(self, monkeypatch):
         problem = random_sdp(2, 3, 2, 3, N=3, seed=1)
         cached = admm_solve(problem)
@@ -561,6 +575,44 @@ class TestMv:
             got = mv(op, x)
             assert isinstance(got, np.ndarray) and got.ndim == 1
             assert np.array_equal(got, np.asarray(op @ x).ravel())
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_product_is_the_ravelled_one(self, order):
+        # a 2-d ndarray times a 1-d ndarray returns op @ x itself
+        rng = np.random.default_rng(13)
+        op = np.asarray(rng.normal(size=(7, 9)), order=order)
+        base = rng.normal(size=18)
+        for x in (base[:9].copy(), base[::2], base[9:][::-1]):
+            got = mv(op, x)
+            assert type(got) is np.ndarray and got.shape == (7,)
+            assert np.array_equal(got, np.asarray(op @ x).ravel())
+        for n in (0, 8, 10):
+            with pytest.raises(ValueError):
+                mv(op, np.ones(n))
+
+    def test_out_receives_the_product(self):
+        # dense, the CSR kernel (on a zero-filled out) and the fallback
+        rng = np.random.default_rng(15)
+        dense = rng.normal(size=(5, 7)) * (rng.random((5, 7)) < 0.6)
+        x = rng.normal(size=7)
+        for op in (dense, sp.csr_matrix(dense), sp.csc_matrix(dense)):
+            buf = np.full(9, np.nan)
+            out = buf[2:7]
+            assert mv(op, x, out) is out
+            assert np.array_equal(out, mv(op, x))
+            assert np.isnan(buf[:2]).all() and np.isnan(buf[7:]).all()
+
+    def test_other_inputs_keep_the_ravelled_product(self):
+        # a sparse operator other than CSR and a 2-d x come out 1-d (a
+        # matrix operator: the next test)
+        rng = np.random.default_rng(14)
+        dense = rng.normal(size=(4, 6))
+        x = rng.normal(size=6)
+        for op, v in ((sp.csc_matrix(dense), x), (dense, x[:, None]),
+                      (sp.csr_matrix(dense), x[:, None])):
+            got = mv(op, v)
+            assert type(got) is np.ndarray and got.shape == (4,)
+            assert np.array_equal(got, np.asarray(op @ v).ravel())
 
     def test_matrix_operator_still_flattened(self):
         op = np.asmatrix(np.arange(6.0).reshape(2, 3))

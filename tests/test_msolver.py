@@ -1063,6 +1063,28 @@ class TestFactoredForm:
         build_msolver(prob, "smw")
         assert forms == ["factored" if factored else "smw"]
 
+    @pytest.mark.parametrize("make, strategy", [
+        (lambda: build_ufl_dnn(random_ufl(10, 150, seed=1)), "smw"),
+        (lambda: build_ufl_dnn(random_ufl(40, 20, seed=1)), "smw"),
+        (lambda: random_two_stage(5, 20, 5, 30, N=20, seed=1,
+                                  quad_eps=0.1), "smw"),
+        (lambda: random_sdp(3, 6, 3, 6, N=4, seed=1), "chol"),
+    ])
+    def test_auto_prices_once(self, monkeypatch, make, strategy):
+        # the form auto priced smw in is the one the build takes, without
+        # a second pass of the cost model
+        prob = make()
+        factored = priced_factored(prob)
+        calls = []
+        support = msolver._column_support
+        monkeypatch.setattr(msolver, "_column_support",
+                            lambda Bm: (calls.append(1), support(Bm))[1])
+        forms = spy_forms(monkeypatch)
+        sol = build_msolver(prob)
+        assert sol.strategy == strategy and len(calls) == 1
+        assert forms == ([] if strategy == "chol" else
+                         ["factored" if factored else "smw"])
+
     def test_ufl_dnn_prices(self):
         # |S| = 10 columns over mbar = 1650 rows: 21.5 us factored against
         # 26.8 us in the G_SS form

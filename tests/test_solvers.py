@@ -624,9 +624,11 @@ class TestHalpernStep:
                                   st.ybar.copy(), st.zz.copy(), st.vv.copy())
             _sgs_iteration(prob, ref, sigma, 1.0, msol, facA, False,
                            eps_schedule(k), cfg)
+            # the sweep writes T(w) into the step's image buffer
             _, d_res, d_res_bar, SS, lin = _sgs_iteration(
                 prob, st, sigma, 1.0, msol, facA, False, eps_schedule(k),
-                cfg, sums=sums)
+                cfg, sums=sums, out=hal.image)
+            assert st.xx.base is hal.image[0] and lin.base is hal.image[0]
             residues = joint_linear_residues(prob, st.xx, d_res, d_res_bar,
                                              residue_denominators(prob))
             t = flat(st)
@@ -645,6 +647,21 @@ class TestHalpernStep:
                 sums, joint_dual_sums(prob, st.y, st.ybar, st.zz, st.vv),
                 rtol=1e-12, atol=1e-12 * (1.0 + np.abs(sums).max()))
         assert combined >= 10
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 40, 50000])
+    def test_report_points_are_not_overwritten(self, max_iter):
+        # the report's points can be views of the step's last image
+        # buffer; a solve warm-started from the report writes to none
+        prob = random_sdp(2, 3, 2, 3, N=3, seed=1)
+        rep = admm_solve(prob, SolverConfig(max_iter=max_iter))
+
+        def points(r):
+            return [r.primal.x, *r.primal.xbar, r.dual.y, r.dual.ybar,
+                    r.dual.z, r.dual.zbar]
+        before = [a.copy() for a in points(rep)]
+        admm_solve(prob, SolverConfig(max_iter=30), initial=rep)
+        assert all(np.array_equal(a, b) for a, b in zip(points(rep), before))
+        assert rep.kkt == kkt_residues(prob, rep.primal, rep.dual)
 
     def test_sigma_fixed_keeps_sigma_across_restarts(self, monkeypatch):
         restarts = []

@@ -245,6 +245,44 @@ class TestScaledSolve:
         # miss it (the LP's by eta_Dbar 1.15e-5); the next ones do not
         assert warm.converged and warm.iterations <= 3
 
+    @pytest.mark.parametrize("change", ["bbar", "cbar", "scenario-theta",
+                                        "scenario-cone"])
+    def test_shared_setup_reads_the_problems_data(self, change):
+        # a solve on another problem's scaled setup takes its own bbar,
+        # cbar, scenario functions and cones, so it repeats the solve on
+        # its own setup; on the setup's data the first ended Stalled after
+        # 2531 iterations, the third after 2467 and the fourth after 2531
+        prob = random_two_stage(3, 8, 4, 8, N=6, seed=1, quad_eps=0.1)
+        if change == "scenario-cone":
+            prob = DBAProblem(prob.A, prob.b, prob.c, prob.cone, prob.theta, [
+                ScenarioBlock(s.B, s.Bbar, s.bbar, s.cbar,
+                              Box(np.zeros(s.n), np.full(s.n, 10.0)),
+                              s.theta) for s in prob.scenarios], prob.meta)
+        theta = prob.theta
+        if change == "scenario-theta":
+            theta = Zero(prob.n0)
+            prob = DBAProblem(prob.A, prob.b, prob.c, prob.cone, theta, [
+                ScenarioBlock(s.B, s.Bbar, s.bbar, s.cbar, s.cone,
+                              DiagQuadratic(np.full(s.n, 0.1)))
+                for s in prob.scenarios], prob.meta)
+        blocks = [ScenarioBlock(
+            s.B, s.Bbar, 1.5 * s.bbar if change == "bbar" else s.bbar,
+            0.5 * s.cbar if change == "cbar" else s.cbar,
+            Box(s.cone.lower, np.full(s.n, 1.5)) if change == "scenario-cone"
+            else s.cone,
+            DiagQuadratic(5.0 * s.theta.diag) if change == "scenario-theta"
+            else s.theta) for s in prob.scenarios]
+        other = DBAProblem(prob.A, prob.b, prob.c, prob.cone, theta, blocks,
+                           prob.meta)
+        shared = solve_setup(prob, SolverConfig(), scaled=True)
+        assert shared.scale < 1.0
+        admm_solve(prob, setup=shared)
+        rep = admm_solve(other, setup=shared)
+        own = admm_solve(other)
+        assert own.converged and own.extra["stage_scale"] == shared.scale
+        assert rep.log_rows == own.log_rows
+        assert np.array_equal(rep.primal.xx, own.primal.xx)
+
     def test_lp_that_stalled_converges(self):
         # 5086 iterations and Stalled in the problem's own variables
         prob = lp_n400()
