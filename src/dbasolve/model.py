@@ -361,11 +361,19 @@ class LinearResidues(NamedTuple):
 def residue_denominators(problem):
     """``(1+||b||, 1+||c||, 1+||bbar||, 1+||cbar||)``, the scales of the
     four :class:`LinearResidues` (the first is ``None`` without ``A``).
-    They depend on the problem data only, so a solve computes them once."""
-    nrm = np.linalg.norm
-    den_P = 1.0 + nrm(problem.b) if problem.A is not None else None
-    return (den_P, 1.0 + nrm(problem.c), 1.0 + nrm(problem.bbar),
-            1.0 + nrm(problem.cbar))
+    They depend on the problem data only, so a solve computes them once.
+    Each is a Python float, its norm ``np.linalg.norm``'s bit for bit."""
+    den_P = 1.0 + _data_norm(problem.b) if problem.A is not None else None
+    return (den_P, 1.0 + _data_norm(problem.c),
+            1.0 + _data_norm(problem.bbar), 1.0 + _data_norm(problem.cbar))
+
+
+def _data_norm(v):
+    """``np.linalg.norm(v)`` as a Python float: :func:`_norm` on a
+    contiguous 1-d ``v``, whose dot product ``np.linalg.norm`` takes too."""
+    if v.ndim == 1 and v.flags.c_contiguous:
+        return _norm(v)
+    return float(np.linalg.norm(v))
 
 
 def linear_dual_sums(problem, y, ybar, out=None):

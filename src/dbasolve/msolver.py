@@ -279,7 +279,10 @@ class MSolver:
     ``reads_tol`` records whether a solve reads its ``tol`` (only a PCG
     G-solve does); otherwise the tolerance need not be computed.
     ``minv_w`` is the dense ``M^{-1} W`` for ``W = [B Bbar]`` when the
-    strategy built it (``chol`` on a small system), else ``None``."""
+    strategy built it (``chol`` on a small system), else ``None``.
+    ``solve_impl(h, tol, stats=None)`` returns ``M^{-1} h``; one with an
+    inner PCG sets ``last_inner_iters`` and ``last_inner_relres`` on
+    ``stats``, which :meth:`solve` passes as the solver itself."""
 
     def __init__(self, problem, strategy, apply_jbar, solve_impl,
                  reads_tol=False, minv_w=None):
@@ -302,11 +305,10 @@ class MSolver:
         return out
 
     def solve(self, h, tol=None, check_residual=False):
-        stats = {"inner_iters": 0, "inner_relres": 0.0}
+        # a solve with an inner PCG sets both again through ``stats``
+        self.last_inner_iters, self.last_inner_relres = 0, 0.0
         y = self._solve_impl(h, tol if tol is not None else _PCG_TOL,
-                             stats=stats)
-        self.last_inner_iters = stats["inner_iters"]
-        self.last_inner_relres = stats["inner_relres"]
+                             stats=self)
         if check_residual:
             nh = np.linalg.norm(h)
             self.last_relres = float(
@@ -735,8 +737,7 @@ def _make_smw_solve(apply_dinv, b_apply, b_adjoint, g_solve):
         u = apply_dinv(h)
         w, iters, relres = g_solve(b_adjoint(u), tol)
         if stats is not None:
-            stats["inner_iters"] = iters
-            stats["inner_relres"] = relres
+            stats.last_inner_iters, stats.last_inner_relres = iters, relres
         return u - apply_dinv(b_apply(w))
     return impl
 

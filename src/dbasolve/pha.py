@@ -11,12 +11,14 @@ and logged for honest comparison with the KKT-based solvers.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .blocklinalg import _norm
 from .errors import ParameterError, SubproblemFailure
 from .model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
                     dual_objective, joint_dual_sums, kkt_full, kkt_residues,
@@ -156,14 +158,11 @@ def pha_solve(problem, config=None):
         X = rep.primal.x.reshape(N, n0)
         xhat_prev = xhat
         xhat = probs @ X
-        w = w + cfg.tau * rho * (X - xhat)
-        assert np.linalg.norm(probs @ w) <= 1e-12 * (1.0 + np.max(
-            np.linalg.norm(w, axis=1))), "multiplier mean drifted"
-
-        nonant = np.max(np.linalg.norm(X - xhat, axis=1))
-        nonant /= 1.0 + np.linalg.norm(xhat)
-        rel_change = np.linalg.norm(xhat - xhat_prev) / (
-            1.0 + np.linalg.norm(xhat))
+        D = X - xhat
+        w = _multiplier_step(w, D, cfg.tau * rho)
+        assert _norm(probs @ w) <= 1e-12 * (1.0 + _max_row_norm(w)), \
+            "multiplier mean drifted"
+        nonant, rel_change = _consensus_residues(D, xhat, xhat_prev)
 
         primal = PrimalPoint(xhat, rep.primal.xbar)
         dual, sums = _averaged_dual(problem, probs, weights, rep)
@@ -195,6 +194,27 @@ def pha_solve(problem, config=None):
         extra={"nonant_residual": nonant, "rel_change": rel_change,
                "strategy": None if setup is None else setup.msolver.strategy},
     )
+
+
+def _multiplier_step(w, D, step):
+    """The multipliers ``w + step (X - xhat)`` for ``D = X - xhat``; their
+    probability-weighted mean stays 0."""
+    return w + step * D
+
+
+def _consensus_residues(D, xhat, xhat_prev):
+    """``(nonant, rel_change)``: the largest ``||x_i - xhat||`` (the rows of
+    ``D``) and ``||xhat - xhat_prev||``, each over ``1 + ||xhat||``."""
+    scale = 1.0 + _norm(xhat)
+    return _max_row_norm(D) / scale, _norm(xhat - xhat_prev) / scale
+
+
+def _max_row_norm(X):
+    """The largest Euclidean norm of a row of the C-contiguous 2-d array
+    ``X``: ``np.max(np.linalg.norm(X, axis=1))`` bit for bit, which sums
+    the squares of each row by one reduction along it.  The square root is
+    monotone, so it is taken of the largest sum only."""
+    return math.sqrt(np.add.reduce(X * X, axis=1).max())
 
 
 def _averaged_dual(problem, probs, weights, rep):

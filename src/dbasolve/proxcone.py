@@ -408,7 +408,15 @@ class BlockCone(_Blocks, Cone):
 class BlockFunction(_Blocks, SeparableFunction):
     """The sum of block functions over their concatenated coordinates,
     grouped as :class:`BlockCone` groups cones (indicator blocks merge into
-    one indicator of a :class:`BlockCone`)."""
+    one indicator of a :class:`BlockCone`).  ``is_zero`` is read from the
+    blocks once, at construction (a plain attribute shadowing the base
+    class's property)."""
+
+    is_zero = False
+
+    def __init__(self, blocks):
+        super().__init__(blocks)
+        self.is_zero = all(f.is_zero for f in self.blocks)
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -419,10 +427,6 @@ class BlockFunction(_Blocks, SeparableFunction):
 
     def conjugate(self, w, feas_tol):
         return self._clamped_sum(w, feas_tol)
-
-    @property
-    def is_zero(self):
-        return all(f.is_zero for f in self.blocks)
 
     def scaled_head(self, n, alpha):
         """This function with its blocks on the first ``n`` coordinates
@@ -478,6 +482,15 @@ def prox_conjugate(f, t, x):
     """Prox_{f*/t}(x) via the Moreau identity."""
     x = np.asarray(x, dtype=np.float64)
     return x - prox(f, t, t * x) / t
+
+
+def quadratic_diag(f):
+    """The diagonal ``q`` of ``f = (1/2) <x, diag(q) x>`` when ``f`` is a
+    :class:`DiagQuadratic` or a :class:`BlockFunction` whose blocks merge
+    into one; ``None`` otherwise."""
+    if isinstance(f, BlockFunction):
+        f = f._whole
+    return f.diag if isinstance(f, DiagQuadratic) else None
 
 
 def conjugate_value(f, w, feas_tol=1e-8):

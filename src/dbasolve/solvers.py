@@ -35,7 +35,7 @@ from .model import (DualPoint, LinearResidues, PrimalPoint, _flat,
 from .msolver import build_msolver
 from .proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
                        NonnegOrthant, NonnegSymMatrices, PsdCone, Zero,
-                       prox_conjugate, scale_function)
+                       prox_conjugate, quadratic_diag, scale_function)
 
 # progress lines; the CLI shows them, the library attaches no handler
 _LOG = logging.getLogger("dbasolve")
@@ -628,6 +628,10 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     # (ALM's sweep has no v step) and ADMM's sweep solves for ybar once
     v_free = problem.joint_theta.is_zero
     rhs = _composed_rhs(work, msol, facA, setup) if cfg.max_iter else None
+    # the sweep's terms at sigma, rebuilt whenever sigma moves; only
+    # ADMM's sweep with a smooth objective has a v step
+    v_step = not (alm or v_free)
+    terms = None
     st, sigma = _start(work, cfg, initial, scale)
     if v_free:
         st.vv = np.zeros_like(st.vv)
@@ -647,10 +651,12 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
 
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k)
+        if terms is None or terms.sigma != sigma:
+            terms = _SweepTerms(work, rhs, sigma, v_step)
         try:
             inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
                 work, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                alm, sums, v_free, rhs,
+                alm, sums, v_free, terms,
                 None if anchored is None else anchored.image)
         except ValueError as exc:
             # a factor solve refuses a non-finite right-hand side
@@ -781,17 +787,58 @@ def _composed_rhs(problem, msol, facA, setup=None):
     return rhs
 
 
-def _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg):
-    """``dy = M^{-1} (bbar / sigma - W RR)`` and its inner iteration count:
-    ``mb / sigma - (M^{-1} W) RR``, one dense product, when ``msol`` holds
-    ``M^{-1} W`` (``mb = M^{-1} bbar``), otherwise the mat-vec and the M
-    solve of :func:`_msolve_with_tol`.  Under ``check_inner`` the composed
-    step asserts its residual through ``msol.apply_m`` as the M solve
-    does."""
+class _SweepTerms:
+    """The sweep's terms that depend on ``sigma`` and the data alone, for
+    one value of ``sigma``: ``mb``, ``c`` and ``q``, the terms ``rhs`` of
+    :func:`_composed_rhs` over ``sigma``; ``bbar / sigma`` where the ybar
+    step solves with M and ``b / sigma`` where the y steps solve with the
+    A factor; and, for a sweep with a v step (``v_step``) and a joint
+    function that is one diagonal quadratic ``diag``
+    (:func:`~dbasolve.proxcone.quadratic_diag`), ``d = 1 + sigma diag``,
+    with which :func:`_v_step` runs inline.  Each is ``None`` where
+    nothing reads it."""
+
+    __slots__ = ("sigma", "mb", "bbar", "c", "q", "b", "d")
+
+    def __init__(self, problem, rhs, sigma, v_step):
+        mb, c_a, q_a = rhs
+        diag = quadratic_diag(problem.joint_theta) if v_step else None
+        self.sigma = sigma
+        self.mb = None if mb is None else mb / sigma
+        self.bbar = problem.bbar / sigma if mb is None else None
+        self.c = None if c_a is None else c_a / sigma
+        self.q = None if q_a is None else q_a / sigma
+        self.b = (problem.b / sigma if c_a is None and problem.A is not None
+                  else None)
+        self.d = None if diag is None else 1.0 + sigma * diag
+
+
+def _v_step(theta, sigma, r, d=None):
+    """``v = -Prox_{theta*/sigma}(r)``, the smooth step's multiplier.
+    Given ``d = 1 + sigma diag`` of a ``theta`` that is one diagonal
+    quadratic (:class:`_SweepTerms`), ``-(r - (sigma r / d) / sigma)``:
+    the float operations of :func:`~dbasolve.proxcone.prox_conjugate`
+    without its call layers."""
+    if d is None:
+        return -prox_conjugate(theta, sigma, r)
+    v = sigma * r
+    v /= d
+    v /= sigma
+    return np.negative(np.subtract(r, v, out=v), out=v)
+
+
+def _ybar_step(problem, msol, mb, bbar, RR, sigma, eps_k, cfg):
+    """``dy = M^{-1} (bbar / sigma - W RR)`` and its inner iteration count,
+    given ``mb = M^{-1} bbar / sigma`` and ``bbar / sigma`` as
+    :class:`_SweepTerms` holds them: ``mb - (M^{-1} W) RR``, one dense
+    product, when ``msol`` holds ``M^{-1} W``, otherwise the mat-vec and
+    the M solve of :func:`_msolve_with_tol`.  Under ``check_inner`` the
+    composed step asserts its residual through ``msol.apply_m`` as the M
+    solve does."""
     if mb is None:
-        return _msolve_with_tol(msol, problem.bbar / sigma
-                                - mv(problem.W, RR), sigma, eps_k, cfg)
-    dy = mb / sigma - msol.minv_w @ RR
+        return _msolve_with_tol(msol, bbar - mv(problem.W, RR), sigma, eps_k,
+                                cfg)
+    dy = mb - msol.minv_w @ RR
     if cfg.check_inner:
         h = problem.bbar / sigma - mv(problem.W, RR)
         delta = sigma * np.linalg.norm(msol.apply_m(dy) - h)
@@ -822,7 +869,7 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
 
 
 def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                   alm=False, sums=None, v_free=False, rhs=None, out=None):
+                   alm=False, sums=None, v_free=False, terms=None, out=None):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count, the
     dual residues ``d_res``, ``d_res_bar`` (the
@@ -832,8 +879,9 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     :func:`~dbasolve.model.linear_dual_sums`.  Passed back as ``sums``,
     ``SS`` spares the next iteration its recomputation; ``None`` computes
     it from ``st``.  ``v_free`` says that the problem has no smooth
-    objective and ``st.vv`` is 0 (see below).  ``rhs`` is
-    :func:`_composed_rhs` of the solve, computed here when ``None``.
+    objective and ``st.vv`` is 0 (see below).  ``terms`` are the
+    :class:`_SweepTerms` of the solve at ``sigma``, computed here when
+    ``None``.
     ``out`` is :class:`_Halpern`'s ``image``, whose views receive the new
     ``xx``, ``y``, ``ybar`` and linear sums.
 
@@ -858,12 +906,16 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     y_tmp correction ``A*(y_tmp - y)`` as ``A* c / sigma - P RR`` and the y
     step as ``c / sigma - L r`` (``c = (A A* + J)^{-1} b``, ``L``, ``P`` of
     :class:`_AFactor`): one dense product each in place of a mat-vec, a
-    factor solve and often a second mat-vec.
+    factor solve and often a second mat-vec.  A joint function that is one
+    diagonal quadratic takes the v step directly (:func:`_v_step`).
     """
     A, At = problem.A_mv, problem.A_T
     n0 = problem.n0
     xo, yo, ybo, lo = (None,) * 4 if out is None else out[1:5]
-    mb, c_a, q_a = _composed_rhs(problem, msol, facA) if rhs is None else rhs
+    if terms is None:
+        terms = _SweepTerms(problem, _composed_rhs(problem, msol, facA),
+                            sigma, not (alm or v_free))
+    mb, bbar_s, c_s = terms.mb, terms.bbar, terms.c
     cck = problem.cc - st.xx / sigma
     RR = (joint_dual_sums(problem, st.y, st.ybar, st.zz, st.vv)
           if sums is None else sums) - cck
@@ -872,7 +924,8 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     RRin, ybar, vv = RR, st.ybar, st.vv
     inner = 0
     if alm:
-        dy, inner = _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg)
+        dy, inner = _ybar_step(problem, msol, mb, bbar_s, RR, sigma, eps_k,
+                               cfg)
         ybar = st.ybar + dy
         RRin = mv(problem.W_T, ybar - st.ybar) + RR
 
@@ -889,18 +942,17 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
             y = yo
     else:
         u = RRin.copy()
-        if c_a is not None:
-            u[:n0] += q_a / sigma - facA.P @ RRin[:n0]
+        if c_s is not None:
+            u[:n0] += terms.q - facA.P @ RRin[:n0]
         elif A is not None:
-            y_tmp = st.y + facA.solve(problem.b / sigma - mv(A, RRin[:n0]))
+            y_tmp = st.y + facA.solve(terms.b - mv(A, RRin[:n0]))
             u[:n0] += mv(At, y_tmp - st.y)
         u -= st.zz
         zz = _proj_conj(problem.joint_cone, sigma, u)
-        if c_a is not None:
-            ystep = c_a / sigma - facA.L @ (RRin[:n0] + zz[:n0] - st.z)
+        if c_s is not None:
+            ystep = c_s - facA.L @ (RRin[:n0] + zz[:n0] - st.z)
         elif A is not None:
-            ystep = facA.solve(problem.b / sigma
-                               - mv(A, RRin[:n0] + zz[:n0] - st.z))
+            ystep = facA.solve(terms.b - mv(A, RRin[:n0] + zz[:n0] - st.z))
         y = st.y if A is None else np.add(st.y, ystep, out=yo)
     # RR is the sweep's own array and RRin is read no more (ALM's is
     # another), so the steps' blocks go in in place
@@ -910,13 +962,14 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
 
     if not (alm or v_free):
         # ybar -> smooth: one prox of the joint function for (v, vbar)
-        dy, it = _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg)
+        dy, it = _ybar_step(problem, msol, mb, bbar_s, RR, sigma, eps_k, cfg)
         inner += it
-        RRin = mv(problem.W_T, st.ybar + dy - st.ybar) + RR
-        vv = -prox_conjugate(problem.joint_theta, sigma, RRin - st.vv)
+        r = mv(problem.W_T, st.ybar + dy - st.ybar) + RR
+        r -= st.vv
+        vv = _v_step(problem.joint_theta, sigma, r, terms.d)
         RR += vv
         RR -= st.vv
-    dy, it = _ybar_step(problem, msol, mb, RR, sigma, eps_k, cfg)
+    dy, it = _ybar_step(problem, msol, mb, bbar_s, RR, sigma, eps_k, cfg)
     inner += it
 
     st.y, st.ybar, st.zz, st.vv = y, np.add(st.ybar, dy, out=ybo), zz, vv

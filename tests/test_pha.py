@@ -76,6 +76,42 @@ class TestMultipliers:
         # assert the report kept iterating (no early bail)
         assert rep.iterations == 5
 
+    def test_drifted_mean_fails_the_assert(self, monkeypatch):
+        step = pha._multiplier_step
+        monkeypatch.setattr(pha, "_multiplier_step",
+                            lambda w, D, s: step(w, D, s) + 1e-3)
+        with pytest.raises(AssertionError, match="multiplier mean drifted"):
+            pha_solve(random_two_stage(2, 4, 2, 4, N=3, seed=1,
+                                       quad_eps=0.1), PhaConfig(rho=10.0))
+
+
+class TestOuterQuantities:
+    """The consensus residual, the relative change and both sides of the
+    drift assert are the ``np.linalg.norm`` forms, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (12, 8), (40, 3)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_match_the_linalg_norm_forms(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        N, n0 = shape
+        # entries over sixteen orders of magnitude
+        X = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        probs = rng.dirichlet(np.ones(N))
+        xhat_prev = rng.normal(size=n0)
+        xhat = probs @ X
+        D = X - xhat
+        nonant, rel_change = pha._consensus_residues(D, xhat, xhat_prev)
+        want = np.max(np.linalg.norm(X - xhat, axis=1))
+        want /= 1.0 + np.linalg.norm(xhat)
+        assert nonant == want
+        assert rel_change == np.linalg.norm(xhat - xhat_prev) / (
+            1.0 + np.linalg.norm(xhat))
+        w0 = rng.normal(size=shape)
+        w = pha._multiplier_step(w0, D, 1.618 * 10.0)
+        assert np.array_equal(w, w0 + 1.618 * 10.0 * (X - xhat))
+        assert pha._max_row_norm(w) == np.max(np.linalg.norm(w, axis=1))
+        assert blocklinalg._norm(probs @ w) == np.linalg.norm(probs @ w)
+
 
 class TestScenarioSubsolve:
     def test_free_quadratic_matches_dense_kkt(self):

@@ -245,3 +245,24 @@ def test_orthant_clamp_matches_reduceat_form():
             w[j] = abs(w[j])
         assert _blockwise_clamp(cone, w, starts, FEAS_TOL) == \
             reduceat_clamp(w, starts, FEAS_TOL)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed",
+                                    "2-d"])
+def test_data_norm_is_the_linalg_norm(layout):
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        v = rng.normal(size=60) * 10.0 ** rng.integers(-150, 150)
+        v = {"contiguous": v, "strided": v[::3], "reversed": v[::-1],
+             "2-d": v.reshape(6, 10)}[layout]
+        got = model._data_norm(v)
+        assert type(got) is float and got == np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_residue_denominators_are_the_linalg_norms(name):
+    prob = INSTANCES[name]()
+    nrm = np.linalg.norm
+    assert model.residue_denominators(prob) == (
+        None if prob.A is None else 1.0 + nrm(prob.b), 1.0 + nrm(prob.c),
+        1.0 + nrm(prob.bbar), 1.0 + nrm(prob.cbar))
