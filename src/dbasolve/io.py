@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blocklinalg import canonicalize, svec_dim, svec_indices
-from .errors import ParseError
+from .errors import NonFiniteData, ParseError
 from .model import DBAProblem, DualPoint, PrimalPoint, ScenarioBlock
 from .proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
                        IndicatorCone, NonnegOrthant, NonnegSymMatrices,
@@ -265,7 +265,8 @@ def write_solution(problem, primal, dual, path):
 def read_solution(path, problem=None):
     """The primal and dual points of a solution file.  With ``problem``,
     each field's length is compared with the problem's and the first one
-    that differs raises :class:`ParseError`."""
+    that differs raises :class:`ParseError`.  The first field with a
+    ``null`` or non-finite entry raises :class:`NonFiniteData`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -286,6 +287,7 @@ def read_solution(path, problem=None):
         raise ParseError("bad solution document: %s" % exc) from exc
     if problem is not None:
         _check_lengths(problem, primal, dual)
+    _check_finite(primal, dual)
     return primal, dual
 
 
@@ -305,6 +307,20 @@ def _check_lengths(problem, primal, dual):
         if shape != (want,):
             raise ParseError("solution field %r has shape %s, the problem "
                              "needs (%d,)" % (name, shape, want))
+
+
+def _check_finite(primal, dual):
+    """Raise :class:`NonFiniteData` naming the first field of the solution
+    with an entry that is not a finite number (``null`` reads as NaN)."""
+    fields = [("x", primal.x)]
+    fields += [("xbar[%d]" % i, xb) for i, xb in enumerate(primal.xbar)]
+    fields += [(name, getattr(dual, name))
+               for name in ("y", "ybar", "z", "zbar", "v", "vbar")]
+    for name, vec in fields:
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            raise NonFiniteData("solution field %r has a null or non-finite "
+                                "entry at index %d" % (name, bad[0]))
 
 
 # ---------------------------------------------------------------------------

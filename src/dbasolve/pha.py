@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._blas import one_blas_thread
 from .blocklinalg import _norm
 from .errors import ParameterError, SubproblemFailure
 from .model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
@@ -50,8 +51,9 @@ class PhaConfig:
     tol_nonant: float = 1e-6
     tol_rel: float = 1e-6
     max_iter: int = 300
-    # ignored (the scenarios are solved as one bundle); kept because the
-    # benchmark workloads pass threads=1
+    # ignored: the scenarios are solved as one bundle, with BLAS on one
+    # thread (see ``_blas``); kept because the benchmark workloads pass
+    # threads=1
     threads: int | None = None
 
     def __post_init__(self):
@@ -116,6 +118,7 @@ def scenario_subsolve(bundle, w, xhat, rho, tol, warm=None, setup=None):
     return report
 
 
+@one_blas_thread
 def pha_solve(problem, config=None):
     """Progressive hedging on a two-stage problem with known probabilities."""
     if "probabilities" not in problem.meta:

@@ -23,6 +23,42 @@ from .errors import DimensionMismatch, NonFiniteData
 
 _PSD_EIG_TOL = 1e-10
 
+# numpy's LAPACK gufuncs for the lower triangle and the error hook that
+# np.linalg.eigh and eigvalsh install around them (private names, resolved
+# once; without them the public wrappers run, to the same bytes)
+try:
+    from numpy.linalg import _umath_linalg
+    try:
+        from numpy.linalg._linalg import (
+            _raise_linalgerror_eigenvalues_nonconvergence as _EIG_FAILED)
+    except ImportError:                 # numpy < 2
+        from numpy.linalg.linalg import (
+            _raise_linalgerror_eigenvalues_nonconvergence as _EIG_FAILED)
+    _EIGH_LO = _umath_linalg.eigh_lo
+    _EIGVALSH_LO = _umath_linalg.eigvalsh_lo
+except (ImportError, AttributeError):
+    _EIGH_LO = _EIGVALSH_LO = None
+
+
+def _eigh(a):
+    """``np.linalg.eigh(a)`` of a real float64 stack ``a``, called as that
+    wrapper calls LAPACK."""
+    if _EIGH_LO is None:
+        return np.linalg.eigh(a)
+    with np.errstate(call=_EIG_FAILED, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _EIGH_LO(a, signature="d->dd")
+
+
+def _eigvalsh(a):
+    """``np.linalg.eigvalsh(a)`` of a real float64 stack ``a``, as
+    :func:`_eigh`."""
+    if _EIGVALSH_LO is None:
+        return np.linalg.eigvalsh(a)
+    with np.errstate(call=_EIG_FAILED, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _EIGVALSH_LO(a, signature="d->d")
+
 
 # ---------------------------------------------------------------------------
 # cones
@@ -122,14 +158,14 @@ class PsdCone(Cone):
         self.dim = self.k * svec_dim(self.d)
 
     def project(self, x):
-        vals, vecs = np.linalg.eigh(smat(x.reshape(self.k, -1), self.d))
+        vals, vecs = _eigh(smat(x.reshape(self.k, -1), self.d))
         np.maximum(vals, 0.0, out=vals)
         return svec((vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2)).ravel()
 
     def support(self, w, feas_tol):
         """Clamped per block: 0 when every lam_max(w_j) <= feas_tol (1 + ||w_j||)."""
         w = np.reshape(np.asarray(w, dtype=np.float64), (self.k, -1))
-        lam_max = np.linalg.eigvalsh(smat(w, self.d))[:, -1]
+        lam_max = _eigvalsh(smat(w, self.d))[:, -1]
         if np.all(lam_max <= feas_tol * (1.0 + np.linalg.norm(w, axis=1))):
             return 0.0
         return np.inf

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import daxpy
 
+from ._blas import one_blas_thread
 from .blocklinalg import (_MATVEC_DENSE_SIZE, _norm, chol_factor,
                           column_sq_norms, lambda_max_bound, maybe_densify,
                           mv, scale_leading, scaled, shallow_copy,
@@ -96,8 +97,8 @@ class SolverConfig:
     ssn: str = "auto"                   # auto | on | off
     sigma_fixed: bool = False
     log_every: int = 0                  # INFO progress period; 0 disables
-    # ignored (every solver is single-threaded); kept because the benchmark
-    # workloads pass threads=1
+    # ignored: every solve runs BLAS on one thread (see ``_blas``); kept
+    # because the benchmark workloads pass threads=1
     threads: int | None = None
     check_inner: bool = False           # assert recorded inner errors <= eps_k
 
@@ -369,6 +370,7 @@ def _jacobian_mask(cone, w):
 # main loops
 # ---------------------------------------------------------------------------
 
+@one_blas_thread
 def solve_setup(problem, cfg, scaled=False):
     """Validate ``problem`` and build its M solver and A factor under
     ``cfg``; with ``scaled``, in the variables of :func:`stage_scale`,
@@ -463,6 +465,7 @@ def _checked(config, tau_default, tau_max, tau_error):
     return cfg, tau
 
 
+@one_blas_thread
 def admm_solve(problem, config=None, initial=None, setup=None):
     """Two-group inexact sGS proximal ADMM on the dual problem.
 
@@ -492,6 +495,7 @@ def admm_solve(problem, config=None, initial=None, setup=None):
                      halpern=cfg.tau is None)
 
 
+@one_blas_thread
 def alm_solve(problem, config=None, initial=None):
     """sGS proximal ALM; requires all separable objective terms to vanish.
     ``initial`` is read as in :func:`admm_solve`."""

@@ -384,6 +384,40 @@ class TestCmdCheck:
         if isinstance(value, list):        # a scalar is no vector at all
             assert "field %r" % field in err
 
+    @pytest.mark.parametrize("kind", ["sdp", "lp"])
+    @pytest.mark.parametrize("field,where,value,named", [
+        ("x", (0,), None, "x"), ("z", (0,), None, "z"),
+        ("xbar", (1, 0), float("inf"), "xbar[1]"),
+        ("vbar", (0, 0), float("nan"), "vbar")])
+    def test_null_or_non_finite_entry_is_invalid_data(
+            self, lp_file, tmp_path, capsys, kind, field, where, value,
+            named):
+        # a null entry reads as NaN: one invalid-data line naming the
+        # field, exit 2, not a LinAlgError traceback (SDP) or nan residues
+        # and FAIL (LP)
+        problem = lp_file
+        if kind == "sdp":
+            problem = str(tmp_path / "sdp.json")
+            assert main(["generate", "rand-sdp", "--out", problem,
+                         "--m0", "2", "--n0", "3", "--mi", "2", "--ni", "3",
+                         "--N", "3", "--seed", "1"]) == 0
+        out = str(tmp_path / "run")
+        assert main(["solve", problem, "--out", out]) == 0
+        doc = json.loads(open(out + ".solution.json").read())
+        entries = doc[field]
+        for i in where[:-1]:
+            entries = entries[i]
+        entries[where[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", problem, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "check:" not in captured.out
+        err = captured.err
+        assert err.startswith("invalid data: ") and len(err.splitlines()) == 1
+        assert "field %r" % named in err
+
     def test_analytic_optimum_zero_residues(self, tmp_path, capsys):
         # min x over x >= 1 stated through one scenario row
         from dbasolve.model import DBAProblem, ScenarioBlock
