@@ -62,14 +62,30 @@ _active = 0             # pinned solves running, over all threads
 _saved = []             # the counts to restore when the last one returns
 
 
-def _pin():
-    global _controls, _active, _saved
+def _looked_up():
+    """The thread controls, looked up at the first call; the caller holds
+    ``_lock``."""
+    global _controls
+    if _controls is None:
+        _controls = _thread_controls()
+        if not _controls:
+            _LOG.info("no bundled OpenBLAS thread control found; "
+                      "solves run with BLAS's own thread count")
+    return _controls
+
+
+def solve_threads():
+    """The BLAS thread count that solves run at: 1 where a bundled
+    OpenBLAS thread control was found, ``None`` where none was (solves
+    then run at BLAS's own count).  Sets no count."""
     with _lock:
-        if _controls is None:
-            _controls = _thread_controls()
-            if not _controls:
-                _LOG.info("no bundled OpenBLAS thread control found; "
-                          "solves run with BLAS's own thread count")
+        return 1 if _looked_up() else None
+
+
+def _pin():
+    global _active, _saved
+    with _lock:
+        _looked_up()
         if not _active:
             _saved = [get() for get, _ in _controls]
             for (_, put), n in zip(_controls, _saved):

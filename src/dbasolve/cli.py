@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import builders, io, msolver
+from ._blas import solve_threads
 from .errors import DbaError, NonFiniteData, ParameterError, ParseError
 from .model import kkt_residues
 from .pha import PHA_LOG_COLUMNS, PhaConfig, pha_solve
@@ -186,6 +187,9 @@ def cmd_solve(args):
         "elapsed": report.elapsed,
         # the first stage's x = s x' of the Halpern step; 1 elsewhere
         "stage_scale": report.extra.get("stage_scale", 1.0),
+        # BLAS's thread count inside the solve: 1 where the bundled
+        # OpenBLAS copies were pinned, null where none was found
+        "blas_threads": solve_threads(),
         "manifest": {
             "solver": args.solver,
             "input": args.problem,
@@ -196,6 +200,8 @@ def cmd_solve(args):
                 "sigma": args.sigma, "tau": args.tau,
                 "max_iter": _max_iter(args, args.solver),
                 "strategy": args.strategy,
+                # the M strategy the solve ran, which auto resolves to
+                "strategy_resolved": report.extra.get("strategy"),
                 "ssn": args.ssn,
             },
         },

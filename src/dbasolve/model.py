@@ -441,11 +441,14 @@ def kkt_full(problem, xx, dual, feas_tol=1e-8, denoms=None, sums=None,
             denoms = residue_denominators(problem)
         lin = joint_linear_residues(problem, xx, DD[:n0], DD[n0:], denoms)
 
+    # the point's stage norms, shared by both splits
+    nx, nxbar = 1.0 + _norm(xx[:n0]), 1.0 + _norm(xx[n0:])
+
     def split(r, w):
         """The relative norms of ``r``'s two stages, scaled by the point's
         and the multiplier ``w``'s."""
-        return (_norm(r[:n0]) / (1.0 + _norm(xx[:n0]) + _norm(w[:n0])),
-                _norm(r[n0:]) / (1.0 + _norm(xx[n0:]) + _norm(w[n0:])))
+        return (_norm(r[:n0]) / (nx + _norm(w[:n0])),
+                _norm(r[n0:]) / (nxbar + _norm(w[n0:])))
 
     eta_K, eta_Kbar = split(xx - problem.joint_cone.project(xx - zz), zz)
     eta_theta, eta_thetabar = split(

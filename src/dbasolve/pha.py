@@ -63,6 +63,10 @@ class PhaConfig:
             raise ParameterError("PHA step length must lie in (0, (1+sqrt(5))/2)")
         if self.max_iter < 0:
             raise ParameterError("max_iter must be nonnegative")
+        # a comparison with NaN is false, so these refuse NaN as well
+        for name in ("tol_nonant", "tol_rel"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError("%s must be positive" % name)
 
 
 def _bundle(problem, rho):

@@ -68,6 +68,9 @@ class Cone:
     """Closed convex set with a computable projection and support function."""
 
     dim = 0  # length of the vectorized representation
+    # whether the set is a cone, Pi_K(s x) = s Pi_K(x) for every s > 0; a
+    # set that does not say so is taken not to be one
+    homogeneous = False
 
     def project(self, x):
         raise NotImplementedError
@@ -79,6 +82,8 @@ class Cone:
 
 
 class FreeSpace(Cone):
+    homogeneous = True
+
     def __init__(self, n):
         self.dim = int(n)
 
@@ -93,6 +98,8 @@ class FreeSpace(Cone):
 
 
 class NonnegOrthant(Cone):
+    homogeneous = True
+
     def __init__(self, n):
         self.dim = int(n)
 
@@ -152,6 +159,8 @@ class PsdCone(Cone):
     the product of ``k`` of them over concatenated svec blocks, projected by
     one batched eigendecomposition of a ``(k, d, d)`` stack."""
 
+    homogeneous = True
+
     def __init__(self, d, k=1):
         self.d = int(d)
         self.k = int(k)
@@ -178,6 +187,8 @@ class NonnegSymMatrices(Cone):
     projection and the support test reduce to the orthant ones on the
     vectorized coordinates.
     """
+
+    homogeneous = True
 
     def __init__(self, d):
         self.d = int(d)
@@ -432,7 +443,12 @@ class _Blocks:
 class BlockCone(_Blocks, Cone):
     """The product of block cones over their concatenated coordinates: blocks
     of one elementwise kind merge into one cone, PSD blocks of one order into
-    one batched :class:`PsdCone`, and any other block is called on its own."""
+    one batched :class:`PsdCone`, and any other block is called on its own.
+    It is a cone (``homogeneous``) when every group is."""
+
+    def __init__(self, blocks):
+        super().__init__(blocks)
+        self.homogeneous = all(p.homogeneous for p, _, _ in self.groups)
 
     def project(self, x):
         return self._map("project", x)

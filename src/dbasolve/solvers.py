@@ -34,9 +34,9 @@ from .model import (DualPoint, LinearResidues, PrimalPoint, _flat,
                     kkt_full, linear_dual_sums, primal_objective,
                     residue_denominators, validate)
 from .msolver import build_msolver
-from .proxcone import (Box, DenseQuadratic, DiagQuadratic, FreeSpace,
-                       NonnegOrthant, NonnegSymMatrices, PsdCone, Zero,
-                       prox_conjugate, quadratic_diag, scale_function)
+from .proxcone import (BlockCone, Box, DenseQuadratic, DiagQuadratic,
+                       FreeSpace, NonnegOrthant, NonnegSymMatrices, PsdCone,
+                       Zero, prox_conjugate, quadratic_diag, scale_function)
 
 # progress lines; the CLI shows them, the library attaches no handler
 _LOG = logging.getLogger("dbasolve")
@@ -280,8 +280,43 @@ class _AFactor:
 
 
 def _proj_conj(cone, sigma, u):
-    """-Prox_{sigma^{-1} delta*_K}(u) = Pi_K(sigma u)/sigma - u."""
+    """The cone step ``-Prox_{sigma^{-1} delta*_K}(u)``, by Moreau's
+    identity ``Pi_K(sigma u)/sigma - u``: the form for a set that is not a
+    cone (a :class:`Box`, or a :class:`BlockCone` holding one), whose
+    projection does not commute with the scaling by ``sigma``."""
     return cone.project(sigma * u) / sigma - u
+
+
+def _cone_conj(cone, sigma, u):
+    """:func:`_proj_conj` for a cone ``K``: ``Pi_K(sigma u) = sigma
+    Pi_K(u)`` makes it ``Pi_K(u) - u``, free of ``sigma``, written into
+    ``u``, the caller's own (a :class:`FreeSpace` projection returns
+    it)."""
+    return np.subtract(cone.project(u), u, out=u)
+
+
+def _orthant_conj(cone, sigma, u):
+    """:func:`_cone_conj` for the nonnegative orthant, ``max(-u, 0)``,
+    written into ``u``: ``Pi(u) - u`` up to the sign of a zero."""
+    np.negative(u, out=u)
+    return np.maximum(u, 0.0, out=u)
+
+
+def _conj_step(cone):
+    """The form of the cone step for ``cone``: :func:`_orthant_conj` where
+    it is one orthant (a :class:`BlockCone` whose blocks all merge into
+    one), :func:`_cone_conj` for any other cone and :func:`_proj_conj`
+    otherwise.  A solve picks it once, in :func:`_cone_steps`."""
+    whole = cone._whole if isinstance(cone, BlockCone) else cone
+    if isinstance(whole, (NonnegOrthant, NonnegSymMatrices)):
+        return _orthant_conj
+    return _cone_conj if cone.homogeneous else _proj_conj
+
+
+def _cone_steps(problem):
+    """The cone steps of the joint cone and of the scenario cones (the
+    latter for the semismooth Newton branch's zbar step)."""
+    return _conj_step(problem.joint_cone), _conj_step(problem.scen_cone)
 
 
 def _ssn_eligible(problem, cfg, halpern=False):
@@ -462,6 +497,14 @@ def _checked(config, tau_default, tau_max, tau_error):
         raise ParameterError("sigma0 must be positive and finite")
     if cfg.max_iter < 0:
         raise ParameterError("max_iter must be nonnegative")
+    # a comparison with NaN is false, so these refuse NaN as well
+    for name in ("tol_kkt", "tol_gap"):
+        if not getattr(cfg, name) > 0.0:
+            raise ParameterError("%s must be positive" % name)
+    if cfg.ssn not in ("auto", "on", "off"):
+        raise ParameterError("ssn must be one of auto, on, off")
+    if not cfg.log_every >= 0:
+        raise ParameterError("log_every must be nonnegative")
     return cfg, tau
 
 
@@ -636,6 +679,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     # ADMM's sweep with a smooth objective has a v step
     v_step = not (alm or v_free)
     terms = None
+    conj = _cone_steps(work) if cfg.max_iter else None
     st, sigma = _start(work, cfg, initial, scale)
     if v_free:
         st.vv = np.zeros_like(st.vv)
@@ -656,7 +700,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     for k in range(cfg.max_iter):
         eps_k = eps_schedule(k)
         if terms is None or terms.sigma != sigma:
-            terms = _SweepTerms(work, rhs, sigma, v_step)
+            terms = _SweepTerms(work, rhs, sigma, v_step, conj)
         try:
             inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
                 work, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
@@ -800,14 +844,17 @@ class _SweepTerms:
     function that is one diagonal quadratic ``diag``
     (:func:`~dbasolve.proxcone.quadratic_diag`), ``d = 1 + sigma diag``,
     with which :func:`_v_step` runs inline.  Each is ``None`` where
-    nothing reads it."""
+    nothing reads it.  ``conj`` holds the :func:`_cone_steps` of the
+    problem, which the solve picks once and passes in (picked here when
+    not given)."""
 
-    __slots__ = ("sigma", "mb", "bbar", "c", "q", "b", "d")
+    __slots__ = ("sigma", "mb", "bbar", "c", "q", "b", "d", "conj")
 
-    def __init__(self, problem, rhs, sigma, v_step):
+    def __init__(self, problem, rhs, sigma, v_step, conj=None):
         mb, c_a, q_a = rhs
         diag = quadratic_diag(problem.joint_theta) if v_step else None
         self.sigma = sigma
+        self.conj = _cone_steps(problem) if conj is None else conj
         self.mb = None if mb is None else mb / sigma
         self.bbar = problem.bbar / sigma if mb is None else None
         self.c = None if c_a is None else c_a / sigma
@@ -911,7 +958,9 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     step as ``c / sigma - L r`` (``c = (A A* + J)^{-1} b``, ``L``, ``P`` of
     :class:`_AFactor`): one dense product each in place of a mat-vec, a
     factor solve and often a second mat-vec.  A joint function that is one
-    diagonal quadratic takes the v step directly (:func:`_v_step`).
+    diagonal quadratic takes the v step directly (:func:`_v_step`).  The
+    cone steps are the forms of :func:`_proj_conj` that ``terms.conj``
+    holds: free of ``sigma`` on a cone, in closed form on one orthant.
     """
     A, At = problem.A_mv, problem.A_T
     n0 = problem.n0
@@ -930,12 +979,14 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     if alm:
         dy, inner = _ybar_step(problem, msol, mb, bbar_s, RR, sigma, eps_k,
                                cfg)
-        ybar = st.ybar + dy
-        RRin = mv(problem.W_T, ybar - st.ybar) + RR
+        RRin = mv(problem.W_T, dy) + RR
+        if use_ssn:
+            ybar = st.ybar + dy
 
     # nonsmooth: the (z, y) pair and zbar
+    joint_conj, scen_conj = terms.conj
     if use_ssn:
-        zbar = _proj_conj(problem.scen_cone, sigma, RRin[n0:] - st.zbar)
+        zbar = scen_conj(problem.scen_cone, sigma, RRin[n0:] - st.zbar)
         chat = cck[:n0] - problem.B.apply_adjoint(ybar) - st.v
         y, z, it = ssn_zy(A, problem.b, problem.cone, sigma, chat, y0=st.y,
                           tol=max(min(1e-9, eps_k), 1e-12))
@@ -945,14 +996,13 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
             yo[...] = y
             y = yo
     else:
-        u = RRin.copy()
+        u = RRin - st.zz
         if c_s is not None:
             u[:n0] += terms.q - facA.P @ RRin[:n0]
         elif A is not None:
             y_tmp = st.y + facA.solve(terms.b - mv(A, RRin[:n0]))
             u[:n0] += mv(At, y_tmp - st.y)
-        u -= st.zz
-        zz = _proj_conj(problem.joint_cone, sigma, u)
+        zz = joint_conj(problem.joint_cone, sigma, u)
         if c_s is not None:
             ystep = c_s - facA.L @ (RRin[:n0] + zz[:n0] - st.z)
         elif A is not None:
@@ -968,7 +1018,7 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
         # ybar -> smooth: one prox of the joint function for (v, vbar)
         dy, it = _ybar_step(problem, msol, mb, bbar_s, RR, sigma, eps_k, cfg)
         inner += it
-        r = mv(problem.W_T, st.ybar + dy - st.ybar) + RR
+        r = mv(problem.W_T, dy) + RR
         r -= st.vv
         vv = _v_step(problem.joint_theta, sigma, r, terms.d)
         RR += vv

@@ -485,3 +485,50 @@ class TestCmdCompare:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 2
         assert all("ParameterError" in row for row in rows)
+
+
+class TestSummaryRecordsTheRun:
+    """``summary.json`` records the M strategy that ``auto`` resolved to,
+    next to the requested one, and the BLAS thread count of the solve."""
+
+    @staticmethod
+    def summary(path, *flags):
+        out = os.path.join(os.path.dirname(path), "run")
+        main(["solve", path, "--out", out, *flags])
+        with open(out + ".summary.json") as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("solver", ["sgs-admm", "sgs-alm", "pha"])
+    def test_resolved_strategy_next_to_the_requested(self, lp_file, solver):
+        from dbasolve import msolver
+        from dbasolve.io import read_problem
+        config = self.summary(lp_file, "--solver", solver)["manifest"]["config"]
+        assert config["strategy"] == "auto"
+        assert config["strategy_resolved"] in msolver.STRATEGIES
+        if solver == "sgs-admm":
+            rep = admm_solve(read_problem(lp_file))
+            assert config["strategy_resolved"] == rep.extra["strategy"]
+
+    def test_requested_strategy_resolves_to_itself(self, lp_file):
+        config = self.summary(lp_file, "--strategy", "smw")["manifest"][
+            "config"]
+        assert (config["strategy"], config["strategy_resolved"]) == (
+            "smw", "smw")
+
+    def test_pha_without_an_iteration_resolves_nothing(self, lp_file):
+        config = self.summary(lp_file, "--solver", "pha", "--max-iter",
+                              "0")["manifest"]["config"]
+        assert config["strategy_resolved"] is None
+
+    def test_blas_threads_one_where_pinned(self, lp_file):
+        from dbasolve import _blas
+        want = 1 if _blas._thread_controls() else None
+        assert self.summary(lp_file)["blas_threads"] == want
+
+    def test_blas_threads_null_without_thread_control(self, lp_file,
+                                                      monkeypatch):
+        from dbasolve import _blas
+        monkeypatch.setattr(_blas, "_thread_controls", lambda: [])
+        monkeypatch.setattr(_blas, "_controls", None)
+        assert self.summary(lp_file)["blas_threads"] is None
+        assert _blas.solve_threads() is None
