@@ -196,7 +196,9 @@ def cmd_solve(args):
             "outputs": [sol_path, csv_path],
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "config": {
-                "tol_kkt": args.tol_kkt, "tol_gap": args.tol_gap,
+                # pha has no gap tolerance and ignores --tol-gap
+                "tol_kkt": args.tol_kkt,
+                "tol_gap": None if args.solver == "pha" else args.tol_gap,
                 "sigma": args.sigma, "tau": args.tau,
                 "max_iter": _max_iter(args, args.solver),
                 "strategy": args.strategy,

@@ -397,21 +397,35 @@ def joint_dual_sums(problem, y, ybar, zz, vv):
     return S
 
 
-def joint_linear_residues(problem, xx, d_res, d_res_bar, denoms):
+def scenario_primal_residue(problem, xx, den_Pbar):
+    """``||W xx - bbar|| / den_Pbar``, the scenario rows' relative primal
+    residue at ``xx = x|xbar``, by one product."""
+    # the norms are _norm's sqrt(v.dot(v)), written out
+    r = mv(problem.W, xx) - problem.bbar
+    return math.sqrt(r.dot(r)) / den_Pbar
+
+
+def joint_linear_residues(problem, xx, d_res, d_res_bar, denoms, pbar=None):
     """The relative primal residues at ``xx = x|xbar``, the scenario rows'
-    ``W xx - bbar`` formed by one product, and the relative norms of the
-    dual residues ``d_res``, ``d_res_bar`` (the :func:`joint_dual_sums` less
+    by :func:`scenario_primal_residue`, and the relative norms of the dual
+    residues ``d_res``, ``d_res_bar`` (the :func:`joint_dual_sums` less
     ``c|cbar``, split after ``n0``); ``denoms`` is
-    :func:`residue_denominators` of ``problem``."""
+    :func:`residue_denominators` of ``problem``.
+
+    A given ``pbar`` is taken as the scenario rows' residue without the
+    product.  The solve loop passes it after an exact ybar solve
+    (:attr:`~dbasolve.msolver.MSolver.exact`), whose optimality condition
+    ``W (xx + sigma (SS - c|cbar)) = bbar`` makes the new point's residue
+    ``W xx+ - bbar = (1 - tau)(W xx - bbar)`` for the sweep's input
+    ``xx`` and step length ``tau``: 0 under the Halpern step."""
     den_P, den_D, den_Pbar, den_Dbar = denoms
     eta_P = 0.0
     if problem.A is not None:
         r = mv(problem.A_mv, xx[:problem.n0]) - problem.b
         eta_P = math.sqrt(r.dot(r)) / den_P
-    # the norms are _norm's sqrt(v.dot(v)), written out
-    r = mv(problem.W, xx) - problem.bbar
-    return LinearResidues(eta_P, math.sqrt(d_res.dot(d_res)) / den_D,
-                          math.sqrt(r.dot(r)) / den_Pbar,
+    if pbar is None:
+        pbar = scenario_primal_residue(problem, xx, den_Pbar)
+    return LinearResidues(eta_P, math.sqrt(d_res.dot(d_res)) / den_D, pbar,
                           math.sqrt(d_res_bar.dot(d_res_bar)) / den_Dbar)
 
 
@@ -430,7 +444,10 @@ def kkt_full(problem, xx, dual, feas_tol=1e-8, denoms=None, sums=None,
     A caller that holds them passes ``sums``, the :func:`joint_dual_sums`
     at ``dual``, and ``lin``, the :func:`joint_linear_residues` at
     ``(xx, dual)``; given, they are not recomputed (``sums`` is read only
-    to form ``lin``), and the result is the same bit for bit."""
+    to form ``lin``), and the result is the same bit for bit.  A held
+    ``lin`` must be computed, not given a derived ``pbar``: the solve loop
+    passes ``sums`` alone after a row whose ``eta_Pbar`` was derived, so
+    every certificate reads the product."""
     n0 = problem.n0
     zz, vv = dual.zz, dual.vv
     if lin is None:

@@ -282,7 +282,15 @@ class MSolver:
     strategy built it (``chol`` on a small system), else ``None``.
     ``solve_impl(h, tol, stats=None)`` returns ``M^{-1} h``; one with an
     inner PCG sets ``last_inner_iters`` and ``last_inner_relres`` on
-    ``stats``, which :meth:`solve` passes as the solver itself."""
+    ``stats``, which :meth:`solve` passes as the solver itself.
+
+    :attr:`exact` says whether a solve applies ``(W W*)^{-1}`` up to
+    rounding: no Jbar and no PCG G-solve.  That holds for ``chol`` without
+    a ``jbar``, both ``smw`` forms and ``smw`` at ``B = 0``, and with it for
+    the composed ``M^{-1} W``; not for ``smw-diag``, ``block-diag``,
+    ``chol`` with a ``jbar`` or a PCG G-solve.  After an exact ybar solve
+    the scenario rows' primal residue needs no product (see
+    :func:`~dbasolve.model.joint_linear_residues`)."""
 
     def __init__(self, problem, strategy, apply_jbar, solve_impl,
                  reads_tol=False, minv_w=None):
@@ -295,6 +303,10 @@ class MSolver:
         self.last_relres = 0.0
         self.last_inner_iters = 0
         self.last_inner_relres = 0.0
+
+    @property
+    def exact(self):
+        return self._apply_jbar is None and not self.reads_tol
 
     def apply_m(self, w):
         """M w, including the strategy's own Jbar."""

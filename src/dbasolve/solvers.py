@@ -32,7 +32,7 @@ from .errors import (LineSearchFailure, NotPositiveDefinite, NumericalError,
 from .model import (DualPoint, LinearResidues, PrimalPoint, _flat,
                     dual_objective, joint_dual_sums, joint_linear_residues,
                     kkt_full, linear_dual_sums, primal_objective,
-                    residue_denominators, validate)
+                    residue_denominators, scenario_primal_residue, validate)
 from .msolver import build_msolver
 from .proxcone import (BlockCone, Box, DenseQuadratic, DiagQuadratic,
                        FreeSpace, NonnegOrthant, NonnegSymMatrices, PsdCone,
@@ -685,6 +685,15 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         st.vv = np.zeros_like(st.vv)
     # no step follows the last iteration, so a single one needs no anchor
     anchored = _Halpern(work, st) if halpern and cfg.max_iter > 1 else None
+    # after an exact ybar solve, the last step of every sweep, the scenario
+    # rows' residue is |1 - tau| times the sweep input's (see
+    # joint_linear_residues): pbar holds it, from one product at the start
+    # (none under the Halpern step, tau = 1, whose rows hold 0)
+    derive = msol.exact and cfg.max_iter > 0
+    decay = abs(1.0 - tau)
+    pbar = 0.0
+    if derive and decay != 0.0:
+        pbar = scenario_primal_residue(work, st.xx, lin_denoms[2])
 
     log_rows = []
     status = "MaxIter"
@@ -710,8 +719,15 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
             # a factor solve refuses a non-finite right-hand side
             raise NumericalError("non-finite iterate at iteration %d: %s"
                                  % (k, exc)) from exc
+        if derive:
+            pbar *= decay
         lin = joint_linear_residues(work, st.xx, d_res, d_res_bar,
-                                    lin_denoms)
+                                    lin_denoms, pbar if derive else None)
+        if derive and max(lin.eta_P, lin.eta_D, lin.eta_Dbar) <= cfg.tol_kkt:
+            # a row that may be certified reads the product, and the
+            # recurrence goes on from it
+            pbar = scenario_primal_residue(work, st.xx, lin_denoms[2])
+            lin = lin._replace(eta_Pbar=pbar)
         eta_lin = max(lin)
         # max() skips a NaN that is not first; a sum keeps it
         if not math.isfinite(sum(lin)):
@@ -791,11 +807,15 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         obj_p = primal_objective(problem, primal)
         obj_d = dual_objective(problem, dual)
     elif res is None:
-        # no step followed the last row, so its sums are the state's
-        held = {"sums": sums, "lin": lin} if scale == 1.0 else {}
+        # no step followed the last row, so its sums are the state's; its
+        # linear residues are held where they are the returned point's
+        # computed ones (not the scaled problem's, no derived eta_Pbar)
+        held = {"sums": sums} if scale == 1.0 else {}
+        if held and not derive:
+            held["lin"] = lin
         res, obj_p, obj_d = kkt_full(problem, pt.xx, pt, denoms=denoms,
                                      **held)
-        if scale != 1.0:
+        if "lin" not in held:
             # the last row's linear residues become the returned point's
             row = list(log_rows[-1])
             for name in LinearResidues._fields:

@@ -520,6 +520,18 @@ class TestSummaryRecordsTheRun:
                               "0")["manifest"]["config"]
         assert config["strategy_resolved"] is None
 
+    def test_pha_records_no_gap_tolerance(self, lp_file):
+        # pha has no gap tolerance: --tol-gap 0 runs as without it
+        out = os.path.join(os.path.dirname(lp_file), "run")
+        assert main(["solve", lp_file, "--out", out, "--solver", "pha",
+                     "--tol-gap", "0"]) == 0
+        with open(out + ".summary.json") as fh:
+            config = json.load(fh)["manifest"]["config"]
+        assert config["tol_gap"] is None
+        assert config["tol_kkt"] == 1e-5
+        assert self.summary(lp_file, "--tol-gap", "1e-3")["manifest"][
+            "config"]["tol_gap"] == 1e-3
+
     def test_blas_threads_one_where_pinned(self, lp_file):
         from dbasolve import _blas
         want = 1 if _blas._thread_controls() else None
