@@ -1,7 +1,8 @@
 """Command-line entry point: solve, generate, check and compare.
 
 Exit codes: 0 converged / check passed, 1 not converged / check failed,
-2 parse, parameter or non-finite data error, 3 solver failure.
+2 parse, parameter or non-finite data error or a solver that does not fit
+the problem's objective, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import builders, io, msolver
 from ._blas import solve_threads
-from .errors import DbaError, NonFiniteData, ParameterError, ParseError
+from .errors import (DbaError, NonFiniteData, ParameterError, ParseError,
+                     UnsupportedObjective)
 from .model import kkt_residues
 from .pha import PHA_LOG_COLUMNS, PhaConfig, pha_solve
 from .solvers import LOG_COLUMNS, SolverConfig, admm_solve, alm_solve
@@ -39,6 +41,10 @@ def main(argv=None):
         return 2
     except NonFiniteData as exc:
         print("invalid data: %s" % exc, file=sys.stderr)
+        return 2
+    except UnsupportedObjective as exc:
+        # refused before any iteration: the solver does not fit the input
+        print("unsupported objective: %s" % exc, file=sys.stderr)
         return 2
     except DbaError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)

@@ -18,6 +18,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import daxpy
@@ -306,17 +307,43 @@ def _conj_step(cone):
     """The form of the cone step for ``cone``: :func:`_orthant_conj` where
     it is one orthant (a :class:`BlockCone` whose blocks all merge into
     one), :func:`_cone_conj` for any other cone and :func:`_proj_conj`
-    otherwise.  A solve picks it once, in :func:`_cone_steps`."""
+    otherwise.  :func:`_cone_plan` picks it once per solve, for the whole
+    set or for each group."""
     whole = cone._whole if isinstance(cone, BlockCone) else cone
     if isinstance(whole, (NonnegOrthant, NonnegSymMatrices)):
         return _orthant_conj
     return _cone_conj if cone.homogeneous else _proj_conj
 
 
-def _cone_steps(problem):
-    """The cone steps of the joint cone and of the scenario cones (the
-    latter for the semismooth Newton branch's zbar step)."""
-    return _conj_step(problem.joint_cone), _conj_step(problem.scen_cone)
+def _cone_plan(cone):
+    """The cone step of the :class:`BlockCone` ``cone`` as a function of
+    ``(sigma, u)`` that may overwrite ``u``, built once per solve.  Where
+    :func:`_conj_step` picks :func:`_cone_conj`, each group runs its own
+    form (:func:`_orthant_conj` on an orthant group), in place on its
+    coordinates: a slice of ``u`` is written through, and the groups whose
+    coordinates are an index array are scattered back.  Both forms a group
+    can take write into their argument.  One orthant, and a set holding a
+    :class:`Box`, take their form on the whole set."""
+    step = _conj_step(cone)
+    if step is not _cone_conj:
+        return partial(step, cone)
+    groups = [(_conj_step(part), part, where)
+              for part, where, _ in cone.groups]
+
+    def plan(sigma, u):
+        for group_step, part, where in groups:
+            if isinstance(where, slice):
+                group_step(part, sigma, u[where])
+            else:
+                u[where] = group_step(part, sigma, u[where])
+        return u
+    return plan
+
+
+def _cone_plans(problem):
+    """The :func:`_cone_plan` of the joint cone and of the scenario cones
+    (the latter for the semismooth Newton branch's zbar step)."""
+    return _cone_plan(problem.joint_cone), _cone_plan(problem.scen_cone)
 
 
 def _ssn_eligible(problem, cfg, halpern=False):
@@ -679,7 +706,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     # ADMM's sweep with a smooth objective has a v step
     v_step = not (alm or v_free)
     terms = None
-    conj = _cone_steps(work) if cfg.max_iter else None
+    conj = _cone_plans(work) if cfg.max_iter else None
     st, sigma = _start(work, cfg, initial, scale)
     if v_free:
         st.vv = np.zeros_like(st.vv)
@@ -860,41 +887,82 @@ class _SweepTerms:
     one value of ``sigma``: ``mb``, ``c`` and ``q``, the terms ``rhs`` of
     :func:`_composed_rhs` over ``sigma``; ``bbar / sigma`` where the ybar
     step solves with M and ``b / sigma`` where the y steps solve with the
-    A factor; and, for a sweep with a v step (``v_step``) and a joint
-    function that is one diagonal quadratic ``diag``
-    (:func:`~dbasolve.proxcone.quadratic_diag`), ``d = 1 + sigma diag``,
-    with which :func:`_v_step` runs inline.  Each is ``None`` where
-    nothing reads it.  ``conj`` holds the :func:`_cone_steps` of the
-    problem, which the solve picks once and passes in (picked here when
-    not given)."""
+    A factor; and, for a sweep with a v step (``v_step``), the v step's
+    plan (:func:`_v_plan`): ``d = 1 + sigma diag`` of a joint function
+    that is one diagonal quadratic, or ``v_groups``, each group of a joint
+    function of several groups with its own ``d``.  Each is ``None``
+    where nothing reads it.  ``conj`` holds the :func:`_cone_plans` of
+    the problem, which the solve builds once and passes in (built here
+    when not given)."""
 
-    __slots__ = ("sigma", "mb", "bbar", "c", "q", "b", "d", "conj")
+    __slots__ = ("sigma", "mb", "bbar", "c", "q", "b", "d", "v_groups",
+                 "conj")
 
     def __init__(self, problem, rhs, sigma, v_step, conj=None):
         mb, c_a, q_a = rhs
-        diag = quadratic_diag(problem.joint_theta) if v_step else None
         self.sigma = sigma
-        self.conj = _cone_steps(problem) if conj is None else conj
+        self.conj = _cone_plans(problem) if conj is None else conj
         self.mb = None if mb is None else mb / sigma
         self.bbar = problem.bbar / sigma if mb is None else None
         self.c = None if c_a is None else c_a / sigma
         self.q = None if q_a is None else q_a / sigma
         self.b = (problem.b / sigma if c_a is None and problem.A is not None
                   else None)
-        self.d = None if diag is None else 1.0 + sigma * diag
+        self.d, self.v_groups = (_v_plan(problem.joint_theta, sigma)
+                                 if v_step else (None, None))
 
 
-def _v_step(theta, sigma, r, d=None):
-    """``v = -Prox_{theta*/sigma}(r)``, the smooth step's multiplier.
-    Given ``d = 1 + sigma diag`` of a ``theta`` that is one diagonal
-    quadratic (:class:`_SweepTerms`), ``-(r - (sigma r / d) / sigma)``:
-    the float operations of :func:`~dbasolve.proxcone.prox_conjugate`
-    without its call layers."""
+def _v_plan(theta, sigma):
+    """The plan of the v step at ``sigma`` for the joint function
+    ``theta``, as ``(d, groups)`` for :func:`_v_step`.  Each diagonal
+    quadratic group (:func:`~dbasolve.proxcone.quadratic_diag`) takes
+    ``d = 1 + sigma diag``: where it is the one group, ``d`` is returned
+    alone; among several groups, ``groups`` lists every group as ``(part,
+    where, d)``, ``d`` ``None`` on a group that is not diagonal.  A
+    function without a diagonal group gets ``(None, None)``: its v step
+    is :func:`~dbasolve.proxcone.prox_conjugate` on the whole."""
+    diags = [quadratic_diag(part) for part, _, _ in theta.groups]
+    if all(q is None for q in diags):
+        return None, None
+    ds = [None if q is None else 1.0 + sigma * q for q in diags]
+    if len(ds) == 1:
+        return ds[0], None
+    return None, [(part, where, d)
+                  for (part, where, _), d in zip(theta.groups, ds)]
+
+
+def _v_step(theta, sigma, r, d=None, groups=None):
+    """``v = -Prox_{theta*/sigma}(r)``, the smooth step's multiplier, in a
+    new array, by the plan ``(d, groups)`` of :func:`_v_plan`.  With
+    ``groups``, each group runs :func:`_group_v_step` on its coordinates,
+    written through a slice of ``v`` or scattered back where they are an
+    index array; without, given ``d``, that step runs on the whole vector,
+    and otherwise :func:`~dbasolve.proxcone.prox_conjugate`."""
+    if groups is None:
+        if d is None:
+            return -prox_conjugate(theta, sigma, r)
+        return _group_v_step(theta, sigma, r, d)
+    v = np.empty_like(r)
+    for part, where, dg in groups:
+        if isinstance(where, slice):
+            _group_v_step(part, sigma, r[where], dg, v[where])
+        else:
+            v[where] = _group_v_step(part, sigma, r[where], dg)
+    return v
+
+
+def _group_v_step(f, sigma, r, d, out=None):
+    """``-Prox_{f*/sigma}(r)`` by the float operations of
+    :func:`~dbasolve.proxcone.prox_conjugate`, ``-(r - Prox_{sigma f}(sigma
+    r) / sigma)``, without its call layers, written into ``out`` (a new
+    array when ``None``).  Given ``d = 1 + sigma diag`` of a diagonal
+    quadratic ``f``, its prox is ``sigma r / d``."""
+    v = np.multiply(r, sigma, out=out)
     if d is None:
-        return -prox_conjugate(theta, sigma, r)
-    v = sigma * r
-    v /= d
-    v /= sigma
+        np.divide(f.prox(sigma, v), sigma, out=v)
+    else:
+        v /= d
+        v /= sigma
     return np.negative(np.subtract(r, v, out=v), out=v)
 
 
@@ -977,10 +1045,13 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     y_tmp correction ``A*(y_tmp - y)`` as ``A* c / sigma - P RR`` and the y
     step as ``c / sigma - L r`` (``c = (A A* + J)^{-1} b``, ``L``, ``P`` of
     :class:`_AFactor`): one dense product each in place of a mat-vec, a
-    factor solve and often a second mat-vec.  A joint function that is one
-    diagonal quadratic takes the v step directly (:func:`_v_step`).  The
-    cone steps are the forms of :func:`_proj_conj` that ``terms.conj``
-    holds: free of ``sigma`` on a cone, in closed form on one orthant.
+    factor solve and often a second mat-vec.  The cone and v steps run as
+    ``terms`` plans them, group by group on a set of several groups: the
+    cone step (``terms.conj``, :func:`_cone_plan`) is a form of
+    :func:`_proj_conj`, free of ``sigma`` on a cone and in closed form on
+    an orthant group; the v step (:func:`_v_step`) takes a diagonal
+    quadratic group directly and any other group by
+    :func:`~dbasolve.proxcone.prox_conjugate`'s float operations.
     """
     A, At = problem.A_mv, problem.A_T
     n0 = problem.n0
@@ -1006,7 +1077,7 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     # nonsmooth: the (z, y) pair and zbar
     joint_conj, scen_conj = terms.conj
     if use_ssn:
-        zbar = scen_conj(problem.scen_cone, sigma, RRin[n0:] - st.zbar)
+        zbar = scen_conj(sigma, RRin[n0:] - st.zbar)
         chat = cck[:n0] - problem.B.apply_adjoint(ybar) - st.v
         y, z, it = ssn_zy(A, problem.b, problem.cone, sigma, chat, y0=st.y,
                           tol=max(min(1e-9, eps_k), 1e-12))
@@ -1022,7 +1093,7 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
         elif A is not None:
             y_tmp = st.y + facA.solve(terms.b - mv(A, RRin[:n0]))
             u[:n0] += mv(At, y_tmp - st.y)
-        zz = joint_conj(problem.joint_cone, sigma, u)
+        zz = joint_conj(sigma, u)
         if c_s is not None:
             ystep = c_s - facA.L @ (RRin[:n0] + zz[:n0] - st.z)
         elif A is not None:
@@ -1040,7 +1111,8 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
         inner += it
         r = mv(problem.W_T, dy) + RR
         r -= st.vv
-        vv = _v_step(problem.joint_theta, sigma, r, terms.d)
+        vv = _v_step(problem.joint_theta, sigma, r, terms.d,
+                     terms.v_groups)
         RR += vv
         RR -= st.vv
     dy, it = _ybar_step(problem, msol, mb, bbar_s, RR, sigma, eps_k, cfg)

@@ -276,12 +276,17 @@ class TestCmdSolve:
         assert code == 3
         assert "non-finite iterate at iteration 0" in capsys.readouterr().err
 
-    def test_alm_on_quadratic_exit_three(self, tmp_path):
+    def test_alm_on_quadratic_exit_two(self, tmp_path, capsys):
+        # a refusal before any iteration, not a solver failure
         path = tmp_path / "qp.json"
         io.write_problem(random_qp(4, 8, 4, 8, 2, 3), str(path))
         code = main(["solve", str(path), "--solver", "sgs-alm",
                      "--out", str(tmp_path / "r")])
-        assert code == 3
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["unsupported objective: the ALM variant requires "
+                       "zero theta terms; use admm_solve"]
+        assert not (tmp_path / "r.summary.json").exists()
 
 
 class TestCmdGenerate:

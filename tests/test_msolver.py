@@ -889,6 +889,23 @@ class TestFixedRecourse:
         for prob, want in cases:
             assert msolver.auto_candidates(prob) == want
 
+    @pytest.mark.parametrize("p, q", [(3, 4), (4, 20), (10, 150),
+                                      (30, 300)])
+    def test_shared_block_apply_bytes_of_the_transposed_view(self, p, q):
+        # the facility location instances of the tests, the benchmark and
+        # the CI; BLAS sums some other shapes in another order
+        prob = build_ufl_dnn(random_ufl(p, q, seed=1))
+        groups = msolver._size_groups(prob)
+        grams = msolver._block_stacks(prob, prob.Bbar.gram(), groups)
+        dinv1 = msolver._checked_inverses([grams[0][:1]], [groups[0][:1]],
+                                          np.inf, "")[0][0]
+        apply_dinv, _ = msolver._bbar_gram_inverse(prob, np.inf)
+        rng = np.random.default_rng(p)
+        for scale in (1.0, 1e-150, 1e150):
+            h = scale * rng.normal(size=prob.mbar)
+            want = (h.reshape(q, p + 1) @ dinv1.T).ravel()
+            assert apply_dinv(h).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed, iterations", [(1, 238), (2, 227),
                                                   (3, 202)])
     def test_ufl_iterations_unchanged(self, seed, iterations):

@@ -168,8 +168,9 @@ def count_prox_conjugate(monkeypatch):
 @pytest.mark.parametrize("tau", [None, 1.618], ids=["halpern", "classic"])
 @pytest.mark.parametrize("name, generic", [
     ("two-stage", False),
-    # an indicator group next to the diagonal one
-    ("ufl-dnn", True),
+    # an indicator group next to the diagonal one: the v step runs group
+    # by group, without prox_conjugate
+    ("ufl-dnn", False),
     ("dense-quadratic", True)])
 def test_generic_v_step_runs_where_theta_is_not_one_diagonal(
         monkeypatch, name, generic, tau):
