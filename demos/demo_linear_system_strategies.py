@@ -2,12 +2,11 @@
 
 M = B B* + Bbar Bbar* + Jbar ties all scenarios together through the
 first-stage columns.  This script builds one random structure and walks the
-available factorizations: full Cholesky, the Woodbury reduction to a small
-first-stage system (with exact or diagonalized scenario grams; in the
-form the cost model prices lower, shown on two facility-location
-relaxations with sparse B, one on each side), and the proximal choices
-of Jbar that make M block diagonal so every scenario can be solved
-independently.
+two factorizations: full Cholesky and the Woodbury reduction to a small
+first-stage system (in the form the cost model prices lower, shown on two
+facility-location relaxations with sparse B, one on each side).  A
+proximal term Jbar, any PSD matrix, goes with Cholesky: the last lines
+solve M + Jbar and check it against a dense assembly.
 """
 
 import numpy as np
@@ -16,8 +15,7 @@ from dbasolve import build_msolver
 from dbasolve.builders import build_ufl_dnn, random_ufl
 from dbasolve.model import DBAProblem, ScenarioBlock
 from dbasolve.msolver import (_column_support, _factored_form,
-                              assemble_m_dense, ebj_block_diag_J,
-                              std_block_diag_J)
+                              assemble_m_dense)
 from dbasolve.proxcone import NonnegOrthant, Zero
 
 rng = np.random.default_rng(1)
@@ -64,18 +62,11 @@ for p, q in ((5, 140), (40, 20)):
     print("facility location:", end=" ")
     compare_with_dense(ufl, np.random.default_rng(2).normal(size=ufl.mbar))
 
-# the diagonalizing choice changes M itself: check its own residual
-sol = build_msolver(problem, "smw-diag")
-y = sol.solve(h, check_residual=True)
-print("%-10s solves its own system, residual %.2e" % ("smw-diag", sol.last_relres))
-
-# block-diagonalizing proximal terms: coupling norms vs the conservative rule
-J_ebj = ebj_block_diag_J(problem)
-J_std = std_block_diag_J(problem)
-print("proximal traces: coupling-norm %.1f vs conservative %.1f"
-      % (np.trace(J_ebj), np.trace(J_std)))
-for variant, J in (("ebj", J_ebj), ("std", J_std)):
-    sol = build_msolver(problem, "block-diag", jbar=variant)
-    ref = np.linalg.solve(assemble_m_dense(problem, jbar=J), h)
-    err = np.linalg.norm(sol.solve(h) - ref) / np.linalg.norm(ref)
-    print("block-diag/%-3s matches its dense system, rel err %.2e" % (variant, err))
+# a PSD proximal term changes M itself: chol solves M + Jbar
+X = rng.normal(size=(problem.mbar, 3))
+J = 0.5 * np.eye(problem.mbar) + X @ X.T
+sol = build_msolver(problem, "chol", jbar=J)
+ref = np.linalg.solve(assemble_m_dense(problem, jbar=J), h)
+err = np.linalg.norm(sol.solve(h, check_residual=True) - ref) / np.linalg.norm(ref)
+print("chol + Jbar matches its dense system, rel err %.2e, residual %.2e"
+      % (err, sol.last_relres))

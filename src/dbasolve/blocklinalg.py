@@ -528,29 +528,6 @@ def pcg_solve(apply_op, h, precond=None, tol=1e-10, maxit=500):
     return x, iters, relres
 
 
-def power_lambda_max(apply_op, dim, tol=1e-8, maxit=500):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
-
-    Deterministic normalized all-ones start.  Returns ``(value, converged)``;
-    hitting ``maxit`` returns the best estimate with ``converged=False``.
-    """
-    if dim == 0:
-        return 0.0, True
-    v = np.ones(dim) / np.sqrt(dim)
-    lam = 0.0
-    for _ in range(maxit):
-        w = apply_op(v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0, True
-        v = w / norm_w
-        lam_new = float(v @ apply_op(v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new, True
-        lam = lam_new
-    return lam, False
-
-
 # lambda_max_bound takes the dense top eigenvalue up to this order and the
 # Gershgorin bound above it: eigvalsh of order 1000 takes about 0.1 s on
 # one core, and the dense copy of a larger sparse gram can outgrow memory
@@ -577,18 +554,3 @@ def lambda_max_bound(S):
     if n > _EIGH_MAX_DIM:
         return g * (1.0 + n * eps)
     return float(np.linalg.eigvalsh(to_dense(S))[-1]) + 4.0 * n * eps * g
-
-
-def op_norm_2(C, tol=1e-8, maxit=500):
-    """Spectral norm of a rectangular map via power iteration on the Gram
-    operator of the smaller side."""
-    m, n = C.shape
-    Ct = C.T
-    if m <= n:
-        gram = lambda y: mv(C, mv(Ct, y))
-        dim = m
-    else:
-        gram = lambda x: mv(Ct, mv(C, x))
-        dim = n
-    lam, _ = power_lambda_max(gram, dim, tol=tol, maxit=maxit)
-    return float(np.sqrt(max(lam, 0.0)))

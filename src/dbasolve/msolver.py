@@ -3,38 +3,33 @@
 M = B B* + Bbar Bbar* + Jbar couples all scenarios through the first-stage
 columns of B.  Strategies:
 
-* ``chol``       factor M assembled once (small row totals);
-* ``smw``        Sherman-Morrison-Woodbury with Jbar = 0:
-                 M^{-1} h = D^{-1} h - D^{-1} B G^{-1} B* D^{-1} h with
-                 D_i = Bbar_i Bbar_i* and G = I + sum_i B_i* D_i^{-1} B_i;
-* ``smw-diag``   Jbar_i = lam_i I - Bbar_i Bbar_i* with lam_i a bound on
-                 lambda_max(Bbar_i Bbar_i*), making D_i = lam_i I diagonal;
-* ``block-diag`` Jbar chosen so that M becomes block diagonal and each
-                 scenario solves independently.
+* ``chol``  factor M assembled once (small row totals); the one strategy
+            that takes a proximal term Jbar, given as a PSD matrix;
+* ``smw``   Sherman-Morrison-Woodbury with Jbar = 0:
+            M^{-1} h = D^{-1} h - D^{-1} B G^{-1} B* D^{-1} h with
+            D_i = Bbar_i Bbar_i* and G = I + sum_i B_i* D_i^{-1} B_i.
 
 Under ``auto`` every problem, identical blocks and facility-location
 relaxations included, gets ``chol`` or ``smw`` by the cost model of
-:func:`m_solve_cost_ns` (``smw-diag`` from 50 000 scenario rows on).
+:func:`m_solve_cost_ns`, at every size.
 
 Every scenario gram Bbar_i Bbar_i* comes from one sparse product of the
 assembled operator with its transpose (:meth:`BlockDiagOp.gram`): ``chol``
-adds it to B B*, and the batched builds gather its diagonal blocks into one
-dense (n_g, m, m) stack per row count.  ``smw`` and ``block-diag`` (whose
-B_i B_i* come the same way) factor a stack by one batched Cholesky, invert
-its factors in min(n_g, m) numpy steps (:func:`_lower_inverses`) and
-assemble D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR matrix,
-applied by one sparse mat-vec whatever the row counts.  Under ``auto``,
-``smw`` checks the exact 1-norm condition ||D_i||_1 ||D_i^{-1}||_1 of every
-block from the stacks just built.  When every scenario has the same row
-count m and the same gram bit for bit (fixed recourse, as in facility
-location), ``smw`` factors and inverts that one m x m gram instead and
-applies D^{-1} h as one GEMM of h reshaped to (N, m).  ``smw-diag`` takes
-lam_i from one batched ``eigvalsh`` for its small blocks and from
-:func:`lambda_max_bound` per large block.
+adds it to B B*, and ``smw`` gathers its diagonal blocks into one dense
+(n_g, m, m) stack per row count, factors a stack by one batched Cholesky,
+inverts its factors in min(n_g, m) numpy steps (:func:`_lower_inverses`)
+and assembles D^{-1} = blockdiag(L_i^{-T} L_i^{-1}) once into one CSR
+matrix, applied by one sparse mat-vec whatever the row counts.  Under
+``auto``, ``smw`` checks the exact 1-norm condition ||D_i||_1
+||D_i^{-1}||_1 of every block from the stacks just built.  When every
+scenario has the same row count m and the same gram bit for bit (fixed
+recourse, as in facility location), ``smw`` factors and inverts that one
+m x m gram instead and applies D^{-1} h as one GEMM of h reshaped to
+(N, m).
 
 G = I + B* D^{-1} B is the identity off the set S of columns where B has
-stored entries, and B* D^{-1} h vanishes there, so both SMW forms build
-only G_SS = I + B_S* D^{-1} B_S.  With S empty (B = 0), M^{-1} = D^{-1}.
+stored entries, and B* D^{-1} h vanishes there, so ``smw`` builds only
+G_SS = I + B_S* D^{-1} B_S.  With S empty (B = 0), M^{-1} = D^{-1}.
 ``smw`` solves in one of two forms, the cheaper by the two estimates of
 :func:`m_solve_cost_ns` (:func:`_factored_form`), which ``auto`` prices:
 
@@ -45,10 +40,10 @@ only G_SS = I + B_S* D^{-1} B_S.  With S empty (B = 0), M^{-1} = D^{-1}.
   D^{-1} apply and two GEMVs.  It always wins with B stored dense, whose
   B_S the other form multiplies by twice, and with a CSR B while |S| is
   small against the fixed cost of the other form's extra calls;
-* the ``G_SS`` form (a PCG G-solve and ``smw-diag`` take it too) applies
-  D^{-1} twice, keeps the entries S of B* u, solves with G_SS and applies
-  B to w scattered into a zero n0-vector.  Its products with a CSR B cost
-  B's stored entries, where R is dense: it wins where mbar |S| is large
+* the ``G_SS`` form (a PCG G-solve takes it too) applies D^{-1} twice,
+  keeps the entries S of B* u, solves with G_SS and applies B to w
+  scattered into a zero n0-vector.  Its products with a CSR B cost B's
+  stored entries, where R is dense: it wins where mbar |S| is large
   against them, as on facility location with many facilities.
 """
 
@@ -59,22 +54,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .blocklinalg import (_CHOL_PIVOT_RTOL, _MATVEC_DENSE_SIZE,
-                          DENSE_FALLBACK_DENSITY, BlockDiagOp, as_csr,
-                          canonicalize, chol_factor, lambda_max_bound,
-                          maybe_densify, mv, op_norm_2, pcg_solve, to_dense)
+                          DENSE_FALLBACK_DENSITY, as_csr, canonicalize,
+                          chol_factor, maybe_densify, mv, pcg_solve,
+                          to_dense)
 from .errors import (NotPositiveDefinite, ParameterError,
                      StrategyPrecondition)
 
-STRATEGIES = ("chol", "smw", "smw-diag", "block-diag")
+STRATEGIES = ("chol", "smw")
 
 _G_CHOL_DIM = 2000
-# from this many scenario rows on, auto picks smw-diag
-_SMW_DIAG_ROWS = 50000
-_EBJ_MAX_N = 64
-# smw-diag gathers Bbar_i Bbar_i^T densely for its eigvalsh while m_i^2 is
-# at most this; a larger block keeps its sparse gram and gets
-# lambda_max_bound's bound
-_DIAG_DENSE_CELLS = 4096
 # auto rejects smw when some Bbar_i Bbar_i^T has a 1-norm condition
 # above this: its backward error grows as about 1e-16 cond(Bbar_i Bbar_i^T),
 # while chol's does not
@@ -93,8 +81,9 @@ def auto_strategy(problem):
 
 
 def auto_candidates(problem):
-    """The strategies ``auto`` builds, in order, until one builds:
-    :func:`row_count_strategy` and then ``chol`` when that was ``smw``."""
+    """The strategies ``auto`` builds, in order, until one builds: ``chol``
+    where :func:`m_solve_cost_ns` prices it at most ``smw``, otherwise
+    ``smw`` and then ``chol``."""
     return _auto_plan(problem)[0]
 
 
@@ -102,8 +91,6 @@ def _auto_plan(problem):
     """:func:`auto_candidates` and the ``smw`` form the cost model priced
     for them, ``(S, factored)`` as :func:`_priced` gives it (``None``
     without ``smw``), so that the ``smw`` build prices nothing again."""
-    if problem.mbar >= _SMW_DIAG_ROWS:
-        return ["smw-diag"], None
     chol, smw, form = _priced(problem)
     if chol <= smw:
         return ["chol"], None
@@ -200,13 +187,6 @@ def _column_support(Bm):
     return np.flatnonzero((Bm != 0).any(axis=0))
 
 
-def row_count_strategy(problem):
-    """The general strategy: ``smw-diag`` from 50 000 scenario rows on (its
-    proximal term changes the iterates), otherwise the cheaper of ``chol``
-    and ``smw`` per M solve by :func:`m_solve_cost_ns`."""
-    return _auto_plan(problem)[0][0]
-
-
 def assemble_m_dense(problem, jbar=None):
     """Dense M = B B^T + diag(Bbar_i Bbar_i^T) + Jbar (oracle/tests helper)."""
     Bd = np.vstack([to_dense(s.B) for s in problem.scenarios])
@@ -218,60 +198,6 @@ def assemble_m_dense(problem, jbar=None):
     if jbar is not None:
         M = M + to_dense(jbar)
     return M
-
-
-def std_block_diag_J(problem):
-    """Dense Jbar_std = (N+1) diag(B_i B_i^T) - B B^T (conservative block-
-    diagonalizing proximal term, PSD by the norm inequality)."""
-    N = problem.N
-    Bd = np.vstack([to_dense(s.B) for s in problem.scenarios])
-    J = -(Bd @ Bd.T)
-    for i, s in enumerate(problem.scenarios):
-        bi = to_dense(s.B)
-        sl = problem.y_slice(i)
-        J[sl, sl] += (N + 1) * (bi @ bi.T)
-    return J
-
-
-def ebj_block_diag_J(problem, norms=None):
-    """Dense block-diagonalizing Jbar built from pairwise coupling norms:
-    diag(B_i B_i^T + sum_{j != i} ||B_i B_j^T||_2 I) - B B^T."""
-    if norms is None:
-        norms = pairwise_coupling_norms(problem)
-    Bd = np.vstack([to_dense(s.B) for s in problem.scenarios])
-    J = -(Bd @ Bd.T)
-    for i, s in enumerate(problem.scenarios):
-        bi = to_dense(s.B)
-        sl = problem.y_slice(i)
-        J[sl, sl] += bi @ bi.T + norms[i] * np.eye(s.m)
-    return J
-
-
-_EXACT_NORM_DIM = 256
-
-
-def pairwise_coupling_norms(problem):
-    """nu_i = sum_{j != i} ||B_i B_j^T||_2 (O(N^2) products of small row
-    blocks); the problem is not written to.
-
-    Small products get an exact SVD so the block-diagonalizing proximal term
-    stays PSD to machine precision; larger ones use power iteration with a
-    small safety inflation to cover its one-sided error.
-    """
-    N = problem.N
-    norm = np.zeros((N, N))
-    for i in range(N):
-        Bi = problem.scenarios[i].B
-        for j in range(i + 1, N):
-            prod = Bi @ problem.scenarios[j].B.T
-            if min(prod.shape) <= _EXACT_NORM_DIM:
-                # the norm of a product with no rows or columns is 0
-                val = float(np.max(np.linalg.svd(to_dense(prod), compute_uv=False),
-                                   initial=0.0))
-            else:
-                val = op_norm_2(canonicalize(prod), tol=1e-10) * (1.0 + 1e-8)
-            norm[i, j] = norm[j, i] = val
-    return norm.sum(axis=1)
 
 
 class MSolver:
@@ -287,10 +213,9 @@ class MSolver:
     :attr:`exact` says whether a solve applies ``(W W*)^{-1}`` up to
     rounding: no Jbar and no PCG G-solve.  That holds for ``chol`` without
     a ``jbar``, both ``smw`` forms and ``smw`` at ``B = 0``, and with it for
-    the composed ``M^{-1} W``; not for ``smw-diag``, ``block-diag``,
-    ``chol`` with a ``jbar`` or a PCG G-solve.  After an exact ybar solve
-    the scenario rows' primal residue needs no product (see
-    :func:`~dbasolve.model.joint_linear_residues`)."""
+    the composed ``M^{-1} W``; not for ``chol`` with a ``jbar`` or a PCG
+    G-solve.  After an exact ybar solve the scenario rows' primal residue
+    needs no product (see :func:`~dbasolve.model.joint_linear_residues`)."""
 
     def __init__(self, problem, strategy, apply_jbar, solve_impl,
                  reads_tol=False, minv_w=None):
@@ -331,10 +256,9 @@ class MSolver:
 def build_msolver(problem, strategy="auto", jbar=None):
     """Precompute a structured solver for this problem's M system.
 
-    ``jbar`` overrides the strategy default: ``None`` keeps it, an explicit
-    matrix is added to M (``chol`` only), and for ``block-diag`` the strings
-    ``"ebj"`` / ``"std"`` pick the coupling-norm or conservative variant;
-    any other use, ``auto`` included, raises :class:`ParameterError`.
+    ``jbar``, a PSD proximal term given as a matrix, is added to M
+    (``chol`` only); any other use, ``auto`` included, raises
+    :class:`ParameterError`.
     ``"auto"`` builds the first of :func:`auto_candidates` whose
     precondition holds, where ``smw`` also needs every ``Bbar_i Bbar_i^T``
     of 1-norm condition at most 1e8; an explicit strategy raises
@@ -354,28 +278,18 @@ def build_msolver(problem, strategy="auto", jbar=None):
 
 
 def _check_jbar(strategy, jbar):
-    if isinstance(jbar, str):
-        ok = strategy == "block-diag" and jbar in ("ebj", "std")
-    else:
-        ok = jbar is None or strategy == "chol"
-    if not ok:
+    if jbar is not None and (isinstance(jbar, str) or strategy != "chol"):
         raise ParameterError(
-            "jbar takes a matrix with strategy 'chol' or 'ebj' / 'std' with "
-            "'block-diag'; got %s with %r"
+            "jbar takes a matrix with strategy 'chol'; got %s with %r"
             % (repr(jbar) if isinstance(jbar, str) else "a matrix", strategy))
 
 
 def _build(problem, strategy, jbar, max_cond, form=None):
-    if strategy not in STRATEGIES:
-        raise StrategyPrecondition("unknown strategy %r" % (strategy,))
     if strategy == "chol":
         return _build_chol(problem, jbar)
     if strategy == "smw":
-        return _build_smw(problem, diagonal=False, max_cond=max_cond,
-                          form=form)
-    if strategy == "smw-diag":
-        return _build_smw(problem, diagonal=True)
-    return _build_block_diag(problem, jbar)
+        return _build_smw(problem, max_cond, form)
+    raise StrategyPrecondition("unknown strategy %r" % (strategy,))
 
 
 # ---------------------------------------------------------------------------
@@ -400,29 +314,16 @@ def _build_chol(problem, jbar):
                    lambda h, tol, stats=None: fac.solve(h), minv_w=minv_w)
 
 
-def _build_smw(problem, diagonal, max_cond=np.inf, form=None):
-    """The ``smw`` or ``smw-diag`` solver.  ``form`` is ``(S, factored)``:
-    the column support of ``B`` and whether ``smw`` solves in the factored
-    form, as ``auto`` priced it (:func:`_priced`); found here when
-    ``None``.  ``smw-diag`` never takes the factored form."""
-    if diagonal:
-        # D_i = lam_i I: D^{-1} scales every row of ybar by its block's 1/lam
-        lam_rows = np.repeat(_diag_shifts(problem), problem.m_i)
-        dinv = sp.diags(1.0 / lam_rows, format="csr")
-        apply_dinv, dinv_times = (lambda h: mv(dinv, h)), dinv.__matmul__
-        Bbar_op = problem.Bbar
-
-        def apply_jbar(w):
-            return lam_rows * w - Bbar_op.apply(Bbar_op.apply_adjoint(w))
-    else:
-        apply_dinv, dinv_times = _bbar_gram_inverse(problem, max_cond)
-        apply_jbar = None
-    strategy = "smw-diag" if diagonal else "smw"
+def _build_smw(problem, max_cond=np.inf, form=None):
+    """The ``smw`` solver.  ``form`` is ``(S, factored)``: the column
+    support of ``B`` and whether ``smw`` solves in the factored form, as
+    ``auto`` priced it (:func:`_priced`); found here when ``None``."""
+    apply_dinv, dinv_times = _bbar_gram_inverse(problem, max_cond)
     Bm = problem.B.matrix
     S, factored = (_column_support(Bm), None) if form is None else form
     if S.size == 0:
         # B = 0: M = D
-        return MSolver(problem, strategy, apply_jbar,
+        return MSolver(problem, "smw", None,
                        lambda h, tol, stats=None: apply_dinv(h))
     # take keeps a dense B_S row-major as B is (B[:, S] would not), so with
     # S all of n0 the G build is the same GEMM as with B itself
@@ -439,13 +340,13 @@ def _build_smw(problem, diagonal, max_cond=np.inf, form=None):
         G = to_dense(G)
     g_solve, reads_tol, g_low = _make_g_solver(G)
     if factored is None:
-        factored = not diagonal and _factored_form(problem, S.size)
+        factored = _factored_form(problem, S.size)
     if factored:
         # R = D^{-1} B_S L_G^{-T}, so that D^{-1} B_S G_SS^{-1} B_S* D^{-1}
         # = R R^T; a GEMM with L_G^{-1} takes about half the time of a
         # triangular solve with the mbar columns of (D^{-1} B_S)^T
         R = DBs @ sla.lapack.dtrtri(g_low, lower=1)[0].T
-        return MSolver(problem, strategy, None,
+        return MSolver(problem, "smw", None,
                        _make_factored_solve(apply_dinv, R))
     B_op, n0 = problem.B, problem.n0
 
@@ -456,7 +357,7 @@ def _build_smw(problem, diagonal, max_cond=np.inf, form=None):
 
     impl = _make_smw_solve(apply_dinv, b_apply,
                            lambda u: B_op.apply_adjoint(u)[S], g_solve)
-    return MSolver(problem, strategy, apply_jbar, impl, reads_tol)
+    return MSolver(problem, "smw", None, impl, reads_tol)
 
 
 def _factored_form(problem, n_support):
@@ -465,36 +366,6 @@ def _factored_form(problem, n_support):
     support S of B of size ``n_support``.  A PCG G-solve never does."""
     factored, other = smw_form_costs(problem, n_support)
     return factored <= other
-
-
-def _build_block_diag(problem, jbar):
-    N = problem.N
-    variant = jbar or ("std" if N > _EBJ_MAX_N else "ebj")
-    groups = _size_groups(problem)
-    coupling = _block_stacks(problem, BlockDiagOp(problem.B.blocks).gram(),
-                             groups)
-    # Jbar = diag(c_i B_i B_i^T + d_i I) - B B^T with (c_i, d_i) = (1, nu_i)
-    # for ebj and (N + 1, 0) for std
-    if variant == "ebj":
-        nus = pairwise_coupling_norms(problem)
-        jblocks = [gram + nus[idx][:, None, None] * np.eye(gram.shape[1])
-                   for gram, idx in zip(coupling, groups)]
-    else:
-        jblocks = [(N + 1) * gram for gram in coupling]
-    bbar = _block_stacks(problem, problem.Bbar.gram(), groups)
-    E = [gram + jb for gram, jb in zip(bbar, jblocks)]
-    dinv = _inverse_csr(problem, groups, _factor_blocks(
-        E, groups, "block-diag needs its block E_{i}"))
-    jdiag = _block_diag_csr(problem, groups, jblocks)
-    B_op = problem.B
-
-    def apply_jbar(w):
-        return mv(jdiag, w) - B_op.apply(B_op.apply_adjoint(w))
-
-    solver = MSolver(problem, "block-diag", apply_jbar,
-                     lambda h, tol, stats=None: mv(dinv, h))
-    solver.jbar_variant = variant
-    return solver
 
 
 def _size_groups(problem):
@@ -506,26 +377,22 @@ def _size_groups(problem):
 def _block_stacks(problem, gram, groups):
     """Per group of ``groups``, the dense (n_g, m, m) stack of the diagonal
     blocks of ``gram``, an mbar x mbar block-diagonal CSR matrix with one
-    m_i x m_i block per scenario (as :meth:`BlockDiagOp.gram` returns).
-    One pass over the stored entries fills every group; the entries of
-    scenarios in no group are skipped."""
+    m_i x m_i block per scenario (as :meth:`BlockDiagOp.gram` returns),
+    where every scenario is in one group.  One pass over the stored
+    entries fills every group."""
     m_i = np.asarray(problem.m_i)
     y = problem.y_offsets[:-1]
     m_g = [int(m_i[idx[0]]) for idx in groups]
     offs = np.cumsum([0] + [len(idx) * m * m for idx, m in zip(groups, m_g)])
-    start = np.full(problem.N, -1, dtype=np.int64)
+    start = np.empty(problem.N, dtype=np.int64)
     for idx, m, off in zip(groups, m_g, offs):
         start[idx] = off + np.arange(len(idx)) * m * m
     # entry (r, c) of block i lands at start_i + (r - y_i) m_i + c - y_i
     row_base = (np.repeat(start - y * (m_i + 1), m_i)
                 + np.arange(problem.mbar) * np.repeat(m_i, m_i))
     counts = np.diff(gram.indptr)
-    pos, data = np.repeat(row_base, counts) + gram.indices, gram.data
-    if np.any(start < 0):
-        keep = np.repeat(np.repeat(start >= 0, m_i), counts)
-        pos, data = pos[keep], data[keep]
     buf = np.zeros(offs[-1])
-    buf[pos] = data
+    buf[np.repeat(row_base, counts) + gram.indices] = gram.data
     return [buf[off:off + len(idx) * m * m].reshape(len(idx), m, m)
             for idx, m, off in zip(groups, m_g, offs)]
 
@@ -562,47 +429,6 @@ def _shared_block_apply(dinv1_t, N, h):
     shapes of the tests and the benchmark the bytes are the view's; BLAS
     may sum other shapes (a single block, for one) in another order."""
     return (h.reshape(N, dinv1_t.shape[0]) @ dinv1_t).ravel()
-
-
-def _diag_shifts(problem):
-    """Per scenario, lam_i >= lambda_max(Bbar_i Bbar_i^T), from the gram
-    product :meth:`BlockDiagOp.gram`.
-
-    A block whose gram has at most ``_DIAG_DENSE_CELLS`` cells (``m^2``)
-    is gathered into its row-count group's dense stack, and one batched
-    ``eigvalsh`` per group gives the top eigenvalues.  The computed gram of
-    an (m, n) block is within n eps tr(Bbar_i Bbar_i^T) of the exact one in
-    the 2-norm, and the top computed eigenvalue within a small multiple of
-    m eps of the computed gram's norm; the trace bounds both norms, so the
-    top eigenvalue is raised by 2 (n + m^2) eps tr(gram).  A larger block
-    keeps its sparse gram, whose dense stack could outgrow memory, and gets
-    :func:`lambda_max_bound`.  A scenario with no rows gets 1: nothing to
-    shift, and no row divides by it.  A zero gram raises
-    :class:`StrategyPrecondition`."""
-    lams = np.ones(problem.N)
-    rows = np.asarray(problem.m_i)
-    widths = np.diff(problem.x_offsets)
-    dense = rows * rows <= _DIAG_DENSE_CELLS
-    groups = [g for g in (idx[dense[idx]] for idx in _size_groups(problem))
-              if g.size]
-    gram_all = problem.Bbar.gram()
-    eps = np.finfo(float).eps
-    for gram, idx in zip(_block_stacks(problem, gram_all, groups), groups):
-        m = gram.shape[1]
-        if m == 0:
-            continue
-        trace = np.trace(gram, axis1=1, axis2=2)
-        lams[idx] = (np.linalg.eigvalsh(gram)[:, -1]
-                     + 2.0 * (widths[idx] + m * m) * eps * trace)
-    y = problem.y_offsets
-    for i in np.flatnonzero(~dense):
-        lams[i] = lambda_max_bound(gram_all[y[i]:y[i + 1], y[i]:y[i + 1]])
-    bad = np.flatnonzero(lams <= 0)
-    if bad.size:
-        raise StrategyPrecondition(
-            "smw-diag needs Bbar_%d Bbar_%d^T with positive spectrum"
-            % (bad[0], bad[0]))
-    return lams
 
 
 def _checked_inverses(grams, groups, max_cond, what):
@@ -662,13 +488,6 @@ def _batched_cholesky(gram):
     pivots = np.diagonal(low, axis1=1, axis2=2).min(axis=1) ** 2
     diag = np.abs(np.diagonal(gram, axis1=1, axis2=2)).max(axis=1)
     return None if np.any(pivots <= _CHOL_PIVOT_RTOL * diag) else low
-
-
-def _inverse_csr(problem, groups, lows):
-    """blockdiag(L_i^{-T} L_i^{-1}), the inverse of blockdiag(L_i L_i^T), as
-    one CSR matrix, from the per-group stacks of lower factors L_i."""
-    return _block_diag_csr(problem, groups,
-                           [_gram_inverses(low) for low in lows])
 
 
 def _gram_inverses(low):

@@ -438,23 +438,22 @@ def solve_setup(problem, cfg, scaled=False):
     ``cfg``; with ``scaled``, in the variables of :func:`stage_scale`,
     which the default Halpern step runs in."""
     validate(problem, rank_check=False)
-    scale = stage_scale(problem, cfg.strategy) if scaled else 1.0
+    scale = stage_scale(problem) if scaled else 1.0
     ops = problem if scale == 1.0 else _scaled_operators(problem, scale)
     return SolveSetup(build_msolver(ops, cfg.strategy),
                       _AFactor(ops.A) if ops.A is not None else None,
                       scale, ops)
 
 
-def stage_scale(problem, strategy="auto"):
+def stage_scale(problem):
     """The first-stage scale ``s`` of the substitution ``x = s x'``:
     ``min(1, r^(-1/2))`` for the ratio ``r`` of the mean Euclidean column
     norm of ``[A; B]`` to the mean norm of the nonzero columns of
     ``Bbar``, read from the assembled ``W`` and ``A``.  It is 1 where the
     substitution is not written: a first-stage cone not mapped onto
-    itself by a positive scalar (:class:`Box`), a first-stage function
-    other than a quadratic or zero (an :class:`IndicatorCone`), and the
-    ``block-diag`` strategy, which builds from the per-scenario blocks."""
-    if (strategy == "block-diag" or problem.n0 == 0
+    itself by a positive scalar (:class:`Box`) and a first-stage function
+    other than a quadratic or zero (an :class:`IndicatorCone`)."""
+    if (problem.n0 == 0
             or not all(isinstance(k, _SCALE_INVARIANT_CONES)
                        for k in _flat([problem.cone]))
             or not all(isinstance(f, _QUADRATIC_FUNCTIONS)

@@ -30,7 +30,7 @@ def bbar_gram_factors(problem, requirement, max_cond=np.inf):
     """``(groups, lows)``: the scenarios grouped by row count and, per group,
     the (n_g, m, m) stack of lower Cholesky factors of Bbar_i Bbar_i^T,
     each of 1-norm condition at most ``max_cond``; with
-    ``msolver._inverse_csr`` an oracle for the block-diagonal D^{-1}."""
+    :func:`inverse_csr` an oracle for the block-diagonal D^{-1}."""
     groups = msolver._size_groups(problem)
     grams = msolver._block_stacks(problem, problem.Bbar.gram(), groups)
     what = requirement + " Bbar_{i} Bbar_{i}^T"
@@ -38,6 +38,14 @@ def bbar_gram_factors(problem, requirement, max_cond=np.inf):
         # the build's check, which raises naming the first failing block
         msolver._checked_inverses(grams, groups, max_cond, what)
     return groups, msolver._factor_blocks(grams, groups, what)
+
+
+def inverse_csr(problem, groups, lows):
+    """blockdiag(L_i^{-T} L_i^{-1}), the inverse of blockdiag(L_i L_i^T), as
+    one CSR matrix, from the per-group stacks of lower factors L_i (as
+    :func:`bbar_gram_factors` returns them)."""
+    return msolver._block_diag_csr(
+        problem, groups, [msolver._gram_inverses(low) for low in lows])
 
 
 def exactly_positive_definite(A):

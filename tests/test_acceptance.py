@@ -2,7 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  The named-instance check (criterion 8) needs an external
-data file and skips with a message when it is absent.
+data file and skips with a message when it is absent.  Criterion 10, the
+block-diagonalizing proximal terms, was retired with the ``block-diag``
+strategy that it checked; ``chol`` with a ``jbar`` matrix remains the
+general form of the proximal term (``tests/test_msolver.py``).
 """
 
 import itertools
@@ -12,13 +15,11 @@ import time
 import numpy as np
 import pytest
 
-import dbasolve.msolver as msolver
 from dbasolve.blocklinalg import smat, svec, to_dense
 from dbasolve.builders import build_ufl_dnn, random_ufl
 from dbasolve.io import iteration_csv_text, read_problem
 from dbasolve.model import DBAProblem, DualPoint, PrimalPoint, ScenarioBlock, kkt_residues
-from dbasolve.msolver import (assemble_m_dense, build_msolver,
-                              ebj_block_diag_J, std_block_diag_J)
+from dbasolve.msolver import assemble_m_dense, build_msolver
 from dbasolve.pha import PhaConfig, pha_solve
 from dbasolve.proxcone import (DenseQuadratic, DiagQuadratic, IndicatorCone,
                                NonnegOrthant, PsdCone, Zero, Box, FreeSpace,
@@ -28,8 +29,9 @@ from dbasolve.sgs import sgs_operator_dense, sgs_sweep
 from dbasolve.solvers import (LOG_COLUMNS, SolverConfig, admm_solve,
                               alm_solve, ssn_zy)
 
-from conftest import (bbar_gram_factors, lp_standard_form, lp_vertex_optimum,
-                      make_free_qp, make_two_scenario_lp, qp_kkt_solve)
+from conftest import (bbar_gram_factors, inverse_csr, lp_standard_form,
+                      lp_vertex_optimum, make_free_qp, make_two_scenario_lp,
+                      qp_kkt_solve)
 from test_model import kkt_oracle, random_state
 from test_sgs import make_prox1, orthant_block_qp_argmin, random_block_q, split
 from test_solvers import ssn_oracle
@@ -122,7 +124,7 @@ def test_02_smw_correctness():
     # facility-location blocks [[e^T, 0], [-I, -I]]
     for p in (2, 5, 10):
         prob = build_ufl_dnn(random_ufl(p, 3, seed=p))
-        dinv = to_dense(msolver._inverse_csr(
+        dinv = to_dense(inverse_csr(
             prob, *bbar_gram_factors(prob, "smw requires")))
         Bbar = np.block([[np.ones((1, p)), np.zeros((1, p))],
                          [-np.eye(p), -np.eye(p)]])
@@ -302,32 +304,3 @@ def test_09_determinism_across_workers():
         texts.append(iteration_csv_text(LOG_COLUMNS, rep.log_rows))
     assert texts[0] == texts[1] == texts[2]
     _report(9, "determinism across 1/2/4 workers", t0)
-
-
-def test_10_block_diagonalizing_terms():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(110)
-    for N in (2, 4, 6):
-        blocks = []
-        n0 = 7
-        for _ in range(N):
-            mi = int(rng.integers(2, 5))
-            B = rng.normal(size=(mi, n0))
-            Bbar = rng.normal(size=(mi, mi + 2))
-            blocks.append(ScenarioBlock(B, Bbar, np.zeros(mi),
-                                        np.zeros(mi + 2), NonnegOrthant(mi + 2),
-                                        Zero(mi + 2)))
-        prob = DBAProblem(None, None, np.zeros(n0), NonnegOrthant(n0),
-                          Zero(n0), blocks)
-        J_ebj = ebj_block_diag_J(prob)
-        J_std = std_block_diag_J(prob)
-        assert np.linalg.eigvalsh(J_ebj)[0] >= -1e-8
-        assert np.linalg.eigvalsh(J_std)[0] >= -1e-8
-        for variant, J in (("ebj", J_ebj), ("std", J_std)):
-            block = build_msolver(prob, "block-diag", jbar=variant)
-            direct = build_msolver(prob, "chol", jbar=J)
-            h = rng.normal(size=prob.mbar)
-            ya = block.solve(h)
-            yb = direct.solve(h)
-            assert np.linalg.norm(ya - yb) <= 1e-8 * (1 + np.linalg.norm(yb))
-    _report(10, "block-diagonalizing proximal terms", t0)

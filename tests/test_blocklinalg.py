@@ -8,12 +8,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import dbasolve.blocklinalg as blocklinalg
-import dbasolve.msolver as msolver
 import dbasolve.proxcone as proxcone
 from dbasolve.blocklinalg import (BlockDiagOp, CholFactor, StackedOp,
                                   _norm, all_finite, canonicalize,
-                                  chol_factor, lambda_max_bound, mv, op_norm_2,
-                                  pcg_solve, power_lambda_max, smat,
+                                  chol_factor, lambda_max_bound, mv,
+                                  pcg_solve, smat,
                                   sparse_from_triplets, svec, svec_dim,
                                   svec_indices, svec_maps)
 from dbasolve.builders import random_sdp
@@ -23,7 +22,7 @@ from dbasolve.solvers import admm_solve
 from fractions import Fraction
 
 from conftest import (bbar_gram_factors, exactly_positive_definite,
-                      same_canonical)
+                      inverse_csr, same_canonical)
 
 
 def _load_perfbench_workloads():
@@ -305,23 +304,7 @@ class TestPcg:
 
 
 class TestPower:
-    def test_diagonal(self):
-        lam, ok = power_lambda_max(lambda v: np.diag([1.0, 2.0, 3.0]) @ v, 3)
-        assert ok and lam == pytest.approx(3.0, rel=1e-7)
-
-    def test_zero_operator(self):
-        lam, ok = power_lambda_max(lambda v: 0.0 * v, 4)
-        assert ok and lam == 0.0
-
-    def test_matches_dense_eig(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            B = rng.normal(size=(5, 3))
-            G = B @ B.T
-            lam, _ = power_lambda_max(lambda v: G @ v, 5, tol=1e-10)
-            exact = np.linalg.eigvalsh(G)[-1]
-            assert lam == pytest.approx(exact, rel=1e-6)
-            assert lam <= exact * (1 + 1e-8)
+    """lambda_max_bound: an upper bound on the largest eigenvalue."""
 
     def test_lambda_max_bound_above_converged_estimate(self):
         rng = np.random.default_rng(9)
@@ -369,23 +352,6 @@ class TestPower:
         eps = np.finfo(float).eps
         assert lambda_max_bound(G) == 4.0 * (1.0 + 2.0 * eps)
         assert lambda_max_bound(sp.csr_matrix(G)) == lambda_max_bound(G)
-
-
-class TestOpNorm:
-    def test_identity(self):
-        assert op_norm_2(np.eye(4)) == pytest.approx(1.0, rel=1e-8)
-
-    def test_rank_one(self):
-        C = np.zeros((3, 3))
-        C[0, 0] = 2.0
-        assert op_norm_2(C) == pytest.approx(2.0, rel=1e-8)
-
-    def test_matches_svd(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            C = rng.normal(size=(4, 6))
-            assert op_norm_2(C, tol=1e-10) == pytest.approx(
-                np.linalg.svd(C, compute_uv=False)[0], rel=1e-6)
 
 
 class TestBlockOps:
@@ -674,8 +640,7 @@ class TestMv:
         for w in workloads.WORKLOADS.values():
             prob = w.tiny(1)
             ops = [prob.B.matrix, prob.Bbar.matrix,
-                   msolver._inverse_csr(
-                       prob, *bbar_gram_factors(prob, ""))]
+                   inverse_csr(prob, *bbar_gram_factors(prob, ""))]
             ops += [blocklinalg.transposed(op) for op in ops[:2]]
             for op in ops:
                 x = rng.normal(size=op.shape[1])

@@ -90,6 +90,14 @@ class TestCmdSolve:
         assert exc.value.code == 2
         assert "invalid choice: 'shared'" in capsys.readouterr().err
 
+    def test_retired_strategy_exit_two(self, lp_file, tmp_path, capsys):
+        # block-diag and smw-diag were retired; argparse refuses them
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", lp_file, "--strategy", "block-diag",
+                  "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'block-diag'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("solver", ["sgs-admm", "sgs-alm"])
     @pytest.mark.parametrize("flag", [("--sigma", "0"), ("--sigma", "-1"),
                                       ("--sigma", "nan"), ("--sigma", "inf"),

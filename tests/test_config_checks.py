@@ -49,10 +49,12 @@ def test_infinite_tolerances_stop_at_the_first_full_check():
     assert rep.converged and rep.iterations == 1
 
 
-def test_unknown_strategy_still_a_strategy_error():
-    with pytest.raises(StrategyPrecondition):
+@pytest.mark.parametrize("strategy", ["nope", "smw-diag", "block-diag"])
+def test_unknown_strategy_still_a_strategy_error(strategy):
+    # smw-diag and block-diag were strategies once; they are unknown now
+    with pytest.raises(StrategyPrecondition, match="unknown strategy"):
         admm_solve(random_sdp(2, 3, 2, 3, N=3, seed=1),
-                   SolverConfig(strategy="nope"))
+                   SolverConfig(strategy=strategy))
 
 
 @pytest.mark.parametrize("fields", [

@@ -183,8 +183,6 @@ def test_exact_per_strategy(monkeypatch):
     problem = ts3()
     assert build_msolver(problem, "chol").exact
     assert build_msolver(problem, "smw").exact
-    for strategy in ("smw-diag", "block-diag"):
-        assert not build_msolver(problem, strategy).exact
     assert not build_msolver(problem, "chol",
                              jbar=0.5 * np.eye(problem.mbar)).exact
     monkeypatch.setattr(msolver, "_G_CHOL_DIM", 0)
@@ -192,9 +190,9 @@ def test_exact_per_strategy(monkeypatch):
     assert pcg.reads_tol and not pcg.exact
 
 
-def jbar_chol(monkeypatch):
+def jbar_chol(monkeypatch, tau=None):
     problem = ts3()
-    cfg = SolverConfig()
+    cfg = SolverConfig(tau=tau)
     setup = SolveSetup(
         build_msolver(problem, "chol", jbar=0.5 * np.eye(problem.mbar)),
         solvers._AFactor(problem.A), 1.0, problem)
@@ -207,14 +205,9 @@ def pcg_smw(monkeypatch):
 
 
 COMPUTED = {
-    "smw-diag": lambda mp: admm_solve(ts3(), SolverConfig(
-        strategy="smw-diag")),
-    "block-diag": lambda mp: admm_solve(ts3(), SolverConfig(
-        strategy="block-diag")),
     "chol-jbar": jbar_chol,
     "pcg-smw": pcg_smw,
-    "classic-smw-diag": lambda mp: admm_solve(ts3(), SolverConfig(
-        strategy="smw-diag", tau=CLASSIC)),
+    "classic-chol-jbar": lambda mp: jbar_chol(mp, tau=CLASSIC),
 }
 
 

@@ -109,7 +109,6 @@ class TestRule:
         assert stage_scale(ufl()) == 1.0
         prob = random_two_stage(2, 6, 2, 5, N=20, seed=1, quad_eps=0.1)
         assert stage_scale(prob) < 1.0
-        assert stage_scale(prob, "block-diag") == 1.0
         boxed = DBAProblem(prob.A, prob.b, prob.c,
                            Box(np.zeros(prob.n0), np.full(prob.n0, 5.0)),
                            prob.theta, prob.scenarios)
