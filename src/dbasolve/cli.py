@@ -123,20 +123,19 @@ def _add_solver_flags(p):
     p.add_argument("--tol-gap", type=float, default=1e-4)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tau", type=float, default=None,
-                   help="step length. sgs-admm: unset runs the Halpern "
-                        "step (unit-step sweep anchored at the last "
-                        "restart, HPR-LP's restart rules, sigma changed "
-                        "only at restarts, --ssn auto off), set runs the "
-                        "classic relaxed multiplier step of that length. "
-                        "sgs-alm: the classic step, default 1.9. pha: the "
-                        "outer multiplier step, default 1.618; its bundle "
-                        "solves run the classic step at 1.618")
+                   help="step length. sgs-admm and sgs-alm: unset runs "
+                        "the Halpern step (unit-step sweep anchored at the "
+                        "last restart, HPR-LP's restart rules, sigma "
+                        "changed only at restarts, first stage at the "
+                        "stage scale), set runs the classic relaxed "
+                        "multiplier step of that length. pha: the outer "
+                        "multiplier step, default 1.618; its bundle solves "
+                        "run the classic step at 1.618")
     p.add_argument("--max-iter", type=int, default=None,
                    help="iteration cap (default: 50000 for sgs-admm and "
                         "sgs-alm, 300 outer iterations for pha)")
     p.add_argument("--strategy", default="auto",
                    choices=("auto",) + msolver.STRATEGIES)
-    p.add_argument("--ssn", default="auto", choices=("auto", "on", "off"))
     p.add_argument("--log-every", type=int, default=0)
 
 
@@ -151,7 +150,7 @@ def _config_from_args(args, solver):
     return SolverConfig(
         sigma0=args.sigma, tau=args.tau, tol_kkt=args.tol_kkt,
         tol_gap=args.tol_gap, max_iter=_max_iter(args, solver),
-        strategy=args.strategy, ssn=args.ssn, log_every=args.log_every)
+        strategy=args.strategy, log_every=args.log_every)
 
 
 def _run_one(problem, solver, args):
@@ -210,7 +209,6 @@ def cmd_solve(args):
                 "strategy": args.strategy,
                 # the M strategy the solve ran, which auto resolves to
                 "strategy_resolved": report.extra.get("strategy"),
-                "ssn": args.ssn,
             },
         },
     }

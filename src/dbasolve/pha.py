@@ -12,6 +12,7 @@ and logged for honest comparison with the KKT-based solvers.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -26,8 +27,8 @@ from .model import (DBAProblem, DualPoint, PrimalPoint, ScenarioBlock,
                     primal_objective, residue_denominators, validate)
 from .proxcone import (BlockCone, BlockFunction, add_diag_quadratic,
                        scale_function)
-from .solvers import (SolveReport, SolverConfig, TAU_ADMM_MAX, admm_solve,
-                      default_sigma0, solve_setup)
+from .solvers import (SolveReport, SolverConfig, TAU_ADMM_MAX, _real,
+                      admm_solve, default_sigma0, solve_setup)
 
 PHA_LOG_COLUMNS = ("k", "eta_P", "eta_D", "eta_K", "eta_theta", "eta_Pbar",
                    "eta_Dbar", "eta_Kbar", "eta_thetabar", "eta", "eta_gap",
@@ -57,15 +58,19 @@ class PhaConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        if self.rho is not None and not 0.0 < self.rho < np.inf:
+        # counts are integers and the other fields real numbers, so a field
+        # of another type is refused here, not by the loop's arithmetic
+        if self.rho is not None and not (_real(self.rho)
+                                         and 0.0 < self.rho < np.inf):
             raise ParameterError("rho must be positive and finite")
-        if not 0.0 < self.tau < TAU_ADMM_MAX:
+        if not (_real(self.tau) and 0.0 < self.tau < TAU_ADMM_MAX):
             raise ParameterError("PHA step length must lie in (0, (1+sqrt(5))/2)")
-        if self.max_iter < 0:
-            raise ParameterError("max_iter must be nonnegative")
+        if not (isinstance(self.max_iter, numbers.Integral)
+                and self.max_iter >= 0):
+            raise ParameterError("max_iter must be a nonnegative integer")
         # a comparison with NaN is false, so these refuse NaN as well
         for name in ("tol_nonant", "tol_rel"):
-            if not getattr(self, name) > 0.0:
+            if not (_real(getattr(self, name)) and getattr(self, name) > 0.0):
                 raise ParameterError("%s must be positive" % name)
 
 

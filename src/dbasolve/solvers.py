@@ -1,8 +1,10 @@
 """Main iteration loop: the two-group proximal ADMM on the dual and the
 proximal ALM variant for problems without smooth objective terms, both run
-by one sGS sweep engine, plus the semismooth Newton subproblem solver for
-the (z, y) block.  ADMM without a set step length runs Halpern's anchored
-iteration with restarts on the unit-step sweep.  Without a smooth objective
+by one sGS sweep engine, plus a standalone semismooth Newton solver for the
+(z, y) subproblem, which the sweep does not call.  Either solver without a
+set step length runs Halpern's anchored iteration with restarts on the
+unit-step sweep, in the variables of the stage scale; a set step length
+runs the classic relaxed multiplier step.  Without a smooth objective
 (theta = 0, as in LPs and linear SDPs) the conjugate theta*(-v) is the
 indicator of v = 0: ADMM's sweep is then nonsmooth -> ybar with
 v = vbar = 0, one M solve an iteration, which is the full sweep in exact
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -88,14 +91,13 @@ _STALL_REL = 1e-3
 @dataclass
 class SolverConfig:
     sigma0: float | None = None
-    # None: the Halpern step for ADMM, 1.9 for ALM; set: the relaxed
-    # multiplier step of that length
+    # None: the Halpern step at the stage scale; set: the relaxed
+    # multiplier step of that length, unscaled
     tau: float | None = None
     tol_kkt: float = 1e-5
     tol_gap: float = 1e-4
     max_iter: int = 50000
     strategy: str = "auto"
-    ssn: str = "auto"                   # auto | on | off
     sigma_fixed: bool = False
     log_every: int = 0                  # INFO progress period; 0 disables
     # ignored: every solve runs BLAS on one thread (see ``_blas``); kept
@@ -340,32 +342,15 @@ def _cone_plan(cone):
     return plan
 
 
-def _cone_plans(problem):
-    """The :func:`_cone_plan` of the joint cone and of the scenario cones
-    (the latter for the semismooth Newton branch's zbar step)."""
-    return _cone_plan(problem.joint_cone), _cone_plan(problem.scen_cone)
-
-
-def _ssn_eligible(problem, cfg, halpern=False):
-    """Whether the (z, y) step runs semismooth Newton; ``ssn="auto"`` picks
-    it for small first stages with many scenarios, never under the Halpern
-    step."""
-    if problem.A is None or not isinstance(problem.cone, _SSN_POLYHEDRAL):
-        return False
-    if cfg.ssn == "on":
-        return True
-    if cfg.ssn == "off" or halpern:
-        return False
-    return problem.m0 <= 10 and problem.n0 <= 20 and problem.N >= 100
-
-
 # ---------------------------------------------------------------------------
 # semismooth Newton solver for the joint (z, y) subproblem
 # ---------------------------------------------------------------------------
 
 def ssn_zy(A, b, cone, sigma, chat, y0=None, tol=1e-10, max_newton=200):
     """Solve min_y -<b,y> + sigma M_{delta*_K/sigma}(A*y - chat) by a
-    semismooth Newton method, then recover z.
+    semismooth Newton method, then recover z: the (z, y) subproblem of the
+    sweep on a polyhedral first-stage set, solved on its own (the sweep
+    takes its y -> z -> y steps instead).
 
     Returns ``(y, z, newton_iters)``; the gradient of the objective is
     ``-b + A Pi_K(sigma (A*y - chat))`` and the envelope value has the closed
@@ -513,25 +498,33 @@ def _scaled_problem(problem, setup):
     return work
 
 
-def _checked(config, tau_default, tau_max, tau_error):
-    """The config (default when None) and its step length, checked."""
+def _real(value):
+    """Whether ``value`` is a real number (a string or None is not)."""
+    return isinstance(value, numbers.Real)
+
+
+def _checked(config, tau_max, tau_error):
+    """The config (default when None), checked; a set step length lies in
+    ``(0, tau_max)``.  Counts are integers and the other fields real
+    numbers, so a field of another type is refused here, not by the
+    loop's arithmetic."""
     cfg = config or SolverConfig()
-    tau = cfg.tau if cfg.tau is not None else tau_default
-    if not 0.0 < tau < tau_max:
+    if cfg.tau is not None and not (_real(cfg.tau)
+                                    and 0.0 < cfg.tau < tau_max):
         raise ParameterError(tau_error)
-    if cfg.sigma0 is not None and not 0.0 < cfg.sigma0 < np.inf:
+    if cfg.sigma0 is not None and not (_real(cfg.sigma0)
+                                       and 0.0 < cfg.sigma0 < np.inf):
         raise ParameterError("sigma0 must be positive and finite")
-    if cfg.max_iter < 0:
-        raise ParameterError("max_iter must be nonnegative")
+    if not (isinstance(cfg.max_iter, numbers.Integral) and cfg.max_iter >= 0):
+        raise ParameterError("max_iter must be a nonnegative integer")
     # a comparison with NaN is false, so these refuse NaN as well
     for name in ("tol_kkt", "tol_gap"):
-        if not getattr(cfg, name) > 0.0:
+        if not (_real(getattr(cfg, name)) and getattr(cfg, name) > 0.0):
             raise ParameterError("%s must be positive" % name)
-    if cfg.ssn not in ("auto", "on", "off"):
-        raise ParameterError("ssn must be one of auto, on, off")
-    if not cfg.log_every >= 0:
-        raise ParameterError("log_every must be nonnegative")
-    return cfg, tau
+    if not (isinstance(cfg.log_every, numbers.Integral)
+            and cfg.log_every >= 0):
+        raise ParameterError("log_every must be a nonnegative integer")
+    return cfg
 
 
 @one_blas_thread
@@ -558,22 +551,22 @@ def admm_solve(problem, config=None, initial=None, setup=None):
     one it was built for in costs and right-hand sides at most, and
     :meth:`~dbasolve.model.DBAProblem.with_cost` checks a new cost's
     finiteness."""
-    cfg, tau = _checked(config, 1.0, TAU_ADMM_MAX,
-                        "ADMM step length must lie in (0, (1+sqrt(5))/2)")
-    return _run_loop(problem, cfg, tau, initial, alm=False, setup=setup,
-                     halpern=cfg.tau is None)
+    cfg = _checked(config, TAU_ADMM_MAX,
+                   "ADMM step length must lie in (0, (1+sqrt(5))/2)")
+    return _run_loop(problem, cfg, initial, alm=False, setup=setup)
 
 
 @one_blas_thread
 def alm_solve(problem, config=None, initial=None):
     """sGS proximal ALM; requires all separable objective terms to vanish.
-    ``initial`` is read as in :func:`admm_solve`."""
+    The step rule is :func:`admm_solve`'s: without a set ``config.tau``
+    the Halpern step at the stage scale, with one the relaxed multiplier
+    step of that length.  ``initial`` is read as in :func:`admm_solve`."""
     if not problem.theta.is_zero or not problem.scen_theta.is_zero:
         raise UnsupportedObjective(
             "the ALM variant requires zero theta terms; use admm_solve")
-    cfg, tau = _checked(config, 1.9, TAU_ALM_MAX,
-                        "ALM step length must lie in (0, 2)")
-    return _run_loop(problem, cfg, tau, initial, alm=True)
+    cfg = _checked(config, TAU_ALM_MAX, "ALM step length must lie in (0, 2)")
+    return _run_loop(problem, cfg, initial, alm=True)
 
 
 class _Halpern:
@@ -678,8 +671,11 @@ class _Halpern:
         return min(max(new, _SIGMA_MIN), _SIGMA_MAX)
 
 
-def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
+def _run_loop(problem, cfg, initial, alm, setup=None):
     t0 = time.perf_counter()
+    # without a set step length, the Halpern step on the unit-step sweep
+    halpern = cfg.tau is None
+    tau = 1.0 if halpern else cfg.tau
     if setup is None:
         setup = solve_setup(problem, cfg, scaled=halpern)
     msol, facA = setup
@@ -690,7 +686,6 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     if scale != 1.0:
         _SETUP_LOG.info("stage scale %.6g: the first stage is solved in "
                         "x' = x / %.6g", scale, scale)
-    use_ssn = _ssn_eligible(work, cfg, halpern)
     # the residue scales depend on the data only; W' xx' = W xx and
     # A' x' = A x, so only the first-stage dual residue, scale times the
     # problem's, needs another scale in the loop
@@ -705,7 +700,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
     # ADMM's sweep with a smooth objective has a v step
     v_step = not (alm or v_free)
     terms = None
-    conj = _cone_plans(work) if cfg.max_iter else None
+    conj = _cone_plan(work.joint_cone) if cfg.max_iter else None
     st, sigma = _start(work, cfg, initial, scale)
     if v_free:
         st.vv = np.zeros_like(st.vv)
@@ -738,8 +733,8 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
             terms = _SweepTerms(work, rhs, sigma, v_step, conj)
         try:
             inner_iters, d_res, d_res_bar, sums, lin_sums = _sgs_iteration(
-                work, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                alm, sums, v_free, terms,
+                work, st, sigma, tau, msol, facA, eps_k, cfg, alm, sums,
+                v_free, terms,
                 None if anchored is None else anchored.image)
         except ValueError as exc:
             # a factor solve refuses a non-finite right-hand side
@@ -851,8 +846,7 @@ def _run_loop(problem, cfg, tau, initial, alm, setup=None, halpern=False):
         status=status, iterations=k, kkt=res, obj_p=obj_p, obj_d=obj_d,
         primal=primal, dual=dual, sigma=sigma,
         elapsed=time.perf_counter() - t0, log_rows=log_rows,
-        extra={"ssn": use_ssn, "strategy": msol.strategy,
-               "stage_scale": scale},
+        extra={"strategy": msol.strategy, "stage_scale": scale},
     )
 
 
@@ -890,9 +884,9 @@ class _SweepTerms:
     plan (:func:`_v_plan`): ``d = 1 + sigma diag`` of a joint function
     that is one diagonal quadratic, or ``v_groups``, each group of a joint
     function of several groups with its own ``d``.  Each is ``None``
-    where nothing reads it.  ``conj`` holds the :func:`_cone_plans` of
-    the problem, which the solve builds once and passes in (built here
-    when not given)."""
+    where nothing reads it.  ``conj`` holds the :func:`_cone_plan` of
+    the problem's joint cone, which the solve builds once and passes in
+    (built here when not given)."""
 
     __slots__ = ("sigma", "mb", "bbar", "c", "q", "b", "d", "v_groups",
                  "conj")
@@ -900,7 +894,7 @@ class _SweepTerms:
     def __init__(self, problem, rhs, sigma, v_step, conj=None):
         mb, c_a, q_a = rhs
         self.sigma = sigma
-        self.conj = _cone_plans(problem) if conj is None else conj
+        self.conj = _cone_plan(problem.joint_cone) if conj is None else conj
         self.mb = None if mb is None else mb / sigma
         self.bbar = problem.bbar / sigma if mb is None else None
         self.c = None if c_a is None else c_a / sigma
@@ -1006,8 +1000,8 @@ def _msolve_with_tol(msol, rhs, sigma, eps_k, cfg):
     return y, msol.last_inner_iters
 
 
-def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
-                   alm=False, sums=None, v_free=False, terms=None, out=None):
+def _sgs_iteration(problem, st, sigma, tau, msol, facA, eps_k, cfg, alm=False,
+                   sums=None, v_free=False, terms=None, out=None):
     """One sGS proximal ADMM (``alm=False``) or ALM (``alm=True``) iteration
     on the dual; updates ``st`` and returns the inner iteration count, the
     dual residues ``d_res``, ``d_res_bar`` (the
@@ -1026,12 +1020,11 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     Two group steps act on the residual RR = SS - c_k over x|xbar
     (SS = A*y + B*ybar + z + v | Bbar*ybar + zbar + vbar, c_k = c|cbar less
     xx / sigma), whose scenario products are one with W = [B Bbar] each:
-    "nonsmooth" updates the (z, y) pair and zbar (semismooth Newton and a
-    separate zbar projection, or a y -> (z, zbar) -> y sweep with one
-    projection onto the joint cone, z and zbar alone without A); "smooth"
-    updates (v, vbar) by one prox of the joint function.  ADMM runs
-    nonsmooth, then ybar -> smooth -> ybar; ALM keeps v = vbar = 0 and runs
-    ybar -> nonsmooth -> ybar.  Inside a ybar sweep a step sees the
+    "nonsmooth" updates the (z, y) pair and zbar (a y -> (z, zbar) -> y
+    sweep with one projection onto the joint cone, z and zbar alone without
+    A); "smooth" updates (v, vbar) by one prox of the joint function.  ADMM
+    runs nonsmooth, then ybar -> smooth -> ybar; ALM keeps v = vbar = 0 and
+    runs ybar -> nonsmooth -> ybar.  Inside a ybar sweep a step sees the
     residual at the backward ybar and returns the one at the old ybar with
     its own blocks updated, which is what the forward ybar solve needs.
     With ``v_free`` ADMM runs nonsmooth -> ybar and keeps v = vbar = 0:
@@ -1062,42 +1055,28 @@ def _sgs_iteration(problem, st, sigma, tau, msol, facA, use_ssn, eps_k, cfg,
     cck = problem.cc - st.xx / sigma
     RR = (joint_dual_sums(problem, st.y, st.ybar, st.zz, st.vv)
           if sums is None else sums) - cck
-    # the residual the nonsmooth step sees and the ybar its Newton solve
-    # reads: ADMM's at the old ybar, ALM's after the backward ybar solve
-    RRin, ybar, vv = RR, st.ybar, st.vv
+    # the residual the nonsmooth step sees: ADMM's at the old ybar, ALM's
+    # after the backward ybar solve
+    RRin, vv = RR, st.vv
     inner = 0
     if alm:
         dy, inner = _ybar_step(problem, msol, mb, bbar_s, RR, sigma, eps_k,
                                cfg)
         RRin = mv(problem.W_T, dy) + RR
-        if use_ssn:
-            ybar = st.ybar + dy
 
     # nonsmooth: the (z, y) pair and zbar
-    joint_conj, scen_conj = terms.conj
-    if use_ssn:
-        zbar = scen_conj(sigma, RRin[n0:] - st.zbar)
-        chat = cck[:n0] - problem.B.apply_adjoint(ybar) - st.v
-        y, z, it = ssn_zy(A, problem.b, problem.cone, sigma, chat, y0=st.y,
-                          tol=max(min(1e-9, eps_k), 1e-12))
-        inner += it
-        zz = np.concatenate((z, zbar))
-        if yo is not None:
-            yo[...] = y
-            y = yo
-    else:
-        u = RRin - st.zz
-        if c_s is not None:
-            u[:n0] += terms.q - facA.P @ RRin[:n0]
-        elif A is not None:
-            y_tmp = st.y + facA.solve(terms.b - mv(A, RRin[:n0]))
-            u[:n0] += mv(At, y_tmp - st.y)
-        zz = joint_conj(sigma, u)
-        if c_s is not None:
-            ystep = c_s - facA.L @ (RRin[:n0] + zz[:n0] - st.z)
-        elif A is not None:
-            ystep = facA.solve(terms.b - mv(A, RRin[:n0] + zz[:n0] - st.z))
-        y = st.y if A is None else np.add(st.y, ystep, out=yo)
+    u = RRin - st.zz
+    if c_s is not None:
+        u[:n0] += terms.q - facA.P @ RRin[:n0]
+    elif A is not None:
+        y_tmp = st.y + facA.solve(terms.b - mv(A, RRin[:n0]))
+        u[:n0] += mv(At, y_tmp - st.y)
+    zz = terms.conj(sigma, u)
+    if c_s is not None:
+        ystep = c_s - facA.L @ (RRin[:n0] + zz[:n0] - st.z)
+    elif A is not None:
+        ystep = facA.solve(terms.b - mv(A, RRin[:n0] + zz[:n0] - st.z))
+    y = st.y if A is None else np.add(st.y, ystep, out=yo)
     # RR is the sweep's own array and RRin is read no more (ALM's is
     # another), so the steps' blocks go in in place
     if A is not None:

@@ -518,6 +518,8 @@ class TestSummaryRecordsTheRun:
         config = self.summary(lp_file, "--solver", solver)["manifest"]["config"]
         assert config["strategy"] == "auto"
         assert config["strategy_resolved"] in msolver.STRATEGIES
+        # the sweep has no semismooth Newton choice to record
+        assert "ssn" not in config
         if solver == "sgs-admm":
             rep = admm_solve(read_problem(lp_file))
             assert config["strategy_resolved"] == rep.extra["strategy"]

@@ -191,8 +191,6 @@ CONE_SOLVES = {
     "sdp-classic": lambda: admm_solve(random_sdp(2, 3, 2, 3, N=3, seed=1),
                                       SolverConfig(tau=1.618)),
     "sdp-alm": lambda: alm_solve(random_sdp(2, 3, 2, 3, N=3, seed=1)),
-    "lp-ssn": lambda: admm_solve(random_two_stage(2, 6, 2, 5, N=20, seed=1),
-                                 SolverConfig(tau=1.618, ssn="on")),
 }
 
 

@@ -1,8 +1,11 @@
-"""Solver configs that can never converge are refused up front with a
-:class:`ParameterError` (CLI exit 2), instead of running to ``MaxIter``."""
+"""Solver configs that can never converge, or whose fields are not numbers
+of the right kind, are refused up front with a :class:`ParameterError`
+(CLI exit 2), instead of running to ``MaxIter`` or failing inside the
+loop."""
 
 import math
 
+import numpy as np
 import pytest
 
 from dbasolve.builders import random_sdp, random_two_stage
@@ -19,8 +22,12 @@ BAD_SOLVER_FIELDS = {
     "tol_gap-zero": {"tol_gap": 0.0},
     "tol_gap-negative": {"tol_gap": -1e-4},
     "tol_gap-nan": {"tol_gap": math.nan},
-    "ssn-unknown": {"ssn": "maybe"},
+    "tol_kkt-string": {"tol_kkt": "a"},
+    "sigma0-string": {"sigma0": "a"},
+    "max_iter-fraction": {"max_iter": 2.5},
+    "max_iter-string": {"max_iter": "5"},
     "log_every-negative": {"log_every": -3},
+    "log_every-fraction": {"log_every": 2.5},
 }
 
 
@@ -31,15 +38,19 @@ def test_solver_config_refused(name, solve):
     prob = random_sdp(2, 3, 2, 3, N=3, seed=1)
     field = next(iter(BAD_SOLVER_FIELDS[name]))
     with pytest.raises(ParameterError, match=field):
-        solve(prob, SolverConfig(max_iter=5, **BAD_SOLVER_FIELDS[name]))
+        solve(prob, SolverConfig(**{"max_iter": 5,
+                                    **BAD_SOLVER_FIELDS[name]}))
 
 
+# numpy scalars are numbers of the right kind too
 @pytest.mark.parametrize("fields", [
-    {"tol_kkt": math.inf, "tol_gap": math.inf}, {"ssn": "on"},
-    {"ssn": "off"}, {"log_every": 0}, {"log_every": 7}])
+    {"tol_kkt": math.inf, "tol_gap": math.inf}, {"log_every": 0},
+    {"log_every": 7},
+    {"tol_kkt": np.float64(1e-5), "sigma0": np.float32(0.5)},
+    {"max_iter": np.int64(3), "log_every": np.int32(7)}])
 def test_solver_config_accepted(fields):
     rep = admm_solve(random_sdp(2, 3, 2, 3, N=3, seed=1),
-                     SolverConfig(max_iter=3, **fields))
+                     SolverConfig(**{"max_iter": 3, **fields}))
     assert rep.iterations <= 3
 
 
@@ -59,7 +70,8 @@ def test_unknown_strategy_still_a_strategy_error(strategy):
 
 @pytest.mark.parametrize("fields", [
     {"tol_nonant": -1.0}, {"tol_nonant": 0.0}, {"tol_nonant": math.nan},
-    {"tol_rel": -1.0}, {"tol_rel": 0.0}, {"tol_rel": math.nan}],
+    {"tol_rel": -1.0}, {"tol_rel": 0.0}, {"tol_rel": math.nan},
+    {"tol_rel": "a"}, {"rho": "a"}, {"max_iter": 2.5}, {"max_iter": "5"}],
     ids=lambda f: "%s=%s" % next(iter(f.items())))
 def test_pha_config_refused(fields):
     with pytest.raises(ParameterError, match=next(iter(fields))):
@@ -96,10 +108,12 @@ def test_cli_refuses_with_exit_two(sdp_file, tmp_path, capsys, flags):
 
 
 def test_cli_unknown_ssn_is_an_argument_error(sdp_file, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", sdp_file, "--out", str(tmp_path / "r"),
-              "--ssn", "maybe"])
-    assert exc.value.code == 2
+    # there is no --ssn flag: the sweep has no semismooth Newton choice
+    for value in ("maybe", "on"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", sdp_file, "--out", str(tmp_path / "r"),
+                  "--ssn", value])
+        assert exc.value.code == 2
 
 
 def test_cli_compare_records_a_refused_config(sdp_file, tmp_path, capsys):

@@ -217,10 +217,9 @@ def mixed_cone_qp(N=6, seed=4):
                       DiagQuadratic(rng.uniform(0.5, 2.0, n0)), blocks)
 
 
-def mixed_ssn_two_stage():
+def mixed_scenario_two_stage():
     """A two-stage problem whose scenario cones alternate orthants and free
-    spaces, solved by semismooth Newton: the zbar step takes the scenario
-    cone's plan."""
+    spaces."""
     p = random_two_stage(2, 6, 2, 5, N=6, seed=1, quad_eps=0.1)
     blocks = [ScenarioBlock(s.B, s.Bbar, s.bbar, s.cbar,
                             FreeSpace(s.n) if i % 2 else s.cone, s.theta)
@@ -233,7 +232,7 @@ def test_mixed_problems_have_index_array_groups():
     for blocks in (qp.joint_cone, qp.joint_theta):
         assert len(blocks.groups) == 2
         assert all(isinstance(w, np.ndarray) for _, w, _ in blocks.groups)
-    scen = mixed_ssn_two_stage().scen_cone
+    scen = mixed_scenario_two_stage().scen_cone
     assert all(isinstance(w, np.ndarray) for _, w, _ in scen.groups)
 
 
@@ -246,8 +245,6 @@ SOLVES = {
     "mixed-cone-qp": lambda: admm_solve(mixed_cone_qp()),
     "mixed-cone-qp-classic": lambda: admm_solve(mixed_cone_qp(),
                                                 SolverConfig(tau=1.618)),
-    "mixed-ssn": lambda: admm_solve(mixed_ssn_two_stage(),
-                                    SolverConfig(tau=1.618, ssn="on")),
     # PSD scenario cones of another order than the first stage's
     "sdp-alm": lambda: alm_solve(random_sdp(2, 3, 2, 4, N=3, seed=1)),
 }

@@ -24,9 +24,10 @@ def small_sdp():
 
 # (solver, instance, step length, stop iteration, status, report.kkt) as
 # computed with a full KKT evaluation on every iteration; ADMM with tau=1.618
-# runs the classic multiplier step, without a step length the Halpern step
-# (in the stage-scaled variables)
+# and ALM with tau=1.9 run the classic multiplier step, either without a
+# step length the Halpern step (in the stage-scaled variables)
 CLASSIC = 1.618
+ALM_CLASSIC = 1.9
 PINNED = [
     (admm_solve, make_two_scenario_lp, CLASSIC, 76, "Converged", dict(
         eta_P=9.256692165227065e-06, eta_D=3.260758724727181e-06,
@@ -34,7 +35,7 @@ PINNED = [
         eta_Pbar=2.367783793992493e-16, eta_Dbar=9.849544618065713e-06,
         eta_Kbar=3.1776350702402565e-06, eta_thetabar=0.0,
         eta=9.849544618065713e-06, eta_gap=2.914720845774868e-07)),
-    (alm_solve, make_two_scenario_lp, None, 116, "Converged", dict(
+    (alm_solve, make_two_scenario_lp, ALM_CLASSIC, 116, "Converged", dict(
         eta_P=3.1682076148120686e-06, eta_D=6.046067093073228e-06,
         eta_K=1.3919845145576119e-06, eta_theta=0.0,
         eta_Pbar=3.7555536503595916e-06, eta_Dbar=9.171993390688882e-06,
@@ -52,7 +53,7 @@ PINNED = [
         eta_Pbar=1.1101026685248462e-15, eta_Dbar=2.1493240189761796e-06,
         eta_Kbar=3.3971884733680404e-07, eta_thetabar=0.0,
         eta=9.839308768145958e-06, eta_gap=4.063886575537888e-06)),
-    (alm_solve, small_sdp, None, 2211, "Converged", dict(
+    (alm_solve, small_sdp, ALM_CLASSIC, 2211, "Converged", dict(
         eta_P=9.838324208657511e-06, eta_D=1.0563289850325711e-07,
         eta_K=1.2361165645852403e-06, eta_theta=0.0,
         eta_Pbar=2.138677804825515e-15, eta_Dbar=5.141993031643912e-06,
@@ -76,6 +77,18 @@ PINNED = [
         eta_Pbar=2.327339931057489e-15, eta_Dbar=2.6836312344583266e-06,
         eta_Kbar=6.218864991137704e-07, eta_thetabar=0.0,
         eta=9.762023057854024e-06, eta_gap=3.5101565263779355e-05)),
+    (alm_solve, make_two_scenario_lp, None, 35, "Converged", dict(
+        eta_P=2.1748651239938965e-06, eta_D=2.1646953069028553e-06,
+        eta_K=8.128490992413936e-07, eta_theta=0.0,
+        eta_Pbar=1.1765612265310164e-16, eta_Dbar=5.344257417276226e-06,
+        eta_Kbar=2.340519751056128e-06, eta_thetabar=0.0,
+        eta=5.344257417276226e-06, eta_gap=1.1986639959981756e-06)),
+    (alm_solve, small_sdp, None, 925, "Converged", dict(
+        eta_P=9.621576310501323e-06, eta_D=7.239890343055856e-08,
+        eta_K=1.564898927228482e-06, eta_theta=0.0,
+        eta_Pbar=4.694529675920298e-15, eta_Dbar=1.1632295114716863e-06,
+        eta_Kbar=4.0062800907763304e-07, eta_thetabar=0.0,
+        eta=9.621576310501323e-06, eta_gap=1.6605892668241237e-05)),
 ]
 
 
@@ -96,7 +109,8 @@ def check_log(report, cfg):
 @pytest.mark.parametrize("solve, build, tau, iters, status, kkt", PINNED,
                          ids=["admm-lp", "alm-lp", "admm-qp", "admm-sdp",
                               "alm-sdp", "halpern-lp", "halpern-qp",
-                              "halpern-sdp"])
+                              "halpern-sdp", "halpern-alm-lp",
+                              "halpern-alm-sdp"])
 def test_stop_and_certificate_unchanged(solve, build, tau, iters, status,
                                         kkt):
     problem = build()
@@ -111,10 +125,12 @@ def test_stop_and_certificate_unchanged(solve, build, tau, iters, status,
     assert report.kkt == kkt_residues(problem, report.primal, report.dual)
 
 
-# the Halpern step converges at 30 iterations on this problem
+# the Halpern step converges at 32 (ADMM) and 35 (ALM) iterations on this
+# problem
 @pytest.mark.parametrize("solve, tau, max_iter", [
-    (admm_solve, CLASSIC, 30), (alm_solve, None, 30), (admm_solve, None, 29)],
-    ids=["admm_solve", "alm_solve", "halpern"])
+    (admm_solve, CLASSIC, 30), (alm_solve, ALM_CLASSIC, 30),
+    (admm_solve, None, 29), (alm_solve, None, 30)],
+    ids=["admm_solve", "alm_solve", "halpern", "halpern-alm"])
 def test_max_iter_exit_certifies_the_last_iterate(solve, tau, max_iter):
     problem = make_two_scenario_lp()
     cfg = SolverConfig(tau=tau, max_iter=max_iter)

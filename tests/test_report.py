@@ -42,7 +42,7 @@ class TestExtra:
     @pytest.mark.parametrize("solve", [admm_solve, alm_solve])
     def test_sgs_keys(self, solve):
         rep = solve(make_two_scenario_lp(), SolverConfig(max_iter=3))
-        assert set(rep.extra) == {"ssn", "strategy", "stage_scale"}
+        assert set(rep.extra) == {"strategy", "stage_scale"}
 
     def test_pha_keys(self):
         rep = pha_solve(make_two_scenario_lp(), PhaConfig(max_iter=2))

@@ -77,7 +77,7 @@ def test_held_sums_on_the_working_problem(name, step):
     sums = None
     for _ in range(25):
         _, d, d_bar, sums, _ = solvers._sgs_iteration(
-            work, st, 0.7, 1.618, setup.msolver, setup.afactor, False, 1e-4,
+            work, st, 0.7, 1.618, setup.msolver, setup.afactor, 1e-4,
             SolverConfig(), sums=sums, v_free=v_free)
         lin = model.joint_linear_residues(work, st.xx, d, d_bar, denoms)
         want = model.kkt_full(work, st.xx, st, denoms=denoms)

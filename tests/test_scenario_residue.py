@@ -28,6 +28,7 @@ FULL = LOG_COLUMNS.index("eta")
 LINEAR = [LOG_COLUMNS.index(c) for c in ("eta_P", "eta_D", "eta_Pbar",
                                          "eta_Dbar")]
 CLASSIC = 1.618
+ALM_CLASSIC = 1.9
 
 
 def ts3():
@@ -67,17 +68,13 @@ def classic_chol(monkeypatch):
     return admm_solve(ts3(), SolverConfig(tau=CLASSIC))
 
 
-def alm_lp(monkeypatch):
-    return alm_solve(make_two_scenario_lp())
+def alm_lp(monkeypatch, tau=ALM_CLASSIC):
+    return alm_solve(make_two_scenario_lp(), SolverConfig(tau=tau))
 
 
-def alm_sdp(monkeypatch):
-    return alm_solve(random_sdp(2, 3, 2, 3, N=3, seed=1))
-
-
-def classic_ssn(monkeypatch):
-    lp = random_two_stage(2, 6, 2, 5, N=20, seed=1, quad_eps=0)
-    return admm_solve(lp, SolverConfig(tau=CLASSIC, ssn="on"))
+def alm_sdp(monkeypatch, tau=ALM_CLASSIC):
+    return alm_solve(random_sdp(2, 3, 2, 3, N=3, seed=1),
+                     SolverConfig(tau=tau))
 
 
 def pha_bundle(monkeypatch):
@@ -94,7 +91,8 @@ EXACT = {
     "classic-chol": classic_chol,
     "alm-lp": alm_lp,
     "alm-sdp": alm_sdp,
-    "classic-ssn": classic_ssn,
+    "halpern-alm-lp": lambda mp: alm_lp(mp, tau=None),
+    "halpern-alm-sdp": lambda mp: alm_sdp(mp, tau=None),
     "pha-bundle": pha_bundle,
 }
 
@@ -229,7 +227,9 @@ MAXITER = {
     "classic": lambda mp, n: admm_solve(ts3(), SolverConfig(tau=CLASSIC,
                                                             max_iter=n)),
     "alm": lambda mp, n: alm_solve(make_two_scenario_lp(),
-                                   SolverConfig(max_iter=n)),
+                                   SolverConfig(tau=ALM_CLASSIC, max_iter=n)),
+    "halpern-alm": lambda mp, n: alm_solve(make_two_scenario_lp(),
+                                           SolverConfig(max_iter=n)),
 }
 
 

@@ -209,30 +209,6 @@ class TestSsn:
             assert val(y, z) == pytest.approx(val(yo, zo), abs=1e-8)
             assert np.linalg.norm(z - zo) <= 1e-6 * (1 + np.linalg.norm(zo))
 
-    def test_alm_ssn_on_off_agree(self):
-        prob = random_two_stage(4, 10, 2, 3, 100, seed=11)
-        r_on = alm_solve(prob, SolverConfig(ssn="on"))
-        r_off = alm_solve(prob, SolverConfig(ssn="off"))
-        assert r_on.converged and r_off.converged
-        assert r_on.extra["ssn"] and not r_off.extra["ssn"]
-        assert r_on.obj_p == pytest.approx(r_off.obj_p, rel=1e-5)
-
-    def test_auto_activation_thresholds(self):
-        small_n = random_two_stage(4, 10, 2, 3, 100, seed=3)
-        assert alm_solve(small_n, SolverConfig(max_iter=1)).extra["ssn"]
-        few_scen = random_two_stage(4, 10, 2, 3, 99, seed=3)
-        assert not alm_solve(few_scen, SolverConfig(max_iter=1)).extra["ssn"]
-        wide = random_two_stage(4, 21, 2, 3, 100, seed=3)
-        assert not alm_solve(wide, SolverConfig(max_iter=1)).extra["ssn"]
-
-    def test_admm_with_ssn_matches_plain(self, two_scenario_lp):
-        r_plain = admm_solve(two_scenario_lp, SolverConfig(tol_kkt=1e-7,
-                                                           tol_gap=1e-7))
-        r_ssn = admm_solve(two_scenario_lp, SolverConfig(ssn="on", tol_kkt=1e-7,
-                                                         tol_gap=1e-7))
-        assert r_ssn.converged
-        assert r_ssn.obj_p == pytest.approx(r_plain.obj_p, rel=1e-5)
-
 
 class TestSsnEvaluations:
     @staticmethod
@@ -349,32 +325,6 @@ class TestInnerErrorContract:
         cfg = SolverConfig(check_inner=True, max_iter=200)
         rep = admm_solve(two_scenario_lp, cfg)   # asserts internally
         assert rep.iterations <= 200
-
-
-class TestAlmSsnStepReduction:
-    def test_zero_coupling_reduces_to_ssn_zy(self):
-        # with B = 0 the joint (z, y) solve sees chat = c - x/sigma untouched
-        # by the scenario sweep, so the step's (y, z) equals a bare ssn_zy
-        rng = np.random.default_rng(30)
-        from dbasolve.msolver import build_msolver
-        from dbasolve.solvers import _AFactor, _sgs_iteration, zero_state
-        from dbasolve.model import DBAProblem, ScenarioBlock
-
-        A = rng.normal(size=(2, 5))
-        b = A @ rng.uniform(0.0, 1.0, 5)
-        c = rng.normal(size=5)
-        blocks = [ScenarioBlock(np.zeros((2, 5)), np.eye(2), rng.normal(size=2),
-                                rng.normal(size=2), NonnegOrthant(2), Zero(2))]
-        prob = DBAProblem(A, b, c, NonnegOrthant(5), Zero(5), blocks)
-        st = zero_state(prob)
-        sigma = 0.8
-        _sgs_iteration(prob, st, sigma, 1.9, build_msolver(prob, "chol"),
-                       _AFactor(prob.A), True, 1e-10, SolverConfig(),
-                       alm=True)
-        y_ref, z_ref, _ = ssn_zy(prob.A, b, prob.cone, sigma, c.copy(),
-                                 tol=1e-12)
-        assert np.allclose(st.y, y_ref, atol=1e-8)
-        assert np.allclose(st.z, z_ref, atol=1e-8)
 
 
 class TestBoxCones:
@@ -501,22 +451,21 @@ class TestCarriedSums:
 
     @staticmethod
     def steps(prob, alm, carry, n=50):
-        from dbasolve.solvers import (_sgs_iteration, _ssn_eligible,
-                                      default_sigma0, solve_setup, zero_state)
+        from dbasolve.solvers import (_sgs_iteration, default_sigma0,
+                                      solve_setup, zero_state)
         cfg = SolverConfig()
         msol, facA = solve_setup(prob, cfg)
-        use_ssn = _ssn_eligible(prob, cfg)
         st, sigma, sums, out = zero_state(prob), default_sigma0(prob), None, []
         for k in range(n):
             if k == 25:
                 sigma *= 1.4          # the sums do not depend on sigma
             inner, d_res, d_res_bar, sums, _ = _sgs_iteration(
-                prob, st, sigma, 1.9 if alm else 1.618, msol, facA, use_ssn,
+                prob, st, sigma, 1.9 if alm else 1.618, msol, facA,
                 eps_schedule(k), cfg, alm, sums if carry else None)
             out.append([inner, d_res, d_res_bar, *sums] + [
                 getattr(st, f) for f in ("x", "xbar", "y", "ybar", "z",
                                          "zbar", "v", "vbar")])
-        return use_ssn, out
+        return out
 
     # the benchmark workloads' tiny instances (PHA's as the bundle its outer
     # iterations solve), ALM, and a problem without A
@@ -535,8 +484,8 @@ class TestCarriedSums:
             "lp-alm", "no-a", "no-a-alm"])
     def test_carried_equals_recomputed(self, build, alm):
         prob = build()
-        ssn, carried = self.steps(prob, alm, carry=True)
-        _, fresh = self.steps(prob, alm, carry=False)
+        carried = self.steps(prob, alm, carry=True)
+        fresh = self.steps(prob, alm, carry=False)
         for got, want in zip(carried, fresh):
             assert got[0] == want[0]
             assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
@@ -560,8 +509,8 @@ class TestFlatState:
         lambda: random_two_stage(2, 6, 2, 5, N=100, seed=1, quad_eps=0.1),
         _no_a_problem])
     def test_blocks_are_views(self, build):
-        from dbasolve.solvers import (_sgs_iteration, _ssn_eligible, _start,
-                                      solve_setup, zero_state)
+        from dbasolve.solvers import (_sgs_iteration, _start, solve_setup,
+                                      zero_state)
         prob = build()
         cfg = SolverConfig()
         msol, facA = solve_setup(prob, cfg)
@@ -570,8 +519,8 @@ class TestFlatState:
         sums = None
         for k in range(5):
             _, d_res, d_res_bar, sums, _ = _sgs_iteration(
-                prob, st, 0.5, 1.618, msol, facA, _ssn_eligible(prob, cfg),
-                eps_schedule(k), cfg, sums=sums)
+                prob, st, 0.5, 1.618, msol, facA, eps_schedule(k), cfg,
+                sums=sums)
             self.assert_views(st, prob.n0)
             assert d_res.base is d_res_bar.base
         rep = admm_solve(prob, SolverConfig(max_iter=30))
@@ -583,8 +532,7 @@ class TestFlatState:
             assert np.array_equal(getattr(warm, name), getattr(rep.dual, name))
         # the warm start copies: stepping it leaves the report as it was
         x_before = rep.primal.x.copy()
-        _sgs_iteration(prob, warm, 0.5, 1.618, msol, facA,
-                       _ssn_eligible(prob, cfg), 1e-6, cfg)
+        _sgs_iteration(prob, warm, 0.5, 1.618, msol, facA, 1e-6, cfg)
         assert np.array_equal(rep.primal.x, x_before)
 
 
@@ -620,12 +568,12 @@ class TestHalpernStep:
             # computed from the state
             ref = PrimalDualState(prob.n0, st.xx.copy(), st.y.copy(),
                                   st.ybar.copy(), st.zz.copy(), st.vv.copy())
-            _sgs_iteration(prob, ref, sigma, 1.0, msol, facA, False,
+            _sgs_iteration(prob, ref, sigma, 1.0, msol, facA,
                            eps_schedule(k), cfg)
             # the sweep writes T(w) into the step's image buffer
             _, d_res, d_res_bar, SS, lin = _sgs_iteration(
-                prob, st, sigma, 1.0, msol, facA, False, eps_schedule(k),
-                cfg, sums=sums, out=hal.image)
+                prob, st, sigma, 1.0, msol, facA, eps_schedule(k), cfg,
+                sums=sums, out=hal.image)
             assert st.xx.base is hal.image[0] and lin.base is hal.image[0]
             residues = joint_linear_residues(prob, st.xx, d_res, d_res_bar,
                                              residue_denominators(prob))
@@ -692,14 +640,62 @@ class TestHalpernStep:
                    <= np.log(solvers._SIGMA_RESTART_CLAMP) + 1e-12
                    for k in moved)
 
-    def test_ssn_auto_is_off(self):
-        # auto picks semismooth Newton here for the classic step
-        prob = random_two_stage(2, 6, 2, 5, N=100, seed=1, quad_eps=0.1)
-        assert not admm_solve(prob, SolverConfig(max_iter=1)).extra["ssn"]
-        assert admm_solve(prob, SolverConfig(max_iter=1,
-                                             tau=1.618)).extra["ssn"]
-        assert admm_solve(prob, SolverConfig(max_iter=1,
-                                             ssn="on")).extra["ssn"]
+
+class TestAlmHalpernStep:
+    """alm_solve without a step length runs the Halpern step at the stage
+    scale, as admm_solve does; a set step length runs the classic one."""
+
+    # two LPs on which the classic step (tau 1.9) ends Stalled, after 2290
+    # and 26642 iterations
+    @pytest.mark.parametrize("build, iterations", [
+        (lambda: random_two_stage(3, 8, 4, 8, N=12, seed=1), 614),
+        (lambda: random_two_stage(2, 6, 2, 5, N=100, seed=2), 1394)],
+        ids=["lp-n12", "lp-n100"])
+    def test_lps_that_stalled_converge(self, build, iterations):
+        prob = build()
+        rep = alm_solve(prob)
+        assert (rep.status, rep.iterations) == ("Converged", iterations)
+        assert rep.extra["stage_scale"] < 1.0
+        assert rep.kkt == kkt_residues(prob, rep.primal, rep.dual)
+        # at the default tolerances the objectives may differ by up to
+        # tol_gap; solved tighter, both agree within 1e-5
+        tight = SolverConfig(tol_kkt=1e-7, tol_gap=1e-7)
+        alm, admm = alm_solve(prob, tight), admm_solve(prob, tight)
+        assert alm.converged and admm.converged
+        assert alm.obj_p == pytest.approx(admm.obj_p, rel=1e-5)
+
+    def test_warm_start_from_an_alm_report(self):
+        prob = random_sdp(2, 3, 2, 3, N=3, seed=1)
+        cfg = SolverConfig(tol_kkt=1e-8, tol_gap=1e-8)
+        first = alm_solve(prob, cfg)
+        assert first.converged and first.extra["stage_scale"] < 1.0
+        before = [a.copy() for a in (first.primal.x, *first.primal.xbar,
+                                     first.dual.y, first.dual.ybar,
+                                     first.dual.z, first.dual.zbar)]
+        # the report's point, mapped into the scaled variables, is certified
+        # again at once
+        again = alm_solve(prob, initial=first)
+        assert (again.status, again.iterations) == ("Converged", 1)
+        moved = prob.with_cost(prob.c + 0.01)
+        warm = alm_solve(moved, cfg, initial=first)
+        cold = alm_solve(moved, cfg)
+        assert warm.log_rows[0][LOG_COLUMNS.index("sigma")] == first.sigma
+        assert warm.converged and cold.converged
+        assert warm.iterations < cold.iterations
+        assert warm.obj_p == pytest.approx(cold.obj_p, rel=1e-6)
+        after = (first.primal.x, *first.primal.xbar, first.dual.y,
+                 first.dual.ybar, first.dual.z, first.dual.zbar)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def test_classic_step_on_the_two_stage_reference_instance():
+    # the CI's classic solve of the two-stage-ssn reference instance, a
+    # small first stage with many scenarios; 1072 iterations also with the
+    # (z, y) step solved exactly by ssn_zy
+    prob = random_two_stage(5, 20, 5, 15, N=120, seed=1, quad_eps=0.1)
+    rep = admm_solve(prob, SolverConfig(tau=1.618))
+    assert (rep.status, rep.iterations) == ("Converged", 1072)
+    assert rep.extra["stage_scale"] == 1.0
 
 
 class TestRestartSigma:
@@ -935,8 +931,8 @@ class TestComposedSteps:
         if not v_free:
             st.vv = rng.normal(size=st.vv.size)
         solvers._sgs_iteration(prob, st, 0.7, 1.618, setup.msolver,
-                               setup.afactor, False, 1e-6, SolverConfig(),
-                               alm, None, v_free and not alm)
+                               setup.afactor, 1e-6, SolverConfig(), alm,
+                               None, v_free and not alm)
         return [st.xx, st.y, st.ybar, st.zz, st.vv]
 
     # the forward error of either path is about cond(A A*) eps; at 1e8 the

@@ -116,9 +116,9 @@ class TestRule:
 
 
 class TestUnscaledPaths:
-    """Where ``s = 1`` (an indicator first stage, a set step length, ALM
-    and PHA's bundles) the solve builds no scaled operator, scales no
-    function and returns the state's own arrays."""
+    """Where ``s = 1`` (an indicator first stage, a set step length, for
+    ADMM and for ALM, and PHA's bundles) the solve builds no scaled
+    operator, scales no function and returns the state's own arrays."""
 
     @pytest.fixture
     def scaled_path_refused(self, monkeypatch):
@@ -132,7 +132,7 @@ class TestUnscaledPaths:
         lambda: admm_solve(two_stage_ssn(), SolverConfig(tau=1.618,
                                                          max_iter=300)),
         lambda: alm_solve(random_sdp(3, 6, 3, 6, N=4, seed=1),
-                          SolverConfig(max_iter=300)),
+                          SolverConfig(tau=1.9, max_iter=300)),
     ], ids=["ufl-dnn", "set-tau", "alm"])
     def test_sgs(self, scaled_path_refused, solve):
         rep = solve()
@@ -310,6 +310,7 @@ class TestObservability:
         assert not caplog.records
 
     @pytest.mark.parametrize("solver, scaled", [("sgs-admm", True),
+                                                ("sgs-alm", True),
                                                 ("pha", False)])
     def test_summary(self, tmp_path, solver, scaled):
         path = str(tmp_path / "lp.json")
